@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,21 +106,17 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
     chain_tail = {r.id: s for r, s in zip(robots, starts)}
 
     # project structure from graph metadata
-    assemblies = sorted({a for a, _ in graph.phase_members})
-    phases = {a: sorted(k for (x, k) in graph.phase_members if x == a) for a in assemblies}
-    active_step = {a: phases[a][0] for a in assemblies}
-    active = set(assemblies)
+    phases = graph.assembly_phases
+    active_step = {a: ks[0] for a, ks in phases.items()}
+    active = set(phases)
     parts = {n.subject for n in graph.nodes.values() if n.kind == "ObjectStart"}
     available_components = set(parts)
     assigned: set[str] = set()
 
     # event-time bookkeeping (greedy's internal clock)
     ready_time = {p: 0.0 for p in parts}  # payload availability
-    open_time = {(a, phases[a][0]): 0.0 for a in assemblies}
+    open_time = {(a, ks[0]): 0.0 for a, ks in phases.items()}
     lift_end: dict[tuple[str, int], list[float]] = {}
-    parent_phase = {
-        c: (a, k) for (a, k), members in graph.phase_members.items() for c in members
-    }
     durations = {nid: n.duration for nid, n in graph.nodes.items()}
 
     added: list[tuple[str, str]] = []
@@ -130,7 +126,7 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
         tugo = durations[f"TransportUnitGo:{component}"]
         dep_dur = durations[f"DepositCargo:{component}"]
         lift_dur = durations[f"LiftIntoPlace:{component}"]
-        a, k = parent_phase[component]
+        a, k = graph.payload_phase[component]
         t_form_end = max(t_task, ready_time[component]) + form_dur
         t_arrive = t_form_end + tugo
         t_dep_end = max(t_arrive, open_time[(a, k)]) + dep_dur
@@ -275,7 +271,6 @@ def export_lp(milp: ScheduleMilp) -> str:
         row += 1
         lines.append(f" c{row}: {expr}")
 
-    pred, _ = g.adjacency()
     # durations (fixed) and precedence over existing edges
     for nid in sorted(g.nodes):
         node = g.nodes[nid]

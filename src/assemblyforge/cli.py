@@ -7,6 +7,7 @@ can be chained; every output is a deterministic function of inputs + flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -71,7 +72,7 @@ def cmd_plan(args) -> int:
     except (FileNotFoundError, OSError):
         print(f"error: cannot read input {args.input}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ldraw.LdrawParseError, json.JSONDecodeError) as exc:
+    except (ldraw.LdrawParseError, json.JSONDecodeError, model.ProjectError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
@@ -188,9 +189,7 @@ def cmd_simulate(args) -> int:
             print(f"invalid schedule: {v.node}: {v.message}", file=sys.stderr)
         return EXIT_FAILURE
     if args.dt is not None:
-        params = model.PlanParams(**{
-            **{k: getattr(params, k) for k in model.PlanParams.__dataclass_fields__},
-            "dt_sim": args.dt})
+        params = dataclasses.replace(params, dt_sim=args.dt)
 
     _, _, predicted = schedule.evaluate_schedule(graph, fleet)
     t_start = time.perf_counter()

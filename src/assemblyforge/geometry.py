@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 CONTAINMENT_TOL = 1e-9
-SUPPORT_TOL = 1e-7
 
 OCTAGON_ANGLES = tuple(k * math.pi / 4 for k in range(8))
 OCTAGON_NORMALS = np.array(
@@ -249,16 +248,6 @@ def min_enclosing_sphere(points, seed: int = 0) -> Sphere:
     rng = random.Random(seed)
     rng.shuffle(pts)
 
-    def welzl(p_list: list[np.ndarray], boundary: list[np.ndarray]) -> Sphere:
-        if not p_list or len(boundary) == 4:
-            return _sphere_from(boundary)
-        p = p_list[0]
-        s = welzl(p_list[1:], boundary)
-        if np.linalg.norm(p - s.center) <= s.radius * (1 + 1e-12) + 1e-12:
-            return s
-        return welzl(p_list[1:], boundary + [p])
-
-    # iterative restatement to dodge recursion limits on larger inputs
     s = _sphere_from([])
     for i, p in enumerate(pts):
         if np.linalg.norm(p - s.center) <= s.radius * (1 + 1e-12) + 1e-12:

@@ -86,8 +86,8 @@ def _box_vertices_ldu(w: float, d: float, h: float) -> np.ndarray:
 @dataclass
 class _Section:
     name: str
-    # entries: ("part"|"section", referenced name, Transform (world frame, m), color)
-    refs: list[tuple[str, str, Transform, int]] = field(default_factory=list)
+    # entries: (line number, referenced name, Transform (world frame, LDU), color)
+    refs: list[tuple[int, str, Transform, int]] = field(default_factory=list)
     step_breaks: list[int] = field(default_factory=list)  # ref counts at each STEP
 
 
@@ -144,7 +144,7 @@ def _split_sections(text: str) -> tuple[list[_Section], ParseReport]:
             # conjugate into the +Z-up frame; translations stay in LDU here
             rot = _LDRAW_TO_WORLD @ tf_ldraw.rotation @ _LDRAW_TO_WORLD.T
             trans = _LDRAW_TO_WORLD @ tf_ldraw.translation
-            current.refs.append(("ref", name.lower(), Transform(rot, trans), color))
+            current.refs.append((line_no, name.lower(), Transform(rot, trans), color))
         elif lt in {"2", "3", "4", "5"}:
             report.skipped_lines[int(lt)] = report.skipped_lines.get(int(lt), 0) + 1
         else:
@@ -172,14 +172,16 @@ def parse_mpd(
     root_name = sections[0].name
     assemblies: dict[str, Assembly] = {}
     parts_catalog: dict[str, PartGeometry] = {}
-    colors: dict[str, int] = {}
     instance_counter: dict[str, int] = {}
 
     def next_instance(base: str) -> str:
         instance_counter[base] = instance_counter.get(base, 0) + 1
         return f"{base}@{instance_counter[base]}"
 
+    open_sections: list[str] = []  # sections being built, outermost first
+
     def build(section: _Section, assembly_id: str) -> None:
+        open_sections.append(section.name)
         components: list[tuple[str, Transform]] = []
         phases: list[tuple[int, list[str]]] = []
         breaks = list(section.step_breaks)
@@ -189,9 +191,12 @@ def parse_mpd(
         phase_idx = 0
         for lo, hi in zip(phase_edges[:-1], phase_edges[1:]):
             members: list[str] = []
-            for _, name, tf_ldu, color in section.refs[lo:hi]:
+            for line_no, name, tf_ldu, _ in section.refs[lo:hi]:
                 # translation LDU -> meters; rotation is unit-free
                 tf = Transform(tf_ldu.rotation, tf_ldu.translation / units_per_meter)
+                if name in open_sections:
+                    cycle = " -> ".join(open_sections[open_sections.index(name):] + [name])
+                    raise LdrawParseError(f"section reference cycle: {cycle}", line_no)
                 if name in by_name:
                     child_id = next_instance(name)
                     build(by_name[name], child_id)
@@ -207,7 +212,6 @@ def parse_mpd(
                         _box_vertices_ldu(*dims), units_per_meter
                     )
                 components.append((child_id, tf))
-                colors[child_id] = color
                 members.append(child_id)
             if members:
                 phase_idx += 1
@@ -217,11 +221,10 @@ def parse_mpd(
             components=tuple(components),
             build_phases=tuple(BuildPhase(i, tuple(m)) for i, m in phases),
         )
+        open_sections.pop()
 
     build(by_name[root_name], root_name)
     project = ProjectSpec(assemblies=assemblies, root=root_name, parts_catalog=parts_catalog)
-    # stash colors on the report for SVG rendering downstream
-    report.colors = colors  # type: ignore[attr-defined]
     return ParseResult(project, report)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,12 +97,6 @@ class Assembly:
             if cid == child_id:
                 return tf
         raise KeyError(child_id)
-
-    def phase_of(self, child_id: str) -> int | None:
-        for phase in self.build_phases:
-            if child_id in phase.member_ids:
-                return phase.index
-        return None
 
 
 @dataclass(frozen=True)
@@ -345,34 +339,39 @@ def project_to_jsonable(spec: ProjectSpec, fleet: RobotFleet | None = None,
 
 
 def project_from_jsonable(doc: dict) -> tuple[ProjectSpec, RobotFleet | None, PlanParams | None]:
-    assemblies = {
-        aid: Assembly(
-            id=aid,
-            components=tuple(
-                (c["id"], Transform.from_jsonable(c["transform"])) for c in body["components"]
-            ),
-            build_phases=tuple(
-                BuildPhase(p["index"], tuple(p["members"])) for p in body["build_phases"]
-            ),
-        )
-        for aid, body in doc["assemblies"].items()
-    }
-    parts = {
-        pid: PartGeometry(np.array(body["vertices"]), body["units_per_meter"])
-        for pid, body in doc["parts"].items()
-    }
-    spec = ProjectSpec(assemblies=assemblies, root=doc["root"], parts_catalog=parts)
-    fleet = None
-    if "fleet" in doc:
-        f = doc["fleet"]
-        fleet = RobotFleet(
-            count=f["count"], radius=f["radius"], v_max=f["v_max"], v_min=f["v_min"],
-            v_factor=f["v_factor"], initial_positions=np.array(f["initial_positions"]),
-        )
-    params = None
-    if "params" in doc:
-        params = PlanParams(**doc["params"])
-    return spec, fleet, params
+    """Project, fleet and parameters from a native project JSON document;
+    raises ProjectError when a required key is missing."""
+    try:
+        assemblies = {
+            aid: Assembly(
+                id=aid,
+                components=tuple(
+                    (c["id"], Transform.from_jsonable(c["transform"])) for c in body["components"]
+                ),
+                build_phases=tuple(
+                    BuildPhase(p["index"], tuple(p["members"])) for p in body["build_phases"]
+                ),
+            )
+            for aid, body in doc["assemblies"].items()
+        }
+        parts = {
+            pid: PartGeometry(np.array(body["vertices"]), body["units_per_meter"])
+            for pid, body in doc["parts"].items()
+        }
+        spec = ProjectSpec(assemblies=assemblies, root=doc["root"], parts_catalog=parts)
+        fleet = None
+        if "fleet" in doc:
+            f = doc["fleet"]
+            fleet = RobotFleet(
+                count=f["count"], radius=f["radius"], v_max=f["v_max"], v_min=f["v_min"],
+                v_factor=f["v_factor"], initial_positions=np.array(f["initial_positions"]),
+            )
+        params = None
+        if "params" in doc:
+            params = PlanParams(**doc["params"])
+        return spec, fleet, params
+    except KeyError as exc:
+        raise ProjectError(f"project JSON is missing key {exc}") from None
 
 
 def save_project(path, spec: ProjectSpec, fleet: RobotFleet | None = None,

@@ -16,12 +16,6 @@ from .model import PlanParams, ProjectSpec, RobotFleet
 from .staging import StagingPlan
 from .transport import TransportUnitConfig
 
-KINDS = (
-    "ObjectStart", "RobotStart", "RobotGo", "AssemblyStart", "OpenBuildStep",
-    "FormTransportUnit", "TransportUnitGo", "DepositCargo", "LiftIntoPlace",
-    "CloseBuildStep", "AssemblyComplete", "ProjectComplete",
-)
-
 CHECKPOINT_KINDS = {
     "ObjectStart", "RobotStart", "AssemblyStart", "OpenBuildStep",
     "CloseBuildStep", "AssemblyComplete", "ProjectComplete",
@@ -44,67 +38,80 @@ class ScheduleNode:
     duration: float | None = None  # None => computed during evaluation
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScheduleGraph:
+    """Immutable schedule DAG, indexed once at construction.
+
+    `adjacency()`, `topological_order`, `upstream` and the phase maps read
+    the index; the lists and dicts they return are shared and must not be
+    mutated."""
+
     nodes: dict[str, ScheduleNode]
-    edges: set[tuple[str, str]]
+    edges: frozenset[tuple[str, str]]
     terminal_nodes: tuple[str, ...]
     team_sizes: dict[str, int] = field(default_factory=dict)  # payload -> slots
     phase_members: dict[tuple[str, int], tuple[str, ...]] = field(default_factory=dict)
+    # assembly -> sorted phase indices; payload -> (assembly, phase)
+    assembly_phases: dict[str, list[int]] = field(init=False, repr=False, compare=False)
+    payload_phase: dict[str, tuple[str, int]] = field(init=False, repr=False, compare=False)
+    _pred: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    _succ: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    _order: list[str] | None = field(init=False, repr=False, compare=False)  # None: cyclic
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if u not in self.nodes or v not in self.nodes:
-                raise ScheduleError(f"edge ({u}, {v}) references unknown node")
-
-    def preds(self, v: str) -> list[str]:
-        return sorted(u for (u, w) in self.edges if w == v)
-
-    def succs(self, u: str) -> list[str]:
-        return sorted(w for (x, w) in self.edges if x == u)
-
-    def adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        edges = frozenset(self.edges)
         pred: dict[str, list[str]] = {v: [] for v in self.nodes}
         succ: dict[str, list[str]] = {v: [] for v in self.nodes}
-        for u, v in sorted(self.edges):
+        for u, v in sorted(edges):
+            if u not in self.nodes or v not in self.nodes:
+                raise ScheduleError(f"edge ({u}, {v}) references unknown node")
             succ[u].append(v)
             pred[v].append(u)
-        return pred, succ
+
+        # Kahn's algorithm over sorted node ids
+        indeg = {v: len(ps) for v, ps in pred.items()}
+        queue = deque(sorted(v for v, d in indeg.items() if d == 0))
+        order: list[str] = []
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in succ[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    queue.append(w)
+
+        phases: dict[str, list[int]] = {}
+        payload_phase: dict[str, tuple[str, int]] = {}
+        for (a, k), members in self.phase_members.items():
+            phases.setdefault(a, []).append(k)
+            for c in members:
+                payload_phase[c] = (a, k)
+
+        set_field = object.__setattr__  # the dataclass is frozen
+        set_field(self, "edges", edges)
+        set_field(self, "_pred", pred)
+        set_field(self, "_succ", succ)
+        set_field(self, "_order", order if len(order) == len(self.nodes) else None)
+        set_field(self, "assembly_phases", {a: sorted(phases[a]) for a in sorted(phases)})
+        set_field(self, "payload_phase", payload_phase)
+
+    def adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        return self._pred, self._succ
 
     def with_edges(self, extra: set[tuple[str, str]]) -> "ScheduleGraph":
-        return ScheduleGraph(
-            nodes=dict(self.nodes),
-            edges=set(self.edges) | set(extra),
-            terminal_nodes=self.terminal_nodes,
-            team_sizes=dict(self.team_sizes),
-            phase_members=dict(self.phase_members),
-        )
+        # nodes and metadata are shared: neither graph mutates them
+        return replace(self, edges=self.edges | frozenset(extra))
 
 
 def topological_order(graph: ScheduleGraph) -> list[str]:
-    """Kahn's algorithm over sorted node ids; raises on cycles."""
-    pred, succ = graph.adjacency()
-    indeg = {v: len(ps) for v, ps in pred.items()}
-    queue = deque(sorted(v for v, d in indeg.items() if d == 0))
-    order: list[str] = []
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if len(order) != len(graph.nodes):
+    """Kahn's order over sorted node ids; raises on cycles."""
+    if graph._order is None:
         raise ScheduleError("schedule graph contains a cycle")
-    return order
+    return graph._order
 
 
 def is_acyclic(graph: ScheduleGraph) -> bool:
-    try:
-        topological_order(graph)
-        return True
-    except ScheduleError:
-        return False
+    return graph._order is not None
 
 
 def upstream(graph: ScheduleGraph, v: str) -> set[str]:

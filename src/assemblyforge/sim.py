@@ -16,17 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import PlanParams, RobotFleet
-from .schedule import ScheduleGraph, topological_order
+from .schedule import CHECKPOINT_KINDS, ScheduleGraph, topological_order
 from .staging import StagingPlan
 from .transport import TransportUnitConfig
 
 ARRIVAL_TOL_FACTOR = 0.2  # slot / waypoint arrival tolerance, fraction of r
 PENETRATION_TOL_FACTOR = 1e-3
 ORCA_SAFETY_FACTOR = 0.01  # inflation of combined radii in avoidance constraints
-
-
-class SimError(ValueError):
-    pass
 
 
 # -- level 1: modified tangent bug -------------------------------------------
@@ -232,7 +228,7 @@ def _orca_line(p_i, v_i, r_i, p_j, v_j, r_j, share: float, tau: float, dt: float
     return point, direction
 
 
-def _lp1(lines, idx, radius, opt, result):
+def _lp1(lines, idx, radius, opt):
     """Clamp result onto line idx while honoring lines [0, idx) and |v|<=radius."""
     pt, d = lines[idx]
     dot = float(pt @ d)
@@ -267,7 +263,7 @@ def _lp2(lines, radius, opt):
     result = opt if norm <= radius else opt / norm * radius
     for i, (pt, d) in enumerate(lines):
         if d[0] * (result[1] - pt[1]) - d[1] * (result[0] - pt[0]) < -1e-12:
-            r2 = _lp1(lines, i, radius, opt, result)
+            r2 = _lp1(lines, i, radius, opt)
             if r2 is None:
                 return i, result
             result = r2
@@ -388,7 +384,6 @@ class _Mission:
     payload: str
     slot: int
     pickup_node: str
-    dropoff_node: str
     pickup_pos: np.ndarray
     dropoff_pos: np.ndarray
 
@@ -412,7 +407,7 @@ def _robot_itineraries(graph: ScheduleGraph):
             drop = f"RobotGo:{pn.subject}:{pn.slot}:dropoff"
             dn = graph.nodes[drop]
             missions.append(_Mission(
-                pn.subject, pn.slot, pick, drop,
+                pn.subject, pn.slot, pick,
                 np.array(pn.destination), np.array(dn.origin)))
             cur = drop
         itineraries[node.subject] = missions
@@ -459,11 +454,8 @@ def simulate(
     max_cargo_id = len(deposit_order)
 
     # payload bookkeeping
-    payload_phase = {c: (a, k) for (a, k), ms in graph.phase_members.items() for c in ms}
-    assembly_phases = {
-        a: sorted(k for (x, k) in graph.phase_members if x == a)
-        for a in sorted({a for a, _ in graph.phase_members})
-    }
+    payload_phase = graph.payload_phase
+    assembly_phases = graph.assembly_phases
     source_node = {}
     for nid, node in graph.nodes.items():
         if node.kind == "FormTransportUnit":
@@ -505,25 +497,19 @@ def simulate(
         return ms[i] if i < len(ms) else None
 
     def fire_checkpoints():
-        changed = True
-        while changed:
-            changed = False
-            for nid in topo:
-                if status[nid] != "pending" or remaining[nid] > 0:
-                    continue
-                node = graph.nodes[nid]
-                if node.kind in ("ObjectStart", "RobotStart", "AssemblyStart",
-                                 "OpenBuildStep", "CloseBuildStep",
-                                 "AssemblyComplete", "ProjectComplete"):
-                    complete(nid)
-                    changed = True
-                elif node.kind == "RobotGo" and node.role == "dropoff":
-                    complete(nid)
-                    changed = True
-                elif node.kind == "LiftIntoPlace":
-                    status[nid] = "active"
-                    timers[nid] = t + (node.duration or 0.0)
-                    changed = True
+        # one pass suffices: completing a node only readies its successors,
+        # which come later in topological order
+        for nid in topo:
+            if status[nid] != "pending" or remaining[nid] > 0:
+                continue
+            node = graph.nodes[nid]
+            if node.kind in CHECKPOINT_KINDS:
+                complete(nid)
+            elif node.kind == "RobotGo" and node.role == "dropoff":
+                complete(nid)
+            elif node.kind == "LiftIntoPlace":
+                status[nid] = "active"
+                timers[nid] = t + (node.duration or 0.0)
 
     while step < max_steps:
         fire_checkpoints()

@@ -8,13 +8,12 @@ phase and sibling staging areas around a parent assembly.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PlanParams, ProjectSpec, Transform
+from .model import PlanParams, ProjectSpec
 from .transport import TransportUnitConfig, payload_points
 
 
@@ -167,10 +166,6 @@ class StagingPlan:
     def staging_circle(self, assembly_id: str, phase: int) -> tuple[np.ndarray, float]:
         st = self.assemblies[assembly_id]
         return st.center, st.phase_radii[phase - 1]
-
-
-def _rank_key(rho: float, order: int) -> tuple:
-    return (-rho, order)
 
 
 def layout_phase(

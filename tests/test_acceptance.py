@@ -7,7 +7,6 @@ from hand-derived constructions; tolerances are stated inline.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import time
 

@@ -30,6 +30,31 @@ class TestExitCodes:
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("text", [
+        "0 FILE main.ldr\n1 16 0 0 0 1 0 0 0 1 0 0 0 1 main.ldr\n",
+        "0 FILE a.ldr\n1 16 0 0 0 1 0 0 0 1 0 0 0 1 b.ldr\n"
+        "0 FILE b.ldr\n1 16 0 0 0 1 0 0 0 1 0 0 0 1 a.ldr\n",
+    ], ids=["self", "cycle"])
+    def test_section_reference_cycle(self, tmp_path, capsys, text):
+        bad = tmp_path / "cycle.mpd"
+        bad.write_text(text)
+        code = cli.main(["plan", "--input", str(bad),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "reference cycle" in err[0]
+
+    def test_project_missing_key(self, tmp_path, capsys):
+        doc = model.project_to_jsonable(projects.toy_project())
+        del doc["parts"]
+        bad = tmp_path / "missing.json"
+        bad.write_text(json.dumps(doc))
+        code = cli.main(["plan", "--input", str(bad),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "'parts'" in err[0]
+
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,0 +1,76 @@
+"""Golden artifacts: the SHA-256 of every deterministic artifact that
+`cli.main` writes for three fixed runs.
+
+A refactor that claims to change no output keeps these hashes. The values
+were recorded with Python 3.11.7 and numpy 2.4.6; another toolchain may
+round floats differently, so a mismatch there is a prompt to re-record on
+the parent commit, not a proof of a behaviour change.
+"""
+
+import hashlib
+from functools import partial
+
+import pytest
+
+from assemblyforge import cli, model, projects
+
+ARTIFACTS = ("schedule_partial.json", "transport_units.json", "schedule_complete.json",
+             "model.lp", "trace.csv", "events.jsonl")
+
+RUNS = {
+    "toy-2": (
+        projects.toy_project, 2,
+        [["bnb"], ["export-lp"]], True,
+    ),
+    "tractor-5": (
+        projects.tractor_project, 5,
+        [["bnb", "--max-nodes", "200", "--time-limit", "inf"], ["export-lp"]], True,
+    ),
+    # no simulate: 8 robots livelock on this project
+    "synthetic-8": (
+        partial(projects.synthetic_project, 0), 8,
+        [["greedy"], ["export-lp"]], False,
+    ),
+}
+
+GOLDEN = {
+    "toy-2": {
+        "schedule_partial.json": "bbb796c9319043e33169d6751faca7ee74b68553bc2398a163f29072aa24f0b4",
+        "transport_units.json": "1120be3e0f88336efb83144d5a6c6b98be4108d527dbe6db7724b1b119a515ec",
+        "schedule_complete.json": "73efea44a1b6069d5b61bc5379fdbf1a4b495304067f2f58117c65cdddabe6c9",
+        "model.lp": "ce3db9d65e24b7aead047d098724146878746538eba245d7f69f391c43eae6ea",
+        "trace.csv": "551d9dc8befad510bae8025e119d20f9b9ba77541952b7c43606e6d8c1262468",
+        "events.jsonl": "0c0be461c5f580e3d16258274eef549ecf0f79beb0e17047d9646de621ad7db4",
+    },
+    "tractor-5": {
+        "schedule_partial.json": "3e690df0b26331ce8d3d58822c009f1a84e1998a732a2c41aa2b2be275df47fe",
+        "transport_units.json": "b22a590dddea2e855d012496a996944026ef4d69f50366efdaaa1f9136713879",
+        "schedule_complete.json": "3ffdc6804766598e3b21d2f53b8f6a3f72292db7504cf0bb2a9a98d5552de846",
+        "model.lp": "d34756d89155cb1d50b5857e2ba379125151d15e2af59ded36402d6786928351",
+        "trace.csv": "bdebbafe5ec88412dc820aaa09be09c95779e1db350a25e9debe27081c2a77d4",
+        "events.jsonl": "ab9539f5d180aa4f2227dfa5f10baca641693116097792527cace4c952d40e52",
+    },
+    "synthetic-8": {
+        "schedule_partial.json": "a5ffd353744c14ad434a3e0c196ea68075846a5a43fc628e86fb19e162d3f6a3",
+        "transport_units.json": "ffd90b35977b5cc15da270984591db6b49bf469bafa72d73bc7bdbe6db0721c8",
+        "schedule_complete.json": "464bb0889ffdd7504c3d85fdf19e3ac0564a76254cd5ba64c7304e9dac7476e2",
+        "model.lp": "4e5304d5cd02f5acedd02ae5495e2fa197f4016d7dba6d6a9396268111fa5fd5",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_golden_artifacts(name, tmp_path):
+    make_spec, robots, allocations, simulate = RUNS[name]
+    project = tmp_path / "project.json"
+    model.save_project(project, make_spec(), projects.default_fleet(robots),
+                       projects.default_params(buffer_radius=0.25))
+    out = tmp_path / "out"
+    assert cli.main(["plan", "--input", str(project), "--out", str(out)]) == cli.EXIT_OK
+    for method in allocations:
+        assert cli.main(["allocate", "--out", str(out), "--method", *method]) == cli.EXIT_OK
+    if simulate:
+        assert cli.main(["simulate", "--out", str(out)]) == cli.EXIT_OK
+    got = {a: hashlib.sha256((out / a).read_bytes()).hexdigest()
+           for a in ARTIFACTS if (out / a).is_file()}
+    assert got == GOLDEN[name]

@@ -1,3 +1,6 @@
+import dataclasses
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,26 @@ def _tiny_graph():
                          terminal_nodes=("c",))
 
 
+def _reference_index(graph):
+    """Adjacency and Kahn order rebuilt from sorted(edges) on every call."""
+    pred = {v: [] for v in graph.nodes}
+    succ = {v: [] for v in graph.nodes}
+    for u, v in sorted(graph.edges):
+        succ[u].append(v)
+        pred[v].append(u)
+    indeg = {v: len(ps) for v, ps in pred.items()}
+    queue = deque(sorted(v for v, d in indeg.items() if d == 0))
+    order = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return pred, succ, order
+
+
 class TestStructure:
     def test_toy_node_counts(self, pipeline, toy_spec):
         graph = pipeline(toy_spec, "toy", 2)["graph"]
@@ -30,6 +53,24 @@ class TestStructure:
             "ProjectComplete": 1, "RobotGo": 4, "RobotStart": 2,
         }
         assert graph.team_sizes == {"brick@1": 2}
+        assert graph.assembly_phases == {"toy": [1]}
+        assert graph.payload_phase == {"brick@1": ("toy", 1)}
+
+    def test_index_matches_sorted_edges(self, pipeline, toy_spec, tractor_spec):
+        for spec, name, robots in ((toy_spec, "toy", 2), (tractor_spec, "tractor", 5)):
+            data = pipeline(spec, name, robots)
+            for graph in (data["graph"], data["greedy"].graph):
+                pred, succ, order = _reference_index(graph)
+                assert graph.adjacency() == (pred, succ)
+                assert schedule.topological_order(graph) == order
+
+    def test_graph_is_immutable(self):
+        g = _tiny_graph()
+        with pytest.raises(AttributeError):
+            g.edges.add(("c", "a"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.edges = frozenset()
+        assert g.edges == {("a", "b"), ("b", "c")}
 
     def test_edge_to_unknown_node_rejected(self):
         with pytest.raises(schedule.ScheduleError, match="unknown node"):
@@ -42,6 +83,10 @@ class TestStructure:
         assert not schedule.is_acyclic(cyclic)
         with pytest.raises(schedule.ScheduleError, match="cycle"):
             schedule.topological_order(cyclic)
+        rules = {v.rule for v in schedule.validate_schedule(cyclic, "partial")}
+        assert "acyclic" in rules
+        with pytest.raises(schedule.ScheduleError, match="cycle"):
+            schedule.evaluate_schedule(cyclic, None)
 
     def test_upstream(self):
         g = _tiny_graph()
@@ -137,10 +182,13 @@ class TestEvaluation:
 
 class TestExport:
     def test_json_round_trip(self, pipeline, toy_spec):
-        graph = pipeline(toy_spec, "toy", 2)["graph"]
-        doc = schedule.schedule_to_jsonable(graph)
-        back = schedule.schedule_from_jsonable(doc)
-        assert schedule.schedule_to_jsonable(back) == doc
+        data = pipeline(toy_spec, "toy", 2)
+        for graph in (data["graph"], data["greedy"].graph):
+            doc = schedule.schedule_to_jsonable(graph)
+            back = schedule.schedule_from_jsonable(doc)
+            assert schedule.schedule_to_jsonable(back) == doc
+            assert schedule.topological_order(back) == schedule.topological_order(graph)
+            assert back.adjacency() == graph.adjacency()
 
     def test_dot_export(self, pipeline, toy_spec):
         graph = pipeline(toy_spec, "toy", 2)["graph"]
