@@ -83,8 +83,12 @@ def cmd_plan(args) -> int:
         return EXIT_FAILURE
 
     t_start = time.perf_counter()
-    fleet = _fleet_from_args(args, fleet)
-    params = params or projects.default_params(buffer_radius=args.buffer, seed=args.seed)
+    try:
+        fleet = _fleet_from_args(args, fleet)
+        params = params or projects.default_params(buffer_radius=args.buffer, seed=args.seed)
+    except model.ProjectError as exc:
+        print(f"error: invalid option: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     configs = transport.configure_all_transport_units(spec, fleet, seed=args.seed)
     plan = staging.build_staging_plan(spec, configs, params)
     graph = schedule.build_partial_schedule(spec, plan, configs, fleet, params)
@@ -189,7 +193,11 @@ def cmd_simulate(args) -> int:
             print(f"invalid schedule: {v.node}: {v.message}", file=sys.stderr)
         return EXIT_FAILURE
     if args.dt is not None:
-        params = dataclasses.replace(params, dt_sim=args.dt)
+        try:
+            params = dataclasses.replace(params, dt_sim=args.dt)
+        except model.ProjectError as exc:
+            print(f"error: invalid option: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
 
     _, _, predicted = schedule.evaluate_schedule(graph, fleet)
     t_start = time.perf_counter()

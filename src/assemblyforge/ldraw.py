@@ -73,14 +73,13 @@ def load_dimension_table(text: str) -> PartDimensionTable:
     return PartDimensionTable(dims, tuple(warnings))
 
 
-def _box_vertices_ldu(w: float, d: float, h: float) -> np.ndarray:
+def box_vertices(w: float, d: float, h: float) -> np.ndarray:
     """Corner points of a centered box, already in the +Z-up world frame."""
     hw, hd, hh = w / 2, d / 2, h / 2
-    corners = np.array([
+    return np.array([
         [sx * hw, sy * hd, sz * hh]
         for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)
     ])
-    return corners
 
 
 @dataclass
@@ -209,7 +208,7 @@ def parse_mpd(
                         )
                         dims = GENERIC_BRICK_LDU
                     parts_catalog[child_id] = PartGeometry(
-                        _box_vertices_ldu(*dims), units_per_meter
+                        box_vertices(*dims), units_per_meter
                     )
                 components.append((child_id, tf))
                 members.append(child_id)

@@ -7,7 +7,7 @@ import importlib.resources as resources
 
 import numpy as np
 
-from .ldraw import load_dimension_table, parse_mpd
+from .ldraw import box_vertices, load_dimension_table, parse_mpd
 from .model import (
     Assembly,
     BuildPhase,
@@ -38,12 +38,7 @@ def tractor_project() -> ProjectSpec:
 
 
 def _box(w_m: float, d_m: float, h_m: float) -> PartGeometry:
-    hw, hd, hh = w_m / 2, d_m / 2, h_m / 2
-    corners = np.array([
-        [sx * hw, sy * hd, sz * hh]
-        for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)
-    ])
-    return PartGeometry(corners * UNITS_PER_METER, UNITS_PER_METER)
+    return PartGeometry(box_vertices(w_m, d_m, h_m) * UNITS_PER_METER, UNITS_PER_METER)
 
 
 def toy_project() -> ProjectSpec:

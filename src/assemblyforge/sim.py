@@ -1,10 +1,11 @@
 """Deterministic fixed-timestep execution of a complete operating schedule.
 
-Each step: (1) fire ready checkpoints and task transitions, (2) update the
-active phases / staging circles, (3) run the three-layer velocity controller
-(tangent bug -> prioritized dispersion -> generalized reciprocal velocity
-obstacles) per agent, (4) integrate. Formed transport units replace their
-member robots as a single agent until the cargo is deposited.
+`step` advances a `World` by one timestep: (1) fire ready checkpoints and
+task transitions, (2) update the active phases / staging circles, (3) run the
+three-layer velocity controller (tangent bug -> prioritized dispersion ->
+generalized reciprocal velocity obstacles) per agent, (4) integrate. Formed
+transport units replace their member robots as a single agent until the cargo
+is deposited.
 """
 
 from __future__ import annotations
@@ -333,7 +334,6 @@ class AgentState:
     speed_limit: float
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(2))
     task: str | None = None
-    goal: np.ndarray | None = None
     active: bool = False
     alpha: float = 1.0
     field_radius: float = 0.0
@@ -414,6 +414,358 @@ def _robot_itineraries(graph: ScheduleGraph):
     return itineraries
 
 
+class World:
+    """Everything the simulator advances from one step to the next: the
+    schedule index and node states, the agents and units, the trace so far,
+    the clock and the counters."""
+
+    def __init__(self, graph: ScheduleGraph, staging_plan: StagingPlan,
+                 transport_configs: dict[str, TransportUnitConfig],
+                 fleet: RobotFleet, params: PlanParams):
+        self.graph = graph
+        self.staging_plan = staging_plan
+        self.transport_configs = transport_configs
+        self.fleet = fleet
+        self.params = params
+        self.dt = params.dt_sim
+        self.arrival_tol = ARRIVAL_TOL_FACTOR * fleet.radius
+        self.pen_tol = PENETRATION_TOL_FACTOR * fleet.radius  # also the L2 barrier clamp
+
+        pred, self.succ = graph.adjacency()
+        self.topo = topological_order(graph)
+        self.status = {nid: "pending" for nid in graph.nodes}  # pending/active/complete
+        self.remaining = {nid: len(pred[nid]) for nid in graph.nodes}
+        self.timers: dict[str, float] = {}  # node -> end time
+        self.complete_time: dict[str, float] = {}
+
+        # cargo ids from the topological rank of DepositCargo nodes
+        deposit_order = [n for n in self.topo if graph.nodes[n].kind == "DepositCargo"]
+        self.cargo_id = {graph.nodes[n].subject: i + 1 for i, n in enumerate(deposit_order)}
+        self.max_cargo_id = len(deposit_order)
+        self.source_node = {}
+        for nid, node in graph.nodes.items():
+            if node.kind == "FormTransportUnit":
+                srcs = [p for p in pred[nid]
+                        if graph.nodes[p].kind in ("ObjectStart", "AssemblyComplete")]
+                self.source_node[node.subject] = srcs[0]
+
+        self.itineraries = _robot_itineraries(graph)
+        self.mission_idx = {rid: 0 for rid in self.itineraries}
+        # payload -> assigned robots per slot (mutable to allow task swapping)
+        self.team_slots: dict[str, dict[int, str]] = {}
+        for rid, missions in self.itineraries.items():
+            for m in missions:
+                self.team_slots.setdefault(m.payload, {})[m.slot] = rid
+        self.agents: dict[str, AgentState] = {}
+        for i, pos in enumerate(fleet.initial_positions):
+            rid = f"robot{i}"
+            self.agents[rid] = AgentState(rid, "robot", np.array(pos, float),
+                                          fleet.radius, fleet.v_max)
+        self.unit_of: dict[str, str] = {}  # payload -> unit agent id
+        self.unit_members: dict[str, list[str]] = {}
+        self.stuck_mark: dict[str, tuple[float, np.ndarray]] = {}
+
+        self.rows: list = []
+        self.events: list[dict] = []
+        self.t = 0.0
+        self.steps = 0
+        self.collision_count = 0
+        self.swap_count = 0
+
+    def complete(self, nid: str):
+        self.status[nid] = "complete"
+        self.complete_time[nid] = self.t
+        for s in self.succ[nid]:
+            self.remaining[s] -= 1
+
+    def mission(self, rid: str) -> _Mission | None:
+        ms = self.itineraries[rid]
+        i = self.mission_idx[rid]
+        return ms[i] if i < len(ms) else None
+
+    def active_phase(self, a: str) -> int | None:
+        for k in self.graph.assembly_phases[a]:
+            if self.status[f"CloseBuildStep:{a}:{k}"] != "complete":
+                if self.status[f"OpenBuildStep:{a}:{k}"] == "complete":
+                    return k
+                return None
+        return None
+
+    def fire_checkpoints(self) -> bool:
+        """Complete or start every ready node; True once the terminal node
+        is complete."""
+        # one pass suffices: completing a node only readies its successors,
+        # which come later in topological order
+        for nid in self.topo:
+            if self.status[nid] != "pending" or self.remaining[nid] > 0:
+                continue
+            node = self.graph.nodes[nid]
+            if node.kind in CHECKPOINT_KINDS or (node.kind == "RobotGo"
+                                                 and node.role == "dropoff"):
+                self.complete(nid)
+            elif node.kind == "LiftIntoPlace":
+                self.status[nid] = "active"
+                self.timers[nid] = self.t + (node.duration or 0.0)
+        return self.status[self.graph.terminal_nodes[0]] == "complete"
+
+
+def _finish_timers(world: World):
+    """Complete form / deposit / lift nodes whose time is up."""
+    agents = world.agents
+    for nid, end in sorted(world.timers.items()):
+        if world.t + 1e-9 >= end:
+            del world.timers[nid]
+            node = world.graph.nodes[nid]
+            world.complete(nid)
+            world.events.append({"type": "task_complete", "node": nid, "t": round(world.t, 6)})
+            if node.kind == "FormTransportUnit":
+                uid = world.unit_of[node.subject]
+                agents[uid].task = f"TransportUnitGo:{node.subject}"
+                world.status[f"TransportUnitGo:{node.subject}"] = "active"
+            elif node.kind == "DepositCargo":
+                # disband: members reappear at their dropoff slots
+                uid = world.unit_of.pop(node.subject)
+                del agents[uid]
+                for rid in world.unit_members.pop(uid):
+                    m = world.mission(rid)
+                    agents[rid] = AgentState(rid, "robot", m.dropoff_pos.copy(),
+                                             world.fleet.radius, world.fleet.v_max)
+                    world.mission_idx[rid] += 1
+                    world.stuck_mark.pop(rid, None)
+
+
+def _form_units(world: World):
+    """Form transport units whose robots are all in position."""
+    graph, agents, status = world.graph, world.agents, world.status
+    for payload in sorted(world.team_slots):
+        form = f"FormTransportUnit:{payload}"
+        if status[form] != "pending" or payload in world.unit_of:
+            continue
+        if status[world.source_node[payload]] != "complete":
+            continue
+        slots = world.team_slots[payload]
+        members = sorted(slots.values())
+        if any(rid not in agents for rid in members):
+            continue
+        missions = [(rid, world.mission(rid)) for _, rid in sorted(slots.items())]
+        if any(m is None or m.payload != payload
+               or float(np.linalg.norm(agents[rid].position - m.pickup_pos)) > world.arrival_tol
+               for rid, m in missions):
+            continue
+        for _, m in missions:
+            if status[m.pickup_node] == "pending":
+                world.complete(m.pickup_node)
+        if world.remaining[form] > 0:
+            continue
+        cfg = world.transport_configs[payload]
+        uid = f"unit:{payload}"
+        tu_go = graph.nodes[f"TransportUnitGo:{payload}"]
+        agents[uid] = AgentState(
+            uid, "unit", np.array(tu_go.origin, float),
+            cfg.bounding_circle.radius, cfg.speed_limit, task=form)
+        world.unit_of[payload] = uid
+        world.unit_members[uid] = members
+        for rid in members:
+            del agents[rid]
+            world.stuck_mark.pop(rid, None)
+        status[form] = "active"
+        world.timers[form] = world.t + (graph.nodes[form].duration or 0.0)
+        world.events.append({"type": "unit_formed", "payload": payload, "t": round(world.t, 6)})
+
+
+def _arrive_and_deposit(world: World):
+    """Transport unit arrivals, then deposits whose build step is open."""
+    graph, agents, status = world.graph, world.agents, world.status
+    for payload, uid in sorted(world.unit_of.items()):
+        agent = agents[uid]
+        go = f"TransportUnitGo:{payload}"
+        if agent.task == go:
+            dest = np.array(graph.nodes[go].destination, float)
+            if float(np.linalg.norm(agent.position - dest)) <= world.arrival_tol:
+                world.complete(go)
+                agent.task = f"DepositCargo:{payload}"
+                world.events.append({"type": "task_complete", "node": go,
+                                     "t": round(world.t, 6)})
+    world.fire_checkpoints()
+    for payload, uid in sorted(world.unit_of.items()):
+        dep = f"DepositCargo:{payload}"
+        if agents[uid].task == dep and status[dep] == "pending" and world.remaining[dep] == 0:
+            status[dep] = "active"
+            world.timers[dep] = world.t + (graph.nodes[dep].duration or 0.0)
+
+
+def _nominal(world: World, agent: AgentState, goal, payload, circles):
+    """Level 1 velocity toward `goal` around the forbidden staging circles."""
+    params = world.params
+    dist_goal = float(np.linalg.norm(goal - agent.position))
+    if dist_goal < 1e-9:
+        return np.zeros(2)
+    if not agent.active and dist_goal <= params.stop_range_factor * world.fleet.radius:
+        return np.zeros(2)  # sit and wait
+    # forbidden circles: active staging areas this agent may not enter; an
+    # active agent may enter its own phase's circle when its goal lies inside
+    own = world.graph.payload_phase[payload] if payload is not None and agent.active else None
+    obstacles = []
+    for a_id, (center, radius, k) in circles.items():
+        if not (own == (a_id, k) and float(np.linalg.norm(goal - center)) <= radius):
+            obstacles.append((center, radius + agent.radius))
+    v, _ = nominal_velocity(agent.position, goal, obstacles, agent.speed_limit, world.dt,
+                            params.planning_radius, params.boundary_tol)
+    return v
+
+
+def _control(world: World, ids: list[str]) -> list:
+    """Command velocities of the agents `ids` from the three-layer controller."""
+    graph, params = world.graph, world.params
+    agents = [world.agents[aid] for aid in ids]
+    # staging circles of active phases
+    circles: dict[str, tuple[np.ndarray, float, int]] = {}
+    for a in graph.assembly_phases:
+        k = world.active_phase(a)
+        if k is not None:
+            center, radius = world.staging_plan.staging_circle(a, k)
+            circles[a] = (np.asarray(center, float), radius, k)
+
+    # goal, activity, priority and nominal velocity depend on the agent alone
+    nominals = []
+    for aid, agent in zip(ids, agents):
+        if agent.kind == "unit":
+            task_kind, payload = agent.task.split(":", 1)
+        else:
+            m = world.mission(aid)
+            agent.task = m.pickup_node if m else None
+            task_kind, payload = ("RobotGo", m.payload) if m else ("", None)
+        phase_active = cargo_ready = False
+        if payload is not None:
+            a_id, k = graph.payload_phase[payload]
+            phase_active = circles.get(a_id, (None, None, None))[2] == k
+        if task_kind == "TransportUnitGo":
+            goal = np.array(graph.nodes[agent.task].destination, float)
+            agent.active = phase_active
+        elif task_kind == "RobotGo":
+            goal = m.pickup_pos
+            cargo_ready = world.status[world.source_node[payload]] == "complete"
+            agent.active = phase_active and cargo_ready
+        else:  # a unit forming or depositing, or a robot without a mission
+            goal = agent.position
+            agent.active = False
+        agent.alpha = alpha_value(agent.kind == "unit", task_kind, phase_active, cargo_ready,
+                                  world.cargo_id.get(payload, 0), world.max_cargo_id)
+        nominals.append(_nominal(world, agent, goal, payload, circles))
+
+    actives = [(agent.position, agent.radius) for agent in agents if agent.active]
+    for agent in agents:
+        agent.field_radius = (
+            params.dispersion_r_max if agent.active
+            else field_radius(agent.position, agent.radius, actives,
+                              params.dispersion_r_max, params.dispersion_c))
+
+    prefs = []
+    for agent, nominal in zip(agents, nominals):
+        if agent.active or agent.alpha == 0.0:
+            prefs.append(nominal)
+            continue
+        forces = [
+            dispersion_force(agent.position, other.position, agent.radius, other.radius,
+                             other.field_radius, world.pen_tol)
+            for other in agents if other is not agent and other.field_radius > 0
+        ]
+        prefs.append(preferred_velocity(nominal, forces, params.blend_a, params.blend_b,
+                                        agent.speed_limit))
+
+    n = len(agents)
+    shares = [[0.0] * n for _ in range(n)]
+    for i, a_i in enumerate(agents):
+        for j, a_j in enumerate(agents):
+            if i != j:
+                s = a_i.alpha + a_j.alpha
+                shares[i][j] = 0.5 if s == 0 else a_i.alpha / s
+    return rvo_resolve(
+        [a.position for a in agents], [a.radius for a in agents],
+        [a.velocity for a in agents], prefs, [a.speed_limit for a in agents],
+        shares, world.dt, params.rvo_horizon)
+
+
+def _integrate(world: World, ids: list[str], commands: list):
+    """Move the agents, trace them and count penetrating pairs."""
+    agents = world.agents
+    for aid, cmd in zip(ids, commands):
+        agent = agents[aid]
+        agent.velocity = cmd
+        agent.position = agent.position + cmd * world.dt
+        world.rows.append((world.t, aid, float(agent.position[0]), float(agent.position[1]),
+                           float(cmd[0]), float(cmd[1]), agent.task or "", agent.alpha))
+    for i, ai in enumerate(ids):
+        for aj in ids[i + 1:]:
+            gap = float(np.linalg.norm(agents[ai].position - agents[aj].position))
+            if gap < agents[ai].radius + agents[aj].radius - world.pen_tol:
+                world.collision_count += 1
+                world.events.append({"type": "penetration", "agents": [ai, aj],
+                                     "t": round(world.t, 6)})
+
+
+def _swap_stuck(world: World, ids: list[str]):
+    """Hand a stuck robot's mission to a teammate closer to its pickup."""
+    agents, params, t = world.agents, world.params, world.t
+    for aid in ids:
+        if agents[aid].kind != "robot":
+            continue
+        m = world.mission(aid)
+        if m is None:
+            world.stuck_mark.pop(aid, None)
+            continue
+        mark = world.stuck_mark.get(aid)
+        if mark is None:
+            world.stuck_mark[aid] = (t, agents[aid].position.copy())
+            continue
+        t0, p0 = mark
+        if t - t0 < params.stuck_time:
+            continue
+        moved = float(np.linalg.norm(agents[aid].position - p0))
+        world.stuck_mark[aid] = (t, agents[aid].position.copy())
+        if moved >= params.stuck_speed_factor * world.fleet.v_max * params.stuck_time:
+            continue
+        my_dist = float(np.linalg.norm(agents[aid].position - m.pickup_pos))
+        best = None
+        for other_slot, orid in sorted(world.team_slots[m.payload].items()):
+            if orid == aid or orid not in agents:
+                continue
+            om = world.mission(orid)
+            if om is None or om.payload != m.payload:
+                continue
+            o_dist = float(np.linalg.norm(agents[orid].position - m.pickup_pos))
+            if o_dist < my_dist and (best is None or o_dist < best[0]):
+                best = (o_dist, orid, om)
+        if best is not None:
+            _, orid, om = best
+            i_mine, i_theirs = world.mission_idx[aid], world.mission_idx[orid]
+            world.itineraries[aid][i_mine], world.itineraries[orid][i_theirs] = om, m
+            world.team_slots[m.payload][m.slot] = orid
+            world.team_slots[m.payload][om.slot] = aid
+            world.swap_count += 1
+            world.events.append({"type": "swap", "agents": [aid, orid],
+                                 "payload": m.payload, "t": round(t, 6)})
+            world.stuck_mark.pop(orid, None)
+
+
+def step(world: World) -> bool:
+    """Advance `world` by one timestep. Returns True, having advanced
+    nothing, once the terminal node is complete."""
+    if world.fire_checkpoints():
+        return True
+    _finish_timers(world)
+    if world.fire_checkpoints():
+        return True
+    _form_units(world)
+    _arrive_and_deposit(world)
+    ids = sorted(world.agents)
+    _integrate(world, ids, _control(world, ids))
+    _swap_stuck(world, ids)
+    world.t += world.dt
+    world.steps += 1
+    return False
+
+
 def simulate(
     graph: ScheduleGraph,
     staging_plan: StagingPlan,
@@ -423,374 +775,10 @@ def simulate(
     seed: int = 0,
     max_steps: int = 20_000,
 ) -> SimTrace:
-    dt = params.dt_sim
-    r = fleet.radius
-    arrival_tol = ARRIVAL_TOL_FACTOR * r
-    pen_tol = PENETRATION_TOL_FACTOR * r
-    delta = PENETRATION_TOL_FACTOR * r
-
-    pred, succ = graph.adjacency()
-    status = {nid: "pending" for nid in graph.nodes}  # pending/active/complete
-    remaining = {nid: len(pred[nid]) for nid in graph.nodes}
-    timers: dict[str, float] = {}  # node -> end time
-    complete_time: dict[str, float] = {}
-
-    events: list[dict] = []
-    rows: list = []
-    t = 0.0
-    collision_count = 0
-    swap_count = 0
-
-    def complete(nid: str):
-        status[nid] = "complete"
-        complete_time[nid] = t
-        for s in succ[nid]:
-            remaining[s] -= 1
-
-    # cargo ids from the topological rank of DepositCargo nodes
-    topo = topological_order(graph)
-    deposit_order = [n for n in topo if graph.nodes[n].kind == "DepositCargo"]
-    cargo_id = {graph.nodes[n].subject: i + 1 for i, n in enumerate(deposit_order)}
-    max_cargo_id = len(deposit_order)
-
-    # payload bookkeeping
-    payload_phase = graph.payload_phase
-    assembly_phases = graph.assembly_phases
-    source_node = {}
-    for nid, node in graph.nodes.items():
-        if node.kind == "FormTransportUnit":
-            srcs = [p for p in pred[nid]
-                    if graph.nodes[p].kind in ("ObjectStart", "AssemblyComplete")]
-            source_node[node.subject] = srcs[0]
-
-    itineraries = _robot_itineraries(graph)
-    agents: dict[str, AgentState] = {}
-    mission_idx = {rid: 0 for rid in itineraries}
-    for i, pos in enumerate(fleet.initial_positions):
-        rid = f"robot{i}"
-        agents[rid] = AgentState(rid, "robot", np.array(pos, float), r, fleet.v_max)
-
-    # payload -> assigned robots per slot (mutable to allow task swapping)
-    team_slots: dict[str, dict[int, str]] = {}
-    for rid, missions in itineraries.items():
-        for m in missions:
-            team_slots.setdefault(m.payload, {})[m.slot] = rid
-
-    unit_of: dict[str, str] = {}  # payload -> unit agent id
-    unit_members: dict[str, list[str]] = {}
-    stuck_mark: dict[str, tuple[float, np.ndarray]] = {}
-
-    deadlocked = True
-    step = 0
-
-    def active_phase(a: str) -> int | None:
-        for k in assembly_phases[a]:
-            if status[f"CloseBuildStep:{a}:{k}"] != "complete":
-                if status[f"OpenBuildStep:{a}:{k}"] == "complete":
-                    return k
-                return None
-        return None
-
-    def current_mission(rid: str) -> _Mission | None:
-        ms = itineraries[rid]
-        i = mission_idx[rid]
-        return ms[i] if i < len(ms) else None
-
-    def fire_checkpoints():
-        # one pass suffices: completing a node only readies its successors,
-        # which come later in topological order
-        for nid in topo:
-            if status[nid] != "pending" or remaining[nid] > 0:
-                continue
-            node = graph.nodes[nid]
-            if node.kind in CHECKPOINT_KINDS:
-                complete(nid)
-            elif node.kind == "RobotGo" and node.role == "dropoff":
-                complete(nid)
-            elif node.kind == "LiftIntoPlace":
-                status[nid] = "active"
-                timers[nid] = t + (node.duration or 0.0)
-
-    while step < max_steps:
-        fire_checkpoints()
-        if status[graph.terminal_nodes[0]] == "complete":
-            deadlocked = False
-            break
-
-        # timers: form / deposit / lift
-        for nid, end in sorted(timers.items()):
-            if t + 1e-9 >= end:
-                del timers[nid]
-                node = graph.nodes[nid]
-                complete(nid)
-                events.append({"type": "task_complete", "node": nid, "t": round(t, 6)})
-                if node.kind == "FormTransportUnit":
-                    uid = unit_of[node.subject]
-                    agents[uid].task = f"TransportUnitGo:{node.subject}"
-                    status[f"TransportUnitGo:{node.subject}"] = "active"
-                elif node.kind == "DepositCargo":
-                    # disband: members reappear at their dropoff slots
-                    payload = node.subject
-                    uid = unit_of.pop(payload)
-                    del agents[uid]
-                    for rid in unit_members.pop(uid):
-                        m = itineraries[rid][mission_idx[rid]]
-                        agents[rid] = AgentState(
-                            rid, "robot", m.dropoff_pos.copy(), r, fleet.v_max)
-                        mission_idx[rid] += 1
-                        stuck_mark.pop(rid, None)
-        fire_checkpoints()
-        if status[graph.terminal_nodes[0]] == "complete":
-            deadlocked = False
-            break
-
-        # form transport units whose robots are all in position
-        for payload in sorted(team_slots):
-            form = f"FormTransportUnit:{payload}"
-            if status[form] != "pending" or payload in unit_of:
-                continue
-            if status[source_node[payload]] != "complete":
-                continue
-            slots = team_slots[payload]
-            members = sorted(slots.values())
-            if any(rid not in agents for rid in members):
-                continue
-            in_place = True
-            for slot, rid in sorted(slots.items()):
-                m = current_mission(rid)
-                if m is None or m.payload != payload:
-                    in_place = False
-                    break
-                if float(np.linalg.norm(agents[rid].position - m.pickup_pos)) > arrival_tol:
-                    in_place = False
-                    break
-            if not in_place:
-                continue
-            for slot, rid in sorted(slots.items()):
-                m = current_mission(rid)
-                if status[m.pickup_node] == "pending":
-                    complete(m.pickup_node)
-            if remaining[form] > 0:
-                continue
-            cfg = transport_configs[payload]
-            uid = f"unit:{payload}"
-            tu_go = graph.nodes[f"TransportUnitGo:{payload}"]
-            agents[uid] = AgentState(
-                uid, "unit", np.array(tu_go.origin, float),
-                cfg.bounding_circle.radius, cfg.speed_limit, task=form)
-            unit_of[payload] = uid
-            unit_members[uid] = members
-            for rid in members:
-                del agents[rid]
-                stuck_mark.pop(rid, None)
-            status[form] = "active"
-            timers[form] = t + (graph.nodes[form].duration or 0.0)
-            events.append({"type": "unit_formed", "payload": payload, "t": round(t, 6)})
-
-        # transport unit arrivals
-        for payload, uid in sorted(unit_of.items()):
-            agent = agents[uid]
-            go = f"TransportUnitGo:{payload}"
-            if agent.task == go:
-                dest = np.array(graph.nodes[go].destination, float)
-                if float(np.linalg.norm(agent.position - dest)) <= arrival_tol:
-                    complete(go)
-                    agent.task = f"DepositCargo:{payload}"
-                    events.append({"type": "task_complete", "node": go, "t": round(t, 6)})
-        fire_checkpoints()
-
-        # deposit starts once its build step is open
-        for payload, uid in sorted(unit_of.items()):
-            dep = f"DepositCargo:{payload}"
-            if agents[uid].task == dep and status[dep] == "pending" and remaining[dep] == 0:
-                status[dep] = "active"
-                timers[dep] = t + (graph.nodes[dep].duration or 0.0)
-
-        # staging circles of active phases
-        circles: dict[str, tuple[np.ndarray, float, int]] = {}
-        for a in assembly_phases:
-            k = active_phase(a)
-            if k is not None:
-                center, radius = staging_plan.staging_circle(a, k)
-                circles[a] = (np.asarray(center, float), radius, k)
-
-        # -- controller -------------------------------------------------------
-        ids = sorted(agents)
-        n = len(ids)
-        info = {}
-        for aid in ids:
-            agent = agents[aid]
-            goal = None
-            task_kind = ""
-            phase_active = False
-            cargo_ready = False
-            payload = None
-            if agent.kind == "unit":
-                payload = agent.task.split(":", 1)[1]
-                task_kind = agent.task.split(":", 1)[0]
-                a_id, k = payload_phase[payload]
-                phase_active = circles.get(a_id, (None, None, None))[2] == k
-                if task_kind == "TransportUnitGo":
-                    goal = np.array(graph.nodes[agent.task].destination, float)
-                else:
-                    goal = agent.position.copy()
-                is_active = phase_active and task_kind == "TransportUnitGo"
-            else:
-                m = current_mission(aid)
-                if m is not None:
-                    payload = m.payload
-                    task_kind = "RobotGo"
-                    goal = m.pickup_pos
-                    a_id, k = payload_phase[payload]
-                    phase_active = circles.get(a_id, (None, None, None))[2] == k
-                    cargo_ready = status[source_node[payload]] == "complete"
-                    is_active = phase_active and cargo_ready
-                else:
-                    goal = agent.position.copy()
-                    is_active = False
-            if agent.kind == "robot":
-                m = current_mission(aid)
-                agent.task = m.pickup_node if m else None
-            agent.goal = goal
-            agent.active = is_active
-            info[aid] = (task_kind, phase_active, cargo_ready, payload)
-
-        actives = [(agents[aid].position, agents[aid].radius)
-                   for aid in ids if agents[aid].active]
-        for aid in ids:
-            agent = agents[aid]
-            agent.field_radius = (
-                params.dispersion_r_max if agent.active
-                else field_radius(agent.position, agent.radius, actives,
-                                  params.dispersion_r_max, params.dispersion_c))
-            task_kind, phase_active, cargo_ready, payload = info[aid]
-            cid = cargo_id.get(payload, 0)
-            agent.alpha = alpha_value(agent.kind == "unit", task_kind, phase_active,
-                                      cargo_ready, cid, max_cargo_id)
-
-        nominals = {}
-        stationary = {"FormTransportUnit", "DepositCargo"}
-        for aid in ids:
-            agent = agents[aid]
-            task_kind, phase_active, _, payload = info[aid]
-            if agent.kind == "unit" and task_kind in stationary:
-                nominals[aid] = np.zeros(2)
-                continue
-            goal = agent.goal
-            dist_goal = float(np.linalg.norm(goal - agent.position))
-            if dist_goal < 1e-9:
-                nominals[aid] = np.zeros(2)
-                continue
-            # forbidden circles: active staging areas this agent may not enter
-            obstacles = []
-            for a_id, (center, radius, k) in circles.items():
-                allowed = False
-                if payload is not None and agent.active:
-                    pa, pk = payload_phase[payload]
-                    if pa == a_id and pk == k and \
-                            float(np.linalg.norm(goal - center)) <= radius:
-                        allowed = True
-                if not allowed:
-                    obstacles.append((center, radius + agent.radius))
-            if not agent.active and dist_goal <= params.stop_range_factor * r:
-                nominals[aid] = np.zeros(2)  # sit and wait
-                continue
-            v, _ = nominal_velocity(agent.position, goal, obstacles,
-                                    agent.speed_limit, dt,
-                                    params.planning_radius, params.boundary_tol)
-            nominals[aid] = v
-
-        prefs = {}
-        for aid in ids:
-            agent = agents[aid]
-            if agent.active or agent.alpha == 0.0:
-                prefs[aid] = nominals[aid]
-                continue
-            forces = [
-                dispersion_force(agent.position, agents[o].position,
-                                 agent.radius, agents[o].radius,
-                                 agents[o].field_radius, delta)
-                for o in ids if o != aid and agents[o].field_radius > 0
-            ]
-            prefs[aid] = preferred_velocity(nominals[aid], forces, params.blend_a,
-                                            params.blend_b, agent.speed_limit)
-
-        shares = [[0.0] * n for _ in range(n)]
-        for i, ai in enumerate(ids):
-            for j, aj in enumerate(ids):
-                if i == j:
-                    continue
-                a_i, a_j = agents[ai].alpha, agents[aj].alpha
-                shares[i][j] = 0.5 if a_i + a_j == 0 else a_i / (a_i + a_j)
-        commands = rvo_resolve(
-            [agents[a].position for a in ids], [agents[a].radius for a in ids],
-            [agents[a].velocity for a in ids], [prefs[a] for a in ids],
-            [agents[a].speed_limit for a in ids], shares, dt, params.rvo_horizon)
-
-        # integrate, trace, count penetrations
-        for aid, cmd in zip(ids, commands):
-            agent = agents[aid]
-            agent.velocity = cmd
-            agent.position = agent.position + cmd * dt
-            rows.append((t, aid, float(agent.position[0]), float(agent.position[1]),
-                         float(cmd[0]), float(cmd[1]), agent.task or "",
-                         agent.alpha))
-        for i, ai in enumerate(ids):
-            if ai not in agents:
-                continue
-            for aj in ids[i + 1:]:
-                if aj not in agents:
-                    continue
-                gap = float(np.linalg.norm(agents[ai].position - agents[aj].position))
-                if gap < agents[ai].radius + agents[aj].radius - pen_tol:
-                    collision_count += 1
-                    events.append({"type": "penetration", "agents": [ai, aj],
-                                   "t": round(t, 6)})
-
-        # stuck detection and task swapping among teammates
-        for aid in ids:
-            if aid not in agents or agents[aid].kind != "robot":
-                continue
-            m = current_mission(aid)
-            if m is None:
-                stuck_mark.pop(aid, None)
-                continue
-            mark = stuck_mark.get(aid)
-            if mark is None:
-                stuck_mark[aid] = (t, agents[aid].position.copy())
-                continue
-            t0, p0 = mark
-            if t - t0 < params.stuck_time:
-                continue
-            moved = float(np.linalg.norm(agents[aid].position - p0))
-            stuck_mark[aid] = (t, agents[aid].position.copy())
-            if moved >= params.stuck_speed_factor * fleet.v_max * params.stuck_time:
-                continue
-            my_dist = float(np.linalg.norm(agents[aid].position - m.pickup_pos))
-            best = None
-            for other_slot, orid in sorted(team_slots[m.payload].items()):
-                if orid == aid or orid not in agents:
-                    continue
-                om = current_mission(orid)
-                if om is None or om.payload != m.payload:
-                    continue
-                o_dist = float(np.linalg.norm(agents[orid].position - m.pickup_pos))
-                if o_dist < my_dist and (best is None or o_dist < best[0]):
-                    best = (o_dist, orid, om)
-            if best is not None:
-                _, orid, om = best
-                i_mine, i_theirs = mission_idx[aid], mission_idx[orid]
-                itineraries[aid][i_mine], itineraries[orid][i_theirs] = om, m
-                team_slots[m.payload][m.slot] = orid
-                team_slots[m.payload][om.slot] = aid
-                swap_count += 1
-                events.append({"type": "swap", "agents": [aid, orid],
-                               "payload": m.payload, "t": round(t, 6)})
-                stuck_mark.pop(orid, None)
-
-        t += dt
-        step += 1
-
-    makespan = t if not deadlocked else float("inf")
-    return SimTrace(rows, events, makespan, collision_count, swap_count,
-                    deadlocked, step, seed)
+    world = World(graph, staging_plan, transport_configs, fleet, params)
+    finished = False
+    while not finished and world.steps < max_steps:
+        finished = step(world)
+    makespan = world.t if finished else float("inf")
+    return SimTrace(world.rows, world.events, makespan, world.collision_count,
+                    world.swap_count, not finished, world.steps, seed)

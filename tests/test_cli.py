@@ -71,6 +71,25 @@ class TestExitCodes:
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_FAILURE
 
+    @pytest.mark.parametrize("option", [["--radius", "-1"], ["--vmin", "2"]],
+                             ids=["radius", "vmin"])
+    def test_plan_invalid_fleet_option(self, toy_input, tmp_path, capsys, option):
+        code = cli.main(["plan", "--input", str(toy_input), "--out", str(tmp_path / "out"),
+                         "--robots", "2", *option])
+        assert code == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid option:")
+
+    def test_simulate_invalid_dt(self, toy_input, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["simulate", "--out", str(out), "--dt", "-1"]) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "dt_sim must be positive" in err[0]
+        assert not (out / "trace.csv").exists()
+
     def test_allocate_without_plan(self, tmp_path):
         assert cli.main(["allocate", "--out", str(tmp_path / "empty")]) == \
             cli.EXIT_MISSING_ARTIFACTS

@@ -180,3 +180,30 @@ class TestSimulate:
         assert set(metrics) == {"execution_makespan", "collision_count",
                                 "swap_count", "deadlocked", "steps", "seed",
                                 "predicted_makespan"}
+
+    def test_step_by_hand_matches_simulate(self, toy_run, params):
+        data, run = toy_run
+        n = 120
+        world = sim.World(data["greedy"].graph, data["plan"], data["configs"],
+                          data["fleet"], params)
+        assert not any(sim.step(world) for _ in range(n))
+        trace = run(max_steps=n)
+        assert world.steps == trace.steps == n
+        assert world.t == pytest.approx(n * params.dt_sim)
+        assert world.rows == trace.rows
+        assert world.events == trace.events
+
+    def test_step_after_finish_advances_nothing(self, toy_run, params):
+        data, run = toy_run
+        world = sim.World(data["greedy"].graph, data["plan"], data["configs"],
+                          data["fleet"], params)
+        while not sim.step(world):
+            pass
+        trace = run()
+        assert world.steps == trace.steps
+        assert world.t == trace.execution_makespan
+        rows, events, t = list(world.rows), list(world.events), world.t
+        assert sim.step(world) and sim.step(world)
+        assert (world.rows, world.events, world.t, world.steps) == \
+            (rows, events, t, trace.steps)
+        assert world.status[world.graph.terminal_nodes[0]] == "complete"
