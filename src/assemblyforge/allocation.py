@@ -75,24 +75,53 @@ def earliest_arrival(
     robots: list[RobotState], goals: list[tuple[int, np.ndarray]], v_max: float
 ) -> tuple[tuple[RobotState, tuple[int, np.ndarray]], float]:
     """Best (robot, goal) pair by arrival time max(avail, 0) + dist / v_max,
-    ties broken by (robot id, goal index)."""
+    ties broken by (robot id, goal index).
+
+    All robot x goal times come from one array; each distance is
+    `sqrt(vecdot(d, d))`, the same fused dot product as the scalar
+    `np.linalg.norm(d)`, so the times and the winner are bit-for-bit those
+    of a loop over the pairs."""
     if not robots or not goals:
         raise AllocationError("earliest_arrival needs non-empty robots and goals")
-    best = None
-    for robot in robots:
-        for gi, gpos in goals:
-            t = max(robot.available_time, 0.0) + float(
-                np.linalg.norm(gpos - robot.position)) / v_max
-            key = (t, robot.id, gi)
-            if best is None or key < best[0]:
-                best = (key, (robot, (gi, gpos)))
-    (t, _, _), pair = best
-    return pair, t
+    start = np.maximum([r.available_time for r in robots], 0.0)
+    d = (np.array([gpos for _, gpos in goals])[None, :, :]
+         - np.array([r.position for r in robots])[:, None, :])
+    t = start[:, None] + np.sqrt(np.vecdot(d, d)) / v_max
+    t_min = t.min()
+    ri, gj = np.nonzero(t == t_min)
+    i, j = min(zip(ri.tolist(), gj.tolist()),
+               key=lambda c: (robots[c[0]].id, goals[c[1]][0]))
+    return (robots[i], goals[j]), float(t_min)
+
+
+def _greedy_team(
+    robots: list[RobotState], goals: list[tuple[int, np.ndarray]], v_max: float
+) -> tuple[list[tuple[RobotState, int]], tuple[float, str, int]]:
+    """One payload's team: the earliest (robot, goal) pair among the robots
+    and goals still free, until every goal has a robot. Returns the pairs
+    and the last pick's key (t, robot id, goal index); pick keys only
+    increase, so its t is the team's start time."""
+    pool = list(robots)
+    pairs: list[tuple[RobotState, int]] = []
+    while goals:
+        (robot, (gi, _)), t = earliest_arrival(pool, goals, v_max)
+        pairs.append((robot, gi))
+        pool = [r for r in pool if r.id != robot.id]
+        goals = [g for g in goals if g[0] != gi]
+    return pairs, (t, robot.id, gi)
 
 
 def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
     """Greedy precedence-constrained coalition formation over the partial
-    schedule; returns a complete, valid schedule."""
+    schedule; returns a complete, valid schedule.
+
+    Each iteration commits the team with the earliest start among the
+    available components of the active phases, the first one in iteration
+    order on a tie. Teams are cached across iterations. A commit moves only
+    the committed robots, so a cached team is dropped only if it used one
+    of them, or if one of them now reaches one of its goals with a key
+    (t, robot id, goal index) lower than the team's last pick key: no
+    other pick of the team can change, because picks only increase."""
     pickups, dropoffs, starts = _chain_structure(graph)
     n_robots = len(starts)
     if pickups and max(len(v) for v in pickups.values()) > n_robots:
@@ -153,35 +182,41 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
                 active_step[a] = nxt
                 open_time[(a, nxt)] = close
 
+    goals_of = {
+        c: [(graph.nodes[p].slot, np.array(graph.nodes[p].destination)) for p in ps]
+        for c, ps in pickups.items()
+    }
+    teams: dict[str, tuple[list[tuple[RobotState, int]], tuple[float, str, int]]] = {}
     while active:
         best_team: tuple[str, list[tuple[RobotState, int]], float] | None = None
-        t_min = math.inf
         for a in sorted(active):
             k = active_step[a]
             for component in graph.phase_members[(a, k)]:
                 if component in assigned or component not in available_components:
                     continue
-                goals = [
-                    (graph.nodes[p].slot, np.array(graph.nodes[p].destination))
-                    for p in pickups[component]
-                ]
-                pool = list(robots)
-                pairs: list[tuple[RobotState, int]] = []
-                t_task = 0.0
-                while goals:
-                    (robot, (gi, _)), t = earliest_arrival(pool, goals, fleet.v_max)
-                    t_task = max(t_task, t)
-                    if t_task >= t_min:
-                        break
-                    pairs.append((robot, gi))
-                    pool = [r for r in pool if r.id != robot.id]
-                    goals = [g for g in goals if g[0] != gi]
-                if not goals and t_task < t_min:
+                if component not in teams:
+                    teams[component] = _greedy_team(robots, goals_of[component], fleet.v_max)
+                pairs, (t_task, _, _) = teams[component]
+                if best_team is None or t_task < best_team[2]:
                     best_team = (component, pairs, t_task)
-                    t_min = t_task
         if best_team is None:
             raise AllocationError("no assignable component; schedule is stuck")
         commit(*best_team)
+
+        del teams[best_team[0]]
+        movers = [robot for robot, _ in best_team[1]]
+        moved = {robot.id for robot in movers}
+        # no mover arrives anywhere before it is available
+        movers_free = min(max(robot.available_time, 0.0) for robot in movers)
+        for component, (pairs, last_key) in list(teams.items()):
+            if any(robot.id in moved for robot, _ in pairs):
+                del teams[component]
+                continue
+            if movers_free > last_key[0]:
+                continue
+            (robot, (gi, _)), t = earliest_arrival(movers, goals_of[component], fleet.v_max)
+            if (t, robot.id, gi) < last_key:
+                del teams[component]
 
     complete = graph.with_edges(set(added))
     violations = validate_schedule(complete, "complete")

@@ -129,6 +129,8 @@ class RobotFleet:
             raise ProjectError("fleet requires 0 < v_min <= v_max")
         if self.radius <= 0:
             raise ProjectError("robot radius must be positive")
+        if self.count < 1:
+            raise ProjectError(f"robot count must be at least 1, got {self.count}")
         if self.count != len(self.initial_positions):
             raise ProjectError("count must equal number of initial positions")
         pos = self.initial_positions

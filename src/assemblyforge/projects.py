@@ -13,6 +13,7 @@ from .model import (
     BuildPhase,
     PartGeometry,
     PlanParams,
+    ProjectError,
     ProjectSpec,
     RobotFleet,
     Transform,
@@ -97,6 +98,8 @@ def synthetic_project(seed: int = 0, clusters: int = 4, parts_per_cluster: int =
 def default_fleet(count: int, seed: int = 0, radius: float = 0.25,
                   v_max: float = 1.0, v_min: float = 0.2,
                   v_factor: float = 0.25) -> RobotFleet:
+    if count < 1:  # sample_grid_positions cannot draw a negative count
+        raise ProjectError(f"robot count must be at least 1, got {count}")
     positions = sample_grid_positions(count, spacing=4 * radius, seed=seed)
     return RobotFleet(count=count, radius=radius, v_max=v_max, v_min=v_min,
                       v_factor=v_factor, initial_positions=positions)

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,48 +70,52 @@ def team_size(stats: FootprintStats, robot_radius: float) -> int:
     return max(1, min(n_lb, 2))
 
 
-def carry_score(pts) -> float:
+def carry_score(pts) -> float | np.ndarray:
     """Spread-out score: min/sum of cyclic-consecutive distances plus the
-    minimum pairwise distance, with 1/m and 1/m^2 weights."""
-    pts = np.asarray(pts, float).reshape(-1, 2)
-    m = len(pts)
+    minimum pairwise distance, with 1/m and 1/m^2 weights.
+
+    `pts` is one (m, 2) point set, scored to a float, or a (k, m, 2) batch
+    of k sets, scored to a (k,) array. Each pairwise distance is
+    `sqrt(vecdot(d, d))`: that is the same fused dot product as the scalar
+    `np.linalg.norm(d)` of a 2-vector, so a set scores bit-for-bit the same
+    alone, in any batch, and as under a loop over its pairs."""
+    pts = np.asarray(pts, float)
+    batch = pts if pts.ndim == 3 else pts.reshape(1, -1, 2)
+    m = batch.shape[1]
     if m < 2:
         raise TransportConfigError("carry_score needs at least 2 points")
-    consecutive = np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1)
-    c1 = float(consecutive.min())
-    c2 = float(consecutive.sum())
-    c3 = min(
-        float(np.linalg.norm(pts[i] - pts[j]))
-        for i in range(m) for j in range(i + 1, m)
-    )
-    return c1 + (0.5 / m) * c2 + (0.1 / m**2) * c3
+    consecutive = np.linalg.norm(batch - np.roll(batch, -1, axis=1), axis=2)
+    i, j = np.triu_indices(m, 1)
+    d = batch[:, i] - batch[:, j]
+    c1 = consecutive.min(axis=1)
+    c2 = consecutive.sum(axis=1)
+    c3 = np.sqrt(np.vecdot(d, d)).min(axis=1)
+    scores = c1 + (0.5 / m) * c2 + (0.1 / m**2) * c3
+    return scores if pts.ndim == 3 else float(scores[0])
 
 
-def _neighbors(idxs: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
+def _neighbors(idxs: tuple[int, ...], m: int) -> np.ndarray:
+    """The other sorted index sets a +/-1 move away from `idxs` on a cycle of
+    m, as a (k, n) array in lexicographic order."""
     n = len(idxs)
-    out: set[tuple[int, ...]] = set()
     if n <= 8:
-        shift_sets = product((-1, 0, 1), repeat=n)
+        shifts = np.indices((3,) * n).reshape(n, -1).T - 1
     else:
         # coordinate-wise moves keep the neighborhood tractable for big teams
-        shift_sets = []
-        for i in range(n):
-            for s in (-1, 1):
-                shifts = [0] * n
-                shifts[i] = s
-                shift_sets.append(tuple(shifts))
-    for shifts in shift_sets:
-        cand = tuple((idxs[i] + shifts[i]) % m for i in range(n))
-        if len(set(cand)) == n:
-            key = tuple(sorted(cand))
-            if key != tuple(sorted(idxs)):
-                out.add(key)
-    return sorted(out)
+        shifts = np.vstack([np.eye(n, dtype=int), -np.eye(n, dtype=int)])
+    cands = np.sort((np.array(idxs) + shifts) % m, axis=1)
+    cands = np.unique(cands[np.all(cands[:, 1:] != cands[:, :-1], axis=1)], axis=0)
+    return cands[np.any(cands != np.sort(idxs), axis=1)]
 
 
 def select_carry_positions(hull_vertices, n: int, seed: int = 0) -> np.ndarray:
     """Choose n carrying positions from the hull vertices by hill climbing
-    over the +/-1-index neighborhood, best of several seeded restarts."""
+    over the +/-1-index neighborhood, best of several seeded restarts.
+
+    Each sweep scores all neighbours of the current set in one batch and
+    moves to the first `argmax` if it beats the current score strictly.
+    That is the set a one-at-a-time scan of the same neighbour list ends
+    on when it moves to every candidate that beats the best score so far."""
     verts = np.asarray(hull_vertices, float).reshape(-1, 2)
     m = len(verts)
     if not (1 <= n <= m):
@@ -127,14 +130,12 @@ def select_carry_positions(hull_vertices, n: int, seed: int = 0) -> np.ndarray:
     for _ in range(CARRY_RESTARTS):
         idxs = tuple(sorted(rng.sample(range(m), n)))
         score = carry_score(verts[list(idxs)])
-        updated = True
-        while updated:
-            updated = False
-            for cand in _neighbors(idxs, m):
-                s = carry_score(verts[list(cand)])
-                if s > score:
-                    idxs, score = cand, s
-                    updated = True
+        while len(cands := _neighbors(idxs, m)):
+            scores = carry_score(verts[cands])
+            best = int(np.argmax(scores))
+            if not scores[best] > score:
+                break
+            idxs, score = tuple(cands[best].tolist()), float(scores[best])
         if best_overall is None or score > best_overall[0]:
             best_overall = (score, idxs)
     assert best_overall is not None
@@ -261,9 +262,17 @@ def configure_all_transport_units(
     project: ProjectSpec, fleet: RobotFleet, seed: int = 0
 ) -> dict[str, TransportUnitConfig]:
     """One transport unit config per non-root component (parts and
-    subassemblies); the root assembly is never transported."""
+    subassemblies); the root assembly is never transported.
+
+    A config depends on the component only through its payload points, so
+    components whose points are equal byte for byte share one computation."""
     configs: dict[str, TransportUnitConfig] = {}
+    by_points: dict[tuple[tuple[int, ...], bytes], TransportUnitConfig] = {}
     for aid, asm in sorted(project.assemblies.items()):
         for cid, _ in asm.components:
-            configs[cid] = configure_transport_unit(project, cid, fleet, seed=seed)
+            pts = payload_points(project, cid)
+            key = (pts.shape, pts.tobytes())
+            if key not in by_points:
+                by_points[key] = configure_transport_unit(project, cid, fleet, seed=seed)
+            configs[cid] = replace(by_points[key], payload_id=cid)
     return configs

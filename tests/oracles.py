@@ -5,16 +5,30 @@ code under test: gift wrapping instead of monotone chain, refined grid
 search instead of Welzl, a general-purpose QP solver instead of isotonic
 regression, exhaustive enumeration instead of greedy/branch-and-bound, and
 a from-scratch LP-format reader instead of the exporter's own structures.
+
+The planning kernels at the end are the exception: they are the scalar
+loops the package's array code replaced, kept as written so that tests can
+require bit-for-bit equal results from the array code.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 import re
 
 import numpy as np
 import scipy.optimize
+
+from assemblyforge.allocation import (
+    AllocationError,
+    AllocationResult,
+    RobotState,
+    _chain_structure,
+)
+from assemblyforge.schedule import evaluate_schedule, validate_schedule
+from assemblyforge.transport import CARRY_RESTARTS, TransportConfigError
 
 
 # -- convex hull by gift wrapping (Jarvis march) ------------------------------
@@ -360,3 +374,192 @@ def parse_lp(text: str) -> dict:
         "binaries": binaries,
         "variables": variables,
     }
+
+
+# -- scalar planning kernels (bitwise references) -----------------------------
+
+
+def scalar_carry_score(pts) -> float:
+    """`transport.carry_score` as a loop over point pairs."""
+    pts = np.asarray(pts, float).reshape(-1, 2)
+    m = len(pts)
+    if m < 2:
+        raise TransportConfigError("carry_score needs at least 2 points")
+    consecutive = np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1)
+    c1 = float(consecutive.min())
+    c2 = float(consecutive.sum())
+    c3 = min(
+        float(np.linalg.norm(pts[i] - pts[j]))
+        for i in range(m) for j in range(i + 1, m)
+    )
+    return c1 + (0.5 / m) * c2 + (0.1 / m**2) * c3
+
+
+def scalar_neighbors(idxs: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
+    """`transport._neighbors` built one shift tuple at a time."""
+    n = len(idxs)
+    out: set[tuple[int, ...]] = set()
+    if n <= 8:
+        shift_sets = itertools.product((-1, 0, 1), repeat=n)
+    else:
+        # coordinate-wise moves keep the neighborhood tractable for big teams
+        shift_sets = []
+        for i in range(n):
+            for s in (-1, 1):
+                shifts = [0] * n
+                shifts[i] = s
+                shift_sets.append(tuple(shifts))
+    for shifts in shift_sets:
+        cand = tuple((idxs[i] + shifts[i]) % m for i in range(n))
+        if len(set(cand)) == n:
+            key = tuple(sorted(cand))
+            if key != tuple(sorted(idxs)):
+                out.add(key)
+    return sorted(out)
+
+
+def scalar_select_carry_positions(hull_vertices, n: int, seed: int = 0) -> np.ndarray:
+    """`transport.select_carry_positions` scoring one neighbour at a time."""
+    verts = np.asarray(hull_vertices, float).reshape(-1, 2)
+    m = len(verts)
+    if not (1 <= n <= m):
+        raise TransportConfigError(f"cannot place {n} robots on {m} hull vertices")
+    if n == m:
+        return verts.copy()
+    if n == 1:
+        raise TransportConfigError("single-robot placement uses the payload sphere center")
+
+    rng = random.Random(seed)
+    best_overall: tuple[float, tuple[int, ...]] | None = None
+    for _ in range(CARRY_RESTARTS):
+        idxs = tuple(sorted(rng.sample(range(m), n)))
+        score = scalar_carry_score(verts[list(idxs)])
+        updated = True
+        while updated:
+            updated = False
+            for cand in scalar_neighbors(idxs, m):
+                s = scalar_carry_score(verts[list(cand)])
+                if s > score:
+                    idxs, score = cand, s
+                    updated = True
+        if best_overall is None or score > best_overall[0]:
+            best_overall = (score, idxs)
+    assert best_overall is not None
+    return verts[list(best_overall[1])]
+
+
+def scalar_earliest_arrival(
+    robots: list[RobotState], goals: list[tuple[int, np.ndarray]], v_max: float
+) -> tuple[tuple[RobotState, tuple[int, np.ndarray]], float]:
+    """`allocation.earliest_arrival` as a loop over robot x goal."""
+    if not robots or not goals:
+        raise AllocationError("earliest_arrival needs non-empty robots and goals")
+    best = None
+    for robot in robots:
+        for gi, gpos in goals:
+            t = max(robot.available_time, 0.0) + float(
+                np.linalg.norm(gpos - robot.position)) / v_max
+            key = (t, robot.id, gi)
+            if best is None or key < best[0]:
+                best = (key, (robot, (gi, gpos)))
+    (t, _, _), pair = best
+    return pair, t
+
+
+def greedy_reference(graph, fleet) -> AllocationResult:
+    """`allocation.greedy_pccf` without its team cache: every iteration
+    rebuilds the team of every available component from scratch."""
+    pickups, dropoffs, starts = _chain_structure(graph)
+    n_robots = len(starts)
+    if pickups and max(len(v) for v in pickups.values()) > n_robots:
+        raise AllocationError(
+            "fleet smaller than the largest transport team; allocation infeasible")
+
+    robots = [
+        RobotState(graph.nodes[s].subject, np.array(graph.nodes[s].origin))
+        for s in starts
+    ]
+    chain_tail = {r.id: s for r, s in zip(robots, starts)}
+
+    phases = graph.assembly_phases
+    active_step = {a: ks[0] for a, ks in phases.items()}
+    active = set(phases)
+    parts = {n.subject for n in graph.nodes.values() if n.kind == "ObjectStart"}
+    available_components = set(parts)
+    assigned: set[str] = set()
+
+    ready_time = {p: 0.0 for p in parts}
+    open_time = {(a, ks[0]): 0.0 for a, ks in phases.items()}
+    lift_end: dict[tuple[str, int], list[float]] = {}
+    durations = {nid: n.duration for nid, n in graph.nodes.items()}
+
+    added: list[tuple[str, str]] = []
+
+    def commit(component: str, pairs: list[tuple[RobotState, int]], t_task: float):
+        form_dur = durations[f"FormTransportUnit:{component}"]
+        tugo = durations[f"TransportUnitGo:{component}"]
+        dep_dur = durations[f"DepositCargo:{component}"]
+        lift_dur = durations[f"LiftIntoPlace:{component}"]
+        a, k = graph.payload_phase[component]
+        t_form_end = max(t_task, ready_time[component]) + form_dur
+        t_arrive = t_form_end + tugo
+        t_dep_end = max(t_arrive, open_time[(a, k)]) + dep_dur
+        t_lift_end = t_dep_end + lift_dur
+        lift_end.setdefault((a, k), []).append(t_lift_end)
+        for robot, slot in pairs:
+            pick = pickups[component][slot]
+            drop = dropoffs[component][slot]
+            added.append((chain_tail[robot.id], pick))
+            chain_tail[robot.id] = drop
+            robot.position = np.array(graph.nodes[drop].origin)
+            robot.available_time = t_dep_end
+        assigned.add(component)
+
+        members = graph.phase_members[(a, k)]
+        if all(m in assigned for m in members):
+            close = max(lift_end[(a, k)])
+            if k == phases[a][-1]:
+                active.discard(a)
+                available_components.add(a)
+                ready_time[a] = close
+            else:
+                nxt = phases[a][phases[a].index(k) + 1]
+                active_step[a] = nxt
+                open_time[(a, nxt)] = close
+
+    while active:
+        best_team: tuple[str, list[tuple[RobotState, int]], float] | None = None
+        t_min = math.inf
+        for a in sorted(active):
+            k = active_step[a]
+            for component in graph.phase_members[(a, k)]:
+                if component in assigned or component not in available_components:
+                    continue
+                goals = [
+                    (graph.nodes[p].slot, np.array(graph.nodes[p].destination))
+                    for p in pickups[component]
+                ]
+                pool = list(robots)
+                pairs: list[tuple[RobotState, int]] = []
+                t_task = 0.0
+                while goals:
+                    (robot, (gi, _)), t = scalar_earliest_arrival(pool, goals, fleet.v_max)
+                    t_task = max(t_task, t)
+                    if t_task >= t_min:
+                        break
+                    pairs.append((robot, gi))
+                    pool = [r for r in pool if r.id != robot.id]
+                    goals = [g for g in goals if g[0] != gi]
+                if not goals and t_task < t_min:
+                    best_team = (component, pairs, t_task)
+                    t_min = t_task
+        if best_team is None:
+            raise AllocationError("no assignable component; schedule is stuck")
+        commit(*best_team)
+
+    complete = graph.with_edges(set(added))
+    violations = validate_schedule(complete, "complete")
+    if violations:  # pragma: no cover - construction guarantees validity
+        raise AllocationError(f"greedy produced an invalid schedule: {violations[:3]}")
+    _, _, makespan = evaluate_schedule(complete, fleet)
+    return AllocationResult(complete, makespan, "greedy", "incumbent", tuple(added))

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from assemblyforge import allocation, projects, schedule
+from assemblyforge import allocation, projects, schedule, staging, transport
 from assemblyforge.allocation import BnbLimits, RobotState
+from assemblyforge.model import ProjectError, RobotFleet
 
 from . import oracles
 
@@ -30,6 +32,29 @@ class TestEarliestArrival:
         with pytest.raises(allocation.AllocationError):
             allocation.earliest_arrival([], [(0, np.zeros(2))], 1.0)
 
+    @pytest.mark.parametrize("grid", [False, True], ids=["uniform", "integer-grid"])
+    def test_equals_scalar_loop_bitwise(self, grid):
+        # on integer grids many (robot, goal) pairs tie on time
+        rng = np.random.default_rng(9)
+        for _ in range(400):
+            n_robots, n_goals = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+            if grid:
+                pos = rng.integers(-3, 4, (n_robots + n_goals, 2)).astype(float)
+                avail = rng.integers(0, 3, n_robots).astype(float)
+            else:
+                pos = rng.uniform(-5, 5, (n_robots + n_goals, 2))
+                avail = rng.uniform(0, 3, n_robots) * (rng.random(n_robots) < 0.5)
+            ids = rng.permutation(n_robots)
+            robots = [RobotState(f"r{ids[i]}", pos[i], available_time=avail[i])
+                      for i in range(n_robots)]
+            goals = [(int(gi), pos[n_robots + j])
+                     for j, gi in enumerate(rng.permutation(n_goals))]
+            v_max = float(rng.choice([1.0, 0.7]))
+            (robot, goal), t = allocation.earliest_arrival(robots, goals, v_max)
+            (o_robot, o_goal), o_t = oracles.scalar_earliest_arrival(robots, goals, v_max)
+            assert (robot.id, goal[0], t) == (o_robot.id, o_goal[0], o_t)
+            assert robot is o_robot and goal[1] is o_goal[1]
+
 
 class TestGreedy:
     def test_frozen_toy_makespans(self, pipeline, toy_spec):
@@ -49,8 +74,57 @@ class TestGreedy:
         assert schedule.validate_schedule(r.graph, "complete") == []
         assert r.added_edges  # chain edges were actually added
 
+    @pytest.mark.parametrize("case", [
+        ("toy", 2), ("tractor", 5), ("tractor", 10), ("tractor", 15),
+        *((f"synthetic-{seed}", robots) for seed in range(3) for robots in (8, 12)),
+    ], ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_cached_teams_equal_uncached_reference(self, pipeline, toy_spec, tractor_spec,
+                                                   case):
+        name, robots = case
+        if name.startswith("synthetic"):
+            spec = projects.synthetic_project(int(name.split("-")[1]))
+        else:
+            spec = {"toy": toy_spec, "tractor": tractor_spec}[name]
+        data = pipeline(spec, name, robots)
+        expected = oracles.greedy_reference(data["graph"], data["fleet"])
+        assert data["greedy"].added_edges == expected.added_edges
+        assert data["greedy"].makespan == expected.makespan
+
+    def test_cached_teams_equal_reference_with_scattered_dropoffs(self, tractor_spec):
+        # With instant form, transport and deposit and the dropoffs scattered,
+        # a robot that just delivered can reach a cached team's goal before
+        # that team's last pick: the second cache-drop rule must fire
+        params = projects.default_params(buffer_radius=0.25, duration_form=0.0,
+                                         duration_deposit=0.0)
+        configs = transport.configure_all_transport_units(
+            tractor_spec, projects.default_fleet(5))
+        plan = staging.build_staging_plan(tractor_spec, configs, params)
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            robots = int(rng.integers(4, 10))
+            spread = float(rng.choice([3.0, 10.0, 30.0]))
+            try:
+                fleet = RobotFleet(robots, 0.25, 1.0, 0.2, 0.25,
+                                   rng.uniform(-spread, spread, (robots, 2)))
+            except ProjectError:  # two robots drawn closer than 2r
+                continue
+            graph = schedule.build_partial_schedule(tractor_spec, plan, configs, fleet,
+                                                    params)
+            nodes = {}
+            for nid, node in graph.nodes.items():
+                if node.kind == "TransportUnitGo":
+                    node = dataclasses.replace(node, duration=0.0)
+                elif node.kind == "RobotGo" and node.role == "dropoff":
+                    node = dataclasses.replace(
+                        node, origin=tuple(rng.uniform(-spread, spread, 2)))
+                nodes[nid] = node
+            graph = dataclasses.replace(graph, nodes=nodes)
+            got = allocation.greedy_pccf(graph, fleet)
+            expected = oracles.greedy_reference(graph, fleet)
+            assert got.added_edges == expected.added_edges, seed
+            assert got.makespan == expected.makespan, seed
+
     def test_undersized_fleet_rejected(self, toy_spec, params):
-        from assemblyforge import staging, transport
         fleet = projects.default_fleet(1)
         cfg = transport.configure_all_transport_units(toy_spec, fleet)
         plan = staging.build_staging_plan(toy_spec, cfg, params)

@@ -71,9 +71,11 @@ class TestExitCodes:
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_FAILURE
 
-    @pytest.mark.parametrize("option", [["--radius", "-1"], ["--vmin", "2"]],
-                             ids=["radius", "vmin"])
+    @pytest.mark.parametrize("option", [["--radius", "-1"], ["--vmin", "2"],
+                                        ["--robots", "-3"], ["--robots", "0"]],
+                             ids=["radius", "vmin", "robots-negative", "robots-zero"])
     def test_plan_invalid_fleet_option(self, toy_input, tmp_path, capsys, option):
+        # a repeated option takes its last value
         code = cli.main(["plan", "--input", str(toy_input), "--out", str(tmp_path / "out"),
                          "--robots", "2", *option])
         assert code == cli.EXIT_BAD_INPUT

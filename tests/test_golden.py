@@ -1,5 +1,5 @@
 """Golden artifacts: the SHA-256 of every deterministic artifact that
-`cli.main` writes for four fixed runs, and their `metrics.json` values.
+`cli.main` writes for five fixed runs, and their `metrics.json` values.
 
 A refactor that claims to change no output keeps these hashes. The values
 were recorded with Python 3.11.7 and numpy 2.4.6; another toolchain may
@@ -38,6 +38,11 @@ RUNS = {
         partial(projects.synthetic_project, 0), 8,
         [["greedy"], ["export-lp"]], (["--max-steps", "2000"], cli.EXIT_DEADLOCK),
     ),
+    # the 400-part scale the planning speedups are measured at; planning only
+    "synthetic-400": (
+        partial(projects.synthetic_project, 0, clusters=16, parts_per_cluster=25), 32,
+        [["greedy"]], None,
+    ),
 }
 
 GOLDEN = {
@@ -71,6 +76,11 @@ GOLDEN = {
         "model.lp": "4e5304d5cd02f5acedd02ae5495e2fa197f4016d7dba6d6a9396268111fa5fd5",
         "trace.csv": "8fb934f152a1ac9cd6f96f74007637d445280ba9a1b7d7408f798a33bc163bae",
         "events.jsonl": "4a181ed2803f3a108a34f9184ff3ce1af64959bf274f37d76899b15f64d8598f",
+    },
+    "synthetic-400": {
+        "schedule_partial.json": "a7e9ef1224a64338c1cdbfcd20dc6bea4f75d3a307fa0be3970c5e25fc9ea5f8",
+        "transport_units.json": "c4e8a138d3d7802fb71f6cc5bce2d94b6123a143b4ca830bc0f53463f6bba070",
+        "schedule_complete.json": "e7e060bdaca557690058515055820e339c57bd39e4fb86d7a721c502f27ea3b4",
     },
 }
 

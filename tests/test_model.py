@@ -154,6 +154,8 @@ class TestRobotFleet:
             RobotFleet(1, 0.25, 1.0, 2.0, 0.5, np.array([[0, 0]]))
         with pytest.raises(ProjectError):
             RobotFleet(2, 0.25, 1.0, 0.1, 0.5, np.array([[0, 0]]))
+        with pytest.raises(ProjectError, match="at least 1"):
+            RobotFleet(0, 0.25, 1.0, 0.1, 0.5, np.zeros((0, 2)))
 
     def test_default_fleet_valid(self):
         for n in (1, 5, 15):

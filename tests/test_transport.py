@@ -5,6 +5,8 @@ import pytest
 
 from assemblyforge import geometry, ldraw, projects, transport
 
+from . import oracles
+
 R = 0.25  # default robot radius
 
 
@@ -58,6 +60,23 @@ class TestCarryScore:
         with pytest.raises(transport.TransportConfigError):
             transport.carry_score([[0, 0]])
 
+    @pytest.mark.parametrize("grid", [False, True], ids=["uniform", "integer-grid"])
+    def test_batch_equals_scalar_loop_bitwise(self, grid):
+        # integer grids make many pair distances equal, so min and argmax tie
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            m, k = int(rng.integers(2, 14)), int(rng.integers(1, 30))
+            if grid:
+                batch = rng.integers(-3, 4, (k, m, 2)) * 0.25
+            else:
+                batch = rng.uniform(-3, 3, (k, m, 2))
+            scores = transport.carry_score(batch)
+            assert scores.shape == (k,)
+            for pts, score in zip(batch, scores):
+                expected = oracles.scalar_carry_score(pts)
+                assert score == expected
+                assert transport.carry_score(pts) == expected
+
 
 class TestSelectCarryPositions:
     def _hexagon(self):
@@ -84,6 +103,39 @@ class TestSelectCarryPositions:
         out = transport.select_carry_positions(verts, 3, seed=1)
         for p in out:
             assert any(np.allclose(p, v) for v in verts)
+
+    def test_neighbors_equal_scalar_loop(self):
+        rng = np.random.default_rng(6)
+        for m in range(2, 14):
+            for n in range(1, m + 1):
+                idxs = tuple(sorted(rng.choice(m, n, replace=False).tolist()))
+                got = [tuple(c) for c in transport._neighbors(idxs, m).tolist()]
+                assert got == oracles.scalar_neighbors(idxs, m)
+
+    def test_hill_climb_equals_scalar_loop_bitwise(self):
+        # n = 9 runs the coordinate-wise branch; the scalar oracle scans 3^n
+        # shifts per sweep, so n = 7 and 8 come up less often; regular
+        # polygons tie everywhere
+        rng = np.random.default_rng(7)
+        team_sizes = (2, 3, 4, 5, 6, 7, 8, 9) + (2, 3, 4, 5, 6, 9) * 2
+        hulls = 0
+        for i in range(260):
+            n = team_sizes[i % len(team_sizes)]
+            m = n + int(rng.integers(1, 4))
+            if i % 6 == 0:
+                ang = np.arange(m) * 2 * math.pi / m
+            else:
+                ang = np.sort(rng.uniform(0, 2 * math.pi, m))
+            radius = rng.uniform(0.5, 2.0, m) if i % 3 == 1 else 1.0
+            hull = geometry.convex_hull_2d(
+                np.stack([np.cos(ang), np.sin(ang)], axis=1) * np.c_[radius]).vertices
+            if len(hull) <= n:
+                continue
+            hulls += 1
+            got = transport.select_carry_positions(hull, n, seed=i)
+            expected = oracles.scalar_select_carry_positions(hull, n, seed=i)
+            assert np.array_equal(got, expected)
+        assert hulls >= 200
 
     def test_invalid_counts(self):
         verts = self._hexagon()
@@ -160,6 +212,24 @@ class TestConfigureTransportUnit:
         fleet = projects.default_fleet(5)
         for cfg in configs.values():
             assert fleet.v_min <= cfg.speed_limit <= fleet.v_max
+
+    @pytest.mark.parametrize("make_spec", [projects.tractor_project,
+                                           lambda: projects.synthetic_project(0)],
+                             ids=["tractor", "synthetic"])
+    def test_shared_configs_equal_per_component(self, make_spec, monkeypatch):
+        spec = make_spec()
+        fleet = projects.default_fleet(5)
+        computed = []
+        configure = transport.configure_transport_unit
+        monkeypatch.setattr(transport, "configure_transport_unit",
+                            lambda *a, **kw: computed.append(a[1]) or configure(*a, **kw))
+        configs = transport.configure_all_transport_units(spec, fleet, seed=3)
+        monkeypatch.undo()
+        assert len(computed) < len(configs)  # equal payloads were computed once
+        for cid, cfg in configs.items():
+            alone = transport.configure_transport_unit(spec, cid, fleet, seed=3)
+            assert transport.transport_config_to_jsonable(cfg) == \
+                transport.transport_config_to_jsonable(alone)
 
     def test_json_round_trip(self, tractor_configs):
         _, configs = tractor_configs
