@@ -177,6 +177,10 @@ def cmd_allocate(args) -> int:
 
 def cmd_simulate(args) -> int:
     out = Path(args.out)
+    if args.max_steps < 1:
+        print(f"error: invalid option: --max-steps must be at least 1, got {args.max_steps}",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         _, plan, configs, spec, fleet, params = _load_plan_artifacts(out)
         complete_path = out / "schedule_complete.json"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -125,6 +125,11 @@ class RobotFleet:
         object.__setattr__(
             self, "initial_positions", np.asarray(self.initial_positions, float).reshape(-1, 2)
         )
+        for name in ("radius", "v_max", "v_min", "v_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ProjectError(f"fleet {name} must be finite, got {getattr(self, name)}")
+        if not np.all(np.isfinite(self.initial_positions)):
+            raise ProjectError("initial positions must be finite")
         if not (0 < self.v_min <= self.v_max):
             raise ProjectError("fleet requires 0 < v_min <= v_max")
         if self.radius <= 0:
@@ -160,6 +165,9 @@ class PlanParams:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ProjectError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.dt_sim <= 0:
             raise ProjectError("dt_sim must be positive")
         if min(self.duration_form, self.duration_deposit, self.duration_lift) < 0:

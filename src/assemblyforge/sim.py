@@ -6,13 +6,26 @@ three-layer velocity controller (tangent bug -> prioritized dispersion ->
 generalized reciprocal velocity obstacles) per agent, (4) integrate. Formed
 transport units replace their member robots as a single agent until the cargo
 is deposited.
+
+The step is array-backed. Checkpoints come off a ready queue in topological
+order; the first tangent-bug ray test of every agent against every staging
+circle, the ORCA half-planes of every constrained pair (van den Berg et al.,
+"Reciprocal n-Body Collision Avoidance", 2011) and the penetration test of
+every pair are each one array pass per step. Each element goes through the
+float operations of the scalar formula it replaced, in the same order: a dot
+product of 2-vectors is `np.vecdot`, which rounds as `a @ b` does (numpy's
+BLAS may fuse the multiply-add, so `a[0] * b[0] + a[1] * b[1]` can differ),
+and a length is `sqrt(vecdot(v, v))`, as in `np.linalg.norm`. Branches are
+picked by masks. The dispersion layer and the 2D LP (`_lp1`, `_lp3`) stay scalar.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,56 +39,78 @@ PENETRATION_TOL_FACTOR = 1e-3
 ORCA_SAFETY_FACTOR = 0.01  # inflation of combined radii in avoidance constraints
 
 
+def _length(v) -> float:
+    """Length of a float vector: `float(np.linalg.norm(v))`, which numpy
+    computes as the square root of `v @ v`, without its call overhead."""
+    return math.sqrt(v @ v)
+
+
 # -- level 1: modified tangent bug -------------------------------------------
 
 
-def _ray_circle_hit(pos, goal, center, radius):
-    """Earliest parameter t in (0, 1] where segment pos->goal enters the
-    circle, or None."""
+class Circles(NamedTuple):
+    """Obstacle circles as arrays: centers (k, 2) and radii (k,)."""
+
+    centers: np.ndarray
+    radii: np.ndarray
+
+
+def _as_circles(obstacles) -> Circles:
+    """`obstacles` as `Circles`; a sequence of (center, radius) is converted."""
+    if isinstance(obstacles, Circles):
+        return obstacles
+    obstacles = list(obstacles)
+    return Circles(np.array([c for c, _ in obstacles], float).reshape(-1, 2),
+                   np.array([r for _, r in obstacles], float))
+
+
+def _ray_circle_hits(pos, goal, centers, radii) -> np.ndarray:
+    """The earliest parameter t in [0, 1] where segment pos->goal enters
+    each circle, or inf where it does not.
+
+    `pos` and `goal` are (2,) or (n, 2), one segment per row; `radii` is (k,)
+    or (n, k). Returns (k,) or (n, k)."""
     d = goal - pos
-    f = pos - center
-    a = float(d @ d)
-    if a < 1e-18:
-        return None
-    b = 2.0 * float(f @ d)
-    c = float(f @ f) - radius * radius
+    a = np.vecdot(d, d)[..., None]
+    f = pos[..., None, :] - centers
+    b = 2.0 * np.vecdot(f, d[..., None, :])
+    c = np.vecdot(f, f) - radii * radii
     disc = b * b - 4 * a * c
-    if disc <= 0:
-        return None
-    sq = math.sqrt(disc)
-    t1 = (-b - sq) / (2 * a)
-    t2 = (-b + sq) / (2 * a)
-    if t2 <= 1e-12 or t1 > 1.0:
-        return None
-    return max(t1, 0.0)
+    sq = np.sqrt(np.maximum(disc, 0.0))  # disc <= 0 misses
+    with np.errstate(divide="ignore", invalid="ignore"):  # a = 0 misses
+        t1 = (-b - sq) / (2 * a)
+        t2 = (-b + sq) / (2 * a)
+    hit = (a >= 1e-18) & (disc > 0) & (t2 > 1e-12) & (t1 <= 1.0)
+    return np.where(hit, np.where(0.0 > t1, 0.0, t1), np.inf)
 
 
-def tangent_bug_step(pos, goal, obstacles, planning_radius: float, eps_b: float):
+def tangent_bug_step(pos, goal, obstacles, planning_radius: float, eps_b: float,
+                     hits=None):
     """One evaluation of the switching controller.
 
-    `obstacles` are (center, radius) circles already inflated by the agent
-    radius. Returns (waypoint, mode)."""
+    `obstacles` are circles already inflated by the agent radius, as
+    `Circles` or (center, radius) pairs; `hits`, if given, is what
+    `_ray_circle_hits` returns for pos->goal and them. Returns (waypoint,
+    mode)."""
     pos = np.asarray(pos, float)
     goal = np.asarray(goal, float)
-    best = None
-    for center, radius in obstacles:
-        t = _ray_circle_hit(pos, goal, np.asarray(center, float), radius)
-        if t is not None and (best is None or t < best[0]):
-            best = (t, np.asarray(center, float), radius)
-    if best is None:
+    centers, radii = _as_circles(obstacles)
+    ts = _ray_circle_hits(pos, goal, centers, radii) if hits is None else hits
+    k = int(np.argmin(ts)) if len(ts) else None  # the first of equal minima
+    if k is None or ts[k] == np.inf:
         return goal, "move_toward_waypoint"
 
-    t, center, radius = best
+    t, center, radius = ts[k], centers[k], radii[k]
     waypoint = pos + t * (goal - pos)
-    d = float(np.linalg.norm(pos - center)) - radius
+    d = _length(pos - center) - radius
     if abs(d) <= eps_b:
         return waypoint, "move_ccw_along_boundary"
     if d < -eps_b:
         off = pos - center
-        norm = float(np.linalg.norm(off))
+        norm = _length(off)
         if norm < 1e-12:
             heading = goal - pos
-            hn = float(np.linalg.norm(heading))
+            hn = _length(heading)
             direction = heading / hn if hn > 1e-12 else np.array([1.0, 0.0])
         else:
             direction = off / norm
@@ -84,40 +119,37 @@ def tangent_bug_step(pos, goal, obstacles, planning_radius: float, eps_b: float)
         return waypoint, "move_toward_waypoint"
     # right-hand tangent point of the target circle
     to_c = center - pos
-    dist_c = float(np.linalg.norm(to_c))
+    dist_c = _length(to_c)
     u = to_c / dist_c
     beta = math.asin(min(1.0, radius / dist_c))
     leg = math.sqrt(max(dist_c * dist_c - radius * radius, 0.0))
     cb, sb = math.cos(-beta), math.sin(-beta)
     tangent_dir = np.array([cb * u[0] - sb * u[1], sb * u[0] + cb * u[1]])
     tangent_pt = pos + leg * tangent_dir
-    for c2, r2 in obstacles:
-        if np.allclose(c2, center) and abs(r2 - radius) < 1e-12:
-            continue
-        if _ray_circle_hit(pos, tangent_pt, np.asarray(c2, float), r2) is not None:
-            return waypoint, "move_toward_waypoint"
+    # the target circle, and any equal to it as np.allclose judges, does not block
+    close = np.abs(centers - center) <= 1e-8 + 1e-5 * np.abs(center)
+    same = close[:, 0] & close[:, 1] & (np.abs(radii - radius) < 1e-12)
+    if np.any(~same & (_ray_circle_hits(pos, tangent_pt, centers, radii) != np.inf)):
+        return waypoint, "move_toward_waypoint"
     return tangent_pt, "move_toward_right_hand_tangent_point"
 
 
 def nominal_velocity(pos, goal, obstacles, speed: float, dt: float,
-                     planning_radius: float, eps_b: float):
-    waypoint, mode = tangent_bug_step(pos, goal, obstacles, planning_radius, eps_b)
+                     planning_radius: float, eps_b: float, hits=None):
+    waypoint, mode = tangent_bug_step(pos, goal, obstacles, planning_radius, eps_b, hits)
     pos = np.asarray(pos, float)
     if mode == "move_ccw_along_boundary":
         # target circle is the one whose boundary we sit on
-        best = None
-        for center, radius in obstacles:
-            gap = abs(float(np.linalg.norm(pos - np.asarray(center, float))) - radius)
-            if best is None or gap < best[0]:
-                best = (gap, np.asarray(center, float), radius)
-        _, center, radius = best
+        centers, radii = _as_circles(obstacles)
+        off = pos - centers
+        center = centers[np.argmin(np.abs(np.sqrt(np.vecdot(off, off)) - radii))]
         n = pos - center
-        nn = float(np.linalg.norm(n))
+        nn = _length(n)
         n = n / nn if nn > 1e-12 else np.array([1.0, 0.0])
         direction = np.array([-n[1], n[0]])  # circle center stays on the left
         return direction * speed, mode
     delta = waypoint - pos
-    dist = float(np.linalg.norm(delta))
+    dist = _length(delta)
     if dist < 1e-12:
         return np.zeros(2), mode
     return delta / dist * min(speed, dist / dt), mode
@@ -136,7 +168,7 @@ def dispersion_force(p_i, p_j, r_i: float, r_j: float, big_r_j: float,
     p_i = np.asarray(p_i, float)
     p_j = np.asarray(p_j, float)
     diff = p_i - p_j
-    dist = float(np.linalg.norm(diff))
+    dist = _length(diff)
     if dist < 1e-12:
         u = np.array([1.0, 0.0])
         dist_eff = delta
@@ -157,7 +189,7 @@ def field_radius(p_j, r_j: float, actives, r_max: float, c: float) -> float:
     if not actives:
         return 0.0
     d_j = min(
-        float(np.linalg.norm(np.asarray(p_j, float) - np.asarray(p_k, float))) - (r_k + r_j)
+        _length(np.asarray(p_j, float) - np.asarray(p_k, float)) - (r_k + r_j)
         for p_k, r_k in actives
     )
     if d_j <= 0:
@@ -167,7 +199,7 @@ def field_radius(p_j, r_j: float, actives, r_max: float, c: float) -> float:
 
 def preferred_velocity(v_nominal, forces, a: float, b: float, v_cap: float) -> np.ndarray:
     v_hat = a * np.asarray(v_nominal, float) - b * sum(forces, np.zeros(2))
-    norm = float(np.linalg.norm(v_hat))
+    norm = _length(v_hat)
     if norm < 1e-12:
         return np.zeros(2)
     return v_hat / norm * min(v_cap, norm)
@@ -189,44 +221,47 @@ def alpha_value(is_unit: bool, task_kind: str, phase_active: bool,
 # -- level 3: generalized RVO (ORCA half-planes with priority shares) --------
 
 
-def _orca_line(p_i, v_i, r_i, p_j, v_j, r_j, share: float, tau: float, dt: float):
-    """Half-plane (point, direction) constraining agent i against j; feasible
-    velocities lie to the left of the directed line."""
+def _orca_lines(p_i, v_i, r_i, p_j, v_j, r_j, share, tau: float, dt: float):
+    """Half-planes constraining each agent i against its j, one pair per row.
+
+    Returns an (m, 2, 2) array of (point, direction) rows; feasible
+    velocities lie to the left of each directed line."""
     rel_pos = p_j - p_i
     rel_vel = v_i - v_j
-    dist_sq = float(rel_pos @ rel_pos)
+    dist_sq = np.vecdot(rel_pos, rel_pos)
     comb_r = (r_i + r_j) * (1.0 + ORCA_SAFETY_FACTOR)
     comb_r_sq = comb_r * comb_r
+    apart = dist_sq > comb_r_sq
+    # apart: velocity obstacle truncated at horizon tau; overlapping: resolve
+    # the overlap within one step
+    horizon = np.where(apart, tau, dt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = rel_vel - rel_pos / horizon[:, None]
+        w_len_sq = np.vecdot(w, w)
+        w_len = np.sqrt(w_len_sq)
+        dot1 = np.vecdot(w, rel_pos)
+        # apart and projecting on the cutoff circle, or overlapping
+        on_circle = ~apart | ((dot1 < 0) & (dot1 * dot1 > comb_r_sq * w_len_sq))
+        unit_w = np.where((~apart & ~(w_len > 1e-12))[:, None], [1.0, 0.0],
+                          w / w_len[:, None])
+        circle_dir = np.stack([unit_w[:, 1], -unit_w[:, 0]], axis=1)
+        circle_u = (comb_r / horizon - w_len)[:, None] * unit_w
 
-    if dist_sq > comb_r_sq:
-        w = rel_vel - rel_pos / tau
-        w_len_sq = float(w @ w)
-        dot1 = float(w @ rel_pos)
-        if dot1 < 0 and dot1 * dot1 > comb_r_sq * w_len_sq:
-            w_len = math.sqrt(w_len_sq)
-            unit_w = w / w_len
-            direction = np.array([unit_w[1], -unit_w[0]])
-            u = (comb_r / tau - w_len) * unit_w
-        else:
-            leg = math.sqrt(max(dist_sq - comb_r_sq, 0.0))
-            if rel_pos[0] * w[1] - rel_pos[1] * w[0] > 0:
-                direction = np.array([
-                    rel_pos[0] * leg - rel_pos[1] * comb_r,
-                    rel_pos[0] * comb_r + rel_pos[1] * leg]) / dist_sq
-            else:
-                direction = -np.array([
-                    rel_pos[0] * leg + rel_pos[1] * comb_r,
-                    -rel_pos[0] * comb_r + rel_pos[1] * leg]) / dist_sq
-            dot2 = float(rel_vel @ direction)
-            u = dot2 * direction - rel_vel
-    else:
-        w = rel_vel - rel_pos / dt
-        w_len = float(np.linalg.norm(w))
-        unit_w = w / w_len if w_len > 1e-12 else np.array([1.0, 0.0])
-        direction = np.array([unit_w[1], -unit_w[0]])
-        u = (comb_r / dt - w_len) * unit_w
-    point = v_i + share * u
-    return point, direction
+        # apart and projecting on a leg of the cone
+        diff = dist_sq - comb_r_sq
+        leg = np.sqrt(np.where(0.0 > diff, 0.0, diff))
+        x, y = rel_pos[:, 0], rel_pos[:, 1]
+        left = (x * w[:, 1] - y * w[:, 0] > 0)[:, None]
+        leg_dir = np.where(
+            left,
+            np.stack([x * leg - y * comb_r, x * comb_r + y * leg], axis=1) / dist_sq[:, None],
+            -np.stack([x * leg + y * comb_r, -x * comb_r + y * leg], axis=1) / dist_sq[:, None])
+        dot2 = np.vecdot(rel_vel, leg_dir)
+        leg_u = dot2[:, None] * leg_dir - rel_vel
+
+    direction = np.where(on_circle[:, None], circle_dir, leg_dir)
+    u = np.where(on_circle[:, None], circle_u, leg_u)
+    return np.stack([v_i + share[:, None] * u, direction], axis=1)
 
 
 def _lp1(lines, idx, radius, opt):
@@ -259,15 +294,28 @@ def _lp1(lines, idx, radius, opt):
 
 
 def _lp2(lines, radius, opt):
-    """2D LP: velocity closest to opt inside all half-planes and the disc."""
-    norm = float(np.linalg.norm(opt))
+    """2D LP: velocity closest to opt inside all half-planes and the disc.
+
+    `lines` holds (point, direction) rows, as an (m, 2, 2) array or a list
+    of pairs."""
+    lines = np.asarray(lines, float).reshape(-1, 2, 2)
+    pts, dirs = lines[:, 0], lines[:, 1]
+    norm = _length(opt)
     result = opt if norm <= radius else opt / norm * radius
-    for i, (pt, d) in enumerate(lines):
-        if d[0] * (result[1] - pt[1]) - d[1] * (result[0] - pt[0]) < -1e-12:
-            r2 = _lp1(lines, i, radius, opt)
-            if r2 is None:
-                return i, result
-            result = r2
+    i = 0
+    while i < len(lines):
+        # the first line from i on that the result violates
+        violated = (dirs[i:, 0] * (result[1] - pts[i:, 1])
+                    - dirs[i:, 1] * (result[0] - pts[i:, 0]) < -1e-12)
+        k = int(np.argmax(violated))
+        if not violated[k]:
+            break
+        i += k
+        r2 = _lp1(lines, i, radius, opt)
+        if r2 is None:
+            return i, result
+        result = r2
+        i += 1
     return len(lines), result
 
 
@@ -303,21 +351,37 @@ def rvo_resolve(positions, radii, velocities, preferred, caps, shares,
     """Command velocities for all agents.
 
     shares[i][j] is agent i's responsibility toward j (share 0 means no
-    constraint from that pair on i). Returns a list of velocity vectors."""
-    n = len(positions)
+    constraint from that pair on i). The half-planes of all constrained
+    pairs are built in one array pass, in row-major (i, j) order. Returns a
+    list of velocity vectors."""
+    p = np.asarray(positions, float).reshape(-1, 2)
+    n = len(p)
+    v = np.asarray(velocities, float).reshape(n, 2)
+    r = np.asarray(radii, float)
+    s = np.asarray(shares, float).reshape(n, n)
+    i, j = np.nonzero(~(s <= 0.0) & ~np.eye(n, dtype=bool))
+    lines = _orca_lines(p[i], v[i], r[i], p[j], v[j], r[j], s[i, j], tau, dt)
+    bounds = np.searchsorted(i, np.arange(n + 1))
+    # _lp2's start, the preferred velocity clamped to the cap, for all agents;
+    # an agent whose start violates none of its lines keeps it
+    pref = np.asarray(preferred, float).reshape(n, 2)
+    cap = np.asarray(caps, float)
+    speed = np.sqrt(np.vecdot(pref, pref))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        start = np.where((speed <= cap)[:, None], pref, pref / speed[:, None] * cap[:, None])
+    pts, dirs = lines[:, 0], lines[:, 1]
+    violated = (dirs[:, 0] * (start[i, 1] - pts[:, 1])
+                - dirs[:, 1] * (start[i, 0] - pts[:, 0]) < -1e-12)
+    free = np.bincount(i[violated], minlength=n) == 0
     commands = []
-    for i in range(n):
-        lines = []
-        for j in range(n):
-            if j == i or shares[i][j] <= 0.0:
-                continue
-            lines.append(_orca_line(
-                positions[i], velocities[i], radii[i],
-                positions[j], velocities[j], radii[j],
-                shares[i][j], tau, dt))
-        fail, cmd = _lp2(lines, caps[i], np.asarray(preferred[i], float))
-        if fail < len(lines):
-            cmd = _lp3(lines, fail, caps[i], cmd)
+    for k in range(n):
+        if free[k]:
+            commands.append(start[k])
+            continue
+        own = lines[bounds[k]:bounds[k + 1]]
+        fail, cmd = _lp2(own, caps[k], np.asarray(preferred[k], float))
+        if fail < len(own):
+            cmd = _lp3(own, fail, caps[k], cmd)
         commands.append(cmd)
     return commands
 
@@ -456,6 +520,16 @@ class World:
         for rid, missions in self.itineraries.items():
             for m in missions:
                 self.team_slots.setdefault(m.payload, {})[m.slot] = rid
+
+        # ready queue, filled by `complete`: the pending nodes with no pending
+        # predecessor that `fire_checkpoints` acts on, keyed by topological rank
+        self.fire_rank = {
+            nid: rank for rank, nid in enumerate(self.topo)
+            if (node := graph.nodes[nid]).kind in CHECKPOINT_KINDS
+            or node.kind == "LiftIntoPlace" or (node.kind == "RobotGo" and node.role == "dropoff")}
+        self.ready = [(rank, nid) for nid, rank in self.fire_rank.items()
+                      if self.remaining[nid] == 0]
+        heapq.heapify(self.ready)
         self.agents: dict[str, AgentState] = {}
         for i, pos in enumerate(fleet.initial_positions):
             rid = f"robot{i}"
@@ -477,6 +551,8 @@ class World:
         self.complete_time[nid] = self.t
         for s in self.succ[nid]:
             self.remaining[s] -= 1
+            if self.remaining[s] == 0 and s in self.fire_rank:
+                heapq.heappush(self.ready, (self.fire_rank[s], s))
 
     def mission(self, rid: str) -> _Mission | None:
         ms = self.itineraries[rid]
@@ -494,18 +570,16 @@ class World:
     def fire_checkpoints(self) -> bool:
         """Complete or start every ready node; True once the terminal node
         is complete."""
-        # one pass suffices: completing a node only readies its successors,
-        # which come later in topological order
-        for nid in self.topo:
-            if self.status[nid] != "pending" or self.remaining[nid] > 0:
-                continue
+        # in topological order, as a scan over all nodes would: completing a
+        # node only readies its successors, which come later
+        while self.ready:
+            _, nid = heapq.heappop(self.ready)
             node = self.graph.nodes[nid]
-            if node.kind in CHECKPOINT_KINDS or (node.kind == "RobotGo"
-                                                 and node.role == "dropoff"):
-                self.complete(nid)
-            elif node.kind == "LiftIntoPlace":
+            if node.kind == "LiftIntoPlace":
                 self.status[nid] = "active"
                 self.timers[nid] = self.t + (node.duration or 0.0)
+            else:
+                self.complete(nid)
         return self.status[self.graph.terminal_nodes[0]] == "complete"
 
 
@@ -537,7 +611,10 @@ def _finish_timers(world: World):
 def _form_units(world: World):
     """Form transport units whose robots are all in position."""
     graph, agents, status = world.graph, world.agents, world.status
-    for payload in sorted(world.team_slots):
+    # a payload forms its unit only when it is the current mission of all
+    # its robots
+    missions = (world.mission(rid) for rid in world.itineraries)
+    for payload in sorted({m.payload for m in missions if m is not None}):
         form = f"FormTransportUnit:{payload}"
         if status[form] != "pending" or payload in world.unit_of:
             continue
@@ -549,7 +626,7 @@ def _form_units(world: World):
             continue
         missions = [(rid, world.mission(rid)) for _, rid in sorted(slots.items())]
         if any(m is None or m.payload != payload
-               or float(np.linalg.norm(agents[rid].position - m.pickup_pos)) > world.arrival_tol
+               or _length(agents[rid].position - m.pickup_pos) > world.arrival_tol
                for rid, m in missions):
             continue
         for _, m in missions:
@@ -581,7 +658,7 @@ def _arrive_and_deposit(world: World):
         go = f"TransportUnitGo:{payload}"
         if agent.task == go:
             dest = np.array(graph.nodes[go].destination, float)
-            if float(np.linalg.norm(agent.position - dest)) <= world.arrival_tol:
+            if _length(agent.position - dest) <= world.arrival_tol:
                 world.complete(go)
                 agent.task = f"DepositCargo:{payload}"
                 world.events.append({"type": "task_complete", "node": go,
@@ -594,23 +671,37 @@ def _arrive_and_deposit(world: World):
             world.timers[dep] = world.t + (graph.nodes[dep].duration or 0.0)
 
 
-def _nominal(world: World, agent: AgentState, goal, payload, circles):
-    """Level 1 velocity toward `goal` around the forbidden staging circles."""
+def _nominal(world: World, agent: AgentState, goal, payload, circles: Circles,
+             phase_rows: dict, forbidden: dict, hits: np.ndarray):
+    """Level 1 velocity toward `goal` around the forbidden staging circles.
+
+    `phase_rows` maps an assembly to its row in `circles` and its active
+    phase; `forbidden` caches the step's obstacle sets and their rows by
+    (agent radius, row left out); `hits` is the ray test of pos->goal
+    against every row of `circles` inflated by the agent radius."""
     params = world.params
-    dist_goal = float(np.linalg.norm(goal - agent.position))
+    dist_goal = _length(goal - agent.position)
     if dist_goal < 1e-9:
         return np.zeros(2)
     if not agent.active and dist_goal <= params.stop_range_factor * world.fleet.radius:
         return np.zeros(2)  # sit and wait
     # forbidden circles: active staging areas this agent may not enter; an
     # active agent may enter its own phase's circle when its goal lies inside
-    own = world.graph.payload_phase[payload] if payload is not None and agent.active else None
-    obstacles = []
-    for a_id, (center, radius, k) in circles.items():
-        if not (own == (a_id, k) and float(np.linalg.norm(goal - center)) <= radius):
-            obstacles.append((center, radius + agent.radius))
+    own_row = None
+    if payload is not None and agent.active:
+        a_id, k = world.graph.payload_phase[payload]
+        row, active_k = phase_rows.get(a_id, (None, None))
+        if active_k == k and _length(goal - circles.centers[row]) <= circles.radii[row]:
+            own_row = row
+    key = (agent.radius, own_row)
+    if key not in forbidden:
+        keep = (slice(None) if own_row is None
+                else [r for r in range(len(circles.radii)) if r != own_row])
+        forbidden[key] = (
+            Circles(circles.centers[keep], circles.radii[keep] + agent.radius), keep)
+    obstacles, keep = forbidden[key]
     v, _ = nominal_velocity(agent.position, goal, obstacles, agent.speed_limit, world.dt,
-                            params.planning_radius, params.boundary_tol)
+                            params.planning_radius, params.boundary_tol, hits[keep])
     return v
 
 
@@ -618,16 +709,21 @@ def _control(world: World, ids: list[str]) -> list:
     """Command velocities of the agents `ids` from the three-layer controller."""
     graph, params = world.graph, world.params
     agents = [world.agents[aid] for aid in ids]
-    # staging circles of active phases
-    circles: dict[str, tuple[np.ndarray, float, int]] = {}
+    # staging circles of active phases, one row per assembly
+    phase_rows: dict[str, tuple[int, int]] = {}  # assembly -> (row, phase)
+    centers, radii = [], []
     for a in graph.assembly_phases:
         k = world.active_phase(a)
         if k is not None:
             center, radius = world.staging_plan.staging_circle(a, k)
-            circles[a] = (np.asarray(center, float), radius, k)
+            phase_rows[a] = (len(radii), k)
+            centers.append(center)
+            radii.append(radius)
+    circles = Circles(np.array(centers, float).reshape(-1, 2), np.array(radii, float))
+    forbidden: dict[tuple, tuple] = {}
 
-    # goal, activity, priority and nominal velocity depend on the agent alone
-    nominals = []
+    # goal, activity and priority depend on the agent alone
+    goals, payloads = [], []
     for aid, agent in zip(ids, agents):
         if agent.kind == "unit":
             task_kind, payload = agent.task.split(":", 1)
@@ -638,7 +734,7 @@ def _control(world: World, ids: list[str]) -> list:
         phase_active = cargo_ready = False
         if payload is not None:
             a_id, k = graph.payload_phase[payload]
-            phase_active = circles.get(a_id, (None, None, None))[2] == k
+            phase_active = phase_rows.get(a_id, (None, None))[1] == k
         if task_kind == "TransportUnitGo":
             goal = np.array(graph.nodes[agent.task].destination, float)
             agent.active = phase_active
@@ -651,7 +747,15 @@ def _control(world: World, ids: list[str]) -> list:
             agent.active = False
         agent.alpha = alpha_value(agent.kind == "unit", task_kind, phase_active, cargo_ready,
                                   world.cargo_id.get(payload, 0), world.max_cargo_id)
-        nominals.append(_nominal(world, agent, goal, payload, circles))
+        goals.append(goal)
+        payloads.append(payload)
+    # the first L1 ray test of every agent against every circle, in one pass
+    hits = _ray_circle_hits(
+        np.array([a.position for a in agents], float).reshape(-1, 2),
+        np.array(goals, float).reshape(-1, 2), circles.centers,
+        circles.radii + np.array([a.radius for a in agents], float)[:, None])
+    nominals = [_nominal(world, agent, goal, payload, circles, phase_rows, forbidden, row)
+                for agent, goal, payload, row in zip(agents, goals, payloads, hits)]
 
     actives = [(agent.position, agent.radius) for agent in agents if agent.active]
     for agent in agents:
@@ -673,35 +777,40 @@ def _control(world: World, ids: list[str]) -> list:
         prefs.append(preferred_velocity(nominal, forces, params.blend_a, params.blend_b,
                                         agent.speed_limit))
 
-    n = len(agents)
-    shares = [[0.0] * n for _ in range(n)]
-    for i, a_i in enumerate(agents):
-        for j, a_j in enumerate(agents):
-            if i != j:
-                s = a_i.alpha + a_j.alpha
-                shares[i][j] = 0.5 if s == 0 else a_i.alpha / s
+    alpha = np.array([a.alpha for a in agents])
+    pair_alpha = alpha[:, None] + alpha
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = np.where(pair_alpha == 0, 0.5, alpha[:, None] / pair_alpha)
+    np.fill_diagonal(shares, 0.0)
     return rvo_resolve(
         [a.position for a in agents], [a.radius for a in agents],
         [a.velocity for a in agents], prefs, [a.speed_limit for a in agents],
         shares, world.dt, params.rvo_horizon)
 
 
+def _penetrations(positions: np.ndarray, radii: np.ndarray, tol: float):
+    """Index pairs i < j, in row-major order, of the agents that overlap by
+    more than `tol`; all pairs are compared in one array pass."""
+    i, j = np.triu_indices(len(radii), 1)
+    diff = positions[i] - positions[j]
+    hit = np.sqrt(np.vecdot(diff, diff)) < radii[i] + radii[j] - tol
+    return list(zip(i[hit].tolist(), j[hit].tolist()))
+
+
 def _integrate(world: World, ids: list[str], commands: list):
     """Move the agents, trace them and count penetrating pairs."""
     agents = world.agents
-    for aid, cmd in zip(ids, commands):
+    vel = np.array(commands, float).reshape(-1, 2)
+    pos = np.array([agents[aid].position for aid in ids], float).reshape(-1, 2) + vel * world.dt
+    for aid, p, v, (x, y), (vx, vy) in zip(ids, pos, vel, pos.tolist(), vel.tolist()):
         agent = agents[aid]
-        agent.velocity = cmd
-        agent.position = agent.position + cmd * world.dt
-        world.rows.append((world.t, aid, float(agent.position[0]), float(agent.position[1]),
-                           float(cmd[0]), float(cmd[1]), agent.task or "", agent.alpha))
-    for i, ai in enumerate(ids):
-        for aj in ids[i + 1:]:
-            gap = float(np.linalg.norm(agents[ai].position - agents[aj].position))
-            if gap < agents[ai].radius + agents[aj].radius - world.pen_tol:
-                world.collision_count += 1
-                world.events.append({"type": "penetration", "agents": [ai, aj],
-                                     "t": round(world.t, 6)})
+        agent.position, agent.velocity = p, v
+        world.rows.append((world.t, aid, x, y, vx, vy, agent.task or "", agent.alpha))
+    rad = np.array([agents[aid].radius for aid in ids], float)
+    for i, j in _penetrations(pos, rad, world.pen_tol):
+        world.collision_count += 1
+        world.events.append({"type": "penetration", "agents": [ids[i], ids[j]],
+                             "t": round(world.t, 6)})
 
 
 def _swap_stuck(world: World, ids: list[str]):
@@ -721,11 +830,11 @@ def _swap_stuck(world: World, ids: list[str]):
         t0, p0 = mark
         if t - t0 < params.stuck_time:
             continue
-        moved = float(np.linalg.norm(agents[aid].position - p0))
+        moved = _length(agents[aid].position - p0)
         world.stuck_mark[aid] = (t, agents[aid].position.copy())
         if moved >= params.stuck_speed_factor * world.fleet.v_max * params.stuck_time:
             continue
-        my_dist = float(np.linalg.norm(agents[aid].position - m.pickup_pos))
+        my_dist = _length(agents[aid].position - m.pickup_pos)
         best = None
         for other_slot, orid in sorted(world.team_slots[m.payload].items()):
             if orid == aid or orid not in agents:
@@ -733,7 +842,7 @@ def _swap_stuck(world: World, ids: list[str]):
             om = world.mission(orid)
             if om is None or om.payload != m.payload:
                 continue
-            o_dist = float(np.linalg.norm(agents[orid].position - m.pickup_pos))
+            o_dist = _length(agents[orid].position - m.pickup_pos)
             if o_dist < my_dist and (best is None or o_dist < best[0]):
                 best = (o_dist, orid, om)
         if best is not None:

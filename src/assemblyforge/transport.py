@@ -205,13 +205,16 @@ def configure_transport_unit(
 
     lo, hi = combined.min(axis=0), combined.max(axis=0)
     rect_volume = float(np.prod(hi - lo))
+    # the cylinder `geometry.bounding_cylinder` would build, on the same circle
+    circle = geometry.min_enclosing_circle(combined[:, :2], seed=seed)
     return TransportUnitConfig(
         payload_id=component_id,
         n=n,
         carry_positions=carry,
         speed_limit=speed_limit(rect_volume, fleet),
-        bounding_circle=geometry.min_enclosing_circle(combined[:, :2], seed=seed),
-        bounding_cylinder=geometry.bounding_cylinder(combined, seed=seed),
+        bounding_circle=circle,
+        bounding_cylinder=geometry.VerticalCylinder(
+            circle.center, circle.radius, float(lo[2]), float(hi[2])),
         bounding_prism=geometry.bounding_octagonal_prism(combined, min_face_width=0.05 * r),
     )
 

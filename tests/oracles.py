@@ -6,9 +6,9 @@ search instead of Welzl, a general-purpose QP solver instead of isotonic
 regression, exhaustive enumeration instead of greedy/branch-and-bound, and
 a from-scratch LP-format reader instead of the exporter's own structures.
 
-The planning kernels at the end are the exception: they are the scalar
-loops the package's array code replaced, kept as written so that tests can
-require bit-for-bit equal results from the array code.
+The planning and simulator kernels at the end are the exception: they are
+the scalar loops the package's array code replaced, kept as written so that
+tests can require bit-for-bit equal results from the array code.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from assemblyforge.allocation import (
     RobotState,
     _chain_structure,
 )
-from assemblyforge.schedule import evaluate_schedule, validate_schedule
+from assemblyforge.schedule import CHECKPOINT_KINDS, evaluate_schedule, validate_schedule
+from assemblyforge.sim import ORCA_SAFETY_FACTOR, _lp1
 from assemblyforge.transport import CARRY_RESTARTS, TransportConfigError
 
 
@@ -563,3 +564,235 @@ def greedy_reference(graph, fleet) -> AllocationResult:
         raise AllocationError(f"greedy produced an invalid schedule: {violations[:3]}")
     _, _, makespan = evaluate_schedule(complete, fleet)
     return AllocationResult(complete, makespan, "greedy", "incumbent", tuple(added))
+
+
+# -- scalar simulator kernels (bitwise references) ----------------------------
+
+
+def scalar_ray_circle_hit(pos, goal, center, radius):
+    """Earliest parameter t in (0, 1] where segment pos->goal enters the
+    circle, or None."""
+    d = goal - pos
+    f = pos - center
+    a = float(d @ d)
+    if a < 1e-18:
+        return None
+    b = 2.0 * float(f @ d)
+    c = float(f @ f) - radius * radius
+    disc = b * b - 4 * a * c
+    if disc <= 0:
+        return None
+    sq = math.sqrt(disc)
+    t1 = (-b - sq) / (2 * a)
+    t2 = (-b + sq) / (2 * a)
+    if t2 <= 1e-12 or t1 > 1.0:
+        return None
+    return max(t1, 0.0)
+
+
+def scalar_tangent_bug_step(pos, goal, obstacles, planning_radius: float, eps_b: float):
+    """`sim.tangent_bug_step` testing one (center, radius) circle at a time."""
+    pos = np.asarray(pos, float)
+    goal = np.asarray(goal, float)
+    best = None
+    for center, radius in obstacles:
+        t = scalar_ray_circle_hit(pos, goal, np.asarray(center, float), radius)
+        if t is not None and (best is None or t < best[0]):
+            best = (t, np.asarray(center, float), radius)
+    if best is None:
+        return goal, "move_toward_waypoint"
+
+    t, center, radius = best
+    waypoint = pos + t * (goal - pos)
+    d = float(np.linalg.norm(pos - center)) - radius
+    if abs(d) <= eps_b:
+        return waypoint, "move_ccw_along_boundary"
+    if d < -eps_b:
+        off = pos - center
+        norm = float(np.linalg.norm(off))
+        if norm < 1e-12:
+            heading = goal - pos
+            hn = float(np.linalg.norm(heading))
+            direction = heading / hn if hn > 1e-12 else np.array([1.0, 0.0])
+        else:
+            direction = off / norm
+        return center + radius * direction, "exit_target"
+    if d > planning_radius:
+        return waypoint, "move_toward_waypoint"
+    # right-hand tangent point of the target circle
+    to_c = center - pos
+    dist_c = float(np.linalg.norm(to_c))
+    u = to_c / dist_c
+    beta = math.asin(min(1.0, radius / dist_c))
+    leg = math.sqrt(max(dist_c * dist_c - radius * radius, 0.0))
+    cb, sb = math.cos(-beta), math.sin(-beta)
+    tangent_dir = np.array([cb * u[0] - sb * u[1], sb * u[0] + cb * u[1]])
+    tangent_pt = pos + leg * tangent_dir
+    for c2, r2 in obstacles:
+        if np.allclose(c2, center) and abs(r2 - radius) < 1e-12:
+            continue
+        if scalar_ray_circle_hit(pos, tangent_pt, np.asarray(c2, float), r2) is not None:
+            return waypoint, "move_toward_waypoint"
+    return tangent_pt, "move_toward_right_hand_tangent_point"
+
+
+def scalar_nominal_velocity(pos, goal, obstacles, speed: float, dt: float,
+                            planning_radius: float, eps_b: float):
+    """`sim.nominal_velocity` on the scalar tangent bug step."""
+    waypoint, mode = scalar_tangent_bug_step(pos, goal, obstacles, planning_radius, eps_b)
+    pos = np.asarray(pos, float)
+    if mode == "move_ccw_along_boundary":
+        best = None
+        for center, radius in obstacles:
+            gap = abs(float(np.linalg.norm(pos - np.asarray(center, float))) - radius)
+            if best is None or gap < best[0]:
+                best = (gap, np.asarray(center, float), radius)
+        _, center, radius = best
+        n = pos - center
+        nn = float(np.linalg.norm(n))
+        n = n / nn if nn > 1e-12 else np.array([1.0, 0.0])
+        direction = np.array([-n[1], n[0]])
+        return direction * speed, mode
+    delta = waypoint - pos
+    dist = float(np.linalg.norm(delta))
+    if dist < 1e-12:
+        return np.zeros(2), mode
+    return delta / dist * min(speed, dist / dt), mode
+
+
+def scalar_orca_line(p_i, v_i, r_i, p_j, v_j, r_j, share: float, tau: float, dt: float):
+    """Half-plane (point, direction) constraining agent i against j; feasible
+    velocities lie to the left of the directed line."""
+    rel_pos = p_j - p_i
+    rel_vel = v_i - v_j
+    dist_sq = float(rel_pos @ rel_pos)
+    comb_r = (r_i + r_j) * (1.0 + ORCA_SAFETY_FACTOR)
+    comb_r_sq = comb_r * comb_r
+
+    if dist_sq > comb_r_sq:
+        w = rel_vel - rel_pos / tau
+        w_len_sq = float(w @ w)
+        dot1 = float(w @ rel_pos)
+        if dot1 < 0 and dot1 * dot1 > comb_r_sq * w_len_sq:
+            w_len = math.sqrt(w_len_sq)
+            unit_w = w / w_len
+            direction = np.array([unit_w[1], -unit_w[0]])
+            u = (comb_r / tau - w_len) * unit_w
+        else:
+            leg = math.sqrt(max(dist_sq - comb_r_sq, 0.0))
+            if rel_pos[0] * w[1] - rel_pos[1] * w[0] > 0:
+                direction = np.array([
+                    rel_pos[0] * leg - rel_pos[1] * comb_r,
+                    rel_pos[0] * comb_r + rel_pos[1] * leg]) / dist_sq
+            else:
+                direction = -np.array([
+                    rel_pos[0] * leg + rel_pos[1] * comb_r,
+                    -rel_pos[0] * comb_r + rel_pos[1] * leg]) / dist_sq
+            dot2 = float(rel_vel @ direction)
+            u = dot2 * direction - rel_vel
+    else:
+        w = rel_vel - rel_pos / dt
+        w_len = float(np.linalg.norm(w))
+        unit_w = w / w_len if w_len > 1e-12 else np.array([1.0, 0.0])
+        direction = np.array([unit_w[1], -unit_w[0]])
+        u = (comb_r / dt - w_len) * unit_w
+    point = v_i + share * u
+    return point, direction
+
+
+def scalar_lp2(lines, radius, opt):
+    """`sim._lp2` scanning a list of (point, direction) lines one at a time."""
+    norm = float(np.linalg.norm(opt))
+    result = opt if norm <= radius else opt / norm * radius
+    for i, (pt, d) in enumerate(lines):
+        if d[0] * (result[1] - pt[1]) - d[1] * (result[0] - pt[0]) < -1e-12:
+            r2 = _lp1(lines, i, radius, opt)
+            if r2 is None:
+                return i, result
+            result = r2
+    return len(lines), result
+
+
+def scalar_lp3(lines, begin, radius, result):
+    """`sim._lp3` on `scalar_lp2`."""
+    distance = 0.0
+    for i in range(begin, len(lines)):
+        pt, d = lines[i]
+        if d[0] * (result[1] - pt[1]) - d[1] * (result[0] - pt[0]) < distance:
+            proj_lines = []
+            for p2, d2 in lines[:i]:
+                denom = d[0] * d2[1] - d[1] * d2[0]
+                if abs(denom) < 1e-12:
+                    if float(d @ d2) > 0:
+                        continue
+                    p3 = 0.5 * (pt + p2)
+                else:
+                    t = (d2[0] * (pt[1] - p2[1]) - d2[1] * (pt[0] - p2[0])) / denom
+                    p3 = pt + t * d
+                d3 = d2 - d
+                n3 = float(np.linalg.norm(d3))
+                if n3 < 1e-12:
+                    continue
+                proj_lines.append((p3, d3 / n3))
+            opt_dir = np.array([-d[1], d[0]])
+            _, result = scalar_lp2(proj_lines, radius, opt_dir * radius)
+            distance = d[0] * (result[1] - pt[1]) - d[1] * (result[0] - pt[0])
+    return result
+
+
+def scalar_rvo_resolve(positions, radii, velocities, preferred, caps, shares,
+                       dt: float, tau: float):
+    """`sim.rvo_resolve` building one half-plane per ordered pair. Returns
+    the commands and how many agents needed the `_lp3` fallback."""
+    n = len(positions)
+    commands, fallbacks = [], 0
+    for i in range(n):
+        lines = []
+        for j in range(n):
+            if j == i or shares[i][j] <= 0.0:
+                continue
+            lines.append(scalar_orca_line(
+                positions[i], velocities[i], radii[i],
+                positions[j], velocities[j], radii[j],
+                shares[i][j], tau, dt))
+        fail, cmd = scalar_lp2(lines, caps[i], np.asarray(preferred[i], float))
+        if fail < len(lines):
+            cmd = scalar_lp3(lines, fail, caps[i], cmd)
+            fallbacks += 1
+        commands.append(cmd)
+    return commands, fallbacks
+
+
+def scalar_penetrations(positions, radii, tol: float) -> list[tuple[int, int]]:
+    """Index pairs i < j of agents that overlap by more than `tol`, as the
+    simulator's pair loop reported them."""
+    pairs = []
+    for i in range(len(positions)):
+        for j in range(i + 1, len(positions)):
+            gap = float(np.linalg.norm(positions[i] - positions[j]))
+            if gap < radii[i] + radii[j] - tol:
+                pairs.append((i, j))
+    return pairs
+
+
+def scan_fire_checkpoints(world) -> list[tuple[str, str]]:
+    """The (node, new status) changes of one `World.fire_checkpoints` call as
+    the full scan over all nodes in topological order makes them, computed
+    on copies of the node states."""
+    status, remaining = dict(world.status), dict(world.remaining)
+    changes = []
+    for nid in world.topo:
+        if status[nid] != "pending" or remaining[nid] > 0:
+            continue
+        node = world.graph.nodes[nid]
+        if node.kind in CHECKPOINT_KINDS or (node.kind == "RobotGo"
+                                             and node.role == "dropoff"):
+            status[nid] = "complete"
+            for s in world.succ[nid]:
+                remaining[s] -= 1
+        elif node.kind == "LiftIntoPlace":
+            status[nid] = "active"
+        else:
+            continue
+        changes.append((nid, status[nid]))
+    return changes

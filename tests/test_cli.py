@@ -72,8 +72,11 @@ class TestExitCodes:
         assert code == cli.EXIT_FAILURE
 
     @pytest.mark.parametrize("option", [["--radius", "-1"], ["--vmin", "2"],
-                                        ["--robots", "-3"], ["--robots", "0"]],
-                             ids=["radius", "vmin", "robots-negative", "robots-zero"])
+                                        ["--robots", "-3"], ["--robots", "0"],
+                                        ["--radius", "inf"], ["--vmax", "inf"],
+                                        ["--vfactor", "nan"]],
+                             ids=["radius", "vmin", "robots-negative", "robots-zero",
+                                  "radius-inf", "vmax-inf", "vfactor-nan"])
     def test_plan_invalid_fleet_option(self, toy_input, tmp_path, capsys, option):
         # a repeated option takes its last value
         code = cli.main(["plan", "--input", str(toy_input), "--out", str(tmp_path / "out"),
@@ -90,6 +93,29 @@ class TestExitCodes:
         assert cli.main(["simulate", "--out", str(out), "--dt", "-1"]) == cli.EXIT_BAD_INPUT
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "dt_sim must be positive" in err[0]
+        assert not (out / "trace.csv").exists()
+
+    def test_plan_non_finite_buffer(self, tmp_path, capsys):
+        # --buffer sets the parameters of an input that carries none, as an MPD
+        mpd = tmp_path / "tractor.mpd"
+        mpd.write_text(projects._data_text("tractor.mpd"))
+        code = cli.main(["plan", "--input", str(mpd), "--out", str(tmp_path / "out"),
+                         "--buffer", "nan"])
+        assert code == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid option:")
+
+    @pytest.mark.parametrize("option", [["--max-steps", "0"], ["--max-steps", "-5"],
+                                        ["--dt", "nan"], ["--dt", "inf"]],
+                             ids=["steps-zero", "steps-negative", "dt-nan", "dt-inf"])
+    def test_simulate_invalid_option(self, toy_input, tmp_path, capsys, option):
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["simulate", "--out", str(out), *option]) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid option:")
         assert not (out / "trace.csv").exists()
 
     def test_allocate_without_plan(self, tmp_path):

@@ -1,5 +1,5 @@
 """Golden artifacts: the SHA-256 of every deterministic artifact that
-`cli.main` writes for five fixed runs, and their `metrics.json` values.
+`cli.main` writes for six fixed runs, and their `metrics.json` values.
 
 A refactor that claims to change no output keeps these hashes. The values
 were recorded with Python 3.11.7 and numpy 2.4.6; another toolchain may
@@ -31,6 +31,11 @@ RUNS = {
     ),
     "tractor-10": (
         projects.tractor_project, 10,
+        [["greedy"]], ([], cli.EXIT_OK),
+    ),
+    # the simulator benchmark's workload, simulated to the end
+    "tractor-15": (
+        projects.tractor_project, 15,
         [["greedy"]], ([], cli.EXIT_OK),
     ),
     # 8 robots livelock on this project; the cap pins the first 2,000 steps
@@ -69,6 +74,13 @@ GOLDEN = {
         "trace.csv": "d7d650ba93700b080e7a3b6599bace0ea07a3b9e463d6ecd6cea64f1a7b3a1b9",
         "events.jsonl": "27afac5ceba1675a946ef687c88498912507b730ee24075d6a56542d82990bb1",
     },
+    "tractor-15": {
+        "schedule_partial.json": "dade7424fbbfa74845d7607c9824d6f58166d6ed6ce4517c92f07fad6dfe9404",
+        "transport_units.json": "b22a590dddea2e855d012496a996944026ef4d69f50366efdaaa1f9136713879",
+        "schedule_complete.json": "e9eb2eb05a510d4c4bc424447d2bd2ed8cd4f0ecdb447a5a770d2fa8e6adfb6e",
+        "trace.csv": "0759cc00726bc4372adc6ac64367391ce8b09159a911794392ef5de0d546dc62",
+        "events.jsonl": "e70a6bcd6f232165c61deae509dc2cfdc63ead7b2aa028b6606de15eedf16873",
+    },
     "synthetic-8": {
         "schedule_partial.json": "a5ffd353744c14ad434a3e0c196ea68075846a5a43fc628e86fb19e162d3f6a3",
         "transport_units.json": "ffd90b35977b5cc15da270984591db6b49bf469bafa72d73bc7bdbe6db0721c8",
@@ -100,6 +112,11 @@ GOLDEN_METRICS = {
         "collision_count": 0, "deadlocked": False, "execution_makespan": 221.35000000001608,
         "predicted_makespan": 189.2795477017098, "robots": 10, "seed": 0, "steps": 4427,
         "swap_count": 28,
+    },
+    "tractor-15": {
+        "collision_count": 0, "deadlocked": False, "execution_makespan": 210.5000000000136,
+        "predicted_makespan": 161.90861368485565, "robots": 15, "seed": 0, "steps": 4210,
+        "swap_count": 57,
     },
     "synthetic-8": {
         "collision_count": 0, "deadlocked": True, "execution_makespan": float("inf"),

@@ -157,6 +157,17 @@ class TestRobotFleet:
         with pytest.raises(ProjectError, match="at least 1"):
             RobotFleet(0, 0.25, 1.0, 0.1, 0.5, np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("args", [
+        (math.inf, 1.0, 0.1, 0.5), (0.25, math.inf, 0.1, 0.5), (0.25, 1.0, math.nan, 0.5),
+        (0.25, 1.0, 0.1, math.nan)], ids=["radius", "v_max", "v_min", "v_factor"])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ProjectError, match="must be finite"):
+            RobotFleet(1, *args, np.array([[0.0, 0.0]]))
+
+    def test_non_finite_position_rejected(self):
+        with pytest.raises(ProjectError, match="must be finite"):
+            RobotFleet(2, 0.25, 1.0, 0.1, 0.5, np.array([[0.0, 0.0], [math.nan, 1.0]]))
+
     def test_default_fleet_valid(self):
         for n in (1, 5, 15):
             fleet = projects.default_fleet(n)
@@ -175,6 +186,13 @@ class TestPlanParams:
             PlanParams(duration_form=-1.0)
         with pytest.raises(ProjectError):
             PlanParams(buffer_radius=-0.1)
+
+    @pytest.mark.parametrize("field", ["buffer_radius", "dt_sim", "planning_radius",
+                                       "rvo_horizon", "stuck_time"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ProjectError, match=f"{field} must be finite"):
+            PlanParams(**{field: value})
 
 
 class TestProjectJson:
