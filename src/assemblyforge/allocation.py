@@ -20,7 +20,9 @@ from .schedule import (
     ScheduleGraph,
     ScheduleError,
     evaluate_schedule,
+    node_id,
     topological_order,
+    travel_time,
     upstream,
     validate_schedule,
 )
@@ -49,26 +51,6 @@ class AllocationResult:
     method: str
     status: str  # optimal | incumbent | infeasible
     added_edges: tuple[tuple[str, str], ...] = ()
-
-
-# -- helpers over the schedule grammar ---------------------------------------
-
-
-def _chain_structure(graph: ScheduleGraph):
-    """Pickup/dropoff RobotGo nodes per payload, and RobotStart nodes."""
-    pickups: dict[str, list[str]] = {}
-    dropoffs: dict[str, dict[int, str]] = {}
-    starts: list[str] = []
-    for nid, node in sorted(graph.nodes.items()):
-        if node.kind == "RobotGo" and node.role == "pickup":
-            pickups.setdefault(node.subject, []).append(nid)
-        elif node.kind == "RobotGo" and node.role == "dropoff":
-            dropoffs.setdefault(node.subject, {})[node.slot] = nid
-        elif node.kind == "RobotStart":
-            starts.append(nid)
-    for subject in pickups:
-        pickups[subject].sort(key=lambda i: graph.nodes[i].slot)
-    return pickups, dropoffs, starts
 
 
 def earliest_arrival(
@@ -122,9 +104,8 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
     of them, or if one of them now reaches one of its goals with a key
     (t, robot id, goal index) lower than the team's last pick key: no
     other pick of the team can change, because picks only increase."""
-    pickups, dropoffs, starts = _chain_structure(graph)
-    n_robots = len(starts)
-    if pickups and max(len(v) for v in pickups.values()) > n_robots:
+    pickups, dropoffs, starts = graph.pickups, graph.dropoffs, graph.robot_starts
+    if pickups and max(len(v) for v in pickups.values()) > len(starts):
         raise AllocationError(
             "fleet smaller than the largest transport team; allocation infeasible")
 
@@ -138,23 +119,21 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
     phases = graph.assembly_phases
     active_step = {a: ks[0] for a, ks in phases.items()}
     active = set(phases)
-    parts = {n.subject for n in graph.nodes.values() if n.kind == "ObjectStart"}
-    available_components = set(parts)
+    available_components = {c for c, src in graph.source.items()
+                            if graph.nodes[src].kind == "ObjectStart"}  # the parts
     assigned: set[str] = set()
 
     # event-time bookkeeping (greedy's internal clock)
-    ready_time = {p: 0.0 for p in parts}  # payload availability
+    ready_time = dict.fromkeys(available_components, 0.0)  # payload availability
     open_time = {(a, ks[0]): 0.0 for a, ks in phases.items()}
     lift_end: dict[tuple[str, int], list[float]] = {}
-    durations = {nid: n.duration for nid, n in graph.nodes.items()}
 
     added: list[tuple[str, str]] = []
 
     def commit(component: str, pairs: list[tuple[RobotState, int]], t_task: float):
-        form_dur = durations[f"FormTransportUnit:{component}"]
-        tugo = durations[f"TransportUnitGo:{component}"]
-        dep_dur = durations[f"DepositCargo:{component}"]
-        lift_dur = durations[f"LiftIntoPlace:{component}"]
+        form_dur, tugo, dep_dur, lift_dur = (
+            graph.nodes[node_id(kind, component)].duration
+            for kind in ("FormTransportUnit", "TransportUnitGo", "DepositCargo", "LiftIntoPlace"))
         a, k = graph.payload_phase[component]
         t_form_end = max(t_task, ready_time[component]) + form_dur
         t_arrive = t_form_end + tugo
@@ -242,9 +221,8 @@ class ScheduleMilp:
 def _candidate_edges(graph: ScheduleGraph) -> list[tuple[str, str]]:
     """Assignment edges with free capacity on both endpoints that cannot
     close a cycle in the partial graph."""
-    pickups, dropoffs, starts = _chain_structure(graph)
-    sources = sorted(starts) + sorted(d for by in dropoffs.values() for d in by.values())
-    targets = sorted(p for by in pickups.values() for p in by)
+    sources = list(graph.robot_starts) + sorted(d for ds in graph.dropoffs.values() for d in ds)
+    targets = sorted(p for ps in graph.pickups.values() for p in ps)
     up = {u: upstream(graph, u) for u in sources}
     out = []
     for u in sources:
@@ -255,15 +233,10 @@ def _candidate_edges(graph: ScheduleGraph) -> list[tuple[str, str]]:
     return out
 
 
-def _travel(graph: ScheduleGraph, u: str, v: str, v_max: float) -> float:
-    origin = graph.nodes[u].origin
-    dest = graph.nodes[v].destination
-    return float(np.hypot(dest[0] - origin[0], dest[1] - origin[1])) / v_max
-
-
 def build_milp(graph: ScheduleGraph, fleet: RobotFleet) -> ScheduleMilp:
     variables = _candidate_edges(graph)
-    cond = {(u, v): _travel(graph, u, v, fleet.v_max) for u, v in variables}
+    cond = {(u, v): travel_time(graph.nodes[u].origin, graph.nodes[v].destination, fleet.v_max)
+            for u, v in variables}
     fixed = sum(n.duration or 0.0 for n in graph.nodes.values())
     by_target: dict[str, float] = {}
     for (u, v), d in cond.items():

@@ -85,7 +85,9 @@ def cmd_plan(args) -> int:
     t_start = time.perf_counter()
     try:
         fleet = _fleet_from_args(args, fleet)
-        params = params or projects.default_params(buffer_radius=args.buffer, seed=args.seed)
+        params = params or projects.default_params(buffer_radius=0.25, seed=args.seed)
+        if args.buffer is not None:
+            params = dataclasses.replace(params, buffer_radius=args.buffer)
     except model.ProjectError as exc:
         print(f"error: invalid option: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -116,29 +118,33 @@ def cmd_plan(args) -> int:
 
 
 def _load_plan_artifacts(out: Path):
+    """The staging plan, transport configs, fleet and parameters that `plan`
+    wrote; raises FileNotFoundError unless all of its JSON artifacts are
+    there."""
     needed = ["schedule_partial.json", "staging.json", "transport_units.json",
               "project.json"]
     missing = [n for n in needed if not (out / n).is_file()]
     if missing:
         raise FileNotFoundError(", ".join(missing))
-    graph = schedule.schedule_from_jsonable(json.loads((out / needed[0]).read_text()))
     plan = staging.staging_plan_from_jsonable(json.loads((out / needed[1]).read_text()))
     configs = {
         cid: transport.transport_config_from_jsonable(d)
         for cid, d in json.loads((out / needed[2]).read_text()).items()
     }
-    spec, fleet, params = model.project_from_jsonable(
+    _, fleet, params = model.project_from_jsonable(
         json.loads((out / needed[3]).read_text()))
-    return graph, plan, configs, spec, fleet, params
+    return plan, configs, fleet, params
 
 
 def cmd_allocate(args) -> int:
     out = Path(args.out)
     try:
-        graph, plan, configs, spec, fleet, params = _load_plan_artifacts(out)
+        _, _, fleet, _ = _load_plan_artifacts(out)
     except FileNotFoundError as exc:
         print(f"error: missing plan artifacts: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACTS
+    graph = schedule.schedule_from_jsonable(
+        json.loads((out / "schedule_partial.json").read_text()))
 
     t_start = time.perf_counter()
     if args.method == "export-lp":
@@ -182,7 +188,7 @@ def cmd_simulate(args) -> int:
               file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        _, plan, configs, spec, fleet, params = _load_plan_artifacts(out)
+        plan, configs, fleet, params = _load_plan_artifacts(out)
         complete_path = out / "schedule_complete.json"
         if not complete_path.is_file():
             raise FileNotFoundError("schedule_complete.json")
@@ -271,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--vmax", type=float, default=1.0)
     sp.add_argument("--vmin", type=float, default=0.2)
     sp.add_argument("--vfactor", type=float, default=0.25)
-    sp.add_argument("--buffer", type=float, default=0.25)
+    sp.add_argument("--buffer", type=float, default=None,
+                    help="staging buffer radius (default: the input's, else 0.25)")
     sp.set_defaults(func=cmd_plan)
 
     sp = sub.add_parser("allocate", help="complete the schedule with assignments")

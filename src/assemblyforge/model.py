@@ -186,14 +186,6 @@ class Violation:
         return f"[{self.rule}] {self.subject}: {self.message}"
 
 
-@dataclass(frozen=True)
-class FlatComponent:
-    component_id: str
-    parent_id: str
-    phase_index: int
-    world_transform: Transform
-
-
 def validate_project(spec: ProjectSpec) -> list[Violation]:
     """Check every ProjectSpec invariant; returns one violation per breach."""
     out: list[Violation] = []
@@ -265,32 +257,6 @@ def validate_project(spec: ProjectSpec) -> list[Violation]:
             out.append(Violation(pid, "geometry-finite", "part has non-finite vertices"))
         if geom.units_per_meter <= 0:
             out.append(Violation(pid, "geometry-scale", "units_per_meter must be positive"))
-    return out
-
-
-def flatten_components(spec: ProjectSpec) -> list[FlatComponent]:
-    """One entry per non-root tree node, with its composed world transform.
-
-    Order: preorder on the assembly tree, then phase index, then the parent's
-    component order within each phase.
-    """
-    violations = validate_project(spec)
-    if violations:
-        raise ProjectError("invalid project: " + "; ".join(map(str, violations[:5])))
-
-    out: list[FlatComponent] = []
-
-    def visit(aid: str, world: Transform):
-        asm = spec.assemblies[aid]
-        order = {cid: i for i, (cid, _) in enumerate(asm.components)}
-        for phase in asm.build_phases:
-            for cid in sorted(phase.member_ids, key=order.__getitem__):
-                tf = world.compose(asm.transform_of(cid))
-                out.append(FlatComponent(cid, aid, phase.index, tf))
-                if spec.is_assembly(cid):
-                    visit(cid, tf)
-
-    visit(spec.root, Transform.identity())
     return out
 
 

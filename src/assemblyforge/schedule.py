@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,25 @@ CHECKPOINT_KINDS = {
 
 class ScheduleError(ValueError):
     pass
+
+
+def node_id(kind: str, subject: str, slot: int | None = None, role: str | None = None) -> str:
+    """The id of a schedule node, `Kind:subject[:slot][:role]`.
+
+    The only code that writes the format. Other modules call this or read
+    a graph's lookups, and none parses an id."""
+    nid = f"{kind}:{subject}"
+    if slot is not None:
+        nid += f":{slot}"
+    if role is not None:
+        nid += f":{role}"
+    return nid
+
+
+def travel_time(origin, destination, v_max: float) -> float:
+    """Unladen travel time from `origin` to `destination`, as a pickup
+    RobotGo node is timed."""
+    return float(np.hypot(destination[0] - origin[0], destination[1] - origin[1])) / v_max
 
 
 @dataclass(frozen=True)
@@ -43,8 +63,9 @@ class ScheduleGraph:
     """Immutable schedule DAG, indexed once at construction.
 
     `adjacency()`, `topological_order`, `upstream` and the phase maps read
-    the index; the lists and dicts they return are shared and must not be
-    mutated."""
+    the index. The node lookups `pickups`, `dropoffs`, `source` and
+    `robot_starts` are built from the nodes on first use. The lists and
+    dicts all of these return are shared and must not be mutated."""
 
     nodes: dict[str, ScheduleNode]
     edges: frozenset[tuple[str, str]]
@@ -102,6 +123,41 @@ class ScheduleGraph:
         # nodes and metadata are shared: neither graph mutates them
         return replace(self, edges=self.edges | frozenset(extra))
 
+    def _robot_go(self, role: str) -> dict[str, tuple[str, ...]]:
+        by_payload: dict[str, list[ScheduleNode]] = {}
+        for node in self.nodes.values():
+            if node.kind == "RobotGo" and node.role == role:
+                by_payload.setdefault(node.subject, []).append(node)
+        return {c: tuple(n.id for n in sorted(ns, key=lambda n: n.slot))
+                for c, ns in sorted(by_payload.items())}
+
+    @cached_property
+    def pickups(self) -> dict[str, tuple[str, ...]]:
+        """Payload -> its pickup RobotGo ids in slot order."""
+        return self._robot_go("pickup")
+
+    @cached_property
+    def dropoffs(self) -> dict[str, tuple[str, ...]]:
+        """Payload -> its dropoff RobotGo ids in slot order."""
+        return self._robot_go("dropoff")
+
+    @cached_property
+    def source(self) -> dict[str, str]:
+        """Payload -> the ObjectStart or AssemblyComplete node its transport
+        unit forms from."""
+        out = {}
+        for node in self.nodes.values():
+            if node.kind == "FormTransportUnit":
+                start = node_id("ObjectStart", node.subject)
+                out[node.subject] = (start if start in self.nodes
+                                     else node_id("AssemblyComplete", node.subject))
+        return out
+
+    @cached_property
+    def robot_starts(self) -> tuple[str, ...]:
+        """The RobotStart ids, sorted."""
+        return tuple(sorted(nid for nid, n in self.nodes.items() if n.kind == "RobotStart"))
+
 
 def topological_order(graph: ScheduleGraph) -> list[str]:
     """Kahn's order over sorted node ids; raises on cycles."""
@@ -129,15 +185,6 @@ def upstream(graph: ScheduleGraph, v: str) -> set[str]:
 
 
 # -- construction ------------------------------------------------------------
-
-
-def _nid(kind: str, subject: str, slot: int | None = None, role: str | None = None) -> str:
-    parts = [kind, subject]
-    if slot is not None:
-        parts.append(str(slot))
-    if role is not None:
-        parts.append(role)
-    return ":".join(parts)
 
 
 def build_partial_schedule(
@@ -180,36 +227,36 @@ def build_partial_schedule(
 
     for aid in sorted(project.assemblies):
         asm = project.assemblies[aid]
-        a_start = add(ScheduleNode(_nid("AssemblyStart", aid), "AssemblyStart", aid, duration=0.0))
-        a_done = add(ScheduleNode(_nid("AssemblyComplete", aid), "AssemblyComplete", aid, duration=0.0))
+        a_start = add(ScheduleNode(node_id("AssemblyStart", aid), "AssemblyStart", aid, duration=0.0))
+        a_done = add(ScheduleNode(node_id("AssemblyComplete", aid), "AssemblyComplete", aid, duration=0.0))
         frames = component_world_frames(aid)
         prev_close: str | None = None
         for phase in asm.build_phases:
             k = phase.index
-            open_id = add(ScheduleNode(_nid("OpenBuildStep", aid, k), "OpenBuildStep", aid, slot=k, duration=0.0))
-            close_id = add(ScheduleNode(_nid("CloseBuildStep", aid, k), "CloseBuildStep", aid, slot=k, duration=0.0))
+            open_id = add(ScheduleNode(node_id("OpenBuildStep", aid, k), "OpenBuildStep", aid, slot=k, duration=0.0))
+            close_id = add(ScheduleNode(node_id("CloseBuildStep", aid, k), "CloseBuildStep", aid, slot=k, duration=0.0))
             edges.add((a_start if prev_close is None else prev_close, open_id))
             phase_members[(aid, k)] = tuple(phase.member_ids)
             for cid in phase.member_ids:
                 pick_origin, drop_origin, cfg, zone = frames[cid]
                 if project.is_part(cid):
-                    src = add(ScheduleNode(_nid("ObjectStart", cid), "ObjectStart", cid, duration=0.0))
+                    src = add(ScheduleNode(node_id("ObjectStart", cid), "ObjectStart", cid, duration=0.0))
                 else:
-                    src = _nid("AssemblyComplete", cid)
+                    src = node_id("AssemblyComplete", cid)
                 form = add(ScheduleNode(
-                    _nid("FormTransportUnit", cid), "FormTransportUnit", cid,
+                    node_id("FormTransportUnit", cid), "FormTransportUnit", cid,
                     duration=params.duration_form))
                 bc = np.asarray(cfg.bounding_circle.center, float)[:2]
                 go = add(ScheduleNode(
-                    _nid("TransportUnitGo", cid), "TransportUnitGo", cid,
+                    node_id("TransportUnitGo", cid), "TransportUnitGo", cid,
                     origin=tuple(pick_origin + bc), destination=tuple(zone.position),
                     duration=float(np.linalg.norm(zone.position - (pick_origin + bc)))
                     / cfg.speed_limit))
                 deposit = add(ScheduleNode(
-                    _nid("DepositCargo", cid), "DepositCargo", cid,
+                    node_id("DepositCargo", cid), "DepositCargo", cid,
                     duration=params.duration_deposit))
                 lift = add(ScheduleNode(
-                    _nid("LiftIntoPlace", cid), "LiftIntoPlace", cid,
+                    node_id("LiftIntoPlace", cid), "LiftIntoPlace", cid,
                     duration=params.duration_lift))
                 edges.update([
                     (src, form), (form, go), (go, deposit),
@@ -220,10 +267,10 @@ def build_partial_schedule(
                     slot_pick = tuple(pick_origin + cfg.carry_positions[s])
                     slot_drop = tuple(drop_origin + cfg.carry_positions[s])
                     pick = add(ScheduleNode(
-                        _nid("RobotGo", cid, s, "pickup"), "RobotGo", cid,
+                        node_id("RobotGo", cid, s, "pickup"), "RobotGo", cid,
                         slot=s, role="pickup", destination=slot_pick))
                     drop = add(ScheduleNode(
-                        _nid("RobotGo", cid, s, "dropoff"), "RobotGo", cid,
+                        node_id("RobotGo", cid, s, "dropoff"), "RobotGo", cid,
                         slot=s, role="dropoff", origin=slot_drop, duration=0.0))
                     edges.add((pick, form))
                     edges.add((deposit, drop))
@@ -232,14 +279,14 @@ def build_partial_schedule(
         edges.add((prev_close, a_done))
 
     project_done = ScheduleNode(
-        _nid("ProjectComplete", project.root), "ProjectComplete", project.root, duration=0.0)
+        node_id("ProjectComplete", project.root), "ProjectComplete", project.root, duration=0.0)
     nodes[project_done.id] = project_done
-    edges.add((_nid("AssemblyComplete", project.root), project_done.id))
+    edges.add((node_id("AssemblyComplete", project.root), project_done.id))
 
     for i, pos in enumerate(fleet.initial_positions):
         rid = f"robot{i}"
-        nodes[_nid("RobotStart", rid)] = ScheduleNode(
-            _nid("RobotStart", rid), "RobotStart", rid,
+        nodes[node_id("RobotStart", rid)] = ScheduleNode(
+            node_id("RobotStart", rid), "RobotStart", rid,
             origin=(float(pos[0]), float(pos[1])), duration=0.0)
 
     return ScheduleGraph(
@@ -426,9 +473,7 @@ def evaluate_schedule(
                 origin = graph.nodes[chain[0]].origin
                 if origin is None or node.destination is None:
                     raise ScheduleError(f"missing pose data on chain into {nid}")
-                dist = float(np.hypot(node.destination[0] - origin[0],
-                                      node.destination[1] - origin[1]))
-                dur = dist / fleet.v_max
+                dur = travel_time(origin, node.destination, fleet.v_max)
         t0[nid] = start
         tF[nid] = start + dur
     makespan = max(tF[t] for t in graph.terminal_nodes)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import PlanParams, RobotFleet
-from .schedule import CHECKPOINT_KINDS, ScheduleGraph, topological_order
+from .schedule import CHECKPOINT_KINDS, ScheduleGraph, node_id, topological_order
 from .staging import StagingPlan
 from .transport import TransportUnitConfig
 
@@ -456,9 +456,7 @@ def _robot_itineraries(graph: ScheduleGraph):
     """Per-robot ordered mission list, traced along assignment chains."""
     _, succ = graph.adjacency()
     itineraries: dict[str, list[_Mission]] = {}
-    for nid, node in sorted(graph.nodes.items()):
-        if node.kind != "RobotStart":
-            continue
+    for nid in graph.robot_starts:
         missions: list[_Mission] = []
         cur = nid
         while True:
@@ -468,13 +466,13 @@ def _robot_itineraries(graph: ScheduleGraph):
                 break
             pick = nxt[0]
             pn = graph.nodes[pick]
-            drop = f"RobotGo:{pn.subject}:{pn.slot}:dropoff"
+            drop = graph.dropoffs[pn.subject][pn.slot]
             dn = graph.nodes[drop]
             missions.append(_Mission(
                 pn.subject, pn.slot, pick,
                 np.array(pn.destination), np.array(dn.origin)))
             cur = drop
-        itineraries[node.subject] = missions
+        itineraries[graph.nodes[nid].subject] = missions
     return itineraries
 
 
@@ -506,12 +504,6 @@ class World:
         deposit_order = [n for n in self.topo if graph.nodes[n].kind == "DepositCargo"]
         self.cargo_id = {graph.nodes[n].subject: i + 1 for i, n in enumerate(deposit_order)}
         self.max_cargo_id = len(deposit_order)
-        self.source_node = {}
-        for nid, node in graph.nodes.items():
-            if node.kind == "FormTransportUnit":
-                srcs = [p for p in pred[nid]
-                        if graph.nodes[p].kind in ("ObjectStart", "AssemblyComplete")]
-                self.source_node[node.subject] = srcs[0]
 
         self.itineraries = _robot_itineraries(graph)
         self.mission_idx = {rid: 0 for rid in self.itineraries}
@@ -531,10 +523,10 @@ class World:
                       if self.remaining[nid] == 0]
         heapq.heapify(self.ready)
         self.agents: dict[str, AgentState] = {}
-        for i, pos in enumerate(fleet.initial_positions):
-            rid = f"robot{i}"
-            self.agents[rid] = AgentState(rid, "robot", np.array(pos, float),
-                                          fleet.radius, fleet.v_max)
+        for nid in graph.robot_starts:
+            start = graph.nodes[nid]
+            self.agents[start.subject] = AgentState(
+                start.subject, "robot", np.array(start.origin, float), fleet.radius, fleet.v_max)
         self.unit_of: dict[str, str] = {}  # payload -> unit agent id
         self.unit_members: dict[str, list[str]] = {}
         self.stuck_mark: dict[str, tuple[float, np.ndarray]] = {}
@@ -561,8 +553,8 @@ class World:
 
     def active_phase(self, a: str) -> int | None:
         for k in self.graph.assembly_phases[a]:
-            if self.status[f"CloseBuildStep:{a}:{k}"] != "complete":
-                if self.status[f"OpenBuildStep:{a}:{k}"] == "complete":
+            if self.status[node_id("CloseBuildStep", a, k)] != "complete":
+                if self.status[node_id("OpenBuildStep", a, k)] == "complete":
                     return k
                 return None
         return None
@@ -594,8 +586,8 @@ def _finish_timers(world: World):
             world.events.append({"type": "task_complete", "node": nid, "t": round(world.t, 6)})
             if node.kind == "FormTransportUnit":
                 uid = world.unit_of[node.subject]
-                agents[uid].task = f"TransportUnitGo:{node.subject}"
-                world.status[f"TransportUnitGo:{node.subject}"] = "active"
+                agents[uid].task = node_id("TransportUnitGo", node.subject)
+                world.status[agents[uid].task] = "active"
             elif node.kind == "DepositCargo":
                 # disband: members reappear at their dropoff slots
                 uid = world.unit_of.pop(node.subject)
@@ -615,10 +607,10 @@ def _form_units(world: World):
     # its robots
     missions = (world.mission(rid) for rid in world.itineraries)
     for payload in sorted({m.payload for m in missions if m is not None}):
-        form = f"FormTransportUnit:{payload}"
+        form = node_id("FormTransportUnit", payload)
         if status[form] != "pending" or payload in world.unit_of:
             continue
-        if status[world.source_node[payload]] != "complete":
+        if status[graph.source[payload]] != "complete":
             continue
         slots = world.team_slots[payload]
         members = sorted(slots.values())
@@ -636,7 +628,7 @@ def _form_units(world: World):
             continue
         cfg = world.transport_configs[payload]
         uid = f"unit:{payload}"
-        tu_go = graph.nodes[f"TransportUnitGo:{payload}"]
+        tu_go = graph.nodes[node_id("TransportUnitGo", payload)]
         agents[uid] = AgentState(
             uid, "unit", np.array(tu_go.origin, float),
             cfg.bounding_circle.radius, cfg.speed_limit, task=form)
@@ -655,17 +647,17 @@ def _arrive_and_deposit(world: World):
     graph, agents, status = world.graph, world.agents, world.status
     for payload, uid in sorted(world.unit_of.items()):
         agent = agents[uid]
-        go = f"TransportUnitGo:{payload}"
+        go = node_id("TransportUnitGo", payload)
         if agent.task == go:
             dest = np.array(graph.nodes[go].destination, float)
             if _length(agent.position - dest) <= world.arrival_tol:
                 world.complete(go)
-                agent.task = f"DepositCargo:{payload}"
+                agent.task = node_id("DepositCargo", payload)
                 world.events.append({"type": "task_complete", "node": go,
                                      "t": round(world.t, 6)})
     world.fire_checkpoints()
     for payload, uid in sorted(world.unit_of.items()):
-        dep = f"DepositCargo:{payload}"
+        dep = node_id("DepositCargo", payload)
         if agents[uid].task == dep and status[dep] == "pending" and world.remaining[dep] == 0:
             status[dep] = "active"
             world.timers[dep] = world.t + (graph.nodes[dep].duration or 0.0)
@@ -726,7 +718,8 @@ def _control(world: World, ids: list[str]) -> list:
     goals, payloads = [], []
     for aid, agent in zip(ids, agents):
         if agent.kind == "unit":
-            task_kind, payload = agent.task.split(":", 1)
+            task = graph.nodes[agent.task]
+            task_kind, payload = task.kind, task.subject
         else:
             m = world.mission(aid)
             agent.task = m.pickup_node if m else None
@@ -740,7 +733,7 @@ def _control(world: World, ids: list[str]) -> list:
             agent.active = phase_active
         elif task_kind == "RobotGo":
             goal = m.pickup_pos
-            cargo_ready = world.status[world.source_node[payload]] == "complete"
+            cargo_ready = world.status[graph.source[payload]] == "complete"
             agent.active = phase_active and cargo_ready
         else:  # a unit forming or depositing, or a robot without a mission
             goal = agent.position

@@ -21,12 +21,7 @@ import re
 import numpy as np
 import scipy.optimize
 
-from assemblyforge.allocation import (
-    AllocationError,
-    AllocationResult,
-    RobotState,
-    _chain_structure,
-)
+from assemblyforge.allocation import AllocationError, AllocationResult, RobotState
 from assemblyforge.schedule import CHECKPOINT_KINDS, evaluate_schedule, validate_schedule
 from assemblyforge.sim import ORCA_SAFETY_FACTOR, _lp1
 from assemblyforge.transport import CARRY_RESTARTS, TransportConfigError
@@ -465,6 +460,23 @@ def scalar_earliest_arrival(
                 best = (key, (robot, (gi, gpos)))
     (t, _, _), pair = best
     return pair, t
+
+
+def _chain_structure(graph):
+    """Pickup/dropoff RobotGo nodes per payload, and RobotStart nodes."""
+    pickups: dict[str, list[str]] = {}
+    dropoffs: dict[str, dict[int, str]] = {}
+    starts: list[str] = []
+    for nid, node in sorted(graph.nodes.items()):
+        if node.kind == "RobotGo" and node.role == "pickup":
+            pickups.setdefault(node.subject, []).append(nid)
+        elif node.kind == "RobotGo" and node.role == "dropoff":
+            dropoffs.setdefault(node.subject, {})[node.slot] = nid
+        elif node.kind == "RobotStart":
+            starts.append(nid)
+    for subject in pickups:
+        pickups[subject].sort(key=lambda i: graph.nodes[i].slot)
+    return pickups, dropoffs, starts
 
 
 def greedy_reference(graph, fleet) -> AllocationResult:

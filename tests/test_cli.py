@@ -105,6 +105,21 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: invalid option:")
 
+    def test_buffer_overrides_embedded_params(self, toy_input, tmp_path, capsys):
+        # the input embeds params with buffer 0.25; --buffer replaces it
+        code = cli.main(["plan", "--input", str(toy_input), "--out", str(tmp_path / "nan"),
+                         "--buffer", "nan"])
+        assert code == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid option:")
+        for buffer, want in (([], 0.25), (["--buffer", "1.5"], 1.5)):
+            out = tmp_path / f"out{want}"
+            assert cli.main(["plan", "--input", str(toy_input), "--out", str(out),
+                             *buffer]) == cli.EXIT_OK
+            assert json.loads((out / "staging.json").read_text())["buffer_radius"] == want
+            doc = json.loads((out / "project.json").read_text())
+            assert doc["params"]["buffer_radius"] == want
+
     @pytest.mark.parametrize("option", [["--max-steps", "0"], ["--max-steps", "-5"],
                                         ["--dt", "nan"], ["--dt", "inf"]],
                              ids=["steps-zero", "steps-negative", "dt-nan", "dt-inf"])

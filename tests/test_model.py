@@ -123,26 +123,6 @@ class TestValidateProject:
         assert {"geometry-finite", "geometry-scale"} <= rules
 
 
-class TestFlatten:
-    def test_order_and_world_transforms(self):
-        inner = Assembly("inner", (("p", Transform.translate(0, 0, 1)),),
-                         (BuildPhase(1, ("p",)),))
-        root = Assembly("root",
-                        (("q", Transform.identity()),
-                         ("inner", Transform.translate(5, 0, 0))),
-                        (BuildPhase(1, ("inner",)), BuildPhase(2, ("q",))))
-        spec = ProjectSpec({"root": root, "inner": inner}, "root",
-                           {"p": _box_part(), "q": _box_part()})
-        flat = model.flatten_components(spec)
-        assert [(f.component_id, f.parent_id, f.phase_index) for f in flat] == [
-            ("inner", "root", 1), ("p", "inner", 1), ("q", "root", 2)]
-        assert np.allclose(flat[1].world_transform.translation, [5, 0, 1])
-
-    def test_raises_on_invalid(self):
-        with pytest.raises(ProjectError):
-            model.flatten_components(_simple_spec(root="nope"))
-
-
 class TestRobotFleet:
     def test_spacing_enforced(self):
         with pytest.raises(ProjectError, match="closer than 2r"):

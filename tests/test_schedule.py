@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from collections import deque
 
 import numpy as np
@@ -43,6 +44,25 @@ def _reference_index(graph):
     return pred, succ, order
 
 
+def _reference_lookups(graph):
+    """`pickups`, `dropoffs`, `source` and `robot_starts` from a scan over
+    the nodes and the predecessors of each FormTransportUnit node."""
+    pickups, dropoffs, starts = oracles._chain_structure(graph)
+    pred, _, _ = _reference_index(graph)
+    source = {}
+    for nid, node in graph.nodes.items():
+        if node.kind == "FormTransportUnit":
+            [src] = [p for p in pred[nid]
+                     if graph.nodes[p].kind in ("ObjectStart", "AssemblyComplete")]
+            source[node.subject] = src
+    return (
+        {c: tuple(ps) for c, ps in pickups.items()},
+        {c: tuple(by[s] for s in sorted(by)) for c, by in dropoffs.items()},
+        source,
+        tuple(starts),
+    )
+
+
 class TestStructure:
     def test_toy_node_counts(self, pipeline, toy_spec):
         graph = pipeline(toy_spec, "toy", 2)["graph"]
@@ -63,6 +83,40 @@ class TestStructure:
                 pred, succ, order = _reference_index(graph)
                 assert graph.adjacency() == (pred, succ)
                 assert schedule.topological_order(graph) == order
+
+    @pytest.mark.parametrize("name,robots", [("toy", 2), ("tractor", 5), ("synthetic", 8)])
+    def test_lookups_match_node_scan(self, pipeline, toy_spec, tractor_spec, synthetic_spec,
+                                     name, robots):
+        spec = {"toy": toy_spec, "tractor": tractor_spec, "synthetic": synthetic_spec}[name]
+        data = pipeline(spec, name, robots)
+        partial, complete = data["graph"], data["greedy"].graph
+        graphs = [partial, complete,
+                  partial.with_edges(set(data["greedy"].added_edges[:robots]))]
+        graphs += [schedule.schedule_from_jsonable(
+            json.loads(json.dumps(schedule.schedule_to_jsonable(g)))) for g in (partial, complete)]
+        for graph in graphs:
+            assert (graph.pickups, graph.dropoffs, graph.source,
+                    graph.robot_starts) == _reference_lookups(graph)
+        assert len(partial.robot_starts) == robots
+        assert set(partial.source) == set(partial.team_sizes)
+
+    def test_node_id_writes_every_id(self, pipeline, tractor_spec):
+        graph = pipeline(tractor_spec, "tractor", 5)["greedy"].graph
+        for nid, n in graph.nodes.items():
+            assert schedule.node_id(n.kind, n.subject, n.slot, n.role) == nid
+        assert schedule.node_id("RobotGo", "brick@1", 0, "pickup") == "RobotGo:brick@1:0:pickup"
+        assert schedule.node_id("OpenBuildStep", "toy", 1) == "OpenBuildStep:toy:1"
+
+    def test_lookups_built_on_first_use(self, pipeline, toy_spec):
+        graph = pipeline(toy_spec, "toy", 2)["graph"]
+        lookups = {"pickups", "dropoffs", "source", "robot_starts"}
+        fresh = graph.with_edges(set())
+        assert not lookups & vars(fresh).keys()
+        assert fresh.pickups is fresh.pickups
+        assert fresh.pickups == {"brick@1": ("RobotGo:brick@1:0:pickup",
+                                             "RobotGo:brick@1:1:pickup")}
+        assert fresh.robot_starts == ("RobotStart:robot0", "RobotStart:robot1")
+        assert fresh.source == {"brick@1": "ObjectStart:brick@1"}
 
     def test_graph_is_immutable(self):
         g = _tiny_graph()
