@@ -56,6 +56,11 @@ def _fleet_from_args(args, fleet):
         v_max=args.vmax, v_min=args.vmin, v_factor=args.vfactor)
 
 
+def _invalid_option(problem) -> int:
+    print(f"error: invalid option: {problem}", file=sys.stderr)
+    return EXIT_BAD_INPUT
+
+
 def _write(out: Path, name: str, text: str):
     out.mkdir(parents=True, exist_ok=True)
     (out / name).write_text(text)
@@ -89,8 +94,7 @@ def cmd_plan(args) -> int:
         if args.buffer is not None:
             params = dataclasses.replace(params, buffer_radius=args.buffer)
     except model.ProjectError as exc:
-        print(f"error: invalid option: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _invalid_option(exc)
     configs = transport.configure_all_transport_units(spec, fleet, seed=args.seed)
     plan = staging.build_staging_plan(spec, configs, params)
     graph = schedule.build_partial_schedule(spec, plan, configs, fleet, params)
@@ -117,34 +121,29 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _load_plan_artifacts(out: Path):
-    """The staging plan, transport configs, fleet and parameters that `plan`
-    wrote; raises FileNotFoundError unless all of its JSON artifacts are
-    there."""
-    needed = ["schedule_partial.json", "staging.json", "transport_units.json",
-              "project.json"]
-    missing = [n for n in needed if not (out / n).is_file()]
+def _artifacts(out: Path, *names: str) -> list[Path]:
+    """The paths of the artifacts `names` a command reads; raises
+    FileNotFoundError naming each one that is missing."""
+    paths = [out / n for n in names]
+    missing = [p.name for p in paths if not p.is_file()]
     if missing:
         raise FileNotFoundError(", ".join(missing))
-    plan = staging.staging_plan_from_jsonable(json.loads((out / needed[1]).read_text()))
-    configs = {
-        cid: transport.transport_config_from_jsonable(d)
-        for cid, d in json.loads((out / needed[2]).read_text()).items()
-    }
-    _, fleet, params = model.project_from_jsonable(
-        json.loads((out / needed[3]).read_text()))
-    return plan, configs, fleet, params
+    return paths
 
 
 def cmd_allocate(args) -> int:
     out = Path(args.out)
+    if args.max_nodes < 1:
+        return _invalid_option(f"--max-nodes must be at least 1, got {args.max_nodes}")
+    if not args.time_limit > 0:  # inf turns the limit off
+        return _invalid_option(f"--time-limit must be positive, got {args.time_limit}")
     try:
-        _, _, fleet, _ = _load_plan_artifacts(out)
+        project_json, partial_json = _artifacts(out, "project.json", "schedule_partial.json")
     except FileNotFoundError as exc:
         print(f"error: missing plan artifacts: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACTS
-    graph = schedule.schedule_from_jsonable(
-        json.loads((out / "schedule_partial.json").read_text()))
+    _, fleet, _ = model.project_from_jsonable(json.loads(project_json.read_text()))
+    graph = schedule.schedule_from_jsonable(json.loads(partial_json.read_text()))
 
     t_start = time.perf_counter()
     if args.method == "export-lp":
@@ -184,18 +183,19 @@ def cmd_allocate(args) -> int:
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     if args.max_steps < 1:
-        print(f"error: invalid option: --max-steps must be at least 1, got {args.max_steps}",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _invalid_option(f"--max-steps must be at least 1, got {args.max_steps}")
     try:
-        plan, configs, fleet, params = _load_plan_artifacts(out)
-        complete_path = out / "schedule_complete.json"
-        if not complete_path.is_file():
-            raise FileNotFoundError("schedule_complete.json")
-        graph = schedule.schedule_from_jsonable(json.loads(complete_path.read_text()))
+        project_json, staging_json, units_json, complete_json = _artifacts(
+            out, "project.json", "staging.json", "transport_units.json",
+            "schedule_complete.json")
     except FileNotFoundError as exc:
         print(f"error: missing artifacts: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACTS
+    _, fleet, params = model.project_from_jsonable(json.loads(project_json.read_text()))
+    plan = staging.staging_plan_from_jsonable(json.loads(staging_json.read_text()))
+    configs = {cid: transport.transport_config_from_jsonable(d)
+               for cid, d in json.loads(units_json.read_text()).items()}
+    graph = schedule.schedule_from_jsonable(json.loads(complete_json.read_text()))
 
     issues = schedule.validate_schedule(graph, "complete")
     if issues:
@@ -206,8 +206,7 @@ def cmd_simulate(args) -> int:
         try:
             params = dataclasses.replace(params, dt_sim=args.dt)
         except model.ProjectError as exc:
-            print(f"error: invalid option: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            return _invalid_option(exc)
 
     _, _, predicted = schedule.evaluate_schedule(graph, fleet)
     t_start = time.perf_counter()

@@ -316,7 +316,8 @@ def project_to_jsonable(spec: ProjectSpec, fleet: RobotFleet | None = None,
 
 def project_from_jsonable(doc: dict) -> tuple[ProjectSpec, RobotFleet | None, PlanParams | None]:
     """Project, fleet and parameters from a native project JSON document;
-    raises ProjectError when a required key is missing."""
+    raises ProjectError when a required key is missing or a value has the
+    wrong structure."""
     try:
         assemblies = {
             aid: Assembly(
@@ -348,6 +349,10 @@ def project_from_jsonable(doc: dict) -> tuple[ProjectSpec, RobotFleet | None, Pl
         return spec, fleet, params
     except KeyError as exc:
         raise ProjectError(f"project JSON is missing key {exc}") from None
+    except ProjectError:
+        raise
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ProjectError(f"project JSON has the wrong structure: {exc}") from None
 
 
 def save_project(path, spec: ProjectSpec, fleet: RobotFleet | None = None,

@@ -305,136 +305,92 @@ class ScheduleViolation:
     message: str
 
 
-def validate_schedule(graph: ScheduleGraph, mode: str = "complete") -> list[ScheduleViolation]:
-    """Check every node's neighborhood against the required/eligible table.
+class _AtMost(dict):
+    """A rule whose counts are caps: each listed kind may appear up to its count."""
 
-    Partial mode exempts missing robot-assignment links (pickup RobotGo
-    predecessors, RobotStart / dropoff RobotGo successors are optional
-    in both modes up to their caps).
-    """
+
+_PICKUP, _DROPOFF = ("RobotGo", "pickup"), ("RobotGo", "dropoff")
+
+# The schedule grammar, after Brown et al. (ICRA 2020): node kind (RobotGo:
+# by role) -> (predecessor rule, successor rule). A rule maps a neighbour kind
+# to its exact count, either a number, "team" (the payload's team size) or
+# "members" (the phase's member count). A tuple of kinds takes exactly one
+# neighbour from among them. A kind a rule does not list is not eligible.
+_NEIGHBOURS = {
+    "ProjectComplete": ({"AssemblyComplete": 1}, {}),
+    "ObjectStart": ({}, {"FormTransportUnit": 1}),
+    "AssemblyStart": ({}, {"OpenBuildStep": 1}),
+    "AssemblyComplete": ({"CloseBuildStep": 1}, {("FormTransportUnit", "ProjectComplete"): 1}),
+    "OpenBuildStep": ({("AssemblyStart", "CloseBuildStep"): 1}, {"DepositCargo": "members"}),
+    "CloseBuildStep": ({"LiftIntoPlace": "members"}, {("AssemblyComplete", "OpenBuildStep"): 1}),
+    "RobotStart": ({}, _AtMost(RobotGo=1)),
+    _PICKUP: (_AtMost(RobotStart=1, RobotGo=1), {"FormTransportUnit": 1}),
+    _DROPOFF: ({"DepositCargo": 1}, _AtMost(RobotGo=1)),
+    "FormTransportUnit": ({("ObjectStart", "AssemblyComplete"): 1, "RobotGo": "team"},
+                          {"TransportUnitGo": 1}),
+    "TransportUnitGo": ({"FormTransportUnit": 1}, {"DepositCargo": 1}),
+    "DepositCargo": ({"OpenBuildStep": 1, "TransportUnitGo": 1},
+                     {"LiftIntoPlace": 1, "RobotGo": "team"}),
+    "LiftIntoPlace": ({"DepositCargo": 1}, {"CloseBuildStep": 1}),
+}
+
+
+def _side_violations(graph: ScheduleGraph, node: ScheduleNode, ids, side: str, rule: dict):
+    """(rule, message) for each way the neighbours `ids` break `rule`: first
+    the one-of count, then the exact counts in table order, then unlisted
+    kinds and broken caps in neighbour order."""
+    counts: dict[str, int] = {}
+    for kind in [graph.nodes[i].kind for i in ids]:
+        counts[kind] = counts.get(kind, 0) + 1
+    for kind, want in ({} if isinstance(rule, _AtMost) else rule).items():
+        if isinstance(kind, tuple):
+            got = sum(counts.pop(k, 0) for k in kind)
+            if got != 1:
+                yield f"required-{side}", f"expected exactly one {'/'.join(kind)} {side}, got {got}"
+            continue
+        if want == "team":
+            want = graph.team_sizes.get(node.subject, 0)
+        elif want == "members":
+            want = len(graph.phase_members.get((node.subject, node.slot or 0), ()))
+        got = counts.pop(kind, 0)
+        if got != want:
+            yield (f"{'required' if got < want else 'eligible'}-{side}",
+                   f"expected {want} {kind} {side}(s), got {got}")
+    for kind, got in counts.items():  # an exact rule's kinds are popped by now
+        if kind not in rule:
+            yield f"eligible-{side}", f"unexpected {kind} {side} ({got})"
+        elif got > rule[kind]:
+            yield f"eligible-{side}", f"at most {rule[kind]} {kind} {side}(s) allowed, got {got}"
+
+
+def validate_schedule(graph: ScheduleGraph, mode: str = "complete") -> list[ScheduleViolation]:
+    """Check every node's neighbourhood against the `_NEIGHBOURS` table. A
+    pickup RobotGo also needs exactly one chain predecessor in complete mode,
+    and at most one in partial mode, where robots are unassigned."""
     if mode not in ("partial", "complete"):
         raise ScheduleError(f"unknown validation mode {mode!r}")
-    out: list[ScheduleViolation] = []
     pred, succ = graph.adjacency()
-
-    if not is_acyclic(graph):
-        out.append(ScheduleViolation("", "acyclic", "schedule graph contains a cycle"))
-
-    def kinds(ids: list[str]) -> list[tuple[str, str]]:
-        return [(graph.nodes[i].kind, i) for i in ids]
-
-    def expect_exact(node: ScheduleNode, ids: list[str], side: str,
-                     spec: dict[str, int], one_of: tuple[str, ...] = ()):
-        """Neighbors must consist of `spec` counts per kind, plus exactly one
-        neighbor among `one_of` kinds when given."""
-        counts: dict[str, int] = {}
-        for k, _ in kinds(ids):
-            counts[k] = counts.get(k, 0) + 1
-        alt = sum(counts.pop(k, 0) for k in one_of)
-        if one_of and alt != 1:
-            out.append(ScheduleViolation(
-                node.id, f"required-{side}",
-                f"expected exactly one {'/'.join(one_of)} {side}, got {alt}"))
-        for k, want in spec.items():
-            got = counts.pop(k, 0)
-            if got != want:
-                rule = "required" if got < want else "eligible"
-                out.append(ScheduleViolation(
-                    node.id, f"{rule}-{side}",
-                    f"expected {want} {k} {side}(s), got {got}"))
-        for k, got in counts.items():
-            out.append(ScheduleViolation(
-                node.id, f"eligible-{side}", f"unexpected {k} {side} ({got})"))
-
-    def expect_at_most(node: ScheduleNode, ids: list[str], side: str,
-                       caps: dict[str, int], required: dict[str, int] = {}):
-        counts: dict[str, int] = {}
-        for k, _ in kinds(ids):
-            counts[k] = counts.get(k, 0) + 1
-        for k, got in counts.items():
-            cap = caps.get(k)
-            if cap is None:
-                out.append(ScheduleViolation(
-                    node.id, f"eligible-{side}", f"unexpected {k} {side} ({got})"))
-            elif got > cap:
-                out.append(ScheduleViolation(
-                    node.id, f"eligible-{side}",
-                    f"at most {cap} {k} {side}(s) allowed, got {got}"))
-        for k, want in required.items():
-            if counts.get(k, 0) < want:
-                out.append(ScheduleViolation(
-                    node.id, f"required-{side}",
-                    f"expected at least {want} {k} {side}(s), got {counts.get(k, 0)}"))
-
+    out = [] if is_acyclic(graph) else [
+        ScheduleViolation("", "acyclic", "schedule graph contains a cycle")]
     for nid, node in sorted(graph.nodes.items()):
-        p, s = pred[nid], succ[nid]
-        k = node.kind
-        if k == "ProjectComplete":
-            expect_exact(node, p, "predecessor", {"AssemblyComplete": 1})
-            expect_exact(node, s, "successor", {})
-        elif k == "ObjectStart":
-            expect_exact(node, p, "predecessor", {})
-            expect_exact(node, s, "successor", {"FormTransportUnit": 1})
-        elif k == "AssemblyStart":
-            expect_exact(node, p, "predecessor", {})
-            expect_exact(node, s, "successor", {"OpenBuildStep": 1})
-        elif k == "AssemblyComplete":
-            expect_exact(node, p, "predecessor", {"CloseBuildStep": 1})
-            expect_exact(node, s, "successor", {},
-                         one_of=("FormTransportUnit", "ProjectComplete"))
-        elif k == "OpenBuildStep":
-            expect_exact(node, p, "predecessor", {},
-                         one_of=("AssemblyStart", "CloseBuildStep"))
-            want = len(graph.phase_members.get((node.subject, node.slot or 0), ()))
-            expect_exact(node, s, "successor", {"DepositCargo": want})
-        elif k == "CloseBuildStep":
-            want = len(graph.phase_members.get((node.subject, node.slot or 0), ()))
-            expect_exact(node, p, "predecessor", {"LiftIntoPlace": want})
-            expect_exact(node, s, "successor", {},
-                         one_of=("AssemblyComplete", "OpenBuildStep"))
-        elif k == "RobotStart":
-            expect_exact(node, p, "predecessor", {})
-            expect_at_most(node, s, "successor", {"RobotGo": 1})
-        elif k == "RobotGo":
-            if node.role == "pickup":
-                if mode == "complete":
-                    expect_at_most(node, p, "predecessor",
-                                   {"RobotStart": 1, "RobotGo": 1})
-                    total = len(p)
-                    if total != 1:
-                        out.append(ScheduleViolation(
-                            nid, "required-predecessor",
-                            f"expected one RobotStart/RobotGo predecessor, got {total}"))
-                else:
-                    expect_at_most(node, p, "predecessor",
-                                   {"RobotStart": 1, "RobotGo": 1})
-                    if len(p) > 1:
-                        out.append(ScheduleViolation(
-                            nid, "eligible-predecessor",
-                            f"expected at most one chain predecessor, got {len(p)}"))
-                expect_exact(node, s, "successor", {"FormTransportUnit": 1})
-            else:  # dropoff
-                expect_exact(node, p, "predecessor", {"DepositCargo": 1})
-                expect_at_most(node, s, "successor", {"RobotGo": 1})
-        elif k == "FormTransportUnit":
-            team = graph.team_sizes.get(node.subject, 0)
-            expect_exact(node, p, "predecessor", {"RobotGo": team},
-                         one_of=("ObjectStart", "AssemblyComplete"))
-            expect_exact(node, s, "successor", {"TransportUnitGo": 1})
-        elif k == "TransportUnitGo":
-            expect_exact(node, p, "predecessor", {"FormTransportUnit": 1})
-            expect_exact(node, s, "successor", {"DepositCargo": 1})
-        elif k == "DepositCargo":
-            team = graph.team_sizes.get(node.subject, 0)
-            expect_exact(node, p, "predecessor",
-                         {"OpenBuildStep": 1, "TransportUnitGo": 1})
-            expect_exact(node, s, "successor",
-                         {"LiftIntoPlace": 1, "RobotGo": team})
-        elif k == "LiftIntoPlace":
-            expect_exact(node, p, "predecessor", {"DepositCargo": 1})
-            expect_exact(node, s, "successor", {"CloseBuildStep": 1})
-        else:
-            out.append(ScheduleViolation(nid, "kind", f"unknown node kind {k!r}"))
+        key = node.kind
+        if key == "RobotGo":
+            key = _PICKUP if node.role == "pickup" else _DROPOFF
+        if key not in _NEIGHBOURS:
+            out.append(ScheduleViolation(nid, "kind", f"unknown node kind {node.kind!r}"))
+            continue
+        before, after = _NEIGHBOURS[key]
+        found = list(_side_violations(graph, node, pred[nid], "predecessor", before))
+        if key == _PICKUP:
+            chain = len(pred[nid])
+            if mode == "complete" and chain != 1:
+                found.append(("required-predecessor",
+                              f"expected one RobotStart/RobotGo predecessor, got {chain}"))
+            elif mode == "partial" and chain > 1:
+                found.append(("eligible-predecessor",
+                              f"expected at most one chain predecessor, got {chain}"))
+        found += _side_violations(graph, node, succ[nid], "successor", after)
+        out += [ScheduleViolation(nid, rule, message) for rule, message in found]
     return out
 
 

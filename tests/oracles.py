@@ -6,9 +6,10 @@ search instead of Welzl, a general-purpose QP solver instead of isotonic
 regression, exhaustive enumeration instead of greedy/branch-and-bound, and
 a from-scratch LP-format reader instead of the exporter's own structures.
 
-The planning and simulator kernels at the end are the exception: they are
-the scalar loops the package's array code replaced, kept as written so that
-tests can require bit-for-bit equal results from the array code.
+The schedule validator and the planning and simulator kernels at the end are
+the exception: they are the code the package replaced (per-kind branches
+before the neighbourhood table, scalar loops before the array code), kept as
+written so that tests can require equal results from the new code.
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ import numpy as np
 import scipy.optimize
 
 from assemblyforge.allocation import AllocationError, AllocationResult, RobotState
-from assemblyforge.schedule import CHECKPOINT_KINDS, evaluate_schedule, validate_schedule
+from assemblyforge.schedule import (
+    CHECKPOINT_KINDS, ScheduleError, ScheduleGraph, ScheduleNode, ScheduleViolation,
+    evaluate_schedule, is_acyclic, validate_schedule,
+)
 from assemblyforge.sim import ORCA_SAFETY_FACTOR, _lp1
 from assemblyforge.transport import CARRY_RESTARTS, TransportConfigError
 
@@ -370,6 +374,142 @@ def parse_lp(text: str) -> dict:
         "binaries": binaries,
         "variables": variables,
     }
+
+
+# -- schedule validation by per-kind branches ---------------------------------
+
+
+def validate_schedule_reference(graph: ScheduleGraph, mode: str = "complete") -> list[ScheduleViolation]:
+    """Check every node's neighborhood against the required/eligible table.
+
+    Partial mode exempts missing robot-assignment links (pickup RobotGo
+    predecessors, RobotStart / dropoff RobotGo successors are optional
+    in both modes up to their caps).
+    """
+    if mode not in ("partial", "complete"):
+        raise ScheduleError(f"unknown validation mode {mode!r}")
+    out: list[ScheduleViolation] = []
+    pred, succ = graph.adjacency()
+
+    if not is_acyclic(graph):
+        out.append(ScheduleViolation("", "acyclic", "schedule graph contains a cycle"))
+
+    def kinds(ids: list[str]) -> list[tuple[str, str]]:
+        return [(graph.nodes[i].kind, i) for i in ids]
+
+    def expect_exact(node: ScheduleNode, ids: list[str], side: str,
+                     spec: dict[str, int], one_of: tuple[str, ...] = ()):
+        """Neighbors must consist of `spec` counts per kind, plus exactly one
+        neighbor among `one_of` kinds when given."""
+        counts: dict[str, int] = {}
+        for k, _ in kinds(ids):
+            counts[k] = counts.get(k, 0) + 1
+        alt = sum(counts.pop(k, 0) for k in one_of)
+        if one_of and alt != 1:
+            out.append(ScheduleViolation(
+                node.id, f"required-{side}",
+                f"expected exactly one {'/'.join(one_of)} {side}, got {alt}"))
+        for k, want in spec.items():
+            got = counts.pop(k, 0)
+            if got != want:
+                rule = "required" if got < want else "eligible"
+                out.append(ScheduleViolation(
+                    node.id, f"{rule}-{side}",
+                    f"expected {want} {k} {side}(s), got {got}"))
+        for k, got in counts.items():
+            out.append(ScheduleViolation(
+                node.id, f"eligible-{side}", f"unexpected {k} {side} ({got})"))
+
+    def expect_at_most(node: ScheduleNode, ids: list[str], side: str,
+                       caps: dict[str, int], required: dict[str, int] = {}):
+        counts: dict[str, int] = {}
+        for k, _ in kinds(ids):
+            counts[k] = counts.get(k, 0) + 1
+        for k, got in counts.items():
+            cap = caps.get(k)
+            if cap is None:
+                out.append(ScheduleViolation(
+                    node.id, f"eligible-{side}", f"unexpected {k} {side} ({got})"))
+            elif got > cap:
+                out.append(ScheduleViolation(
+                    node.id, f"eligible-{side}",
+                    f"at most {cap} {k} {side}(s) allowed, got {got}"))
+        for k, want in required.items():
+            if counts.get(k, 0) < want:
+                out.append(ScheduleViolation(
+                    node.id, f"required-{side}",
+                    f"expected at least {want} {k} {side}(s), got {counts.get(k, 0)}"))
+
+    for nid, node in sorted(graph.nodes.items()):
+        p, s = pred[nid], succ[nid]
+        k = node.kind
+        if k == "ProjectComplete":
+            expect_exact(node, p, "predecessor", {"AssemblyComplete": 1})
+            expect_exact(node, s, "successor", {})
+        elif k == "ObjectStart":
+            expect_exact(node, p, "predecessor", {})
+            expect_exact(node, s, "successor", {"FormTransportUnit": 1})
+        elif k == "AssemblyStart":
+            expect_exact(node, p, "predecessor", {})
+            expect_exact(node, s, "successor", {"OpenBuildStep": 1})
+        elif k == "AssemblyComplete":
+            expect_exact(node, p, "predecessor", {"CloseBuildStep": 1})
+            expect_exact(node, s, "successor", {},
+                         one_of=("FormTransportUnit", "ProjectComplete"))
+        elif k == "OpenBuildStep":
+            expect_exact(node, p, "predecessor", {},
+                         one_of=("AssemblyStart", "CloseBuildStep"))
+            want = len(graph.phase_members.get((node.subject, node.slot or 0), ()))
+            expect_exact(node, s, "successor", {"DepositCargo": want})
+        elif k == "CloseBuildStep":
+            want = len(graph.phase_members.get((node.subject, node.slot or 0), ()))
+            expect_exact(node, p, "predecessor", {"LiftIntoPlace": want})
+            expect_exact(node, s, "successor", {},
+                         one_of=("AssemblyComplete", "OpenBuildStep"))
+        elif k == "RobotStart":
+            expect_exact(node, p, "predecessor", {})
+            expect_at_most(node, s, "successor", {"RobotGo": 1})
+        elif k == "RobotGo":
+            if node.role == "pickup":
+                if mode == "complete":
+                    expect_at_most(node, p, "predecessor",
+                                   {"RobotStart": 1, "RobotGo": 1})
+                    total = len(p)
+                    if total != 1:
+                        out.append(ScheduleViolation(
+                            nid, "required-predecessor",
+                            f"expected one RobotStart/RobotGo predecessor, got {total}"))
+                else:
+                    expect_at_most(node, p, "predecessor",
+                                   {"RobotStart": 1, "RobotGo": 1})
+                    if len(p) > 1:
+                        out.append(ScheduleViolation(
+                            nid, "eligible-predecessor",
+                            f"expected at most one chain predecessor, got {len(p)}"))
+                expect_exact(node, s, "successor", {"FormTransportUnit": 1})
+            else:  # dropoff
+                expect_exact(node, p, "predecessor", {"DepositCargo": 1})
+                expect_at_most(node, s, "successor", {"RobotGo": 1})
+        elif k == "FormTransportUnit":
+            team = graph.team_sizes.get(node.subject, 0)
+            expect_exact(node, p, "predecessor", {"RobotGo": team},
+                         one_of=("ObjectStart", "AssemblyComplete"))
+            expect_exact(node, s, "successor", {"TransportUnitGo": 1})
+        elif k == "TransportUnitGo":
+            expect_exact(node, p, "predecessor", {"FormTransportUnit": 1})
+            expect_exact(node, s, "successor", {"DepositCargo": 1})
+        elif k == "DepositCargo":
+            team = graph.team_sizes.get(node.subject, 0)
+            expect_exact(node, p, "predecessor",
+                         {"OpenBuildStep": 1, "TransportUnitGo": 1})
+            expect_exact(node, s, "successor",
+                         {"LiftIntoPlace": 1, "RobotGo": team})
+        elif k == "LiftIntoPlace":
+            expect_exact(node, p, "predecessor", {"DepositCargo": 1})
+            expect_exact(node, s, "successor", {"CloseBuildStep": 1})
+        else:
+            out.append(ScheduleViolation(nid, "kind", f"unknown node kind {k!r}"))
+    return out
 
 
 # -- scalar planning kernels (bitwise references) -----------------------------

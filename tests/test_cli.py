@@ -55,6 +55,25 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "'parts'" in err[0]
 
+    @pytest.mark.parametrize("key,value", [(None, []), ("assemblies", []),
+                                           ("vertices", "oops")],
+                             ids=["top-level-list", "assemblies-list", "vertices-string"])
+    def test_project_wrong_structure(self, tmp_path, capsys, key, value):
+        doc = model.project_to_jsonable(projects.toy_project())
+        if key == "vertices":
+            next(iter(doc["parts"].values()))["vertices"] = value
+        elif key is not None:
+            doc[key] = value
+        else:
+            doc = value
+        bad = tmp_path / "wrong.json"
+        bad.write_text(json.dumps(doc))
+        code = cli.main(["plan", "--input", str(bad),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: malformed input:")
+
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -132,6 +151,44 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: invalid option:")
         assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("option", [["--max-nodes", "0"], ["--max-nodes", "-5"],
+                                        ["--time-limit", "nan"], ["--time-limit", "-1"],
+                                        ["--time-limit", "0"]],
+                             ids=["nodes-zero", "nodes-negative", "time-nan",
+                                  "time-negative", "time-zero"])
+    def test_allocate_invalid_option(self, toy_input, tmp_path, capsys, option):
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        capsys.readouterr()
+        code = cli.main(["allocate", "--out", str(out), "--method", "bnb", *option])
+        assert code == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid option:")
+        for name in ("schedule_complete.json", "allocation_metrics.json", "allocation.json"):
+            assert not (out / name).exists(), name
+
+    def test_allocate_reads_no_staging(self, toy_input, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        (out / "staging.json").unlink()
+        (out / "transport_units.json").unlink()
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_OK
+        (out / "schedule_partial.json").unlink()
+        capsys.readouterr()
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_MISSING_ARTIFACTS
+        assert "schedule_partial.json" in capsys.readouterr().err
+
+    def test_simulate_reads_no_partial_schedule(self, toy_input, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_OK
+        (out / "schedule_partial.json").unlink()
+        assert cli.main(["simulate", "--out", str(out)]) == cli.EXIT_OK
+        (out / "transport_units.json").unlink()
+        capsys.readouterr()
+        assert cli.main(["simulate", "--out", str(out)]) == cli.EXIT_MISSING_ARTIFACTS
+        assert "transport_units.json" in capsys.readouterr().err
 
     def test_allocate_without_plan(self, tmp_path):
         assert cli.main(["allocate", "--out", str(tmp_path / "empty")]) == \

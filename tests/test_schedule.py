@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import random
 from collections import deque
 
 import numpy as np
 import pytest
 
 from assemblyforge import schedule
-from assemblyforge.schedule import ScheduleGraph, ScheduleNode
+from assemblyforge.schedule import ScheduleGraph, ScheduleNode, ScheduleViolation
 
 from . import oracles
 
@@ -61,6 +62,17 @@ def _reference_lookups(graph):
         source,
         tuple(starts),
     )
+
+
+def _mutations(graph, count: int, seed: str):
+    """`count` copies of `graph`, each with up to 3 of its edges removed and
+    up to 3 edges between random nodes added."""
+    rng = random.Random(seed)
+    ids, edges = sorted(graph.nodes), sorted(graph.edges)
+    for _ in range(count):
+        drop = set(rng.sample(edges, rng.randint(0, 3)))
+        add = {tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 3))}
+        yield dataclasses.replace(graph, edges=(graph.edges - drop) | add)
 
 
 class TestStructure:
@@ -187,6 +199,57 @@ class TestValidation:
         bad = graph.with_edges({("ObjectStart:brick@1", "LiftIntoPlace:brick@1")})
         violations = schedule.validate_schedule(bad, mode="partial")
         assert any("eligible" in v.rule for v in violations)
+
+    @pytest.mark.parametrize("name,robots", [("toy", 2), ("tractor", 5), ("synthetic", 8)])
+    def test_table_matches_reference_on_mutations(self, pipeline, toy_spec, tractor_spec,
+                                                  synthetic_spec, name, robots):
+        # 3 projects x 2 graphs x 170 mutations: 1,020 graphs, each in both modes
+        spec = {"toy": toy_spec, "tractor": tractor_spec, "synthetic": synthetic_spec}[name]
+        data = pipeline(spec, name, robots)
+        rules = set()
+        for which, graph in (("partial", data["graph"]), ("complete", data["greedy"].graph)):
+            for mutated in _mutations(graph, 170, f"{name}-{which}"):
+                for mode in ("partial", "complete"):
+                    got = schedule.validate_schedule(mutated, mode)
+                    assert got == oracles.validate_schedule_reference(mutated, mode)
+                    rules.update(v.rule for v in got)
+        assert rules >= {"required-predecessor", "required-successor",
+                         "eligible-predecessor", "eligible-successor"}
+
+    def test_unknown_kind_and_roleless_robot_go(self, pipeline, toy_spec):
+        graph = pipeline(toy_spec, "toy", 2)["greedy"].graph
+        pick, form = "RobotGo:brick@1:0:pickup", "FormTransportUnit:brick@1"
+        nodes = dict(graph.nodes)
+        nodes[pick] = dataclasses.replace(nodes[pick], role=None)
+        nodes["Mystery:x"] = ScheduleNode("Mystery:x", "Mystery", "x")
+        odd = dataclasses.replace(graph, nodes=nodes,
+                                  edges=graph.edges | {("Mystery:x", form)})
+        for mode in ("partial", "complete"):
+            got = schedule.validate_schedule(odd, mode)
+            assert got == oracles.validate_schedule_reference(odd, mode)
+            assert ScheduleViolation("Mystery:x", "kind", "unknown node kind 'Mystery'") in got
+            assert ScheduleViolation(form, "eligible-predecessor",
+                                     "unexpected Mystery predecessor (1)") in got
+            # a RobotGo without the pickup role is checked as a dropoff
+            assert [v for v in got if v.node == pick] == [
+                ScheduleViolation(pick, "required-predecessor",
+                                  "expected 1 DepositCargo predecessor(s), got 0"),
+                ScheduleViolation(pick, "eligible-predecessor",
+                                  "unexpected RobotStart predecessor (1)"),
+                ScheduleViolation(pick, "eligible-successor",
+                                  "unexpected FormTransportUnit successor (1)"),
+            ]
+
+    def test_neighbour_table_covers_every_kind(self):
+        table = schedule._NEIGHBOURS
+        kinds = set(schedule._DOT_SHORT)
+        assert {k for k in table if isinstance(k, str)} == kinds - {"RobotGo"}
+        assert {k for k in table if not isinstance(k, str)} == {
+            ("RobotGo", "pickup"), ("RobotGo", "dropoff")}
+        # every neighbour kind a rule names is a node kind
+        named = {k for sides in table.values() for rule in sides for key in rule
+                 for k in ((key,) if isinstance(key, str) else key)}
+        assert named <= kinds
 
     def test_unknown_mode_rejected(self, pipeline, toy_spec):
         graph = pipeline(toy_spec, "toy", 2)["graph"]
