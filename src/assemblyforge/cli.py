@@ -77,7 +77,8 @@ def cmd_plan(args) -> int:
     except (FileNotFoundError, OSError):
         print(f"error: cannot read input {args.input}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ldraw.LdrawParseError, json.JSONDecodeError, model.ProjectError) as exc:
+    except (UnicodeDecodeError, ldraw.LdrawParseError, json.JSONDecodeError,
+            model.ProjectError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
@@ -131,6 +132,33 @@ def _artifacts(out: Path, *names: str) -> list[Path]:
     return paths
 
 
+def _read_artifact(path: Path, reader):
+    """`reader` applied to the JSON document in `path`; raises
+    model.ArtifactError naming the file when its text is not UTF-8 JSON or
+    the document does not have the structure `reader` expects."""
+    try:
+        return reader(json.loads(path.read_text()))
+    except (UnicodeDecodeError, json.JSONDecodeError, model.ProjectError,
+            model.ArtifactError) as exc:
+        raise model.ArtifactError(f"malformed artifact {path.name}: {exc}") from None
+
+
+def _project_artifact(doc):
+    """Project, fleet and parameters of a `project.json` written by `plan`,
+    which always carries the fleet and the parameters."""
+    spec, fleet, params = model.project_from_jsonable(doc)
+    for key, value in (("fleet", fleet), ("params", params)):
+        if value is None:
+            raise model.ArtifactError(f"project JSON is missing key {key!r}")
+    return spec, fleet, params
+
+
+def _unit_configs(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise model.ArtifactError("transport units JSON is not an object")
+    return {cid: transport.transport_config_from_jsonable(d) for cid, d in doc.items()}
+
+
 def cmd_allocate(args) -> int:
     out = Path(args.out)
     if args.max_nodes < 1:
@@ -142,8 +170,12 @@ def cmd_allocate(args) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing plan artifacts: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACTS
-    _, fleet, _ = model.project_from_jsonable(json.loads(project_json.read_text()))
-    graph = schedule.schedule_from_jsonable(json.loads(partial_json.read_text()))
+    try:
+        _, fleet, _ = _read_artifact(project_json, _project_artifact)
+        graph = _read_artifact(partial_json, schedule.schedule_from_jsonable)
+    except model.ArtifactError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
     t_start = time.perf_counter()
     if args.method == "export-lp":
@@ -191,11 +223,14 @@ def cmd_simulate(args) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing artifacts: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACTS
-    _, fleet, params = model.project_from_jsonable(json.loads(project_json.read_text()))
-    plan = staging.staging_plan_from_jsonable(json.loads(staging_json.read_text()))
-    configs = {cid: transport.transport_config_from_jsonable(d)
-               for cid, d in json.loads(units_json.read_text()).items()}
-    graph = schedule.schedule_from_jsonable(json.loads(complete_json.read_text()))
+    try:
+        _, fleet, params = _read_artifact(project_json, _project_artifact)
+        plan = _read_artifact(staging_json, staging.staging_plan_from_jsonable)
+        configs = _read_artifact(units_json, _unit_configs)
+        graph = _read_artifact(complete_json, schedule.schedule_from_jsonable)
+    except model.ArtifactError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
     issues = schedule.validate_schedule(graph, "complete")
     if issues:

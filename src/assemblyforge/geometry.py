@@ -197,26 +197,30 @@ def _circumcircle(a, b, c) -> Circle | None:
     return Circle(center, float(np.linalg.norm(a - center)))
 
 
+def _within(d, radius: float) -> bool:
+    """|d| <= radius, with Welzl's containment slack. |d| is `sqrt(d @ d)`,
+    the float that `np.linalg.norm` returns for a 1-D vector, without its
+    call overhead."""
+    return math.sqrt(d @ d) <= radius * (1 + 1e-12) + 1e-12
+
+
 def min_enclosing_circle(points, seed: int = 0) -> Circle:
     """Smallest circle containing all points (Welzl's incremental method)."""
     pts = [np.array(p, float) for p in _as_points(points, 2)]
     rng = random.Random(seed)
     rng.shuffle(pts)
 
-    def contains(c: Circle, p) -> bool:
-        return np.linalg.norm(p - c.center) <= c.radius * (1 + 1e-12) + 1e-12
-
     c: Circle | None = None
     for i, p in enumerate(pts):
-        if c is not None and contains(c, p):
+        if c is not None and _within(p - c.center, c.radius):
             continue
         c = Circle(p, 0.0)
         for j, q in enumerate(pts[: i + 1]):
-            if contains(c, q):
+            if _within(q - c.center, c.radius):
                 continue
             c = _circle_two(p, q)
             for k in pts[: j + 1]:
-                if contains(c, k):
+                if _within(k - c.center, c.radius):
                     continue
                 cc = _circumcircle(p, q, k)
                 if cc is not None:
@@ -250,19 +254,19 @@ def min_enclosing_sphere(points, seed: int = 0) -> Sphere:
 
     s = _sphere_from([])
     for i, p in enumerate(pts):
-        if np.linalg.norm(p - s.center) <= s.radius * (1 + 1e-12) + 1e-12:
+        if _within(p - s.center, s.radius):
             continue
         s = Sphere(p, 0.0)
         for j, q in enumerate(pts[:i]):
-            if np.linalg.norm(q - s.center) <= s.radius * (1 + 1e-12) + 1e-12:
+            if _within(q - s.center, s.radius):
                 continue
             s = _sphere_from([p, q])
             for k, t in enumerate(pts[:j]):
-                if np.linalg.norm(t - s.center) <= s.radius * (1 + 1e-12) + 1e-12:
+                if _within(t - s.center, s.radius):
                     continue
                 s = _sphere_from([p, q, t])
                 for u in pts[:k]:
-                    if np.linalg.norm(u - s.center) <= s.radius * (1 + 1e-12) + 1e-12:
+                    if _within(u - s.center, s.radius):
                         continue
                     s = _sphere_from([p, q, t, u])
     return s

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -17,6 +18,23 @@ import numpy as np
 
 class ProjectError(ValueError):
     pass
+
+
+class ArtifactError(ValueError):
+    """A pipeline artifact whose document does not have the expected structure."""
+
+
+@contextmanager
+def reading_artifact(what: str):
+    """Turn a missing key, or a value of the wrong type or shape, met while
+    reading the document `what`, into an ArtifactError. Also a decorator of
+    a reader function."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ArtifactError(f"{what} is missing key {exc}") from None
+    except (TypeError, AttributeError, IndexError, ValueError) as exc:
+        raise ArtifactError(f"{what} has the wrong structure: {exc}") from None
 
 
 @dataclass(frozen=True)

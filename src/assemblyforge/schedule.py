@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import PlanParams, ProjectSpec, RobotFleet
+from .model import PlanParams, ProjectSpec, RobotFleet, reading_artifact
 from .staging import StagingPlan
 from .transport import TransportUnitConfig
 
@@ -480,6 +480,7 @@ def schedule_to_jsonable(graph: ScheduleGraph) -> dict:
     }
 
 
+@reading_artifact("schedule JSON")
 def schedule_from_jsonable(data: dict) -> ScheduleGraph:
     nodes = {
         rec["id"]: ScheduleNode(

@@ -11,12 +11,16 @@ The step is array-backed. Checkpoints come off a ready queue in topological
 order; the first tangent-bug ray test of every agent against every staging
 circle, the ORCA half-planes of every constrained pair (van den Berg et al.,
 "Reciprocal n-Body Collision Avoidance", 2011) and the penetration test of
-every pair are each one array pass per step. Each element goes through the
-float operations of the scalar formula it replaced, in the same order: a dot
-product of 2-vectors is `np.vecdot`, which rounds as `a @ b` does (numpy's
-BLAS may fuse the multiply-add, so `a[0] * b[0] + a[1] * b[1]` can differ),
-and a length is `sqrt(vecdot(v, v))`, as in `np.linalg.norm`. Branches are
-picked by masks. The dispersion layer and the 2D LP (`_lp1`, `_lp3`) stay scalar.
+every pair are each one array pass per step. The dispersion layer reads one
+array of center distances per step: the field radii are one masked minimum
+over it, and only the pairs closer than a proven bound beyond which the force
+is exactly zero (see CULL_MARGIN) reach the scalar `dispersion_force`. Each
+element goes through the float operations of the scalar formula it replaced,
+in the same order: a dot product of 2-vectors is `np.vecdot`, which rounds as
+`a @ b` does (numpy's BLAS may fuse the multiply-add, so
+`a[0] * b[0] + a[1] * b[1]` can differ), and a length is
+`sqrt(vecdot(v, v))`, as in `np.linalg.norm`. Branches are picked by masks.
+The 2D LP (`_lp1`, `_lp3`) stays scalar.
 """
 
 from __future__ import annotations
@@ -184,17 +188,18 @@ def dispersion_force(p_i, p_j, r_i: float, r_j: float, big_r_j: float,
     return mag * u
 
 
-def field_radius(p_j, r_j: float, actives, r_max: float, c: float) -> float:
-    """Field radius of agent j given active agents' (position, radius)."""
-    if not actives:
-        return 0.0
-    d_j = min(
-        _length(np.asarray(p_j, float) - np.asarray(p_k, float)) - (r_k + r_j)
-        for p_k, r_k in actives
-    )
-    if d_j <= 0:
-        return r_max
-    return min(r_max, c / d_j)
+def field_radius(dist: np.ndarray, radii: np.ndarray, active: np.ndarray, r_max: float,
+                 c: float) -> np.ndarray:
+    """Field radius of every agent: r_max for an active agent; for the others
+    0 without active agents, else r_max if one overlaps, else min(r_max, c / d)
+    at the least clearance d to an active agent. `dist` is the (n, n) array of
+    center distances, `radii` and `active` are (n,)."""
+    if not active.any():
+        return np.zeros(len(radii))
+    gap = np.min(dist[:, active] - (radii[active] + radii[:, None]), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # gap <= 0 takes r_max
+        fields = np.where(gap <= 0, r_max, np.minimum(r_max, c / gap))
+    return np.where(active, r_max, fields)
 
 
 def preferred_velocity(v_nominal, forces, a: float, b: float, v_cap: float) -> np.ndarray:
@@ -203,6 +208,44 @@ def preferred_velocity(v_nominal, forces, a: float, b: float, v_cap: float) -> n
     if norm < 1e-12:
         return np.zeros(2)
     return v_hat / norm * min(v_cap, norm)
+
+
+# Slack, in meters, of the distance at and beyond which a pair exerts no
+# dispersion force. Proof: let u = 2**-53, X = R_j + r_i + r_j exactly (all
+# three >= 0) and s = fl(fl(R_j + r_i) + r_j), the cone bound as
+# `dispersion_force` rounds it. A culled pair has
+# dist >= fl(s + CULL_MARGIN) >= s, so no cone term. As fl(a + b) >=
+# (a + b)(1 - u) for a, b >= 0, s >= X (1 - u)^2 and
+# dist >= X (1 - u)^3 + CULL_MARGIN (1 - u), which is >= X whenever
+# CULL_MARGIN >= 3 u X / (1 - u): 1e-6 m covers any X below 3e9 m. Then
+# dist - R_j >= r_i + r_j exactly, rounding keeps fl(dist - R_j) >=
+# fl(r_i + r_j), so gap >= fl(r_i + r_j) and 1 / gap - 1 / (r_i + r_j) <= 0:
+# no barrier term either, and the force is 0.0 * u, a +-0 vector. Coincident
+# points (dist < 1e-12) are never culled, as the bound is at least CULL_MARGIN.
+CULL_MARGIN = 1e-6
+
+
+def _dispersed_velocities(positions, radii, dist, fields, pushed, nominals, caps,
+                          delta: float, a: float, b: float) -> list:
+    """Preferred velocities: an agent in `pushed` blends its nominal velocity
+    with the dispersion forces of the other agents, the others keep theirs.
+
+    Only pairs closer than the cull bound (see CULL_MARGIN) reach
+    `dispersion_force`, in ascending j order. Skipping the rest changes no
+    bit: each would add a +-0 vector to a sum that starts at +0.0 and, under
+    round to nearest, is never -0.0."""
+    reach = fields + radii[:, None] + radii + CULL_MARGIN  # [i, j]: (R_j + r_i) + r_j + m
+    near = pushed[:, None] & (fields > 0) & (dist < reach)
+    np.fill_diagonal(near, False)
+    rows, cols = np.nonzero(near)
+    bounds = np.searchsorted(rows, np.arange(len(radii) + 1)).tolist()
+    cols, r, f = cols.tolist(), radii.tolist(), fields.tolist()
+    prefs = list(nominals)
+    for i in np.flatnonzero(pushed).tolist():
+        forces = [dispersion_force(positions[i], positions[j], r[i], r[j], f[j], delta)
+                  for j in cols[bounds[i]:bounds[i + 1]]]
+        prefs[i] = preferred_velocity(nominals[i], forces, a, b, caps[i])
+    return prefs
 
 
 def alpha_value(is_unit: bool, task_kind: str, phase_active: bool,
@@ -400,7 +443,6 @@ class AgentState:
     task: str | None = None
     active: bool = False
     alpha: float = 1.0
-    field_radius: float = 0.0
 
 
 @dataclass
@@ -743,42 +785,29 @@ def _control(world: World, ids: list[str]) -> list:
         goals.append(goal)
         payloads.append(payload)
     # the first L1 ray test of every agent against every circle, in one pass
-    hits = _ray_circle_hits(
-        np.array([a.position for a in agents], float).reshape(-1, 2),
-        np.array(goals, float).reshape(-1, 2), circles.centers,
-        circles.radii + np.array([a.radius for a in agents], float)[:, None])
+    pos = np.array([a.position for a in agents], float).reshape(-1, 2)
+    rad = np.array([a.radius for a in agents], float)
+    hits = _ray_circle_hits(pos, np.array(goals, float).reshape(-1, 2), circles.centers,
+                            circles.radii + rad[:, None])
     nominals = [_nominal(world, agent, goal, payload, circles, phase_rows, forbidden, row)
                 for agent, goal, payload, row in zip(agents, goals, payloads, hits)]
 
-    actives = [(agent.position, agent.radius) for agent in agents if agent.active]
-    for agent in agents:
-        agent.field_radius = (
-            params.dispersion_r_max if agent.active
-            else field_radius(agent.position, agent.radius, actives,
-                              params.dispersion_r_max, params.dispersion_c))
+    # level 2 on one array of center distances, each the float _length gives
+    diff = pos[:, None] - pos
+    dist = np.sqrt(np.vecdot(diff, diff))
+    active = np.array([a.active for a in agents], bool)
+    alpha = np.array([a.alpha for a in agents], float)
+    caps = [a.speed_limit for a in agents]
+    fields = field_radius(dist, rad, active, params.dispersion_r_max, params.dispersion_c)
+    prefs = _dispersed_velocities(pos, rad, dist, fields, ~active & (alpha != 0.0), nominals,
+                                  caps, world.pen_tol, params.blend_a, params.blend_b)
 
-    prefs = []
-    for agent, nominal in zip(agents, nominals):
-        if agent.active or agent.alpha == 0.0:
-            prefs.append(nominal)
-            continue
-        forces = [
-            dispersion_force(agent.position, other.position, agent.radius, other.radius,
-                             other.field_radius, world.pen_tol)
-            for other in agents if other is not agent and other.field_radius > 0
-        ]
-        prefs.append(preferred_velocity(nominal, forces, params.blend_a, params.blend_b,
-                                        agent.speed_limit))
-
-    alpha = np.array([a.alpha for a in agents])
     pair_alpha = alpha[:, None] + alpha
     with np.errstate(divide="ignore", invalid="ignore"):
         shares = np.where(pair_alpha == 0, 0.5, alpha[:, None] / pair_alpha)
     np.fill_diagonal(shares, 0.0)
-    return rvo_resolve(
-        [a.position for a in agents], [a.radius for a in agents],
-        [a.velocity for a in agents], prefs, [a.speed_limit for a in agents],
-        shares, world.dt, params.rvo_horizon)
+    return rvo_resolve(pos, rad, [a.velocity for a in agents], prefs, caps,
+                       shares, world.dt, params.rvo_horizon)
 
 
 def _penetrations(positions: np.ndarray, radii: np.ndarray, tol: float):

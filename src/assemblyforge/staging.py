@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PlanParams, ProjectSpec
+from .model import PlanParams, ProjectSpec, reading_artifact
 from .transport import TransportUnitConfig, payload_points
 
 
@@ -399,6 +399,7 @@ def staging_plan_to_jsonable(plan: StagingPlan) -> dict:
     }
 
 
+@reading_artifact("staging JSON")
 def staging_plan_from_jsonable(data: dict) -> StagingPlan:
     assemblies = {}
     for aid, body in data["assemblies"].items():

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import Circle, OctagonalPrism, Polygon2D, VerticalCylinder
-from .model import ProjectSpec, RobotFleet, Transform
+from .model import ProjectSpec, RobotFleet, Transform, reading_artifact
 
 ROBOT_HEIGHT_FACTOR = 2.0  # robot cylinder height = factor * radius
 CARRY_RESTARTS = 5
@@ -243,6 +243,7 @@ def transport_config_to_jsonable(cfg: TransportUnitConfig) -> dict:
     }
 
 
+@reading_artifact("transport unit JSON")
 def transport_config_from_jsonable(d: dict) -> TransportUnitConfig:
     return TransportUnitConfig(
         payload_id=d["payload_id"],

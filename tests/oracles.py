@@ -27,7 +27,7 @@ from assemblyforge.schedule import (
     CHECKPOINT_KINDS, ScheduleError, ScheduleGraph, ScheduleNode, ScheduleViolation,
     evaluate_schedule, is_acyclic, validate_schedule,
 )
-from assemblyforge.sim import ORCA_SAFETY_FACTOR, _lp1
+from assemblyforge.sim import ORCA_SAFETY_FACTOR, _length, _lp1, dispersion_force, preferred_velocity
 from assemblyforge.transport import CARRY_RESTARTS, TransportConfigError
 
 
@@ -925,6 +925,42 @@ def scalar_penetrations(positions, radii, tol: float) -> list[tuple[int, int]]:
             if gap < radii[i] + radii[j] - tol:
                 pairs.append((i, j))
     return pairs
+
+
+def scalar_field_radius(p_j, r_j: float, actives, r_max: float, c: float) -> float:
+    """Field radius of agent j given active agents' (position, radius)."""
+    if not actives:
+        return 0.0
+    d_j = min(
+        _length(np.asarray(p_j, float) - np.asarray(p_k, float)) - (r_k + r_j)
+        for p_k, r_k in actives
+    )
+    if d_j <= 0:
+        return r_max
+    return min(r_max, c / d_j)
+
+
+def scalar_dispersion(positions, radii, active, alpha, nominals, caps, r_max: float,
+                      c: float, delta: float, a: float, b: float):
+    """Field radii and preferred velocities as the simulator's agent loop
+    made them: one `scalar_field_radius` per inactive agent, then one
+    `dispersion_force` per (pushed agent, agent with a field) pair."""
+    n = len(positions)
+    actives = [(positions[k], radii[k]) for k in range(n) if active[k]]
+    fields = [r_max if active[j]
+              else scalar_field_radius(positions[j], radii[j], actives, r_max, c)
+              for j in range(n)]
+    prefs = []
+    for i in range(n):
+        if active[i] or alpha[i] == 0.0:
+            prefs.append(nominals[i])
+            continue
+        forces = [
+            dispersion_force(positions[i], positions[j], radii[i], radii[j], fields[j], delta)
+            for j in range(n) if j != i and fields[j] > 0
+        ]
+        prefs.append(preferred_velocity(nominals[i], forces, a, b, caps[i]))
+    return fields, prefs
 
 
 def scan_fire_checkpoints(world) -> list[tuple[str, str]]:

@@ -74,6 +74,15 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: malformed input:")
 
+    @pytest.mark.parametrize("suffix", [".json", ".mpd"])
+    def test_input_not_utf8(self, tmp_path, capsys, suffix):
+        bad = tmp_path / f"binary{suffix}"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        code = cli.main(["plan", "--input", str(bad), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: malformed input:")
+
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -189,6 +198,40 @@ class TestExitCodes:
         capsys.readouterr()
         assert cli.main(["simulate", "--out", str(out)]) == cli.EXIT_MISSING_ARTIFACTS
         assert "transport_units.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,name,key", [
+        ("allocate", "project.json", "fleet"),
+        ("allocate", "schedule_partial.json", "team_sizes"),
+        ("simulate", "project.json", "params"),
+        ("simulate", "staging.json", "buffer_radius"),
+        ("simulate", "transport_units.json", "speed_limit"),
+        ("simulate", "schedule_complete.json", "team_sizes"),
+    ])
+    @pytest.mark.parametrize("damage", ["missing-key", "not-json", "not-utf8"])
+    def test_malformed_artifact(self, toy_input, tmp_path, capsys, command, name, key,
+                                damage):
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_OK
+        path = out / name
+        if damage == "not-json":
+            path.write_text("{bad")
+        elif damage == "not-utf8":
+            path.write_bytes(b"\xff\xfe{")
+        else:
+            doc = json.loads(path.read_text())
+            # transport_units.json maps each payload to its unit
+            del (next(iter(doc.values())) if name == "transport_units.json" else doc)[key]
+            path.write_text(json.dumps(doc))
+        for written in ("trace.csv", "allocation.json"):
+            (out / written).unlink(missing_ok=True)
+        capsys.readouterr()
+        assert cli.main([command, "--out", str(out)]) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: malformed artifact {name}: ")
+        if damage == "missing-key":
+            assert repr(key) in err[0]
+        assert not (out / "trace.csv").exists() and not (out / "allocation.json").exists()
 
     def test_allocate_without_plan(self, tmp_path):
         assert cli.main(["allocate", "--out", str(tmp_path / "empty")]) == \

@@ -90,14 +90,20 @@ class TestDispersion:
         assert f1[1] == 0.0  # fixed unit direction along x
 
     def test_field_radius(self):
-        assert sim.field_radius([0, 0], R, [], 0.625, 0.25) == 0.0
+        def field(active_at):
+            """Field radius of an inactive agent at the origin, with one
+            active agent at `active_at` or none."""
+            pos = np.array([[0.0, 0.0]] + ([active_at] if active_at else []))
+            active = np.arange(len(pos)) > 0
+            fields = sim.field_radius(_distances(pos), np.full(len(pos), R), active,
+                                      0.625, 0.25)
+            return fields[0]
+
+        assert field(None) == 0.0
         # overlapping active agent forces the max field
-        touching = [(np.array([0.1, 0.0]), R)]
-        assert sim.field_radius([0, 0], R, touching, 0.625, 0.25) == 0.625
-        far = [(np.array([10.0, 0.0]), R)]
+        assert field([0.1, 0.0]) == 0.625
         d = 10.0 - 2 * R
-        assert sim.field_radius([0, 0], R, far, 0.625, 0.25) == pytest.approx(
-            min(0.625, 0.25 / d))
+        assert field([10.0, 0.0]) == pytest.approx(min(0.625, 0.25 / d))
 
     def test_preferred_velocity_cap(self):
         v = sim.preferred_velocity([10.0, 0.0], [], 1.0, 1.0, 0.7)
@@ -220,6 +226,56 @@ def _same_bits(a, b) -> bool:
 
 
 DT, TAU = 0.05, 2.0
+
+
+def _distances(pos):
+    """Center distances as `sim._control` computes them."""
+    diff = pos[:, None] - pos
+    return np.sqrt(np.vecdot(diff, diff))
+
+
+def _near_bound(p_j, bound, ulps):
+    """Points on the horizontal through p_j whose distances to p_j, as
+    `_distances` computes them, are the floats around `bound`: x steps
+    through the `ulps` floats on either side of p_j[0] + bound."""
+    x = p_j[0] + bound
+    xs = [x]
+    for _ in range(ulps):
+        xs = [np.nextafter(xs[0], -np.inf)] + xs + [np.nextafter(xs[-1], np.inf)]
+    return [np.array([x, p_j[1]]) for x in xs]
+
+
+def _dispersion_scene(rng, scene, params):
+    """Agents (positions, radii, active, alpha, nominals, caps) for one scene:
+    n from 2 to 60, some scenes without active agents, some with coincident
+    agents, and some with inactive agents moved to within a few ulps of a
+    pair's cull bound or cone bound, on both sides of it."""
+    n = int(rng.integers(2, 61))
+    box = 0.5 + 0.25 * n * rng.uniform(0.3, 1.5)
+    pos = rng.uniform(-box, box, (n, 2))
+    rad = rng.choice([0.25, 0.25, 0.4, 0.9], n)
+    active = rng.random(n) < (0.0 if scene % 10 == 0 else 0.3)
+    alpha = rng.choice([0.0, 0.1, 0.5, 1.0, 0.03], n)
+    nominals = list(rng.normal(size=(n, 2)))
+    caps = list(rng.uniform(0.3, 1.5, n))
+    if scene % 5 == 1:
+        pos[1] = pos[0]  # coincident agents
+    if scene % 3 == 2:
+        fields = sim.field_radius(_distances(pos), rad, active, params.dispersion_r_max,
+                                  params.dispersion_c)
+        movers = [i for i in range(n) if not active[i] and alpha[i] != 0.0]
+        sources = [j for j in range(n) if fields[j] > 0 and j not in movers[:7]]
+        if movers and sources:
+            # an inactive agent's move changes no field radius but its own
+            j = sources[0]
+            for k, i in enumerate(movers[:7]):
+                bound = fields[j] + rad[i] + rad[j]
+                if scene % 2:
+                    bound = bound + sim.CULL_MARGIN
+                points = _near_bound(pos[j], bound, 3)
+                pos[i] = points[k % len(points)]
+    return pos, rad, active, alpha, nominals, caps
+
 
 
 def _orca_cases(rng):
@@ -408,6 +464,47 @@ class TestArrayKernels:
             assert _same_bits(got_v, want_v), case
         assert modes == {"move_toward_waypoint", "move_ccw_along_boundary", "exit_target",
                          "move_toward_right_hand_tangent_point"}
+
+    def test_dispersion_matches_agent_loop(self, params):
+        rng = np.random.default_rng(17)
+        r_max, c = params.dispersion_r_max, params.dispersion_c
+        delta = 1e-3 * 0.25
+        seen = {"no_active": 0, "coincident": 0, "overlap": 0, "clamp": 0, "partial": 0,
+                "culled": 0, "kept": 0, "at_bound_below": 0, "at_bound_above": 0}
+        for scene in range(240):
+            pos, rad, active, alpha, nominals, caps = _dispersion_scene(rng, scene, params)
+            dist = _distances(pos)
+            want_fields, want_prefs = oracles.scalar_dispersion(
+                pos, rad, active, alpha, nominals, caps, r_max, c, delta,
+                params.blend_a, params.blend_b)
+            fields = sim.field_radius(dist, rad, active, r_max, c)
+            assert _same_bits(fields, want_fields), scene
+            pushed = ~active & (alpha != 0.0)
+            prefs = sim._dispersed_velocities(pos, rad, dist, fields, pushed, nominals, caps,
+                                              delta, params.blend_a, params.blend_b)
+            assert len(prefs) == len(want_prefs)
+            for got, want in zip(prefs, want_prefs):
+                assert _same_bits(got, want), scene
+
+            # what the cull skips is exactly zero
+            reach = fields + rad[:, None] + rad + sim.CULL_MARGIN
+            pairs = pushed[:, None] & (fields > 0) & ~np.eye(len(rad), dtype=bool)
+            for i, j in zip(*np.nonzero(pairs & (dist >= reach))):
+                force = sim.dispersion_force(pos[i], pos[j], rad[i], rad[j], fields[j], delta)
+                assert not force.any(), (scene, i, j)
+            gap = np.abs(dist - reach) <= 4 * np.spacing(reach)
+            seen["at_bound_below"] += int((pairs & gap & (dist < reach)).sum())
+            seen["at_bound_above"] += int((pairs & gap & (dist >= reach)).sum())
+            seen["culled"] += int((pairs & (dist >= reach)).sum())
+            seen["kept"] += int((pairs & (dist < reach)).sum())
+            seen["no_active"] += not active.any()
+            seen["coincident"] += bool(np.any((dist == 0) & ~np.eye(len(rad), dtype=bool)))
+            if active.any():
+                least = np.min(dist[:, active] - (rad[active] + rad[:, None]), axis=1)
+                seen["overlap"] += int((~active & (least <= 0)).sum())
+                seen["clamp"] += int((~active & (least > 0) & (c / least >= r_max)).sum())
+                seen["partial"] += int((~active & (c / least < r_max)).sum())
+        assert all(seen.values()), seen
 
     def test_penetrations_match_pair_loop(self):
         rng = np.random.default_rng(13)
