@@ -8,6 +8,7 @@ solver branches over the chain edges feeding each pickup placeholder.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 import time as _time
@@ -17,8 +18,10 @@ import numpy as np
 
 from .model import RobotFleet
 from .schedule import (
+    CHAIN_KINDS,
     ScheduleGraph,
     ScheduleError,
+    chain_duration,
     evaluate_schedule,
     node_id,
     topological_order,
@@ -51,6 +54,9 @@ class AllocationResult:
     method: str
     status: str  # optimal | incumbent | infeasible
     added_edges: tuple[tuple[str, str], ...] = ()
+    # branch-and-bound only: the nodes it explored and the bound at its root
+    bnb_nodes: int | None = None
+    bnb_root_bound: float | None = None
 
 
 def earliest_arrival(
@@ -339,7 +345,18 @@ def solve_bnb(
 ) -> AllocationResult:
     """Depth-first branch-and-bound over chain edges into pickup
     placeholders; bounding by the forward pass that zeroes unassigned
-    travel. Warm start seeds the incumbent."""
+    travel. Warm start seeds the incumbent.
+
+    The forward pass runs once, on the partial graph. Choosing a chain edge
+    u -> v sets v's travel and recomputes the finish times of v and of the
+    descendants whose predecessors changed; backtracking puts back the
+    values they had. On a DAG the pass has one solution, and each finish
+    time is the same max of the same floats (all at least 0, so the order
+    of the max does not matter) plus the same duration, so every bound is
+    bit for bit `evaluate_schedule` of the partial graph with the chosen
+    edges. Cycle checks OR static descendant bitsets along the chosen edges.
+
+    The result carries the nodes explored and the root bound."""
     limits = limits or BnbLimits()
     g = milp.graph
     fleet = milp.fleet
@@ -347,10 +364,12 @@ def solve_bnb(
     for u, v in milp.variables:
         by_target.setdefault(v, []).append(u)
 
+    # the search works on node ranks in the partial graph's topological order
+    topo = topological_order(g)
+    rank = {nid: i for i, nid in enumerate(topo)}
+    sources = {rank[v]: [rank[u] for u in sorted(us)] for v, us in by_target.items()}
     # branch pickups in schedule order so bounds tighten early
-    order = [nid for nid in topological_order(g) if nid in by_target]
-    for v in order:
-        by_target[v].sort()
+    order = sorted(sources)
 
     best_edges: tuple[tuple[str, str], ...] | None = None
     best_makespan = math.inf
@@ -362,72 +381,126 @@ def solve_bnb(
     explored = 0
     hit_limit = False
 
-    _, succ_static = g.adjacency()
+    pred_ids, succ_ids = g.adjacency()
+    # chosen edges are appended to these lists and popped on backtrack
+    preds = [[rank[p] for p in pred_ids[nid]] for nid in topo]
+    succs = [[rank[w] for w in succ_ids[nid]] for nid in topo]
+    terminals = [rank[t] for t in g.terminal_nodes]
+    desc = [1 << i for i in range(len(topo))]  # static descendants and the node, as bits
+    for i in reversed(range(len(topo))):
+        for w in succs[i]:
+            desc[i] |= desc[w]
+    # the static chain predecessors of each node without a fixed duration
+    chains = {i: [p for p in pred_ids[nid] if g.nodes[p].kind in CHAIN_KINDS]
+              for i, nid in enumerate(topo) if g.nodes[nid].duration is None}
+    try:
+        _, tF, root_bound = evaluate_schedule(g, fleet, partial_ok=True)
+    except ScheduleError:  # no completion can be evaluated either
+        finish, root_bound = None, math.inf
+    else:
+        finish = [tF[nid] for nid in topo]
+        duration = [
+            chain_duration(g, nid, chains[i], fleet.v_max, partial_ok=True) if i in chains
+            else g.nodes[nid].duration for i, nid in enumerate(topo)]
+    chosen: list[tuple[int, int]] = []  # (pickup, chain source)
+    used: set[int] = set()
 
-    def reaches(edges: dict[str, str], src: str, dst: str) -> bool:
-        """Is dst reachable from src with the chosen edges added?"""
-        extra: dict[str, list[str]] = {}
-        for v, u in edges.items():
-            extra.setdefault(u, []).append(v)
-        stack, seen = [src], set()
-        while stack:
-            x = stack.pop()
-            if x == dst:
-                return True
-            if x in seen:
+    def choose(v: int, u: int) -> tuple[float, dict[int, float]] | None:
+        """Adds chain edge u -> v and updates the finish times. Returns v's
+        old duration and the old finish time of each node that changed, or
+        None if the graph with the edge cannot be evaluated."""
+        dur = g.nodes[topo[v]].duration
+        if dur is None:
+            chain = chains[v] + [topo[u]] if topo[u] not in chains[v] else chains[v]
+            try:
+                dur = chain_duration(g, topo[v], chain, fleet.v_max, partial_ok=True)
+            except ScheduleError:
+                return None
+        old, duration[v] = duration[v], dur
+        chosen.append((v, u))
+        used.add(u)
+        preds[v].append(u)
+        succs[u].append(v)
+        # ranks order every edge but the chosen ones, so few nodes repeat
+        saved: dict[int, float] = {}
+        heap, last = [v], -1
+        while heap:
+            w = heapq.heappop(heap)
+            if w == last:  # pushed twice while queued
                 continue
-            seen.add(x)
-            stack.extend(succ_static[x])
-            stack.extend(extra.get(x, []))
-        return False
+            last = w
+            t = max(map(finish.__getitem__, preds[w]), default=0.0) + duration[w]
+            if t == finish[w]:
+                continue
+            saved.setdefault(w, finish[w])
+            finish[w] = t
+            for x in succs[w]:
+                heapq.heappush(heap, x)
+        return old, saved
 
-    chosen: dict[str, str] = {}  # pickup node -> chain source
-    used: set[str] = set()
+    def unchoose(v: int, u: int, old: float, saved: dict[int, float]):
+        for w, t in saved.items():
+            finish[w] = t
+        duration[v] = old
+        chosen.pop()
+        used.discard(u)
+        preds[v].pop()
+        succs[u].pop()
 
-    def descend(idx: int):
-        nonlocal best_edges, best_makespan, explored, hit_limit
-        if hit_limit:
-            return
+    def reach(v: int) -> int:
+        """Bits of the nodes reachable from v with the chosen edges added."""
+        bits = desc[v]
+        grew = True
+        while grew:
+            grew = False
+            for b, a in chosen:
+                if bits >> a & 1 and not bits >> b & 1:
+                    bits |= desc[b]
+                    grew = True
+        return bits
+
+    def within_budget() -> bool:
+        nonlocal hit_limit
         if limits.max_nodes is not None and explored >= limits.max_nodes:
             hit_limit = True
-            return
         if limits.time_limit is not None and _time.monotonic() - t_start > limits.time_limit:
             hit_limit = True
-            return
+        return not hit_limit
+
+    def descend(idx: int, evaluable: bool):
+        """Explores a node within the budget: bounds it, then branches."""
+        nonlocal best_edges, best_makespan, explored
         explored += 1
-        edge_set = {(u, v) for v, u in chosen.items()}
-        partial = g.with_edges(edge_set)
-        try:
-            _, _, lb = evaluate_schedule(partial, fleet, partial_ok=True)
-        except ScheduleError:  # pragma: no cover - chosen edges stay acyclic
+        if not evaluable:  # pragma: no cover - a built partial graph takes any chain edge
             return
+        lb = max(finish[t] for t in terminals)
         if lb >= best_makespan:
             return
         if idx == len(order):
             best_makespan = lb
-            best_edges = tuple(sorted(edge_set))
+            best_edges = tuple(sorted((topo[u], topo[v]) for v, u in chosen))
             return
         v = order[idx]
-        candidates = []
-        for u in by_target[v]:
-            if u in used or reaches(chosen, v, u):
-                continue
-            candidates.append(u)
+        reachable = reach(v)
+        candidates = [u for u in sources[v] if u not in used and not reachable >> u & 1]
         for u in candidates:
-            chosen[v] = u
-            used.add(u)
-            descend(idx + 1)
-            del chosen[v]
-            used.discard(u)
+            if not within_budget():
+                return
+            undo = choose(v, u)
+            descend(idx + 1, undo is not None)
+            if undo is not None:
+                unchoose(v, u, *undo)
 
-    descend(0)
+    if within_budget():
+        descend(0, finish is not None)
 
+    stats = {"bnb_nodes": explored, "bnb_root_bound": root_bound}
     if best_edges is None:
-        return AllocationResult(g, math.inf, "bnb", "infeasible", ())
+        return AllocationResult(g, math.inf, "bnb", "infeasible", (), **stats)
     complete = g.with_edges(set(best_edges))
     _, _, makespan = evaluate_schedule(complete, fleet)
     status = "incumbent" if hit_limit else "optimal"
-    return AllocationResult(complete, makespan, "bnb", status, tuple(best_edges))
+    return AllocationResult(complete, makespan, "bnb", status, tuple(best_edges), **stats)
 
 
 def allocation_to_jsonable(result: AllocationResult, fleet: RobotFleet) -> dict:

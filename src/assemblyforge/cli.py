@@ -200,12 +200,18 @@ def cmd_allocate(args) -> int:
     doc = allocation.allocation_to_jsonable(result, fleet)
     _write(out, "schedule_complete.json",
            _json_text(schedule.schedule_to_jsonable(result.graph)))
-    _write(out, "allocation_metrics.json", _json_text({
+    metrics = {
         "method": result.method,
         "status": result.status,
         "predicted_makespan": result.makespan,
         "runtime_s": runtime,
-    }))
+    }
+    if args.method == "bnb":
+        bound = result.bnb_root_bound
+        proven = result.status == "optimal" or result.makespan <= bound
+        metrics.update(bnb_nodes=result.bnb_nodes, bnb_root_bound=bound,
+                       bnb_gap=0.0 if proven else (result.makespan - bound) / result.makespan)
+    _write(out, "allocation_metrics.json", _json_text(metrics))
     _write(out, "allocation.json", _json_text(doc))
     log.info("allocate[%s]: makespan %.3f (%s), %.3fs",
              result.method, result.makespan, result.status, runtime)
@@ -264,28 +270,47 @@ REPORT_COLUMNS = ["run", "robots", "preprocessing_s", "predicted_makespan",
                   "execution_makespan", "runtime_s"]
 
 
+def _run_record(doc) -> dict:
+    """A document that `report` reads: a JSON object whose `runtime_s` and
+    `robots`, where it has them, are a number and a whole number."""
+    if not isinstance(doc, dict):
+        raise model.ArtifactError("not a JSON object")
+    for key, kinds in (("runtime_s", (int, float)), ("robots", int)):
+        value = doc.get(key, 0)
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            raise model.ArtifactError(f"{key} has the wrong type: {value!r}")
+    return doc
+
+
+def _report_row(d: Path) -> dict:
+    """The report row of the run whose artifacts are in `d`."""
+    m = _read_artifact(d / "metrics.json", _run_record)
+    prep = 0.0
+    for extra in ("staging.json", "allocation_metrics.json"):
+        f = d / extra
+        if f.is_file():
+            prep += _read_artifact(f, _run_record).get("runtime_s", 0.0)
+    return {
+        "run": d.name,
+        "robots": m.get("robots", ""),
+        "preprocessing_s": round(prep, 3),
+        "predicted_makespan": m.get("predicted_makespan", ""),
+        "execution_makespan": m.get("execution_makespan", ""),
+        "runtime_s": round(m.get("runtime_s", 0.0), 3),
+    }
+
+
 def cmd_report(args) -> int:
     out = Path(args.out)
     rows = []
     candidates = [out] + sorted(p for p in out.glob("*") if p.is_dir()) if out.is_dir() else []
-    for d in candidates:
-        mfile = d / "metrics.json"
-        if not mfile.is_file():
-            continue
-        m = json.loads(mfile.read_text())
-        prep = 0.0
-        for extra in ("staging.json", "allocation_metrics.json"):
-            f = d / extra
-            if f.is_file():
-                prep += json.loads(f.read_text()).get("runtime_s", 0.0)
-        rows.append({
-            "run": d.name,
-            "robots": m.get("robots", ""),
-            "preprocessing_s": round(prep, 3),
-            "predicted_makespan": m.get("predicted_makespan", ""),
-            "execution_makespan": m.get("execution_makespan", ""),
-            "runtime_s": round(m.get("runtime_s", 0.0), 3),
-        })
+    try:
+        for d in candidates:
+            if (d / "metrics.json").is_file():
+                rows.append(_report_row(d))
+    except model.ArtifactError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     rows.sort(key=lambda r: (r["robots"] if r["robots"] != "" else -1, r["run"]))
     print(",".join(REPORT_COLUMNS))
     for row in rows:

@@ -397,6 +397,28 @@ def validate_schedule(graph: ScheduleGraph, mode: str = "complete") -> list[Sche
 # -- evaluation --------------------------------------------------------------
 
 
+CHAIN_KINDS = ("RobotStart", "RobotGo")  # the kinds a pickup's chain predecessor has
+
+
+def chain_duration(graph: ScheduleGraph, nid: str, chain: list[str], v_max: float,
+                   partial_ok: bool = False) -> float:
+    """Duration of node `nid`, which has no fixed one, given its chain
+    predecessors `chain`: a pickup RobotGo travels unladen from the one
+    predecessor's origin to its destination. With partial_ok, a pickup
+    without a chain predecessor takes 0.0."""
+    node = graph.nodes[nid]
+    if node.kind != "RobotGo" or node.role != "pickup":
+        raise ScheduleError(f"node {nid} has no duration")
+    if len(chain) != 1:
+        if partial_ok and not chain:
+            return 0.0
+        raise ScheduleError(f"pickup RobotGo {nid} needs exactly one chain predecessor")
+    origin = graph.nodes[chain[0]].origin
+    if origin is None or node.destination is None:
+        raise ScheduleError(f"missing pose data on chain into {nid}")
+    return travel_time(origin, node.destination, v_max)
+
+
 def evaluate_schedule(
     graph: ScheduleGraph, fleet: RobotFleet, partial_ok: bool = False
 ) -> tuple[dict[str, float], dict[str, float], float]:
@@ -411,25 +433,11 @@ def evaluate_schedule(
     t0: dict[str, float] = {}
     tF: dict[str, float] = {}
     for nid in order:
-        node = graph.nodes[nid]
         start = max((tF[p] for p in pred[nid]), default=0.0)
-        dur = node.duration
+        dur = graph.nodes[nid].duration
         if dur is None:
-            if node.kind != "RobotGo" or node.role != "pickup":
-                raise ScheduleError(f"node {nid} has no duration")
-            chain = [p for p in pred[nid]
-                     if graph.nodes[p].kind in ("RobotStart", "RobotGo")]
-            if len(chain) != 1:
-                if partial_ok and not chain:
-                    dur = 0.0
-                else:
-                    raise ScheduleError(
-                        f"pickup RobotGo {nid} needs exactly one chain predecessor")
-            else:
-                origin = graph.nodes[chain[0]].origin
-                if origin is None or node.destination is None:
-                    raise ScheduleError(f"missing pose data on chain into {nid}")
-                dur = travel_time(origin, node.destination, fleet.v_max)
+            chain = [p for p in pred[nid] if graph.nodes[p].kind in CHAIN_KINDS]
+            dur = chain_duration(graph, nid, chain, fleet.v_max, partial_ok)
         t0[nid] = start
         tF[nid] = start + dur
     makespan = max(tF[t] for t in graph.terminal_nodes)

@@ -59,15 +59,6 @@ class Circles(NamedTuple):
     radii: np.ndarray
 
 
-def _as_circles(obstacles) -> Circles:
-    """`obstacles` as `Circles`; a sequence of (center, radius) is converted."""
-    if isinstance(obstacles, Circles):
-        return obstacles
-    obstacles = list(obstacles)
-    return Circles(np.array([c for c, _ in obstacles], float).reshape(-1, 2),
-                   np.array([r for _, r in obstacles], float))
-
-
 def _ray_circle_hits(pos, goal, centers, radii) -> np.ndarray:
     """The earliest parameter t in [0, 1] where segment pos->goal enters
     each circle, or inf where it does not.
@@ -88,17 +79,16 @@ def _ray_circle_hits(pos, goal, centers, radii) -> np.ndarray:
     return np.where(hit, np.where(0.0 > t1, 0.0, t1), np.inf)
 
 
-def tangent_bug_step(pos, goal, obstacles, planning_radius: float, eps_b: float,
+def tangent_bug_step(pos, goal, obstacles: Circles, planning_radius: float, eps_b: float,
                      hits=None):
     """One evaluation of the switching controller.
 
-    `obstacles` are circles already inflated by the agent radius, as
-    `Circles` or (center, radius) pairs; `hits`, if given, is what
-    `_ray_circle_hits` returns for pos->goal and them. Returns (waypoint,
-    mode)."""
+    `obstacles` are `Circles` already inflated by the agent radius; `hits`,
+    if given, is what `_ray_circle_hits` returns for pos->goal and them.
+    Returns (waypoint, mode)."""
     pos = np.asarray(pos, float)
     goal = np.asarray(goal, float)
-    centers, radii = _as_circles(obstacles)
+    centers, radii = obstacles
     ts = _ray_circle_hits(pos, goal, centers, radii) if hits is None else hits
     k = int(np.argmin(ts)) if len(ts) else None  # the first of equal minima
     if k is None or ts[k] == np.inf:
@@ -138,13 +128,13 @@ def tangent_bug_step(pos, goal, obstacles, planning_radius: float, eps_b: float,
     return tangent_pt, "move_toward_right_hand_tangent_point"
 
 
-def nominal_velocity(pos, goal, obstacles, speed: float, dt: float,
+def nominal_velocity(pos, goal, obstacles: Circles, speed: float, dt: float,
                      planning_radius: float, eps_b: float, hits=None):
     waypoint, mode = tangent_bug_step(pos, goal, obstacles, planning_radius, eps_b, hits)
     pos = np.asarray(pos, float)
     if mode == "move_ccw_along_boundary":
         # target circle is the one whose boundary we sit on
-        centers, radii = _as_circles(obstacles)
+        centers, radii = obstacles
         off = pos - centers
         center = centers[np.argmin(np.abs(np.sqrt(np.vecdot(off, off)) - radii))]
         n = pos - center

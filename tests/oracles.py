@@ -6,10 +6,12 @@ search instead of Welzl, a general-purpose QP solver instead of isotonic
 regression, exhaustive enumeration instead of greedy/branch-and-bound, and
 a from-scratch LP-format reader instead of the exporter's own structures.
 
-The schedule validator and the planning and simulator kernels at the end are
-the exception: they are the code the package replaced (per-kind branches
-before the neighbourhood table, scalar loops before the array code), kept as
-written so that tests can require equal results from the new code.
+The schedule validator, the branch-and-bound and the planning and simulator
+kernels at the end are the exception: they are the code the package replaced
+(per-kind branches before the neighbourhood table, a graph rebuilt per
+explored node before the incremental bound, scalar loops before the array
+code), kept as written so that tests can require equal results from the new
+code.
 """
 
 from __future__ import annotations
@@ -18,14 +20,17 @@ import itertools
 import math
 import random
 import re
+import time as _time
 
 import numpy as np
 import scipy.optimize
 
-from assemblyforge.allocation import AllocationError, AllocationResult, RobotState
+from assemblyforge.allocation import (
+    AllocationError, AllocationResult, BnbLimits, RobotState, ScheduleMilp,
+)
 from assemblyforge.schedule import (
     CHECKPOINT_KINDS, ScheduleError, ScheduleGraph, ScheduleNode, ScheduleViolation,
-    evaluate_schedule, is_acyclic, validate_schedule,
+    evaluate_schedule, is_acyclic, topological_order, validate_schedule,
 )
 from assemblyforge.sim import ORCA_SAFETY_FACTOR, _length, _lp1, dispersion_force, preferred_velocity
 from assemblyforge.transport import CARRY_RESTARTS, TransportConfigError
@@ -376,6 +381,43 @@ def parse_lp(text: str) -> dict:
     }
 
 
+def highs_optimum(text: str) -> float:
+    """Optimal objective of an exported LP model, solved by HiGHS through
+    `scipy.optimize.milp`: binaries are integers in [0, 1], every other
+    variable is continuous with the lower bounds of the Bounds section
+    (0 by default) and no upper bound."""
+    lp = parse_lp(text)
+    names = sorted(lp["variables"])
+    col = {v: i for i, v in enumerate(names)}
+    lower = np.zeros(len(names))
+    upper = np.array([1.0 if v in lp["binaries"] else np.inf for v in names])
+    for line in lp["bounds"]:
+        m = re.fullmatch(r"(\w+)\s*>=\s*(\S+)", line)
+        if not m:
+            raise LpParseError(f"unsupported bound {line!r}")
+        lower[col[m.group(1)]] = float(m.group(2))
+    cost = np.zeros(len(names))
+    for v, coef in lp["objective"].items():
+        cost[col[v]] = coef
+    rows = np.zeros((len(lp["constraints"]), len(names)))
+    row_lo = np.full(len(rows), -np.inf)
+    row_hi = np.full(len(rows), np.inf)
+    for r, (_, coefs, op, rhs) in enumerate(lp["constraints"]):
+        for v, coef in coefs.items():
+            rows[r, col[v]] = coef
+        if op in (">=", "="):
+            row_lo[r] = rhs
+        if op in ("<=", "="):
+            row_hi[r] = rhs
+    res = scipy.optimize.milp(
+        cost, integrality=np.array([v in lp["binaries"] for v in names], int),
+        bounds=scipy.optimize.Bounds(lower, upper),
+        constraints=scipy.optimize.LinearConstraint(rows, row_lo, row_hi))
+    if not res.success:
+        raise ValueError(f"HiGHS found no optimum: {res.message}")
+    return float(res.fun)
+
+
 # -- schedule validation by per-kind branches ---------------------------------
 
 
@@ -716,6 +758,108 @@ def greedy_reference(graph, fleet) -> AllocationResult:
         raise AllocationError(f"greedy produced an invalid schedule: {violations[:3]}")
     _, _, makespan = evaluate_schedule(complete, fleet)
     return AllocationResult(complete, makespan, "greedy", "incumbent", tuple(added))
+
+
+def solve_bnb_reference(
+    milp: ScheduleMilp,
+    incumbent: AllocationResult | None = None,
+    limits: BnbLimits | None = None,
+) -> AllocationResult:
+    """`allocation.solve_bnb` before its incremental bound: every explored
+    node builds the graph with the chosen edges and reruns the forward pass,
+    and every cycle check walks the graph.
+
+    Depth-first branch-and-bound over chain edges into pickup
+    placeholders; bounding by the forward pass that zeroes unassigned
+    travel. Warm start seeds the incumbent."""
+    limits = limits or BnbLimits()
+    g = milp.graph
+    fleet = milp.fleet
+    by_target: dict[str, list[str]] = {}
+    for u, v in milp.variables:
+        by_target.setdefault(v, []).append(u)
+
+    # branch pickups in schedule order so bounds tighten early
+    order = [nid for nid in topological_order(g) if nid in by_target]
+    for v in order:
+        by_target[v].sort()
+
+    best_edges: tuple[tuple[str, str], ...] | None = None
+    best_makespan = math.inf
+    if incumbent is not None and incumbent.status != "infeasible":
+        best_edges = incumbent.added_edges
+        best_makespan = incumbent.makespan
+
+    t_start = _time.monotonic()
+    explored = 0
+    hit_limit = False
+
+    _, succ_static = g.adjacency()
+
+    def reaches(edges: dict[str, str], src: str, dst: str) -> bool:
+        """Is dst reachable from src with the chosen edges added?"""
+        extra: dict[str, list[str]] = {}
+        for v, u in edges.items():
+            extra.setdefault(u, []).append(v)
+        stack, seen = [src], set()
+        while stack:
+            x = stack.pop()
+            if x == dst:
+                return True
+            if x in seen:
+                continue
+            seen.add(x)
+            stack.extend(succ_static[x])
+            stack.extend(extra.get(x, []))
+        return False
+
+    chosen: dict[str, str] = {}  # pickup node -> chain source
+    used: set[str] = set()
+
+    def descend(idx: int):
+        nonlocal best_edges, best_makespan, explored, hit_limit
+        if hit_limit:
+            return
+        if limits.max_nodes is not None and explored >= limits.max_nodes:
+            hit_limit = True
+            return
+        if limits.time_limit is not None and _time.monotonic() - t_start > limits.time_limit:
+            hit_limit = True
+            return
+        explored += 1
+        edge_set = {(u, v) for v, u in chosen.items()}
+        partial = g.with_edges(edge_set)
+        try:
+            _, _, lb = evaluate_schedule(partial, fleet, partial_ok=True)
+        except ScheduleError:  # pragma: no cover - chosen edges stay acyclic
+            return
+        if lb >= best_makespan:
+            return
+        if idx == len(order):
+            best_makespan = lb
+            best_edges = tuple(sorted(edge_set))
+            return
+        v = order[idx]
+        candidates = []
+        for u in by_target[v]:
+            if u in used or reaches(chosen, v, u):
+                continue
+            candidates.append(u)
+        for u in candidates:
+            chosen[v] = u
+            used.add(u)
+            descend(idx + 1)
+            del chosen[v]
+            used.discard(u)
+
+    descend(0)
+
+    if best_edges is None:
+        return AllocationResult(g, math.inf, "bnb", "infeasible", ())
+    complete = g.with_edges(set(best_edges))
+    _, _, makespan = evaluate_schedule(complete, fleet)
+    status = "incumbent" if hit_limit else "optimal"
+    return AllocationResult(complete, makespan, "bnb", status, tuple(best_edges))
 
 
 # -- scalar simulator kernels (bitwise references) ----------------------------

@@ -220,6 +220,24 @@ def test_bnb_equals_exhaustive_and_beats_greedy(pipeline, params, toy_spec,
     assert time.perf_counter() - t_start < 60.0
 
 
+def test_bnb_matches_highs(params):
+    """HiGHS, solving the exported model, reaches B&B's optimum on the tiny
+    instances above (to 1e-6: the LP text rounds coefficients to 9 digits)."""
+    for spec, robots in [
+        (projects.toy_project(), 2),
+        (projects.toy_project(), 3),
+        (_tiny_project(3), 2),
+        (_tiny_project(3, phases=3), 2),
+        (_tiny_project(4), 4),
+    ]:
+        fleet, graph = _build_stage(spec, robots, params)
+        milp = allocation.build_milp(graph, fleet)
+        result = allocation.solve_bnb(milp)
+        assert result.status == "optimal"
+        assert oracles.highs_optimum(allocation.export_lp(milp)) == pytest.approx(
+            result.makespan, abs=1e-6)
+
+
 # -- 7. greedy predicted makespan trend ---------------------------------------
 
 

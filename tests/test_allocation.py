@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -190,6 +191,46 @@ class TestBranchAndBound:
         result = allocation.solve_bnb(milp, limits=BnbLimits(max_nodes=0))
         assert result.status == "infeasible"
         assert result.makespan == math.inf
+
+
+# (name, robots, node caps); None runs the search to the end
+REFERENCE_RUNS = [("toy", 2, [None]), ("toy", 3, [None])] + [
+    (name, robots, [1, 2, 3, 7, 50, 200])
+    for name, robots in [("tractor", 5), ("tractor", 10), ("tractor", 15),
+                         ("synthetic", 8), ("synthetic-1", 8)]]
+
+
+@pytest.mark.parametrize("name,robots,caps", REFERENCE_RUNS,
+                         ids=[f"{n}-{r}" for n, r, _ in REFERENCE_RUNS])
+def test_bnb_equals_reference(pipeline, toy_spec, tractor_spec, synthetic_spec,
+                              monkeypatch, name, robots, caps):
+    """The incremental bound explores the nodes the rebuilt-graph search
+    explores and returns its schedule; several node caps pin the prefix of
+    the search, not only its end."""
+    spec = {"toy": toy_spec, "tractor": tractor_spec, "synthetic": synthetic_spec,
+            "synthetic-1": projects.synthetic_project(1)}[name]
+    data = pipeline(spec, name, robots)
+    milp = allocation.build_milp(data["graph"], data["fleet"])
+    _, _, root_bound = schedule.evaluate_schedule(data["graph"], data["fleet"], partial_ok=True)
+    evaluations = []  # the reference evaluates each explored node, then the result
+
+    def counted_evaluate(*args, **kwargs):
+        evaluations.append(args)
+        return schedule.evaluate_schedule(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "evaluate_schedule", counted_evaluate)
+    for cap in caps:
+        limits = BnbLimits(max_nodes=cap)
+        got = allocation.solve_bnb(milp, incumbent=data["greedy"], limits=limits)
+        evaluations.clear()
+        want = oracles.solve_bnb_reference(milp, incumbent=data["greedy"], limits=limits)
+        assert got.added_edges == want.added_edges, cap
+        assert got.makespan == want.makespan, cap
+        assert got.status == want.status, cap
+        assert got.bnb_nodes == len(evaluations) - 1, cap
+        assert got.bnb_root_bound == root_bound
+        assert (json.dumps(schedule.schedule_to_jsonable(got.graph), sort_keys=True)
+                == json.dumps(schedule.schedule_to_jsonable(want.graph), sort_keys=True)), cap
 
 
 def test_allocation_jsonable(pipeline, toy_spec):

@@ -233,6 +233,27 @@ class TestExitCodes:
             assert repr(key) in err[0]
         assert not (out / "trace.csv").exists() and not (out / "allocation.json").exists()
 
+    @pytest.mark.parametrize("name", ["metrics.json", "staging.json",
+                                      "allocation_metrics.json"])
+    @pytest.mark.parametrize("damage", ["not-json", "not-utf8", "list", "text-runtime",
+                                        "text-robots"])
+    def test_report_malformed_artifact(self, tmp_path, capsys, name, damage):
+        run = tmp_path / "run1"
+        run.mkdir()
+        for written in ("metrics.json", "staging.json", "allocation_metrics.json"):
+            (run / written).write_text(json.dumps({"robots": 2, "runtime_s": 1.5}))
+        capsys.readouterr()
+        assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == "run1,2,3.0,,,1.5"
+        damaged = {"not-json": b"{bad", "not-utf8": b"\xff\xfe{", "list": b"[1, 2]",
+                   "text-runtime": b'{"runtime_s": "1.5"}', "text-robots": b'{"robots": "2"}'}[damage]
+        (run / name).write_bytes(damaged)
+        assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: malformed artifact {name}: ")
+        assert captured.out == ""
+
     def test_allocate_without_plan(self, tmp_path):
         assert cli.main(["allocate", "--out", str(tmp_path / "empty")]) == \
             cli.EXIT_MISSING_ARTIFACTS
@@ -295,6 +316,25 @@ class TestFullChain:
         bnb = json.loads((out / "allocation_metrics.json").read_text())
         assert bnb["method"] == "bnb"
         assert bnb["predicted_makespan"] <= greedy["predicted_makespan"] + 1e-9
+
+    def test_bnb_reports_its_search(self, toy_input, tmp_path):
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_OK
+        assert "bnb_nodes" not in json.loads((out / "allocation_metrics.json").read_text())
+        for max_nodes in ("1", "200000"):
+            assert cli.main(["allocate", "--out", str(out), "--method", "bnb",
+                             "--max-nodes", max_nodes]) == cli.EXIT_OK
+            doc = json.loads((out / "allocation_metrics.json").read_text())
+            root = doc["bnb_root_bound"]
+            assert 0 < root <= doc["predicted_makespan"]
+            if max_nodes == "1":
+                assert (doc["status"], doc["bnb_nodes"]) == ("incumbent", 1)
+                assert doc["bnb_gap"] == (doc["predicted_makespan"] - root) / doc["predicted_makespan"]
+                assert doc["bnb_gap"] > 0
+            else:
+                assert doc["status"] == "optimal" and doc["bnb_nodes"] > 1
+                assert doc["bnb_gap"] == 0.0
 
     def test_export_lp(self, toy_input, tmp_path):
         out = tmp_path / "out"

@@ -11,56 +11,52 @@ from . import oracles
 R = 0.25
 EPS = 0.02
 PLAN_R = 2.0
+NO_CIRCLES = sim.Circles(np.zeros((0, 2)), np.zeros(0))
+UNIT_AT_5 = sim.Circles(np.array([[5.0, 0.0]]), np.array([1.0]))  # center (5, 0), radius 1
 
 
 class TestTangentBug:
     def test_free_path_goes_to_goal(self):
-        wp, mode = sim.tangent_bug_step([0, 0], [10, 0], [], PLAN_R, EPS)
+        wp, mode = sim.tangent_bug_step([0, 0], [10, 0], NO_CIRCLES, PLAN_R, EPS)
         assert mode == "move_toward_waypoint"
         assert np.allclose(wp, [10, 0])
 
     def test_distant_obstacle_keeps_waypoint_mode(self):
-        obstacles = [(np.array([5.0, 0.0]), 1.0)]
-        wp, mode = sim.tangent_bug_step([0, 0], [10, 0], obstacles, PLAN_R, EPS)
+        wp, mode = sim.tangent_bug_step([0, 0], [10, 0], UNIT_AT_5, PLAN_R, EPS)
         assert mode == "move_toward_waypoint"
         assert wp[0] == pytest.approx(4.0, abs=1e-9)  # circle entry point
 
     def test_near_obstacle_switches_to_tangent(self):
-        obstacles = [(np.array([5.0, 0.0]), 1.0)]
-        wp, mode = sim.tangent_bug_step([3.5, 0], [10, 0], obstacles, PLAN_R, EPS)
+        wp, mode = sim.tangent_bug_step([3.5, 0], [10, 0], UNIT_AT_5, PLAN_R, EPS)
         assert mode == "move_toward_right_hand_tangent_point"
         assert wp[1] < 0  # right-hand side
 
     def test_on_boundary_follows_ccw(self):
-        obstacles = [(np.array([5.0, 0.0]), 1.0)]
-        _, mode = sim.tangent_bug_step([4.0, 0], [10, 0], obstacles, PLAN_R, EPS)
+        _, mode = sim.tangent_bug_step([4.0, 0], [10, 0], UNIT_AT_5, PLAN_R, EPS)
         assert mode == "move_ccw_along_boundary"
 
     def test_inside_obstacle_exits_radially(self):
-        obstacles = [(np.array([5.0, 0.0]), 1.0)]
-        wp, mode = sim.tangent_bug_step([4.5, 0], [10, 0], obstacles, PLAN_R, EPS)
+        wp, mode = sim.tangent_bug_step([4.5, 0], [10, 0], UNIT_AT_5, PLAN_R, EPS)
         assert mode == "exit_target"
         assert np.allclose(wp, [4.0, 0.0])
 
     def test_blocked_tangent_falls_back_to_waypoint(self):
-        obstacles = [(np.array([5.0, 0.0]), 1.0),
-                     (np.array([3.6, -0.6]), 0.5)]
+        obstacles = sim.Circles(np.array([[5.0, 0.0], [3.6, -0.6]]), np.array([1.0, 0.5]))
         _, mode = sim.tangent_bug_step([2.5, 0], [10, 0], obstacles, PLAN_R, EPS)
         assert mode == "move_toward_waypoint"
 
 
 class TestNominalVelocity:
     def test_no_overshoot_near_goal(self):
-        v, _ = sim.nominal_velocity([0, 0], [0.01, 0], [], 1.0, 0.05, PLAN_R, EPS)
+        v, _ = sim.nominal_velocity([0, 0], [0.01, 0], NO_CIRCLES, 1.0, 0.05, PLAN_R, EPS)
         assert np.linalg.norm(v) == pytest.approx(0.2)
 
     def test_zero_at_goal(self):
-        v, _ = sim.nominal_velocity([1, 1], [1, 1], [], 1.0, 0.05, PLAN_R, EPS)
+        v, _ = sim.nominal_velocity([1, 1], [1, 1], NO_CIRCLES, 1.0, 0.05, PLAN_R, EPS)
         assert np.allclose(v, 0)
 
     def test_ccw_velocity_is_tangential(self):
-        obstacles = [(np.array([5.0, 0.0]), 1.0)]
-        v, mode = sim.nominal_velocity([4.0, 0], [10, 0], obstacles, 1.0, 0.05,
+        v, mode = sim.nominal_velocity([4.0, 0], [10, 0], UNIT_AT_5, 1.0, 0.05,
                                        PLAN_R, EPS)
         assert mode == "move_ccw_along_boundary"
         assert np.allclose(v, [0, -1])  # circle center stays on the left
@@ -452,7 +448,7 @@ class TestArrayKernels:
                                                                  PLAN_R, EPS)
             circles = sim.Circles(centers, radii)
             for got_wp, got_mode in (
-                    sim.tangent_bug_step(pos, goal, obstacles, PLAN_R, EPS),
+                    sim.tangent_bug_step(pos, goal, circles, PLAN_R, EPS),
                     sim.tangent_bug_step(pos, goal, circles, PLAN_R, EPS,
                                          sim._ray_circle_hits(pos, goal, centers, radii))):
                 assert got_mode == want_mode, case
