@@ -13,6 +13,7 @@ import math
 import re
 import time as _time
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .schedule import (
     evaluate_schedule,
     node_id,
     topological_order,
-    travel_time,
     upstream,
     validate_schedule,
 )
@@ -219,7 +219,7 @@ class ScheduleMilp:
     graph: ScheduleGraph
     fleet: RobotFleet
     variables: tuple[tuple[str, str], ...]  # candidate assignment edges (u, v)
-    cond_duration: dict[tuple[str, str], float]  # pickup travel if edge chosen
+    durations: list[float]  # pickup travel of variables[i] if it is chosen
     big_m: float
     terminal_nodes: tuple[str, ...]
 
@@ -241,14 +241,24 @@ def _candidate_edges(graph: ScheduleGraph) -> list[tuple[str, str]]:
 
 def build_milp(graph: ScheduleGraph, fleet: RobotFleet) -> ScheduleMilp:
     variables = _candidate_edges(graph)
-    cond = {(u, v): travel_time(graph.nodes[u].origin, graph.nodes[v].destination, fleet.v_max)
-            for u, v in variables}
+    # the origin of each distinct source and the destination of each
+    # distinct target, gathered per edge: every edge's travel_time in one
+    # pass, bit for bit
+    src = {u: i for i, u in enumerate(dict.fromkeys(u for u, _ in variables))}
+    tgt = {v: i for i, v in enumerate(dict.fromkeys(v for _, v in variables))}
+    origin = np.array([graph.nodes[u].origin for u in src], float).reshape(-1, 2)
+    dest = np.array([graph.nodes[v].destination for v in tgt], float).reshape(-1, 2)
+    rows = np.array([src[u] for u, _ in variables], np.intp)
+    cols = np.array([tgt[v] for _, v in variables], np.intp)
+    delta = dest[cols] - origin[rows]
+    durations = np.hypot(delta[:, 0], delta[:, 1]) / fleet.v_max
+    # the longest pickup into each target, in first-seen target order, added
+    # left to right as the scalar loop added them
+    longest = np.zeros(len(tgt))
+    np.maximum.at(longest, cols, durations)
     fixed = sum(n.duration or 0.0 for n in graph.nodes.values())
-    by_target: dict[str, float] = {}
-    for (u, v), d in cond.items():
-        by_target[v] = max(by_target.get(v, 0.0), d)
-    big_m = fixed + sum(by_target.values()) + 1.0
-    return ScheduleMilp(graph, fleet, tuple(variables), cond, big_m,
+    big_m = fixed + sum(longest.tolist()) + 1.0
+    return ScheduleMilp(graph, fleet, tuple(variables), durations.tolist(), big_m,
                         graph.terminal_nodes)
 
 
@@ -263,70 +273,65 @@ def _lp_name(raw: str, taken: dict[str, str]) -> str:
     return name
 
 
-def export_lp(milp: ScheduleMilp) -> str:
-    """CPLEX-LP text for the model: edge binaries, node start/finish times,
-    big-M precedence and conditional-duration rows."""
+def _lp_constraints(milp: ScheduleMilp, node_name: dict[str, str]):
+    """The expression of every constraint row, in row order; `export_lp`
+    numbers them."""
     g = milp.graph
-    taken: dict[str, str] = {}
-    node_name = {nid: _lp_name(nid, taken) for nid in sorted(g.nodes)}
-    var_name = {
-        (u, v): f"X_{node_name[u]}__{node_name[v]}" for u, v in milp.variables
-    }
-    M = milp.big_m
-
-    lines = ["\\ sparse adjacency assignment model", "Minimize"]
-    obj = " + ".join(f"tF_{node_name[t]}" for t in milp.terminal_nodes)
-    lines.append(f" obj: {obj}")
-    lines.append("Subject To")
-    row = 0
-
-    def emit(expr: str):
-        nonlocal row
-        row += 1
-        lines.append(f" c{row}: {expr}")
-
     # durations (fixed) and precedence over existing edges
     for nid in sorted(g.nodes):
         node = g.nodes[nid]
         if node.duration is not None:
-            emit(f"tF_{node_name[nid]} - t0_{node_name[nid]} >= {node.duration:.9g}")
+            yield f"tF_{node_name[nid]} - t0_{node_name[nid]} >= {node.duration:.9g}"
         else:
-            emit(f"tF_{node_name[nid]} - t0_{node_name[nid]} >= 0")
+            yield f"tF_{node_name[nid]} - t0_{node_name[nid]} >= 0"
     for u, v in sorted(g.edges):
-        emit(f"t0_{node_name[v]} - tF_{node_name[u]} >= 0")
+        yield f"t0_{node_name[v]} - tF_{node_name[u]} >= 0"
 
     # degree rows over candidate variables
-    in_vars: dict[str, list[tuple[str, str]]] = {}
-    out_vars: dict[str, list[tuple[str, str]]] = {}
+    in_vars: dict[str, list[str]] = {}
+    out_vars: dict[str, list[str]] = {}
     for u, v in milp.variables:
-        in_vars.setdefault(v, []).append((u, v))
-        out_vars.setdefault(u, []).append((u, v))
+        in_vars.setdefault(v, []).append(u)
+        out_vars.setdefault(u, []).append(v)
     for v in sorted(in_vars):
-        terms = " + ".join(var_name[e] for e in in_vars[v])
-        emit(f"{terms} >= 1")
-        emit(f"{terms} <= 1")
+        nv = node_name[v]
+        terms = " + ".join(f"X_{node_name[u]}__{nv}" for u in in_vars[v])
+        yield f"{terms} >= 1"
+        yield f"{terms} <= 1"
     for u in sorted(out_vars):
-        terms = " + ".join(var_name[e] for e in out_vars[u])
-        emit(f"{terms} <= 1")
+        nu = node_name[u]
+        yield " + ".join(f"X_{nu}__{node_name[v]}" for v in out_vars[u]) + " <= 1"
 
     # big-M precedence and conditional durations for candidate edges:
     # t0_v - tF_u >= -M (1 - X)  and  tF_v - t0_v >= d (activated when X = 1)
-    for u, v in milp.variables:
-        x = var_name[(u, v)]
-        emit(f"t0_{node_name[v]} - tF_{node_name[u]} - {M:.9g} {x} >= {-M:.9g}")
-        d = milp.cond_duration[(u, v)]
+    m, neg_m = f"{milp.big_m:.9g}", f"{-milp.big_m:.9g}"
+    for (u, v), d in zip(milp.variables, milp.durations):
+        nu, nv = node_name[u], node_name[v]
+        x = f"X_{nu}__{nv}"
+        yield f"t0_{nv} - tF_{nu} - {m} {x} >= {neg_m}"
         if d > 0:
-            emit(f"tF_{node_name[v]} - t0_{node_name[v]} - {d:.9g} {x} >= 0")
+            yield f"tF_{nv} - t0_{nv} - {d:.9g} {x} >= 0"
 
-    lines.append("Bounds")
+
+def export_lp(milp: ScheduleMilp, out: TextIO) -> None:
+    """Write the CPLEX-LP text of the model to `out` one row at a time:
+    edge binaries, node start/finish times, big-M precedence and
+    conditional-duration rows."""
+    g = milp.graph
+    taken: dict[str, str] = {}
+    node_name = {nid: _lp_name(nid, taken) for nid in sorted(g.nodes)}
+    write = out.write
+    obj = " + ".join(f"tF_{node_name[t]}" for t in milp.terminal_nodes)
+    write(f"\\ sparse adjacency assignment model\nMinimize\n obj: {obj}\nSubject To\n")
+    for row, expr in enumerate(_lp_constraints(milp, node_name), 1):
+        write(f" c{row}: {expr}\n")
+    write("Bounds\n")
     for nid in sorted(g.nodes):
-        lines.append(f" t0_{node_name[nid]} >= 0")
-        lines.append(f" tF_{node_name[nid]} >= 0")
-    lines.append("Binary")
-    for e in milp.variables:
-        lines.append(f" {var_name[e]}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        write(f" t0_{node_name[nid]} >= 0\n tF_{node_name[nid]} >= 0\n")
+    write("Binary\n")
+    for u, v in milp.variables:
+        write(f" X_{node_name[u]}__{node_name[v]}\n")
+    write("End\n")
 
 
 # -- exact branch-and-bound --------------------------------------------------

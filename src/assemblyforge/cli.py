@@ -66,6 +66,20 @@ def _write(out: Path, name: str, text: str):
     (out / name).write_text(text)
 
 
+def _stream(out: Path, name: str, writer):
+    """Write artifact `name` through `writer(file)` into a temporary file in
+    `out`, renamed into place only once the writer has finished, so a writer
+    that fails leaves no partial artifact behind."""
+    out.mkdir(parents=True, exist_ok=True)
+    tmp = out / f"{name}.tmp"
+    try:
+        with tmp.open("w") as f:
+            writer(f)
+        os.replace(tmp, out / name)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -180,7 +194,7 @@ def cmd_allocate(args) -> int:
     t_start = time.perf_counter()
     if args.method == "export-lp":
         milp = allocation.build_milp(graph, fleet)
-        _write(out, "model.lp", allocation.export_lp(milp))
+        _stream(out, "model.lp", lambda f: allocation.export_lp(milp, f))
         return EXIT_OK
     try:
         greedy = allocation.greedy_pccf(graph, fleet)

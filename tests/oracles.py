@@ -6,12 +6,13 @@ search instead of Welzl, a general-purpose QP solver instead of isotonic
 regression, exhaustive enumeration instead of greedy/branch-and-bound, and
 a from-scratch LP-format reader instead of the exporter's own structures.
 
-The schedule validator, the branch-and-bound and the planning and simulator
-kernels at the end are the exception: they are the code the package replaced
-(per-kind branches before the neighbourhood table, a graph rebuilt per
-explored node before the incremental bound, scalar loops before the array
-code), kept as written so that tests can require equal results from the new
-code.
+The schedule validator, the branch-and-bound, the MILP builder and LP
+exporter, and the planning and simulator kernels at the end are the
+exception: they are the code the package replaced (per-kind branches before
+the neighbourhood table, a graph rebuilt per explored node before the
+incremental bound, a model text joined in memory before the streamed export,
+scalar loops before the array code), kept as written so that tests can
+require equal results from the new code.
 """
 
 from __future__ import annotations
@@ -21,16 +22,19 @@ import math
 import random
 import re
 import time as _time
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
 from assemblyforge.allocation import (
-    AllocationError, AllocationResult, BnbLimits, RobotState, ScheduleMilp,
+    AllocationError, AllocationResult, BnbLimits, RobotState, ScheduleMilp, _candidate_edges,
+    _lp_name,
 )
+from assemblyforge.model import RobotFleet
 from assemblyforge.schedule import (
     CHECKPOINT_KINDS, ScheduleError, ScheduleGraph, ScheduleNode, ScheduleViolation,
-    evaluate_schedule, is_acyclic, topological_order, validate_schedule,
+    evaluate_schedule, is_acyclic, topological_order, travel_time, validate_schedule,
 )
 from assemblyforge.sim import ORCA_SAFETY_FACTOR, _length, _lp1, dispersion_force, preferred_velocity
 from assemblyforge.transport import CARRY_RESTARTS, TransportConfigError
@@ -860,6 +864,101 @@ def solve_bnb_reference(
     _, _, makespan = evaluate_schedule(complete, fleet)
     status = "incumbent" if hit_limit else "optimal"
     return AllocationResult(complete, makespan, "bnb", status, tuple(best_edges))
+
+
+# -- the MILP and its LP text before streaming ---------------------------------
+
+
+@dataclass
+class MilpReference:
+    """`allocation.ScheduleMilp` as it was: durations keyed by edge."""
+
+    graph: ScheduleGraph
+    fleet: RobotFleet
+    variables: tuple[tuple[str, str], ...]  # candidate assignment edges (u, v)
+    cond_duration: dict[tuple[str, str], float]  # pickup travel if edge chosen
+    big_m: float
+    terminal_nodes: tuple[str, ...]
+
+
+def build_milp_reference(graph: ScheduleGraph, fleet: RobotFleet) -> MilpReference:
+    """`allocation.build_milp` with one scalar `travel_time` call per edge."""
+    variables = _candidate_edges(graph)
+    cond = {(u, v): travel_time(graph.nodes[u].origin, graph.nodes[v].destination, fleet.v_max)
+            for u, v in variables}
+    fixed = sum(n.duration or 0.0 for n in graph.nodes.values())
+    by_target: dict[str, float] = {}
+    for (u, v), d in cond.items():
+        by_target[v] = max(by_target.get(v, 0.0), d)
+    big_m = fixed + sum(by_target.values()) + 1.0
+    return MilpReference(graph, fleet, tuple(variables), cond, big_m,
+                         graph.terminal_nodes)
+
+
+def export_lp_reference(milp: MilpReference) -> str:
+    """`allocation.export_lp` as it was: the whole CPLEX-LP text as one
+    string, joined from a list of rows."""
+    g = milp.graph
+    taken: dict[str, str] = {}
+    node_name = {nid: _lp_name(nid, taken) for nid in sorted(g.nodes)}
+    var_name = {
+        (u, v): f"X_{node_name[u]}__{node_name[v]}" for u, v in milp.variables
+    }
+    M = milp.big_m
+
+    lines = ["\\ sparse adjacency assignment model", "Minimize"]
+    obj = " + ".join(f"tF_{node_name[t]}" for t in milp.terminal_nodes)
+    lines.append(f" obj: {obj}")
+    lines.append("Subject To")
+    row = 0
+
+    def emit(expr: str):
+        nonlocal row
+        row += 1
+        lines.append(f" c{row}: {expr}")
+
+    # durations (fixed) and precedence over existing edges
+    for nid in sorted(g.nodes):
+        node = g.nodes[nid]
+        if node.duration is not None:
+            emit(f"tF_{node_name[nid]} - t0_{node_name[nid]} >= {node.duration:.9g}")
+        else:
+            emit(f"tF_{node_name[nid]} - t0_{node_name[nid]} >= 0")
+    for u, v in sorted(g.edges):
+        emit(f"t0_{node_name[v]} - tF_{node_name[u]} >= 0")
+
+    # degree rows over candidate variables
+    in_vars: dict[str, list[tuple[str, str]]] = {}
+    out_vars: dict[str, list[tuple[str, str]]] = {}
+    for u, v in milp.variables:
+        in_vars.setdefault(v, []).append((u, v))
+        out_vars.setdefault(u, []).append((u, v))
+    for v in sorted(in_vars):
+        terms = " + ".join(var_name[e] for e in in_vars[v])
+        emit(f"{terms} >= 1")
+        emit(f"{terms} <= 1")
+    for u in sorted(out_vars):
+        terms = " + ".join(var_name[e] for e in out_vars[u])
+        emit(f"{terms} <= 1")
+
+    # big-M precedence and conditional durations for candidate edges:
+    # t0_v - tF_u >= -M (1 - X)  and  tF_v - t0_v >= d (activated when X = 1)
+    for u, v in milp.variables:
+        x = var_name[(u, v)]
+        emit(f"t0_{node_name[v]} - tF_{node_name[u]} - {M:.9g} {x} >= {-M:.9g}")
+        d = milp.cond_duration[(u, v)]
+        if d > 0:
+            emit(f"tF_{node_name[v]} - t0_{node_name[v]} - {d:.9g} {x} >= 0")
+
+    lines.append("Bounds")
+    for nid in sorted(g.nodes):
+        lines.append(f" t0_{node_name[nid]} >= 0")
+        lines.append(f" tF_{node_name[nid]} >= 0")
+    lines.append("Binary")
+    for e in milp.variables:
+        lines.append(f" {var_name[e]}")
+    lines.append("End")
+    return "\n".join(lines) + "\n"
 
 
 # -- scalar simulator kernels (bitwise references) ----------------------------

@@ -7,6 +7,7 @@ from hand-derived constructions; tolerances are stated inline.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import time
 
@@ -234,7 +235,9 @@ def test_bnb_matches_highs(params):
         milp = allocation.build_milp(graph, fleet)
         result = allocation.solve_bnb(milp)
         assert result.status == "optimal"
-        assert oracles.highs_optimum(allocation.export_lp(milp)) == pytest.approx(
+        buf = io.StringIO()
+        allocation.export_lp(milp, buf)
+        assert oracles.highs_optimum(buf.getvalue()) == pytest.approx(
             result.makespan, abs=1e-6)
 
 
@@ -393,7 +396,9 @@ def test_lp_export_reparse_and_variable_set(params):
     spec = _tiny_project(3)
     fleet, graph = _build_stage(spec, 2, params)
     milp = allocation.build_milp(graph, fleet)
-    text = allocation.export_lp(milp)
+    buf = io.StringIO()
+    allocation.export_lp(milp, buf)
+    text = buf.getvalue()
     parsed = oracles.parse_lp(text)
 
     # structural sanity of the reparse

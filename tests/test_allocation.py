@@ -1,15 +1,26 @@
 import dataclasses
+import io
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from assemblyforge import allocation, projects, schedule, staging, transport
 from assemblyforge.allocation import BnbLimits, RobotState
-from assemblyforge.model import ProjectError, RobotFleet
+from assemblyforge.model import (
+    Assembly, BuildPhase, ProjectError, ProjectSpec, RobotFleet, Transform,
+)
 
 from . import oracles
+
+
+def _lp_text(milp) -> str:
+    buf = io.StringIO()
+    allocation.export_lp(milp, buf)
+    return buf.getvalue()
 
 
 class TestEarliestArrival:
@@ -154,7 +165,7 @@ class TestMilpModel:
     def test_export_reparses(self, pipeline, toy_spec):
         data = pipeline(toy_spec, "toy", 2)
         milp = allocation.build_milp(data["graph"], data["fleet"])
-        text = allocation.export_lp(milp)
+        text = _lp_text(milp)
         parsed = oracles.parse_lp(text)
         import re
         names = {re.sub(r"[^A-Za-z0-9_]", "_", f"X_{u}__{v}")
@@ -231,6 +242,65 @@ def test_bnb_equals_reference(pipeline, toy_spec, tractor_spec, synthetic_spec,
         assert got.bnb_root_bound == root_bound
         assert (json.dumps(schedule.schedule_to_jsonable(got.graph), sort_keys=True)
                 == json.dumps(schedule.schedule_to_jsonable(want.graph), sort_keys=True)), cap
+
+
+def _colliding_names_graph(params):
+    """Two bricks whose ids, `brick@1` and `brick_1`, give every one of their
+    nodes the same LP name once sanitised, so the exporter suffixes `_2`."""
+    ids = ("brick@1", "brick_1")
+    asm = Assembly(
+        id="pair",
+        components=tuple((c, Transform(np.eye(3), np.array([80.0 * i, 0.0, 0.0])))
+                         for i, c in enumerate(ids)),
+        build_phases=(BuildPhase(1, ids),),
+    )
+    spec = ProjectSpec(assemblies={"pair": asm}, root="pair",
+                       parts_catalog={c: projects._box(0.5, 0.5, 0.3) for c in ids})
+    fleet = projects.default_fleet(2)
+    configs = transport.configure_all_transport_units(spec, fleet)
+    plan = staging.build_staging_plan(spec, configs, params)
+    return schedule.build_partial_schedule(spec, plan, configs, fleet, params), fleet
+
+
+@pytest.mark.parametrize("name,robots", [("toy", 2), ("tractor", 5), ("tractor", 15),
+                                         ("synthetic", 8), ("colliding-names", 2)])
+def test_milp_and_lp_equal_reference(pipeline, params, toy_spec, tractor_spec, synthetic_spec,
+                                     name, robots):
+    """The array durations carry the scalar `travel_time` bits, and the
+    streamed LP is the joined text byte for byte."""
+    if name == "colliding-names":
+        graph, fleet = _colliding_names_graph(params)
+    else:
+        data = pipeline({"toy": toy_spec, "tractor": tractor_spec,
+                         "synthetic": synthetic_spec}[name], name, robots)
+        graph, fleet = data["graph"], data["fleet"]
+    got = allocation.build_milp(graph, fleet)
+    want = oracles.build_milp_reference(graph, fleet)
+    assert got.variables == want.variables
+    want_durations = [want.cond_duration[e] for e in want.variables]
+    assert np.array_equal(np.array(got.durations).view(np.uint64),
+                          np.array(want_durations).view(np.uint64))
+    assert got.big_m == want.big_m
+    text = _lp_text(got)
+    assert text == oracles.export_lp_reference(want)
+    if name == "colliding-names":
+        assert " X_RobotStart_robot0__RobotGo_brick_1_0_pickup_2\n" in text
+
+
+def test_export_lp_streams(pipeline, synthetic_spec):
+    """Exporting holds rows, not the model: the peak traced allocation stays
+    below a quarter of the text written."""
+    data = pipeline(synthetic_spec, "synthetic", 8)
+    milp = allocation.build_milp(data["graph"], data["fleet"])
+    size = len(_lp_text(milp))
+    with open(os.devnull, "w") as devnull:
+        tracemalloc.start()
+        try:
+            allocation.export_lp(milp, devnull)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < size / 4, (peak, size)
 
 
 def test_allocation_jsonable(pipeline, toy_spec):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from assemblyforge import cli, model, projects
+from assemblyforge import allocation, cli, model, projects
 
 
 @pytest.fixture()
@@ -344,6 +344,30 @@ class TestFullChain:
         text = (out / "model.lp").read_text()
         assert text.splitlines()[1] == "Minimize"
         assert text.rstrip().endswith("End")
+
+    def test_failed_export_lp_leaves_no_file(self, toy_input, tmp_path, monkeypatch):
+        """A writer that raises partway leaves neither a partial model.lp
+        nor its temporary file."""
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        before = sorted(p.name for p in out.iterdir())
+        export_lp = allocation.export_lp
+
+        class FailingFile:
+            def __init__(self, f):
+                self.f, self.rows = f, 0
+
+            def write(self, text):
+                self.rows += 1
+                if self.rows > 5:
+                    raise OSError("disk full")
+                return self.f.write(text)
+
+        monkeypatch.setattr(allocation, "export_lp",
+                            lambda milp, f: export_lp(milp, FailingFile(f)))
+        with pytest.raises(OSError, match="disk full"):
+            cli.main(["allocate", "--out", str(out), "--method", "export-lp"])
+        assert sorted(p.name for p in out.iterdir()) == before
 
     def test_trace_is_deterministic_across_runs(self, toy_input, tmp_path):
         traces = []

@@ -43,10 +43,11 @@ RUNS = {
         partial(projects.synthetic_project, 0), 8,
         [["greedy"], ["export-lp"]], (["--max-steps", "2000"], cli.EXIT_DEADLOCK),
     ),
-    # the 400-part scale the planning speedups are measured at; planning only
+    # the 400-part scale the planning speedups are measured at; planning and
+    # the 138 MB LP (256,016 binaries), not simulated
     "synthetic-400": (
         partial(projects.synthetic_project, 0, clusters=16, parts_per_cluster=25), 32,
-        [["greedy"]], None,
+        [["greedy"], ["export-lp"]], None,
     ),
 }
 
@@ -93,6 +94,7 @@ GOLDEN = {
         "schedule_partial.json": "a7e9ef1224a64338c1cdbfcd20dc6bea4f75d3a307fa0be3970c5e25fc9ea5f8",
         "transport_units.json": "c4e8a138d3d7802fb71f6cc5bce2d94b6123a143b4ca830bc0f53463f6bba070",
         "schedule_complete.json": "e7e060bdaca557690058515055820e339c57bd39e4fb86d7a721c502f27ea3b4",
+        "model.lp": "29867a90542f80d20c06dbe97b62baac9db656cb39b7198c6657bfecebfbf04b",
     },
 }
 
