@@ -26,6 +26,7 @@ from .schedule import (
     evaluate_schedule,
     node_id,
     topological_order,
+    travel_time,
     upstream,
     validate_schedule,
 )
@@ -33,18 +34,6 @@ from .schedule import (
 
 class AllocationError(ValueError):
     pass
-
-
-@dataclass
-class RobotState:
-    id: str
-    position: np.ndarray  # (2,)
-    available_time: float = 0.0
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, float).reshape(2)
-        if self.available_time < 0:
-            raise AllocationError("available_time must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -60,66 +49,61 @@ class AllocationResult:
 
 
 def earliest_arrival(
-    robots: list[RobotState], goals: list[tuple[int, np.ndarray]], v_max: float
-) -> tuple[tuple[RobotState, tuple[int, np.ndarray]], float]:
-    """Best (robot, goal) pair by arrival time max(avail, 0) + dist / v_max,
-    ties broken by (robot id, goal index).
+    position: np.ndarray, available: np.ndarray, goals: np.ndarray, v_max: float
+) -> np.ndarray:
+    """Arrival time of each robot (row of `position` (n, 2) and `available`
+    (n,)) at each goal (row of `goals` (m, 2)), as an (n, m) array of
+    max(avail, 0) + dist / v_max.
 
-    All robot x goal times come from one array; each distance is
-    `sqrt(vecdot(d, d))`, the same fused dot product as the scalar
-    `np.linalg.norm(d)`, so the times and the winner are bit-for-bit those
-    of a loop over the pairs."""
-    if not robots or not goals:
+    Each distance is `sqrt(vecdot(d, d))`, the same fused dot product as the
+    scalar `np.linalg.norm(d)`, so every time is bit for bit that of a loop
+    over the pairs."""
+    if not len(position) or not len(goals):
         raise AllocationError("earliest_arrival needs non-empty robots and goals")
-    start = np.maximum([r.available_time for r in robots], 0.0)
-    d = (np.array([gpos for _, gpos in goals])[None, :, :]
-         - np.array([r.position for r in robots])[:, None, :])
-    t = start[:, None] + np.sqrt(np.vecdot(d, d)) / v_max
-    t_min = t.min()
-    ri, gj = np.nonzero(t == t_min)
-    i, j = min(zip(ri.tolist(), gj.tolist()),
-               key=lambda c: (robots[c[0]].id, goals[c[1]][0]))
-    return (robots[i], goals[j]), float(t_min)
+    d = goals[None, :, :] - position[:, None, :]
+    return np.maximum(available, 0.0)[:, None] + np.sqrt(np.vecdot(d, d)) / v_max
 
 
-def _greedy_team(
-    robots: list[RobotState], goals: list[tuple[int, np.ndarray]], v_max: float
-) -> tuple[list[tuple[RobotState, int]], tuple[float, str, int]]:
-    """One payload's team: the earliest (robot, goal) pair among the robots
-    and goals still free, until every goal has a robot. Returns the pairs
-    and the last pick's key (t, robot id, goal index); pick keys only
-    increase, so its t is the team's start time."""
-    pool = list(robots)
-    pairs: list[tuple[RobotState, int]] = []
-    while goals:
-        (robot, (gi, _)), t = earliest_arrival(pool, goals, v_max)
-        pairs.append((robot, gi))
-        pool = [r for r in pool if r.id != robot.id]
-        goals = [g for g in goals if g[0] != gi]
-    return pairs, (t, robot.id, gi)
+def _greedy_team(times: np.ndarray) -> tuple[list[tuple[int, int]], tuple[float, int, int]]:
+    """One payload's team from its robot x goal arrival `times`: the earliest
+    (row, column) pair among the rows and columns still free, the first in
+    row-major order on a tie, until every column has a row. Returns the
+    pairs and the last pick's key (t, row, column); pick keys only increase,
+    so its t is the team's start time."""
+    times = times.copy()
+    pairs = []
+    for _ in range(times.shape[1]):
+        row, col = divmod(int(times.argmin()), times.shape[1])
+        t = float(times[row, col])
+        pairs.append((row, col))
+        times[row, :] = np.inf
+        times[:, col] = np.inf
+    return pairs, (t, row, col)
 
 
 def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
     """Greedy precedence-constrained coalition formation over the partial
     schedule; returns a complete, valid schedule.
 
+    The fleet is two arrays with one row per robot in `graph.robot_starts`
+    order, which is robot id order, and a goal's column is its slot; so
+    keys (t, row, column) order as (t, robot id, slot) do.
+
     Each iteration commits the team with the earliest start among the
     available components of the active phases, the first one in iteration
     order on a tie. Teams are cached across iterations. A commit moves only
     the committed robots, so a cached team is dropped only if it used one
     of them, or if one of them now reaches one of its goals with a key
-    (t, robot id, goal index) lower than the team's last pick key: no
-    other pick of the team can change, because picks only increase."""
+    lower than the team's last pick key: no other pick of the team can
+    change, because picks only increase."""
     pickups, dropoffs, starts = graph.pickups, graph.dropoffs, graph.robot_starts
     if pickups and max(len(v) for v in pickups.values()) > len(starts):
         raise AllocationError(
             "fleet smaller than the largest transport team; allocation infeasible")
 
-    robots = [
-        RobotState(graph.nodes[s].subject, np.array(graph.nodes[s].origin))
-        for s in starts
-    ]
-    chain_tail = {r.id: s for r, s in zip(robots, starts)}
+    position = np.array([graph.nodes[s].origin for s in starts], float).reshape(-1, 2)
+    available = np.zeros(len(starts))
+    chain_tail = list(starts)
 
     # project structure from graph metadata
     phases = graph.assembly_phases
@@ -136,7 +120,7 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
 
     added: list[tuple[str, str]] = []
 
-    def commit(component: str, pairs: list[tuple[RobotState, int]], t_task: float):
+    def commit(component: str, pairs: list[tuple[int, int]], t_task: float):
         form_dur, tugo, dep_dur, lift_dur = (
             graph.nodes[node_id(kind, component)].duration
             for kind in ("FormTransportUnit", "TransportUnitGo", "DepositCargo", "LiftIntoPlace"))
@@ -146,13 +130,13 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
         t_dep_end = max(t_arrive, open_time[(a, k)]) + dep_dur
         t_lift_end = t_dep_end + lift_dur
         lift_end.setdefault((a, k), []).append(t_lift_end)
-        for robot, slot in pairs:
+        for row, slot in pairs:
             pick = pickups[component][slot]
             drop = dropoffs[component][slot]
-            added.append((chain_tail[robot.id], pick))
-            chain_tail[robot.id] = drop
-            robot.position = np.array(graph.nodes[drop].origin)
-            robot.available_time = t_dep_end
+            added.append((chain_tail[row], pick))
+            chain_tail[row] = drop
+            position[row] = graph.nodes[drop].origin
+            available[row] = t_dep_end
         assigned.add(component)
 
         members = graph.phase_members[(a, k)]
@@ -168,19 +152,20 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
                 open_time[(a, nxt)] = close
 
     goals_of = {
-        c: [(graph.nodes[p].slot, np.array(graph.nodes[p].destination)) for p in ps]
+        c: np.array([graph.nodes[p].destination for p in ps], float).reshape(-1, 2)
         for c, ps in pickups.items()
     }
-    teams: dict[str, tuple[list[tuple[RobotState, int]], tuple[float, str, int]]] = {}
+    teams: dict[str, tuple[list[tuple[int, int]], tuple[float, int, int]]] = {}
     while active:
-        best_team: tuple[str, list[tuple[RobotState, int]], float] | None = None
+        best_team: tuple[str, list[tuple[int, int]], float] | None = None
         for a in sorted(active):
             k = active_step[a]
             for component in graph.phase_members[(a, k)]:
                 if component in assigned or component not in available_components:
                     continue
                 if component not in teams:
-                    teams[component] = _greedy_team(robots, goals_of[component], fleet.v_max)
+                    teams[component] = _greedy_team(earliest_arrival(
+                        position, available, goals_of[component], fleet.v_max))
                 pairs, (t_task, _, _) = teams[component]
                 if best_team is None or t_task < best_team[2]:
                     best_team = (component, pairs, t_task)
@@ -189,18 +174,19 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
         commit(*best_team)
 
         del teams[best_team[0]]
-        movers = [robot for robot, _ in best_team[1]]
-        moved = {robot.id for robot in movers}
+        movers = sorted(row for row, _ in best_team[1])
         # no mover arrives anywhere before it is available
-        movers_free = min(max(robot.available_time, 0.0) for robot in movers)
+        movers_free = max(float(available[movers].min()), 0.0)
         for component, (pairs, last_key) in list(teams.items()):
-            if any(robot.id in moved for robot, _ in pairs):
+            if any(row in movers for row, _ in pairs):
                 del teams[component]
                 continue
             if movers_free > last_key[0]:
                 continue
-            (robot, (gi, _)), t = earliest_arrival(movers, goals_of[component], fleet.v_max)
-            if (t, robot.id, gi) < last_key:
+            times = earliest_arrival(position[movers], available[movers], goals_of[component],
+                                     fleet.v_max)
+            i, col = divmod(int(times.argmin()), times.shape[1])
+            if (float(times[i, col]), movers[i], col) < last_key:
                 del teams[component]
 
     complete = graph.with_edges(set(added))
@@ -243,15 +229,14 @@ def build_milp(graph: ScheduleGraph, fleet: RobotFleet) -> ScheduleMilp:
     variables = _candidate_edges(graph)
     # the origin of each distinct source and the destination of each
     # distinct target, gathered per edge: every edge's travel_time in one
-    # pass, bit for bit
+    # call
     src = {u: i for i, u in enumerate(dict.fromkeys(u for u, _ in variables))}
     tgt = {v: i for i, v in enumerate(dict.fromkeys(v for _, v in variables))}
     origin = np.array([graph.nodes[u].origin for u in src], float).reshape(-1, 2)
     dest = np.array([graph.nodes[v].destination for v in tgt], float).reshape(-1, 2)
     rows = np.array([src[u] for u, _ in variables], np.intp)
     cols = np.array([tgt[v] for _, v in variables], np.intp)
-    delta = dest[cols] - origin[rows]
-    durations = np.hypot(delta[:, 0], delta[:, 1]) / fleet.v_max
+    durations = travel_time(origin[rows].T, dest[cols].T, fleet.v_max)
     # the longest pickup into each target, in first-seen target order, added
     # left to right as the scalar loop added them
     longest = np.zeros(len(tgt))

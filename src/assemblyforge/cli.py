@@ -173,6 +173,14 @@ def _unit_configs(doc) -> dict:
     return {cid: transport.transport_config_from_jsonable(d) for cid, d in doc.items()}
 
 
+def _invalid_schedule(graph: schedule.ScheduleGraph, mode: str) -> bool:
+    """Prints one line per violation of `graph` in `mode`; True if any."""
+    issues = schedule.validate_schedule(graph, mode)
+    for v in issues:
+        print(f"invalid schedule: {v.node}: {v.message}", file=sys.stderr)
+    return bool(issues)
+
+
 def cmd_allocate(args) -> int:
     out = Path(args.out)
     if args.max_nodes < 1:
@@ -190,6 +198,9 @@ def cmd_allocate(args) -> int:
     except model.ArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+
+    if _invalid_schedule(graph, "partial"):
+        return EXIT_FAILURE
 
     t_start = time.perf_counter()
     if args.method == "export-lp":
@@ -252,10 +263,7 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    issues = schedule.validate_schedule(graph, "complete")
-    if issues:
-        for v in issues:
-            print(f"invalid schedule: {v.node}: {v.message}", file=sys.stderr)
+    if _invalid_schedule(graph, "complete"):
         return EXIT_FAILURE
     if args.dt is not None:
         try:

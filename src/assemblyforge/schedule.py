@@ -40,10 +40,11 @@ def node_id(kind: str, subject: str, slot: int | None = None, role: str | None =
     return nid
 
 
-def travel_time(origin, destination, v_max: float) -> float:
+def travel_time(origin, destination, v_max: float):
     """Unladen travel time from `origin` to `destination`, as a pickup
-    RobotGo node is timed."""
-    return float(np.hypot(destination[0] - origin[0], destination[1] - origin[1])) / v_max
+    RobotGo node is timed. Both are (x, y) pairs, giving one time, or
+    (2, k) coordinate arrays, giving k times."""
+    return np.hypot(destination[0] - origin[0], destination[1] - origin[1]) / v_max
 
 
 @dataclass(frozen=True)
@@ -416,7 +417,7 @@ def chain_duration(graph: ScheduleGraph, nid: str, chain: list[str], v_max: floa
     origin = graph.nodes[chain[0]].origin
     if origin is None or node.destination is None:
         raise ScheduleError(f"missing pose data on chain into {nid}")
-    return travel_time(origin, node.destination, v_max)
+    return float(travel_time(origin, node.destination, v_max))
 
 
 def evaluate_schedule(
@@ -504,10 +505,14 @@ def schedule_from_jsonable(data: dict) -> ScheduleGraph:
     for key, members in data["phase_members"].items():
         aid, k = key.rsplit(":", 1)
         phase_members[(aid, int(k))] = tuple(members)
+    team_sizes = dict(data["team_sizes"])
+    small = {c: n for c, n in team_sizes.items() if not n >= 1}
+    if small:
+        raise ValueError(f"team sizes below 1: {small}")
     return ScheduleGraph(
         nodes=nodes,
         edges={tuple(e) for e in data["edges"]},
         terminal_nodes=tuple(data["terminal_nodes"]),
-        team_sizes=dict(data["team_sizes"]),
+        team_sizes=team_sizes,
         phase_members=phase_members,
     )

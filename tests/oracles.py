@@ -28,8 +28,7 @@ import numpy as np
 import scipy.optimize
 
 from assemblyforge.allocation import (
-    AllocationError, AllocationResult, BnbLimits, RobotState, ScheduleMilp, _candidate_edges,
-    _lp_name,
+    AllocationError, AllocationResult, BnbLimits, ScheduleMilp, _candidate_edges, _lp_name,
 )
 from assemblyforge.model import RobotFleet
 from assemblyforge.schedule import (
@@ -628,6 +627,18 @@ def scalar_select_carry_positions(hull_vertices, n: int, seed: int = 0) -> np.nd
             best_overall = (score, idxs)
     assert best_overall is not None
     return verts[list(best_overall[1])]
+
+
+@dataclass
+class RobotState:
+    id: str
+    position: np.ndarray  # (2,)
+    available_time: float = 0.0
+
+    def __post_init__(self):
+        self.position = np.asarray(self.position, float).reshape(2)
+        if self.available_time < 0:
+            raise AllocationError("available_time must be non-negative")
 
 
 def scalar_earliest_arrival(

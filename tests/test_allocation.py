@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from assemblyforge import allocation, projects, schedule, staging, transport
-from assemblyforge.allocation import BnbLimits, RobotState
+from assemblyforge.allocation import BnbLimits
 from assemblyforge.model import (
     Assembly, BuildPhase, ProjectError, ProjectSpec, RobotFleet, Transform,
 )
@@ -23,49 +23,79 @@ def _lp_text(milp) -> str:
     return buf.getvalue()
 
 
+def _random_fleet(rng, grid):
+    """Robots robot0... in sorted-id rows, so that row order is string order
+    (robot10 before robot2), their positions and availabilities, goal
+    positions by slot, and a speed. On integer grids many (robot, goal)
+    pairs tie on time."""
+    n_robots, n_goals = int(rng.integers(1, 13)), int(rng.integers(1, 6))
+    if grid:
+        pos = rng.integers(-3, 4, (n_robots + n_goals, 2)).astype(float)
+        avail = rng.integers(0, 3, n_robots).astype(float)
+    else:
+        pos = rng.uniform(-5, 5, (n_robots + n_goals, 2))
+        avail = rng.uniform(0, 3, n_robots) * (rng.random(n_robots) < 0.5)
+    ids = sorted(f"robot{i}" for i in range(n_robots))
+    return ids, pos[:n_robots], avail, pos[n_robots:], float(rng.choice([1.0, 0.7]))
+
+
+def _robot_states(rng, ids, position, available):
+    """The fleet as oracle robots, listed in shuffled order."""
+    return [oracles.RobotState(ids[i], position[i], available_time=available[i])
+            for i in rng.permutation(len(ids))]
+
+
 class TestEarliestArrival:
     def test_picks_fastest_and_breaks_ties_by_id(self):
-        robots = [RobotState("r1", [0.0, 0.0]), RobotState("r0", [0.0, 0.0])]
-        goals = [(0, np.array([1.0, 0.0])), (1, np.array([2.0, 0.0]))]
-        (robot, (gi, _)), t = allocation.earliest_arrival(robots, goals, 1.0)
-        assert robot.id == "r0"  # tie on time, lower id wins
-        assert gi == 0
-        assert t == pytest.approx(1.0)
+        goals = np.array([[1.0, 0.0], [2.0, 0.0]])
+        times = allocation.earliest_arrival(np.zeros((2, 2)), np.zeros(2), goals, 1.0)
+        assert times.tolist() == [[1.0, 2.0], [1.0, 2.0]]
+        pairs, key = allocation._greedy_team(times)
+        assert pairs == [(0, 0), (1, 1)]  # tie on time, the lower row (id) wins
+        assert key == (2.0, 1, 1)
 
     def test_availability_delays_arrival(self):
-        robots = [RobotState("a", [0.0, 0.0], available_time=5.0),
-                  RobotState("b", [10.0, 0.0])]
-        goals = [(0, np.array([1.0, 0.0]))]
-        (robot, _), t = allocation.earliest_arrival(robots, goals, 1.0)
-        assert robot.id == "a"  # 5 + 1 beats 9
-        assert t == pytest.approx(6.0)
+        times = allocation.earliest_arrival(np.array([[0.0, 0.0], [10.0, 0.0]]),
+                                            np.array([5.0, -2.0]), np.array([[1.0, 0.0]]), 1.0)
+        assert times.tolist() == [[6.0], [9.0]]  # a negative availability counts as 0
+        assert allocation._greedy_team(times) == ([(0, 0)], (6.0, 0, 0))  # 5 + 1 beats 9
 
     def test_empty_inputs_rejected(self):
-        with pytest.raises(allocation.AllocationError):
-            allocation.earliest_arrival([], [(0, np.zeros(2))], 1.0)
+        for robots, goals in [(0, 1), (1, 0)]:
+            with pytest.raises(allocation.AllocationError):
+                allocation.earliest_arrival(np.zeros((robots, 2)), np.zeros(robots),
+                                            np.zeros((goals, 2)), 1.0)
 
     @pytest.mark.parametrize("grid", [False, True], ids=["uniform", "integer-grid"])
     def test_equals_scalar_loop_bitwise(self, grid):
-        # on integer grids many (robot, goal) pairs tie on time
         rng = np.random.default_rng(9)
         for _ in range(400):
-            n_robots, n_goals = int(rng.integers(1, 12)), int(rng.integers(1, 6))
-            if grid:
-                pos = rng.integers(-3, 4, (n_robots + n_goals, 2)).astype(float)
-                avail = rng.integers(0, 3, n_robots).astype(float)
-            else:
-                pos = rng.uniform(-5, 5, (n_robots + n_goals, 2))
-                avail = rng.uniform(0, 3, n_robots) * (rng.random(n_robots) < 0.5)
-            ids = rng.permutation(n_robots)
-            robots = [RobotState(f"r{ids[i]}", pos[i], available_time=avail[i])
-                      for i in range(n_robots)]
-            goals = [(int(gi), pos[n_robots + j])
-                     for j, gi in enumerate(rng.permutation(n_goals))]
-            v_max = float(rng.choice([1.0, 0.7]))
-            (robot, goal), t = allocation.earliest_arrival(robots, goals, v_max)
-            (o_robot, o_goal), o_t = oracles.scalar_earliest_arrival(robots, goals, v_max)
-            assert (robot.id, goal[0], t) == (o_robot.id, o_goal[0], o_t)
-            assert robot is o_robot and goal[1] is o_goal[1]
+            ids, position, available, goals, v_max = _random_fleet(rng, grid)
+            times = allocation.earliest_arrival(position, available, goals, v_max)
+            row, col = divmod(int(times.argmin()), times.shape[1])
+            (o_robot, (o_slot, _)), o_t = oracles.scalar_earliest_arrival(
+                _robot_states(rng, ids, position, available), list(enumerate(goals)), v_max)
+            assert (ids[row], col, float(times[row, col])) == (o_robot.id, o_slot, o_t)
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["uniform", "integer-grid"])
+    def test_team_equals_scalar_pool_loop(self, grid):
+        rng = np.random.default_rng(10)
+        for _ in range(400):
+            ids, position, available, goals, v_max = _random_fleet(rng, grid)
+            goals = goals[:len(ids)]
+            pairs, (t, row, col) = allocation._greedy_team(
+                allocation.earliest_arrival(position, available, goals, v_max))
+            # the pool loop of `oracles.greedy_reference`, keyed by (t, id, slot)
+            pool = _robot_states(rng, ids, position, available)
+            free = list(enumerate(goals))
+            want = []
+            while free:
+                (robot, (slot, _)), o_t = oracles.scalar_earliest_arrival(pool, free, v_max)
+                want.append((robot.id, slot))
+                pool = [r for r in pool if r.id != robot.id]
+                free = [g for g in free if g[0] != slot]
+            assert [(ids[i], j) for i, j in pairs] == want
+            assert (t, ids[row], col) == (o_t, robot.id, slot)
 
 
 class TestGreedy:

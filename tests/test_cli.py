@@ -17,6 +17,17 @@ def _plan(toy_input, out):
     return cli.main(["plan", "--input", str(toy_input), "--out", str(out)])
 
 
+def _drop_robot_go(path, payload):
+    """Removes the RobotGo nodes of `payload`, and their edges, from the
+    schedule JSON at `path`."""
+    doc = json.loads(path.read_text())
+    gone = {n["id"] for n in doc["nodes"] if n["kind"] == "RobotGo" and n["subject"] == payload}
+    assert gone
+    doc["nodes"] = [n for n in doc["nodes"] if n["id"] not in gone]
+    doc["edges"] = [e for e in doc["edges"] if not gone & set(e)]
+    path.write_text(json.dumps(doc))
+
+
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path):
         code = cli.main(["plan", "--input", str(tmp_path / "nope.mpd"),
@@ -232,6 +243,36 @@ class TestExitCodes:
         if damage == "missing-key":
             assert repr(key) in err[0]
         assert not (out / "trace.csv").exists() and not (out / "allocation.json").exists()
+
+    @pytest.mark.parametrize("method", ["greedy", "bnb", "export-lp"])
+    def test_allocate_invalid_partial_schedule(self, toy_input, tmp_path, capsys, method):
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        _drop_robot_go(out / "schedule_partial.json", "brick@1")
+        capsys.readouterr()
+        assert cli.main(["allocate", "--out", str(out), "--method", method]) == cli.EXIT_FAILURE
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(line.startswith("invalid schedule: ") for line in err)
+        assert "invalid schedule: DepositCargo:brick@1: expected 2 RobotGo" in err[0]
+        for name in ("schedule_complete.json", "allocation.json", "model.lp"):
+            assert not (out / name).exists(), name
+
+    def test_allocate_rejects_team_size_below_one(self, toy_input, tmp_path, capsys):
+        # without its RobotGo nodes, a payload of team size 0 validates
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        path = out / "schedule_partial.json"
+        _drop_robot_go(path, "brick@1")
+        doc = json.loads(path.read_text())
+        doc["team_sizes"]["brick@1"] = 0
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: malformed artifact schedule_partial.json: ")
+        assert "team sizes below 1: {'brick@1': 0}" in err[0]
+        assert not (out / "schedule_complete.json").exists()
 
     @pytest.mark.parametrize("name", ["metrics.json", "staging.json",
                                       "allocation_metrics.json"])
