@@ -113,10 +113,7 @@ def cmd_plan(args) -> int:
     configs = transport.configure_all_transport_units(spec, fleet, seed=args.seed)
     plan = staging.build_staging_plan(spec, configs, params)
     graph = schedule.build_partial_schedule(spec, plan, configs, fleet, params)
-    issues = schedule.validate_schedule(graph, "partial")
-    if issues:
-        for v in issues:
-            print(f"invalid schedule: {v.node}: {v.message}", file=sys.stderr)
+    if _invalid_schedule(graph, "partial"):
         return EXIT_FAILURE
     runtime = time.perf_counter() - t_start
 

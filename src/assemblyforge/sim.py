@@ -1,7 +1,7 @@
 """Deterministic fixed-timestep execution of a complete operating schedule.
 
 `step` advances a `World` by one timestep: (1) fire ready checkpoints and
-task transitions, (2) update the active phases / staging circles, (3) run the
+task transitions, (2) build the staging circles of the open phases, (3) run the
 three-layer velocity controller (tangent bug -> prioritized dispersion ->
 generalized reciprocal velocity obstacles) per agent, (4) integrate. Formed
 transport units replace their member robots as a single agent until the cargo
@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -423,19 +423,6 @@ def rvo_resolve(positions, radii, velocities, preferred, caps, shares,
 
 
 @dataclass
-class AgentState:
-    id: str
-    kind: str  # "robot" | "unit"
-    position: np.ndarray
-    radius: float
-    speed_limit: float
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    task: str | None = None
-    active: bool = False
-    alpha: float = 1.0
-
-
-@dataclass
 class SimTrace:
     rows: list  # (t, agent id, x, y, vx, vy, task, alpha)
     events: list  # dicts
@@ -510,8 +497,15 @@ def _robot_itineraries(graph: ScheduleGraph):
 
 class World:
     """Everything the simulator advances from one step to the next: the
-    schedule index and node states, the agents and units, the trace so far,
-    the clock and the counters."""
+    schedule index and node states, the agent rows, the trace so far, the
+    clock and the counters.
+
+    There is one agent row per robot and one per payload's transport unit,
+    in id order (`ids`, with `row` mapping an id to its row). `pos` and `vel`
+    are (n, 2), `radius` and `cap` (n,) and fixed per row. `present` marks
+    the rows that move: forming a unit clears its members' bits and sets the
+    unit's, and the deposit reverses that. `open_phase` maps each assembly
+    with an open build step to that step's phase."""
 
     def __init__(self, graph: ScheduleGraph, staging_plan: StagingPlan,
                  transport_configs: dict[str, TransportUnitConfig],
@@ -531,6 +525,7 @@ class World:
         self.remaining = {nid: len(pred[nid]) for nid in graph.nodes}
         self.timers: dict[str, float] = {}  # node -> end time
         self.complete_time: dict[str, float] = {}
+        self.open_phase: dict[str, int] = {}  # assembly -> phase of its open build step
 
         # cargo ids from the topological rank of DepositCargo nodes
         deposit_order = [n for n in self.topo if graph.nodes[n].kind == "DepositCargo"]
@@ -554,12 +549,21 @@ class World:
         self.ready = [(rank, nid) for nid, rank in self.fire_rank.items()
                       if self.remaining[nid] == 0]
         heapq.heapify(self.ready)
-        self.agents: dict[str, AgentState] = {}
-        for nid in graph.robot_starts:
-            start = graph.nodes[nid]
-            self.agents[start.subject] = AgentState(
-                start.subject, "robot", np.array(start.origin, float), fleet.radius, fleet.v_max)
-        self.unit_of: dict[str, str] = {}  # payload -> unit agent id
+
+        starts = {graph.nodes[nid].subject: graph.nodes[nid] for nid in graph.robot_starts}
+        units = {f"unit:{p}": transport_configs[p] for p in self.team_slots}
+        self.ids = sorted([*starts, *units])
+        self.row = {aid: r for r, aid in enumerate(self.ids)}
+        n = len(self.ids)
+        self.pos, self.vel = np.zeros((n, 2)), np.zeros((n, 2))
+        self.radius = np.array([units[a].bounding_circle.radius if a in units else fleet.radius
+                                for a in self.ids], float)
+        self.cap = np.array([units[a].speed_limit if a in units else fleet.v_max
+                             for a in self.ids], float)
+        self.present = np.zeros(n, bool)
+        for rid, start in starts.items():
+            self.enter(rid, start.origin)
+        self.unit_task: dict[str, str] = {}  # formed unit id -> its current node
         self.unit_members: dict[str, list[str]] = {}
         self.stuck_mark: dict[str, tuple[float, np.ndarray]] = {}
 
@@ -573,6 +577,11 @@ class World:
     def complete(self, nid: str):
         self.status[nid] = "complete"
         self.complete_time[nid] = self.t
+        node = self.graph.nodes[nid]
+        if node.kind == "OpenBuildStep":
+            self.open_phase[node.subject] = node.slot
+        elif node.kind == "CloseBuildStep":
+            self.open_phase.pop(node.subject, None)
         for s in self.succ[nid]:
             self.remaining[s] -= 1
             if self.remaining[s] == 0 and s in self.fire_rank:
@@ -583,13 +592,10 @@ class World:
         i = self.mission_idx[rid]
         return ms[i] if i < len(ms) else None
 
-    def active_phase(self, a: str) -> int | None:
-        for k in self.graph.assembly_phases[a]:
-            if self.status[node_id("CloseBuildStep", a, k)] != "complete":
-                if self.status[node_id("OpenBuildStep", a, k)] == "complete":
-                    return k
-                return None
-        return None
+    def enter(self, aid: str, position):
+        """Make agent `aid` present, at rest at `position`."""
+        r = self.row[aid]
+        self.pos[r], self.vel[r], self.present[r] = position, 0.0, True
 
     def fire_checkpoints(self) -> bool:
         """Complete or start every ready node; True once the terminal node
@@ -609,48 +615,45 @@ class World:
 
 def _finish_timers(world: World):
     """Complete form / deposit / lift nodes whose time is up."""
-    agents = world.agents
     for nid, end in sorted(world.timers.items()):
         if world.t + 1e-9 >= end:
             del world.timers[nid]
             node = world.graph.nodes[nid]
             world.complete(nid)
             world.events.append({"type": "task_complete", "node": nid, "t": round(world.t, 6)})
+            uid = f"unit:{node.subject}"
             if node.kind == "FormTransportUnit":
-                uid = world.unit_of[node.subject]
-                agents[uid].task = node_id("TransportUnitGo", node.subject)
-                world.status[agents[uid].task] = "active"
+                world.unit_task[uid] = node_id("TransportUnitGo", node.subject)
+                world.status[world.unit_task[uid]] = "active"
             elif node.kind == "DepositCargo":
                 # disband: members reappear at their dropoff slots
-                uid = world.unit_of.pop(node.subject)
-                del agents[uid]
+                del world.unit_task[uid]
+                world.present[world.row[uid]] = False
                 for rid in world.unit_members.pop(uid):
-                    m = world.mission(rid)
-                    agents[rid] = AgentState(rid, "robot", m.dropoff_pos.copy(),
-                                             world.fleet.radius, world.fleet.v_max)
+                    world.enter(rid, world.mission(rid).dropoff_pos)
                     world.mission_idx[rid] += 1
                     world.stuck_mark.pop(rid, None)
 
 
 def _form_units(world: World):
     """Form transport units whose robots are all in position."""
-    graph, agents, status = world.graph, world.agents, world.status
+    graph, status, row = world.graph, world.status, world.row
     # a payload forms its unit only when it is the current mission of all
     # its robots
     missions = (world.mission(rid) for rid in world.itineraries)
     for payload in sorted({m.payload for m in missions if m is not None}):
         form = node_id("FormTransportUnit", payload)
-        if status[form] != "pending" or payload in world.unit_of:
+        if status[form] != "pending":
             continue
         if status[graph.source[payload]] != "complete":
             continue
         slots = world.team_slots[payload]
         members = sorted(slots.values())
-        if any(rid not in agents for rid in members):
+        if not all(world.present[row[rid]] for rid in members):
             continue
         missions = [(rid, world.mission(rid)) for _, rid in sorted(slots.items())]
         if any(m is None or m.payload != payload
-               or _length(agents[rid].position - m.pickup_pos) > world.arrival_tol
+               or _length(world.pos[row[rid]] - m.pickup_pos) > world.arrival_tol
                for rid, m in missions):
             continue
         for _, m in missions:
@@ -658,16 +661,12 @@ def _form_units(world: World):
                 world.complete(m.pickup_node)
         if world.remaining[form] > 0:
             continue
-        cfg = world.transport_configs[payload]
         uid = f"unit:{payload}"
-        tu_go = graph.nodes[node_id("TransportUnitGo", payload)]
-        agents[uid] = AgentState(
-            uid, "unit", np.array(tu_go.origin, float),
-            cfg.bounding_circle.radius, cfg.speed_limit, task=form)
-        world.unit_of[payload] = uid
+        world.enter(uid, graph.nodes[node_id("TransportUnitGo", payload)].origin)
+        world.unit_task[uid] = form
         world.unit_members[uid] = members
         for rid in members:
-            del agents[rid]
+            world.present[row[rid]] = False
             world.stuck_mark.pop(rid, None)
         status[form] = "active"
         world.timers[form] = world.t + (graph.nodes[form].duration or 0.0)
@@ -676,118 +675,119 @@ def _form_units(world: World):
 
 def _arrive_and_deposit(world: World):
     """Transport unit arrivals, then deposits whose build step is open."""
-    graph, agents, status = world.graph, world.agents, world.status
-    for payload, uid in sorted(world.unit_of.items()):
-        agent = agents[uid]
-        go = node_id("TransportUnitGo", payload)
-        if agent.task == go:
-            dest = np.array(graph.nodes[go].destination, float)
-            if _length(agent.position - dest) <= world.arrival_tol:
-                world.complete(go)
-                agent.task = node_id("DepositCargo", payload)
-                world.events.append({"type": "task_complete", "node": go,
+    graph, status = world.graph, world.status
+    for uid, task in sorted(world.unit_task.items()):
+        node = graph.nodes[task]
+        if node.kind == "TransportUnitGo":
+            dest = np.array(node.destination, float)
+            if _length(world.pos[world.row[uid]] - dest) <= world.arrival_tol:
+                world.complete(task)
+                world.unit_task[uid] = node_id("DepositCargo", node.subject)
+                world.events.append({"type": "task_complete", "node": task,
                                      "t": round(world.t, 6)})
     world.fire_checkpoints()
-    for payload, uid in sorted(world.unit_of.items()):
-        dep = node_id("DepositCargo", payload)
-        if agents[uid].task == dep and status[dep] == "pending" and world.remaining[dep] == 0:
+    for _, dep in sorted(world.unit_task.items()):
+        if (graph.nodes[dep].kind == "DepositCargo" and status[dep] == "pending"
+                and world.remaining[dep] == 0):
             status[dep] = "active"
             world.timers[dep] = world.t + (graph.nodes[dep].duration or 0.0)
 
 
-def _nominal(world: World, agent: AgentState, goal, payload, circles: Circles,
-             phase_rows: dict, forbidden: dict, hits: np.ndarray):
+def _nominal(world: World, position, radius: float, speed: float, active: bool, goal, payload,
+             circles: Circles, phase_rows: dict, forbidden: dict, hits: np.ndarray):
     """Level 1 velocity toward `goal` around the forbidden staging circles.
 
-    `phase_rows` maps an assembly to its row in `circles` and its active
+    `phase_rows` maps an assembly to its row in `circles` and its open
     phase; `forbidden` caches the step's obstacle sets and their rows by
-    (agent radius, row left out); `hits` is the ray test of pos->goal
+    (agent radius, row left out); `hits` is the ray test of position->goal
     against every row of `circles` inflated by the agent radius."""
     params = world.params
-    dist_goal = _length(goal - agent.position)
+    dist_goal = _length(goal - position)
     if dist_goal < 1e-9:
         return np.zeros(2)
-    if not agent.active and dist_goal <= params.stop_range_factor * world.fleet.radius:
+    if not active and dist_goal <= params.stop_range_factor * world.fleet.radius:
         return np.zeros(2)  # sit and wait
     # forbidden circles: active staging areas this agent may not enter; an
     # active agent may enter its own phase's circle when its goal lies inside
     own_row = None
-    if payload is not None and agent.active:
+    if payload is not None and active:
         a_id, k = world.graph.payload_phase[payload]
-        row, active_k = phase_rows.get(a_id, (None, None))
-        if active_k == k and _length(goal - circles.centers[row]) <= circles.radii[row]:
+        row, open_k = phase_rows.get(a_id, (None, None))
+        if open_k == k and _length(goal - circles.centers[row]) <= circles.radii[row]:
             own_row = row
-    key = (agent.radius, own_row)
+    key = (radius, own_row)
     if key not in forbidden:
         keep = (slice(None) if own_row is None
                 else [r for r in range(len(circles.radii)) if r != own_row])
-        forbidden[key] = (
-            Circles(circles.centers[keep], circles.radii[keep] + agent.radius), keep)
+        forbidden[key] = (Circles(circles.centers[keep], circles.radii[keep] + radius), keep)
     obstacles, keep = forbidden[key]
-    v, _ = nominal_velocity(agent.position, goal, obstacles, agent.speed_limit, world.dt,
+    v, _ = nominal_velocity(position, goal, obstacles, speed, world.dt,
                             params.planning_radius, params.boundary_tol, hits[keep])
     return v
 
 
-def _control(world: World, ids: list[str]) -> list:
-    """Command velocities of the agents `ids` from the three-layer controller."""
+def _control(world: World, idx: np.ndarray):
+    """Command velocities of the agent rows `idx` from the three-layer
+    controller, with each agent's task and priority this step."""
     graph, params = world.graph, world.params
-    agents = [world.agents[aid] for aid in ids]
-    # staging circles of active phases, one row per assembly
+    # staging circles of open phases, one row per assembly
     phase_rows: dict[str, tuple[int, int]] = {}  # assembly -> (row, phase)
     centers, radii = [], []
-    for a in graph.assembly_phases:
-        k = world.active_phase(a)
-        if k is not None:
-            center, radius = world.staging_plan.staging_circle(a, k)
-            phase_rows[a] = (len(radii), k)
-            centers.append(center)
-            radii.append(radius)
+    for a, k in sorted(world.open_phase.items()):
+        center, radius = world.staging_plan.staging_circle(a, k)
+        phase_rows[a] = (len(radii), k)
+        centers.append(center)
+        radii.append(radius)
     circles = Circles(np.array(centers, float).reshape(-1, 2), np.array(radii, float))
     forbidden: dict[tuple, tuple] = {}
 
-    # goal, activity and priority depend on the agent alone
-    goals, payloads = [], []
-    for aid, agent in zip(ids, agents):
-        if agent.kind == "unit":
-            task = graph.nodes[agent.task]
-            task_kind, payload = task.kind, task.subject
+    # goal, task, activity and priority depend on the agent alone
+    pos = world.pos[idx]
+    goals, payloads, tasks, active, alphas = [], [], [], [], []
+    for r, p in zip(idx.tolist(), pos):
+        aid = world.ids[r]
+        is_unit = aid in world.unit_task
+        if is_unit:
+            task = world.unit_task[aid]
+            task_kind, payload = graph.nodes[task].kind, graph.nodes[task].subject
         else:
             m = world.mission(aid)
-            agent.task = m.pickup_node if m else None
+            task = m.pickup_node if m else None
             task_kind, payload = ("RobotGo", m.payload) if m else ("", None)
         phase_active = cargo_ready = False
         if payload is not None:
             a_id, k = graph.payload_phase[payload]
-            phase_active = phase_rows.get(a_id, (None, None))[1] == k
+            phase_active = world.open_phase.get(a_id) == k
         if task_kind == "TransportUnitGo":
-            goal = np.array(graph.nodes[agent.task].destination, float)
-            agent.active = phase_active
+            goal = np.array(graph.nodes[task].destination, float)
+            is_active = phase_active
         elif task_kind == "RobotGo":
             goal = m.pickup_pos
             cargo_ready = world.status[graph.source[payload]] == "complete"
-            agent.active = phase_active and cargo_ready
+            is_active = phase_active and cargo_ready
         else:  # a unit forming or depositing, or a robot without a mission
-            goal = agent.position
-            agent.active = False
-        agent.alpha = alpha_value(agent.kind == "unit", task_kind, phase_active, cargo_ready,
-                                  world.cargo_id.get(payload, 0), world.max_cargo_id)
+            goal = p
+            is_active = False
         goals.append(goal)
         payloads.append(payload)
+        tasks.append(task)
+        active.append(is_active)
+        alphas.append(alpha_value(is_unit, task_kind, phase_active, cargo_ready,
+                                  world.cargo_id.get(payload, 0), world.max_cargo_id))
     # the first L1 ray test of every agent against every circle, in one pass
-    pos = np.array([a.position for a in agents], float).reshape(-1, 2)
-    rad = np.array([a.radius for a in agents], float)
+    rad = world.radius[idx]
+    caps = world.cap[idx].tolist()
     hits = _ray_circle_hits(pos, np.array(goals, float).reshape(-1, 2), circles.centers,
                             circles.radii + rad[:, None])
-    nominals = [_nominal(world, agent, goal, payload, circles, phase_rows, forbidden, row)
-                for agent, goal, payload, row in zip(agents, goals, payloads, hits)]
+    nominals = [_nominal(world, p, r, cap, a, goal, payload, circles, phase_rows, forbidden, h)
+                for p, r, cap, a, goal, payload, h
+                in zip(pos, rad.tolist(), caps, active, goals, payloads, hits)]
 
     # level 2 on one array of center distances, each the float _length gives
     diff = pos[:, None] - pos
     dist = np.sqrt(np.vecdot(diff, diff))
-    active = np.array([a.active for a in agents], bool)
-    alpha = np.array([a.alpha for a in agents], float)
-    caps = [a.speed_limit for a in agents]
+    active = np.array(active, bool)
+    alpha = np.array(alphas, float)
     fields = field_radius(dist, rad, active, params.dispersion_r_max, params.dispersion_c)
     prefs = _dispersed_velocities(pos, rad, dist, fields, ~active & (alpha != 0.0), nominals,
                                   caps, world.pen_tol, params.blend_a, params.blend_b)
@@ -796,8 +796,9 @@ def _control(world: World, ids: list[str]) -> list:
     with np.errstate(divide="ignore", invalid="ignore"):
         shares = np.where(pair_alpha == 0, 0.5, alpha[:, None] / pair_alpha)
     np.fill_diagonal(shares, 0.0)
-    return rvo_resolve(pos, rad, [a.velocity for a in agents], prefs, caps,
-                       shares, world.dt, params.rvo_horizon)
+    commands = rvo_resolve(pos, rad, world.vel[idx], prefs, caps, shares, world.dt,
+                           params.rvo_horizon)
+    return commands, tasks, alphas
 
 
 def _penetrations(positions: np.ndarray, radii: np.ndarray, tol: float):
@@ -809,27 +810,26 @@ def _penetrations(positions: np.ndarray, radii: np.ndarray, tol: float):
     return list(zip(i[hit].tolist(), j[hit].tolist()))
 
 
-def _integrate(world: World, ids: list[str], commands: list):
-    """Move the agents, trace them and count penetrating pairs."""
-    agents = world.agents
+def _integrate(world: World, idx: np.ndarray, commands: list, tasks: list, alpha: list):
+    """Move the agent rows `idx`, trace them and count penetrating pairs."""
     vel = np.array(commands, float).reshape(-1, 2)
-    pos = np.array([agents[aid].position for aid in ids], float).reshape(-1, 2) + vel * world.dt
-    for aid, p, v, (x, y), (vx, vy) in zip(ids, pos, vel, pos.tolist(), vel.tolist()):
-        agent = agents[aid]
-        agent.position, agent.velocity = p, v
-        world.rows.append((world.t, aid, x, y, vx, vy, agent.task or "", agent.alpha))
-    rad = np.array([agents[aid].radius for aid in ids], float)
-    for i, j in _penetrations(pos, rad, world.pen_tol):
+    pos = world.pos[idx] + vel * world.dt
+    world.pos[idx], world.vel[idx] = pos, vel
+    ids = [world.ids[r] for r in idx.tolist()]
+    for aid, task, a, (x, y), (vx, vy) in zip(ids, tasks, alpha, pos.tolist(), vel.tolist()):
+        world.rows.append((world.t, aid, x, y, vx, vy, task or "", a))
+    for i, j in _penetrations(pos, world.radius[idx], world.pen_tol):
         world.collision_count += 1
         world.events.append({"type": "penetration", "agents": [ids[i], ids[j]],
                              "t": round(world.t, 6)})
 
 
-def _swap_stuck(world: World, ids: list[str]):
+def _swap_stuck(world: World, idx: np.ndarray):
     """Hand a stuck robot's mission to a teammate closer to its pickup."""
-    agents, params, t = world.agents, world.params, world.t
-    for aid in ids:
-        if agents[aid].kind != "robot":
+    params, t, row, pos = world.params, world.t, world.row, world.pos
+    for r in idx.tolist():
+        aid = world.ids[r]
+        if aid in world.unit_task:
             continue
         m = world.mission(aid)
         if m is None:
@@ -837,24 +837,24 @@ def _swap_stuck(world: World, ids: list[str]):
             continue
         mark = world.stuck_mark.get(aid)
         if mark is None:
-            world.stuck_mark[aid] = (t, agents[aid].position.copy())
+            world.stuck_mark[aid] = (t, pos[r].copy())
             continue
         t0, p0 = mark
         if t - t0 < params.stuck_time:
             continue
-        moved = _length(agents[aid].position - p0)
-        world.stuck_mark[aid] = (t, agents[aid].position.copy())
+        moved = _length(pos[r] - p0)
+        world.stuck_mark[aid] = (t, pos[r].copy())
         if moved >= params.stuck_speed_factor * world.fleet.v_max * params.stuck_time:
             continue
-        my_dist = _length(agents[aid].position - m.pickup_pos)
+        my_dist = _length(pos[r] - m.pickup_pos)
         best = None
-        for other_slot, orid in sorted(world.team_slots[m.payload].items()):
-            if orid == aid or orid not in agents:
+        for _, orid in sorted(world.team_slots[m.payload].items()):
+            if orid == aid or not world.present[row[orid]]:
                 continue
             om = world.mission(orid)
             if om is None or om.payload != m.payload:
                 continue
-            o_dist = _length(agents[orid].position - m.pickup_pos)
+            o_dist = _length(pos[row[orid]] - m.pickup_pos)
             if o_dist < my_dist and (best is None or o_dist < best[0]):
                 best = (o_dist, orid, om)
         if best is not None:
@@ -879,9 +879,9 @@ def step(world: World) -> bool:
         return True
     _form_units(world)
     _arrive_and_deposit(world)
-    ids = sorted(world.agents)
-    _integrate(world, ids, _control(world, ids))
-    _swap_stuck(world, ids)
+    idx = np.flatnonzero(world.present)
+    _integrate(world, idx, *_control(world, idx))
+    _swap_stuck(world, idx)
     world.t += world.dt
     world.steps += 1
     return False

@@ -60,29 +60,18 @@ class RadialLayoutResult:
 def _pava(y: np.ndarray) -> np.ndarray:
     """Isotonic regression (nondecreasing, unit weights) by pool-adjacent-
     violators."""
-    n = len(y)
-    level = y.astype(float).copy()
-    weight = np.ones(n)
-    # blocks as (value, weight) merged right-to-left
+    # blocks as (mean, size) merged right-to-left; a block weighs its size
     vals: list[float] = []
-    wts: list[float] = []
     counts: list[int] = []
-    for i in range(n):
-        v, w, c = float(level[i]), 1.0, 1
+    for v in y.astype(float).tolist():
+        c = 1
         while vals and vals[-1] > v:
-            pv, pw, pc = vals.pop(), wts.pop(), counts.pop()
-            v = (v * w + pv * pw) / (w + pw)
-            w += pw
+            pv, pc = vals.pop(), counts.pop()
+            v = (v * c + pv * pc) / (c + pc)
             c += pc
         vals.append(v)
-        wts.append(w)
         counts.append(c)
-    out = np.empty(n)
-    k = 0
-    for v, c in zip(vals, counts):
-        out[k:k + c] = v
-        k += c
-    return out
+    return np.repeat(np.array(vals), counts)
 
 
 def solve_radial_layout(problem: RadialLayoutProblem) -> RadialLayoutResult:

@@ -33,7 +33,7 @@ from assemblyforge.allocation import (
 from assemblyforge.model import RobotFleet
 from assemblyforge.schedule import (
     CHECKPOINT_KINDS, ScheduleError, ScheduleGraph, ScheduleNode, ScheduleViolation,
-    evaluate_schedule, is_acyclic, topological_order, travel_time, validate_schedule,
+    evaluate_schedule, is_acyclic, node_id, topological_order, travel_time, validate_schedule,
 )
 from assemblyforge.sim import ORCA_SAFETY_FACTOR, _length, _lp1, dispersion_force, preferred_velocity
 from assemblyforge.transport import CARRY_RESTARTS, TransportConfigError
@@ -1238,3 +1238,16 @@ def scan_fire_checkpoints(world) -> list[tuple[str, str]]:
             continue
         changes.append((nid, status[nid]))
     return changes
+
+
+def active_phase(world, a: str) -> int | None:
+    """The open build phase of assembly `a`, or None, by the scan over its
+    phases that the simulator ran for every assembly at every step before
+    `World` kept `open_phase`: the first phase whose close is not complete,
+    if its open is."""
+    for k in world.graph.assembly_phases[a]:
+        if world.status[node_id("CloseBuildStep", a, k)] != "complete":
+            if world.status[node_id("OpenBuildStep", a, k)] == "complete":
+                return k
+            return None
+    return None

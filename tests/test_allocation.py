@@ -166,6 +166,38 @@ class TestGreedy:
             assert got.added_edges == expected.added_edges, seed
             assert got.makespan == expected.makespan, seed
 
+    def test_cache_drop_breaks_time_ties_by_row(self, params):
+        # Two single-robot parts on integer coordinates, v_max 1 and instant
+        # form, transport and deposit. p@1 goes to robot0 at t = 1 and p@2's
+        # cached team is robot1 at t = 4; robot0 then leaves p@1's dropoff at
+        # t = 1 and reaches p@2's goal at exactly t = 4. The tie goes to the
+        # lower row, so the cached team must be dropped and p@2 go to robot0.
+        ids = ("p@1", "p@2")
+        asm = Assembly(id="job", components=tuple(
+            (pid, Transform.translate(0.4 * i, 0.0, 0.0)) for i, pid in enumerate(ids)),
+            build_phases=(BuildPhase(1, ids),))
+        spec = ProjectSpec(assemblies={"job": asm}, root="job",
+                           parts_catalog=dict.fromkeys(ids, projects._box(0.2, 0.2, 0.2)))
+        fleet = RobotFleet(2, 0.25, 1.0, 0.2, 0.25, [[0.0, 0.0], [6.0, 0.0]])
+        configs = transport.configure_all_transport_units(spec, fleet)
+        plan = staging.build_staging_plan(spec, configs, params)
+        graph = schedule.build_partial_schedule(spec, plan, configs, fleet, params)
+        goal = {"p@1": (1.0, 0.0), "p@2": (10.0, 0.0)}
+        nodes = {}
+        for nid, node in graph.nodes.items():
+            if node.kind in ("FormTransportUnit", "TransportUnitGo", "DepositCargo"):
+                node = dataclasses.replace(node, duration=0.0)
+            elif node.kind == "RobotGo" and node.role == "pickup":
+                node = dataclasses.replace(node, destination=goal[node.subject])
+            elif node.kind == "RobotGo":
+                node = dataclasses.replace(node, origin=(7.0, 0.0))
+            nodes[nid] = node
+        graph = dataclasses.replace(graph, nodes=nodes)
+        got = allocation.greedy_pccf(graph, fleet)
+        assert got.added_edges == oracles.greedy_reference(graph, fleet).added_edges
+        assert got.added_edges == ((graph.robot_starts[0], graph.pickups["p@1"][0]),
+                                   (graph.dropoffs["p@1"][0], graph.pickups["p@2"][0]))
+
     def test_undersized_fleet_rejected(self, toy_spec, params):
         fleet = projects.default_fleet(1)
         cfg = transport.configure_all_transport_units(toy_spec, fleet)

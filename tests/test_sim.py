@@ -538,6 +538,36 @@ class TestArrayKernels:
         assert {"LiftIntoPlace", "RobotGo", "ProjectComplete"} <= kinds
         assert world.status[world.graph.terminal_nodes[0]] == "complete"
 
+    # synthetic-8 livelocks, so it is checked for its first 2,000 steps
+    @pytest.mark.parametrize("project,robots,max_steps",
+                             [("toy", 2, None), ("tractor", 5, None), ("synthetic", 8, 2000)])
+    def test_rows_and_open_phases_follow_the_scan(self, monkeypatch, pipeline, params, toy_spec,
+                                                  tractor_spec, synthetic_spec, project, robots,
+                                                  max_steps):
+        spec = {"toy": toy_spec, "tractor": tractor_spec, "synthetic": synthetic_spec}[project]
+        data = pipeline(spec, project, robots)
+        world = sim.World(data["greedy"].graph, data["plan"], data["configs"],
+                          data["fleet"], params)
+        robot_ids = set(world.itineraries)
+        control = sim._control
+        seen = {"open": 0, "units": 0}
+
+        def checked(w, idx):
+            phases = {a: oracles.active_phase(w, a) for a in w.graph.assembly_phases}
+            assert w.open_phase == {a: k for a, k in phases.items() if k is not None}, w.t
+            in_units = {rid for members in w.unit_members.values() for rid in members}
+            want = sorted(robot_ids - in_units | set(w.unit_members))
+            assert [w.ids[r] for r in idx] == want, w.t
+            seen["open"] += len(w.open_phase)
+            seen["units"] += len(w.unit_members)
+            return control(w, idx)
+
+        monkeypatch.setattr(sim, "_control", checked)
+        while not sim.step(world) and world.steps != max_steps:
+            pass
+        assert seen["open"] and seen["units"]
+        assert (world.steps == max_steps) == (project == "synthetic")
+
 
 class _StatusLog(dict):
     """A node status dict that logs every assignment."""
