@@ -207,7 +207,6 @@ class ScheduleMilp:
     variables: tuple[tuple[str, str], ...]  # candidate assignment edges (u, v)
     durations: list[float]  # pickup travel of variables[i] if it is chosen
     big_m: float
-    terminal_nodes: tuple[str, ...]
 
 
 def _candidate_edges(graph: ScheduleGraph) -> list[tuple[str, str]]:
@@ -243,8 +242,7 @@ def build_milp(graph: ScheduleGraph, fleet: RobotFleet) -> ScheduleMilp:
     np.maximum.at(longest, cols, durations)
     fixed = sum(n.duration or 0.0 for n in graph.nodes.values())
     big_m = fixed + sum(longest.tolist()) + 1.0
-    return ScheduleMilp(graph, fleet, tuple(variables), durations.tolist(), big_m,
-                        graph.terminal_nodes)
+    return ScheduleMilp(graph, fleet, tuple(variables), durations.tolist(), big_m)
 
 
 def _lp_name(raw: str, taken: dict[str, str]) -> str:
@@ -306,7 +304,7 @@ def export_lp(milp: ScheduleMilp, out: TextIO) -> None:
     taken: dict[str, str] = {}
     node_name = {nid: _lp_name(nid, taken) for nid in sorted(g.nodes)}
     write = out.write
-    obj = " + ".join(f"tF_{node_name[t]}" for t in milp.terminal_nodes)
+    obj = " + ".join(f"tF_{node_name[t]}" for t in g.terminal_nodes)
     write(f"\\ sparse adjacency assignment model\nMinimize\n obj: {obj}\nSubject To\n")
     for row, expr in enumerate(_lp_constraints(milp, node_name), 1):
         write(f" c{row}: {expr}\n")

@@ -36,7 +36,7 @@ def _load_input(path: Path):
     """Project from an MPD/LDR model or a native JSON document."""
     if not path.is_file():
         raise FileNotFoundError(path)
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".json":
         spec, fleet, params = model.project_from_jsonable(json.loads(text))
         return spec, fleet, params
@@ -61,23 +61,22 @@ def _invalid_option(problem) -> int:
     return EXIT_BAD_INPUT
 
 
-def _write(out: Path, name: str, text: str):
-    out.mkdir(parents=True, exist_ok=True)
-    (out / name).write_text(text)
-
-
 def _stream(out: Path, name: str, writer):
-    """Write artifact `name` through `writer(file)` into a temporary file in
-    `out`, renamed into place only once the writer has finished, so a writer
-    that fails leaves no partial artifact behind."""
+    """Write artifact `name` as UTF-8 through `writer(file)` into a temporary
+    file in `out`, renamed into place only once the writer has finished, so a
+    writer that fails leaves no partial artifact behind."""
     out.mkdir(parents=True, exist_ok=True)
     tmp = out / f"{name}.tmp"
     try:
-        with tmp.open("w") as f:
+        with tmp.open("w", encoding="utf-8") as f:
             writer(f)
         os.replace(tmp, out / name)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write(out: Path, name: str, text: str):
+    _stream(out, name, lambda f: f.write(text))
 
 
 def _json_text(obj) -> str:
@@ -92,7 +91,7 @@ def cmd_plan(args) -> int:
         print(f"error: cannot read input {args.input}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (UnicodeDecodeError, ldraw.LdrawParseError, json.JSONDecodeError,
-            model.ProjectError) as exc:
+            model.ProjectError, model.ArtifactError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
@@ -105,7 +104,7 @@ def cmd_plan(args) -> int:
     t_start = time.perf_counter()
     try:
         fleet = _fleet_from_args(args, fleet)
-        params = params or projects.default_params(buffer_radius=0.25, seed=args.seed)
+        params = params or model.PlanParams(buffer_radius=0.25, seed=args.seed)
         if args.buffer is not None:
             params = dataclasses.replace(params, buffer_radius=args.buffer)
     except model.ProjectError as exc:
@@ -148,7 +147,7 @@ def _read_artifact(path: Path, reader):
     model.ArtifactError naming the file when its text is not UTF-8 JSON or
     the document does not have the structure `reader` expects."""
     try:
-        return reader(json.loads(path.read_text()))
+        return reader(json.loads(path.read_text(encoding="utf-8")))
     except (UnicodeDecodeError, json.JSONDecodeError, model.ProjectError,
             model.ArtifactError) as exc:
         raise model.ArtifactError(f"malformed artifact {path.name}: {exc}") from None
@@ -270,8 +269,7 @@ def cmd_simulate(args) -> int:
 
     _, _, predicted = schedule.evaluate_schedule(graph, fleet)
     t_start = time.perf_counter()
-    trace = sim.simulate(graph, plan, configs, fleet, params,
-                         seed=args.seed, max_steps=args.max_steps)
+    trace = sim.simulate(graph, plan, configs, fleet, params, max_steps=args.max_steps)
     runtime = time.perf_counter() - t_start
 
     metrics = sim.metrics_to_jsonable(trace, predicted_makespan=predicted)
@@ -346,7 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             sp.add_argument("--input", required=True, help="MPD model or project JSON")
         sp.add_argument("--out", required=True, help="artifact directory")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=0, help=(
+            "seeds plan: the transport-unit search, the fleet positions when plan "
+            "draws the fleet, and the part-source ring when the input embeds no "
+            "params; allocate, simulate and report accept it and ignore it"))
 
     sp = sub.add_parser("plan", help="staging + transport + partial schedule")
     common(sp, needs_input=True)

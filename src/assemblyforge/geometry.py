@@ -58,12 +58,6 @@ class Polygon2D:
         diffs = np.diff(np.vstack([self.vertices, self.vertices[:1]]), axis=0)
         return np.linalg.norm(diffs, axis=1)
 
-    def signed_area(self) -> float:
-        if len(self.vertices) < 3:
-            return 0.0
-        x, y = self.vertices[:, 0], self.vertices[:, 1]
-        return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
 
 @dataclass(frozen=True)
 class Circle:
@@ -118,12 +112,6 @@ class OctagonalPrism:
         if h.shape != (8,):
             raise GeometryError("octagonal prism needs 8 face offsets")
         object.__setattr__(self, "offsets", h)
-
-    def face_widths(self) -> np.ndarray:
-        h = self.offsets
-        s = math.sin(math.pi / 4)
-        c = math.cos(math.pi / 4)
-        return (np.roll(h, 1) + np.roll(h, -1) - 2 * c * h) / s
 
     def contains(self, point3d, tol: float = CONTAINMENT_TOL) -> bool:
         p = np.asarray(point3d, float)
@@ -280,6 +268,13 @@ def bounding_cylinder(points3d, seed: int = 0) -> VerticalCylinder:
     )
 
 
+def face_widths(offsets: np.ndarray) -> np.ndarray:
+    """Width of each face of the octagon with support `offsets`."""
+    s = math.sin(math.pi / 4)
+    c = math.cos(math.pi / 4)
+    return (np.roll(offsets, 1) + np.roll(offsets, -1) - 2 * c * offsets) / s
+
+
 def bounding_octagonal_prism(points3d, min_face_width: float) -> OctagonalPrism:
     """Tight octagonal prism; faces narrower than min_face_width are relaxed
     by pushing the two adjacent offsets outward equally until every face opens.
@@ -290,10 +285,8 @@ def bounding_octagonal_prism(points3d, min_face_width: float) -> OctagonalPrism:
     xy = pts[:, :2]
     h = np.max(OCTAGON_NORMALS @ xy.T, axis=1)
     s = math.sin(math.pi / 4)
-    c = math.cos(math.pi / 4)
     for _ in range(10_000):
-        widths = (np.roll(h, 1) + np.roll(h, -1) - 2 * c * h) / s
-        deficits = min_face_width - widths
+        deficits = min_face_width - face_widths(h)
         worst = float(deficits.max())
         if worst <= 1e-12:
             break

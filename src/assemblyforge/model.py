@@ -8,7 +8,6 @@ All values are immutable after construction; canonical length unit is meters.
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -27,10 +26,13 @@ class ArtifactError(ValueError):
 @contextmanager
 def reading_artifact(what: str):
     """Turn a missing key, or a value of the wrong type or shape, met while
-    reading the document `what`, into an ArtifactError. Also a decorator of
-    a reader function."""
+    reading the document `what`, into an ArtifactError; a ProjectError (a
+    value out of range) passes through. Also a decorator of a reader
+    function."""
     try:
         yield
+    except ProjectError:
+        raise
     except KeyError as exc:
         raise ArtifactError(f"{what} is missing key {exc}") from None
     except (TypeError, AttributeError, IndexError, ValueError) as exc:
@@ -51,10 +53,6 @@ class Transform:
     @staticmethod
     def identity() -> "Transform":
         return Transform(np.eye(3), np.zeros(3))
-
-    @staticmethod
-    def translate(x: float, y: float, z: float) -> "Transform":
-        return Transform(np.eye(3), np.array([x, y, z]))
 
     def compose(self, child: "Transform") -> "Transform":
         return Transform(
@@ -332,53 +330,36 @@ def project_to_jsonable(spec: ProjectSpec, fleet: RobotFleet | None = None,
     return doc
 
 
+@reading_artifact("project JSON")
 def project_from_jsonable(doc: dict) -> tuple[ProjectSpec, RobotFleet | None, PlanParams | None]:
     """Project, fleet and parameters from a native project JSON document;
-    raises ProjectError when a required key is missing or a value has the
-    wrong structure."""
-    try:
-        assemblies = {
-            aid: Assembly(
-                id=aid,
-                components=tuple(
-                    (c["id"], Transform.from_jsonable(c["transform"])) for c in body["components"]
-                ),
-                build_phases=tuple(
-                    BuildPhase(p["index"], tuple(p["members"])) for p in body["build_phases"]
-                ),
-            )
-            for aid, body in doc["assemblies"].items()
-        }
-        parts = {
-            pid: PartGeometry(np.array(body["vertices"]), body["units_per_meter"])
-            for pid, body in doc["parts"].items()
-        }
-        spec = ProjectSpec(assemblies=assemblies, root=doc["root"], parts_catalog=parts)
-        fleet = None
-        if "fleet" in doc:
-            f = doc["fleet"]
-            fleet = RobotFleet(
-                count=f["count"], radius=f["radius"], v_max=f["v_max"], v_min=f["v_min"],
-                v_factor=f["v_factor"], initial_positions=np.array(f["initial_positions"]),
-            )
-        params = None
-        if "params" in doc:
-            params = PlanParams(**doc["params"])
-        return spec, fleet, params
-    except KeyError as exc:
-        raise ProjectError(f"project JSON is missing key {exc}") from None
-    except ProjectError:
-        raise
-    except (TypeError, AttributeError, ValueError) as exc:
-        raise ProjectError(f"project JSON has the wrong structure: {exc}") from None
-
-
-def save_project(path, spec: ProjectSpec, fleet: RobotFleet | None = None,
-                 params: PlanParams | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(project_to_jsonable(spec, fleet, params), fh, indent=2, sort_keys=True)
-
-
-def load_project(path) -> tuple[ProjectSpec, RobotFleet | None, PlanParams | None]:
-    with open(path, encoding="utf-8") as fh:
-        return project_from_jsonable(json.load(fh))
+    raises ArtifactError when a required key is missing or a value has the
+    wrong structure, and ProjectError when a value is out of range."""
+    assemblies = {
+        aid: Assembly(
+            id=aid,
+            components=tuple(
+                (c["id"], Transform.from_jsonable(c["transform"])) for c in body["components"]
+            ),
+            build_phases=tuple(
+                BuildPhase(p["index"], tuple(p["members"])) for p in body["build_phases"]
+            ),
+        )
+        for aid, body in doc["assemblies"].items()
+    }
+    parts = {
+        pid: PartGeometry(np.array(body["vertices"]), body["units_per_meter"])
+        for pid, body in doc["parts"].items()
+    }
+    spec = ProjectSpec(assemblies=assemblies, root=doc["root"], parts_catalog=parts)
+    fleet = None
+    if "fleet" in doc:
+        f = doc["fleet"]
+        fleet = RobotFleet(
+            count=f["count"], radius=f["radius"], v_max=f["v_max"], v_min=f["v_min"],
+            v_factor=f["v_factor"], initial_positions=np.array(f["initial_positions"]),
+        )
+    params = None
+    if "params" in doc:
+        params = PlanParams(**doc["params"])
+    return spec, fleet, params

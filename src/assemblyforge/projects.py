@@ -1,5 +1,5 @@
 """Bundled example projects: a 1-part toy, a 20-part tractor, and a seeded
-synthetic project, plus default fleet/parameter builders."""
+synthetic project, plus the default fleet builder."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from .model import (
     Assembly,
     BuildPhase,
     PartGeometry,
-    PlanParams,
     ProjectError,
     ProjectSpec,
     RobotFleet,
@@ -103,7 +102,3 @@ def default_fleet(count: int, seed: int = 0, radius: float = 0.25,
     positions = sample_grid_positions(count, spacing=4 * radius, seed=seed)
     return RobotFleet(count=count, radius=radius, v_max=v_max, v_min=v_min,
                       v_factor=v_factor, initial_positions=positions)
-
-
-def default_params(**overrides) -> PlanParams:
-    return PlanParams(**overrides)

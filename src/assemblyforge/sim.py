@@ -431,7 +431,6 @@ class SimTrace:
     swap_count: int
     deadlocked: bool
     steps: int
-    seed: int
 
 
 def trace_to_csv(trace: SimTrace) -> str:
@@ -452,7 +451,6 @@ def metrics_to_jsonable(trace: SimTrace, predicted_makespan: float | None = None
         "swap_count": trace.swap_count,
         "deadlocked": trace.deadlocked,
         "steps": trace.steps,
-        "seed": trace.seed,
     }
     if predicted_makespan is not None:
         out["predicted_makespan"] = predicted_makespan
@@ -512,7 +510,6 @@ class World:
                  fleet: RobotFleet, params: PlanParams):
         self.graph = graph
         self.staging_plan = staging_plan
-        self.transport_configs = transport_configs
         self.fleet = fleet
         self.params = params
         self.dt = params.dt_sim
@@ -592,6 +589,11 @@ class World:
         i = self.mission_idx[rid]
         return ms[i] if i < len(ms) else None
 
+    def start(self, nid: str):
+        """Make timed node `nid` active until its duration has passed."""
+        self.status[nid] = "active"
+        self.timers[nid] = self.t + (self.graph.nodes[nid].duration or 0.0)
+
     def enter(self, aid: str, position):
         """Make agent `aid` present, at rest at `position`."""
         r = self.row[aid]
@@ -604,10 +606,8 @@ class World:
         # node only readies its successors, which come later
         while self.ready:
             _, nid = heapq.heappop(self.ready)
-            node = self.graph.nodes[nid]
-            if node.kind == "LiftIntoPlace":
-                self.status[nid] = "active"
-                self.timers[nid] = self.t + (node.duration or 0.0)
+            if self.graph.nodes[nid].kind == "LiftIntoPlace":
+                self.start(nid)
             else:
                 self.complete(nid)
         return self.status[self.graph.terminal_nodes[0]] == "complete"
@@ -668,8 +668,7 @@ def _form_units(world: World):
         for rid in members:
             world.present[row[rid]] = False
             world.stuck_mark.pop(rid, None)
-        status[form] = "active"
-        world.timers[form] = world.t + (graph.nodes[form].duration or 0.0)
+        world.start(form)
         world.events.append({"type": "unit_formed", "payload": payload, "t": round(world.t, 6)})
 
 
@@ -689,8 +688,7 @@ def _arrive_and_deposit(world: World):
     for _, dep in sorted(world.unit_task.items()):
         if (graph.nodes[dep].kind == "DepositCargo" and status[dep] == "pending"
                 and world.remaining[dep] == 0):
-            status[dep] = "active"
-            world.timers[dep] = world.t + (graph.nodes[dep].duration or 0.0)
+            world.start(dep)
 
 
 def _nominal(world: World, position, radius: float, speed: float, active: bool, goal, payload,
@@ -893,7 +891,6 @@ def simulate(
     transport_configs: dict[str, TransportUnitConfig],
     fleet: RobotFleet,
     params: PlanParams,
-    seed: int = 0,
     max_steps: int = 20_000,
 ) -> SimTrace:
     world = World(graph, staging_plan, transport_configs, fleet, params)
@@ -902,4 +899,4 @@ def simulate(
         finished = step(world)
     makespan = world.t if finished else float("inf")
     return SimTrace(world.rows, world.events, makespan, world.collision_count,
-                    world.swap_count, not finished, world.steps, seed)
+                    world.swap_count, not finished, world.steps)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .model import PlanParams, ProjectSpec, reading_artifact
 from .transport import TransportUnitConfig, payload_points
 
@@ -134,7 +135,6 @@ class DropoffZone:
 
 @dataclass
 class AssemblyStaging:
-    assembly_id: str
     center: np.ndarray  # world frame (2,)
     hub_center_local: np.ndarray  # bounding cylinder center in assembly frame
     final_radius: float  # assembly bounding cylinder radius
@@ -220,8 +220,6 @@ def build_staging_plan(
 ) -> StagingPlan:
     """Lay out every assembly's per-phase dropoff zones and place the
     assembly tree bottom-up, root centered at the origin."""
-    from . import geometry
-
     buffer = params.buffer_radius
     local: dict[str, AssemblyStaging] = {}
     child_offsets: dict[str, dict[str, np.ndarray]] = {}  # parent -> child -> offset
@@ -267,7 +265,6 @@ def build_staging_plan(
             prev_radius = radius
 
         return AssemblyStaging(
-            assembly_id=aid,
             center=np.zeros(2),
             hub_center_local=hub_center,
             final_radius=cyl.radius,
@@ -393,7 +390,6 @@ def staging_plan_from_jsonable(data: dict) -> StagingPlan:
     assemblies = {}
     for aid, body in data["assemblies"].items():
         assemblies[aid] = AssemblyStaging(
-            assembly_id=aid,
             center=np.array(body["center"]),
             hub_center_local=np.array(body["hub_center_local"]),
             final_radius=body["final_radius"],

@@ -1,11 +1,11 @@
 import pytest
 
-from assemblyforge import allocation, projects, schedule, staging, transport
+from assemblyforge import allocation, model, projects, schedule, staging, transport
 
 
 @pytest.fixture(scope="session")
 def params():
-    return projects.default_params(buffer_radius=0.25)
+    return model.PlanParams(buffer_radius=0.25)
 
 
 @pytest.fixture(scope="session")

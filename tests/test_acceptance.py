@@ -167,7 +167,7 @@ def _tiny_project(n_parts: int, phases: int = 1):
     part = projects._box(0.2, 0.2, 0.2)
     ids = [f"p@{i + 1}" for i in range(n_parts)]
     comps = tuple(
-        (pid, model.Transform.translate(0.4 * i - 0.2 * (n_parts - 1), 0.0, 0.0))
+        (pid, model.Transform(np.eye(3), [0.4 * i - 0.2 * (n_parts - 1), 0.0, 0.0]))
         for i, pid in enumerate(ids)
     )
     per = math.ceil(n_parts / phases)

@@ -11,7 +11,7 @@ import pytest
 from assemblyforge import allocation, projects, schedule, staging, transport
 from assemblyforge.allocation import BnbLimits
 from assemblyforge.model import (
-    Assembly, BuildPhase, ProjectError, ProjectSpec, RobotFleet, Transform,
+    Assembly, BuildPhase, PlanParams, ProjectError, ProjectSpec, RobotFleet, Transform,
 )
 
 from . import oracles
@@ -136,8 +136,8 @@ class TestGreedy:
         # With instant form, transport and deposit and the dropoffs scattered,
         # a robot that just delivered can reach a cached team's goal before
         # that team's last pick: the second cache-drop rule must fire
-        params = projects.default_params(buffer_radius=0.25, duration_form=0.0,
-                                         duration_deposit=0.0)
+        params = PlanParams(buffer_radius=0.25, duration_form=0.0,
+                            duration_deposit=0.0)
         configs = transport.configure_all_transport_units(
             tractor_spec, projects.default_fleet(5))
         plan = staging.build_staging_plan(tractor_spec, configs, params)
@@ -174,7 +174,7 @@ class TestGreedy:
         # lower row, so the cached team must be dropped and p@2 go to robot0.
         ids = ("p@1", "p@2")
         asm = Assembly(id="job", components=tuple(
-            (pid, Transform.translate(0.4 * i, 0.0, 0.0)) for i, pid in enumerate(ids)),
+            (pid, Transform(np.eye(3), [0.4 * i, 0.0, 0.0])) for i, pid in enumerate(ids)),
             build_phases=(BuildPhase(1, ids),))
         spec = ProjectSpec(assemblies={"job": asm}, root="job",
                            parts_catalog=dict.fromkeys(ids, projects._box(0.2, 0.2, 0.2)))

@@ -1,15 +1,22 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import assemblyforge
 from assemblyforge import allocation, cli, model, projects
 
 
 @pytest.fixture()
 def toy_input(tmp_path):
     path = tmp_path / "toy.json"
-    model.save_project(path, projects.toy_project(), projects.default_fleet(2),
-                       projects.default_params(buffer_radius=0.25))
+    doc = model.project_to_jsonable(projects.toy_project(), projects.default_fleet(2),
+                                    model.PlanParams(buffer_radius=0.25))
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -84,6 +91,35 @@ class TestExitCodes:
         assert code == cli.EXIT_BAD_INPUT
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: malformed input:")
+
+    @pytest.mark.parametrize("case,message", [
+        ("missing-root", "project JSON is missing key 'root'"),
+        ("assemblies-list",
+         "project JSON has the wrong structure: 'list' object has no attribute 'items'"),
+        ("negative-radius", "robot radius must be positive"),
+    ])
+    def test_project_error_lines(self, toy_input, tmp_path, capsys, case, message):
+        """The same document error gives the same one line as `plan`'s input
+        and as the `project.json` that `allocate` reads."""
+        doc = json.loads(toy_input.read_text())
+        if case == "missing-root":
+            del doc["root"]
+        elif case == "assemblies-list":
+            doc["assemblies"] = []
+        else:
+            doc["fleet"]["radius"] = -1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = cli.main(["plan", "--input", str(bad), "--out", str(tmp_path / "bad")])
+        assert code == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: malformed input: {message}\n"
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        (out / "project.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            f"error: malformed artifact project.json: {message}\n")
 
     @pytest.mark.parametrize("suffix", [".json", ".mpd"])
     def test_input_not_utf8(self, tmp_path, capsys, suffix):
@@ -419,6 +455,31 @@ class TestFullChain:
             assert cli.main(["simulate", "--out", str(out)]) == cli.EXIT_OK
             traces.append((out / "trace.csv").read_bytes())
         assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("name", ["modèle.mpd", "jouet.json"], ids=["mpd", "json"])
+    def test_utf8_whatever_the_locale(self, tmp_path, name):
+        """Non-ASCII names in a UTF-8 input are read and written as UTF-8
+        under the C locale with UTF-8 mode off."""
+        inp = tmp_path / name
+        if name.endswith(".mpd"):
+            inp.write_text("0 FILE modèle.ldr\n1 16 0 0 0 1 0 0 0 1 0 0 0 1 3001.dat\n",
+                           encoding="utf-8")
+        else:
+            toy = projects.toy_project()
+            asm = dataclasses.replace(toy.assemblies["toy"], id="jouet_é")
+            spec = model.ProjectSpec({"jouet_é": asm}, "jouet_é", toy.parts_catalog)
+            inp.write_text(json.dumps(model.project_to_jsonable(spec)))
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(assemblyforge.__file__).parents[1]))
+        out = tmp_path / "out"
+        for argv in (["plan", "--input", str(inp), "--robots", "3"], ["allocate"],
+                     ["simulate"]):
+            proc = subprocess.run([sys.executable, "-m", "assemblyforge.cli", *argv,
+                                   "--out", str(out)],
+                                  capture_output=True, env=env, timeout=300, check=False)
+            assert proc.returncode == cli.EXIT_OK, proc.stderr.decode("utf-8", "replace")
+        root = "modèle.ldr" if name.endswith(".mpd") else "jouet_é"
+        assert root in (out / "schedule_partial.dot").read_text(encoding="utf-8")
 
     def test_mpd_input(self, tmp_path):
         mpd = tmp_path / "tractor.mpd"

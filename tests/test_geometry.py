@@ -12,7 +12,9 @@ class TestConvexHull:
         pts = [[0, 0], [2, 0], [2, 2], [0, 2], [1, 1], [0.5, 1.5]]
         hull = geometry.convex_hull_2d(pts)
         assert len(hull.vertices) == 4
-        assert hull.signed_area() == 4.0  # CCW orientation
+        x, y = hull.vertices[:, 0], hull.vertices[:, 1]
+        # the shoelace sum is twice the area, positive for a CCW loop
+        assert np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)) == 8.0
         assert hull.perimeter() == 8.0
 
     def test_single_point(self):
@@ -112,7 +114,7 @@ class TestBoundingShapes:
         prism = geometry.bounding_octagonal_prism(pts, min_face_width=0.1)
         for p in pts:
             assert prism.contains(p)
-        assert np.all(prism.face_widths() >= 0.1 - 1e-9)
+        assert np.all(geometry.face_widths(prism.offsets) >= 0.1 - 1e-9)
 
     def test_octagon_of_unit_square(self):
         pts = np.array([[sx, sy, 0.0] for sx in (0, 1) for sy in (0, 1)])

@@ -102,27 +102,27 @@ GOLDEN = {
 GOLDEN_METRICS = {
     "toy-2": {
         "collision_count": 0, "deadlocked": False, "execution_makespan": 15.000000000000078,
-        "predicted_makespan": 10.273791780023945, "robots": 2, "seed": 0, "steps": 300,
+        "predicted_makespan": 10.273791780023945, "robots": 2, "steps": 300,
         "swap_count": 0,
     },
     "tractor-5": {
         "collision_count": 0, "deadlocked": False, "execution_makespan": 430.5000000000636,
-        "predicted_makespan": 357.5042436789421, "robots": 5, "seed": 0, "steps": 8610,
+        "predicted_makespan": 357.5042436789421, "robots": 5, "steps": 8610,
         "swap_count": 22,
     },
     "tractor-10": {
         "collision_count": 0, "deadlocked": False, "execution_makespan": 221.35000000001608,
-        "predicted_makespan": 189.2795477017098, "robots": 10, "seed": 0, "steps": 4427,
+        "predicted_makespan": 189.2795477017098, "robots": 10, "steps": 4427,
         "swap_count": 28,
     },
     "tractor-15": {
         "collision_count": 0, "deadlocked": False, "execution_makespan": 210.5000000000136,
-        "predicted_makespan": 161.90861368485565, "robots": 15, "seed": 0, "steps": 4210,
+        "predicted_makespan": 161.90861368485565, "robots": 15, "steps": 4210,
         "swap_count": 57,
     },
     "synthetic-8": {
         "collision_count": 0, "deadlocked": True, "execution_makespan": float("inf"),
-        "predicted_makespan": 376.86175981359054, "robots": 8, "seed": 0, "steps": 2000,
+        "predicted_makespan": 376.86175981359054, "robots": 8, "steps": 2000,
         "swap_count": 0,
     },
 }
@@ -132,8 +132,8 @@ GOLDEN_METRICS = {
 def test_golden_artifacts(name, tmp_path):
     make_spec, robots, allocations, simulate = RUNS[name]
     project = tmp_path / "project.json"
-    model.save_project(project, make_spec(), projects.default_fleet(robots),
-                       projects.default_params(buffer_radius=0.25))
+    project.write_text(json.dumps(model.project_to_jsonable(
+        make_spec(), projects.default_fleet(robots), model.PlanParams(buffer_radius=0.25))))
     out = tmp_path / "out"
     assert cli.main(["plan", "--input", str(project), "--out", str(out)]) == cli.EXIT_OK
     for method in allocations:

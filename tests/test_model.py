@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -34,7 +35,7 @@ class TestTransform:
         if np.linalg.det(q) < 0:
             q[:, 0] *= -1
         a = Transform(q, rng.normal(size=3))
-        b = Transform.translate(1.0, -2.0, 0.5)
+        b = Transform(np.eye(3), [1.0, -2.0, 0.5])
         p = rng.normal(size=(5, 3))
         assert np.allclose(a.compose(b).apply(p), a.apply(b.apply(p)))
 
@@ -45,7 +46,7 @@ class TestTransform:
         assert not Transform(reflect, np.zeros(3)).is_rigid()
 
     def test_json_round_trip(self):
-        tf = Transform.translate(0.1, 0.2, 0.3)
+        tf = Transform(np.eye(3), [0.1, 0.2, 0.3])
         back = Transform.from_jsonable(tf.to_jsonable())
         assert np.allclose(back.rotation, tf.rotation)
         assert np.allclose(back.translation, tf.translation)
@@ -176,13 +177,12 @@ class TestPlanParams:
 
 
 class TestProjectJson:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         spec = projects.tractor_project()
         fleet = projects.default_fleet(5)
-        params = projects.default_params(buffer_radius=0.25)
-        path = tmp_path / "project.json"
-        model.save_project(path, spec, fleet, params)
-        spec2, fleet2, params2 = model.load_project(path)
+        params = PlanParams(buffer_radius=0.25)
+        text = json.dumps(model.project_to_jsonable(spec, fleet, params))
+        spec2, fleet2, params2 = model.project_from_jsonable(json.loads(text))
         assert model.project_to_jsonable(spec2) == model.project_to_jsonable(spec)
         assert params2 == params
         assert fleet2.count == fleet.count

@@ -180,7 +180,7 @@ class TestSimulate:
         assert csv.splitlines()[0] == "t,id,x,y,vx,vy,task,alpha"
         metrics = sim.metrics_to_jsonable(trace, data["greedy"].makespan)
         assert set(metrics) == {"execution_makespan", "collision_count",
-                                "swap_count", "deadlocked", "steps", "seed",
+                                "swap_count", "deadlocked", "steps",
                                 "predicted_makespan"}
 
     def test_step_by_hand_matches_simulate(self, toy_run, params):
