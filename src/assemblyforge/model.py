@@ -186,6 +186,10 @@ class PlanParams:
                 raise ProjectError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.dt_sim <= 0:
             raise ProjectError("dt_sim must be positive")
+        if self.rvo_horizon <= 0:  # the ORCA cut-off divides by it
+            raise ProjectError("rvo_horizon must be positive")
+        if self.boundary_tol < 0:  # the tangent bug's boundary mode could never fire
+            raise ProjectError("boundary_tol must be non-negative")
         if min(self.duration_form, self.duration_deposit, self.duration_lift) < 0:
             raise ProjectError("task durations must be non-negative")
         if self.dispersion_r_max < 0 or self.buffer_radius < 0:

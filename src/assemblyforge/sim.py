@@ -8,18 +8,25 @@ transport units replace their member robots as a single agent until the cargo
 is deposited.
 
 The step is array-backed. Checkpoints come off a ready queue in topological
-order; the first tangent-bug ray test of every agent against every staging
-circle, the ORCA half-planes of every constrained pair (van den Berg et al.,
-"Reciprocal n-Body Collision Avoidance", 2011) and the penetration test of
-every pair are each one array pass per step. The dispersion layer reads one
-array of center distances per step: the field radii are one masked minimum
-over it, and only the pairs closer than a proven bound beyond which the force
-is exactly zero (see CULL_MARGIN) reach the scalar `dispersion_force`. Each
-element goes through the float operations of the scalar formula it replaced,
-in the same order: a dot product of 2-vectors is `np.vecdot`, which rounds as
-`a @ b` does (numpy's BLAS may fuse the multiply-add, so
-`a[0] * b[0] + a[1] * b[1]` can differ), and a length is
-`sqrt(vecdot(v, v))`, as in `np.linalg.norm`. Branches are picked by masks.
+order. The tangent bug (Kamon, Rivlin & Rimon, "TangentBug", 1998) is one
+array pass per step over every agent: the sit-and-wait mask, the ray test of
+every agent against every staging circle (its own open-phase circle masked
+out when its goal lies inside), the four modes picked by masks over the
+distance to the first circle hit, and one ray test of every agent in the
+tangent mode toward its tangent point. Only `math.asin`, `math.cos` and
+`math.sin` of the tangent angles run per element, as numpy's may round the
+last bit differently from libm. The ORCA half-planes of every constrained
+pair (van den Berg et al., "Reciprocal n-Body Collision Avoidance", 2011) and
+the penetration test of every pair are each one array pass per step too. The
+dispersion layer reads one array of center distances per step: the field
+radii are one masked minimum over it, and only the pairs closer than a proven
+bound beyond which the force is exactly zero (see CULL_MARGIN) reach the
+scalar `dispersion_force`. Each element goes through the float operations of
+the scalar formula it replaced, in the same order: a dot product of 2-vectors
+is `np.vecdot`, which rounds as `a @ b` does (numpy's BLAS may fuse the
+multiply-add, so `a[0] * b[0] + a[1] * b[1]` can differ), a length is
+`sqrt(vecdot(v, v))`, as in `np.linalg.norm`, and Python's `min` and `max`
+are `np.where` forms with the same tie rules. Branches are picked by masks.
 The 2D LP (`_lp1`, `_lp3`) stays scalar.
 """
 
@@ -29,7 +36,6 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,13 +58,6 @@ def _length(v) -> float:
 # -- level 1: modified tangent bug -------------------------------------------
 
 
-class Circles(NamedTuple):
-    """Obstacle circles as arrays: centers (k, 2) and radii (k,)."""
-
-    centers: np.ndarray
-    radii: np.ndarray
-
-
 def _ray_circle_hits(pos, goal, centers, radii) -> np.ndarray:
     """The earliest parameter t in [0, 1] where segment pos->goal enters
     each circle, or inf where it does not.
@@ -79,74 +78,127 @@ def _ray_circle_hits(pos, goal, centers, radii) -> np.ndarray:
     return np.where(hit, np.where(0.0 > t1, 0.0, t1), np.inf)
 
 
-def tangent_bug_step(pos, goal, obstacles: Circles, planning_radius: float, eps_b: float,
-                     hits=None):
-    """One evaluation of the switching controller.
+# the modes of the switching controller, as `_tangent_bug` numbers them
+MOVE_TOWARD_WAYPOINT, MOVE_CCW_ALONG_BOUNDARY, EXIT_TARGET, MOVE_TOWARD_TANGENT_POINT = range(4)
 
-    `obstacles` are `Circles` already inflated by the agent radius; `hits`,
-    if given, is what `_ray_circle_hits` returns for pos->goal and them.
-    Returns (waypoint, mode)."""
-    pos = np.asarray(pos, float)
-    goal = np.asarray(goal, float)
-    centers, radii = obstacles
-    ts = _ray_circle_hits(pos, goal, centers, radii) if hits is None else hits
-    k = int(np.argmin(ts)) if len(ts) else None  # the first of equal minima
-    if k is None or ts[k] == np.inf:
-        return goal, "move_toward_waypoint"
 
-    t, center, radius = ts[k], centers[k], radii[k]
-    waypoint = pos + t * (goal - pos)
-    d = _length(pos - center) - radius
-    if abs(d) <= eps_b:
-        return waypoint, "move_ccw_along_boundary"
-    if d < -eps_b:
-        off = pos - center
-        norm = _length(off)
-        if norm < 1e-12:
-            heading = goal - pos
-            hn = _length(heading)
-            direction = heading / hn if hn > 1e-12 else np.array([1.0, 0.0])
-        else:
-            direction = off / norm
-        return center + radius * direction, "exit_target"
-    if d > planning_radius:
-        return waypoint, "move_toward_waypoint"
-    # right-hand tangent point of the target circle
+def _tangent_bug(pos, goals, centers, radii, mine, planning_radius: float, eps_b: float):
+    """One evaluation of the switching controller for every agent row.
+
+    `pos` and `goals` are (m, 2); `radii` (m, k) are the circles at `centers`
+    (k, 2) inflated by each agent's radius, and `mine` (m, k) marks the
+    circles an agent ignores. Returns the waypoints (m, 2) and modes (m,)."""
+    m = len(pos)
+    waypoints, modes = goals.copy(), np.full(m, MOVE_TOWARD_WAYPOINT)
+    if not len(centers):
+        return waypoints, modes
+    hits = np.where(mine, np.inf, _ray_circle_hits(pos, goals, centers, radii))
+    first = np.argmin(hits, axis=1)  # the first of equal minima
+    t = hits[np.arange(m), first]
+    b = np.flatnonzero(t != np.inf)
+    if not len(b):
+        return waypoints, modes
+    p, k = pos[b], first[b]
+    center, radius = centers[k], radii[b, k]
+    waypoints[b] = p + t[b][:, None] * (goals[b] - p)
+    off = p - center
+    norm = np.sqrt(np.vecdot(off, off))
+    d = norm - radius
+    boundary = np.abs(d) <= eps_b
+    modes[b[boundary]] = MOVE_CCW_ALONG_BOUNDARY
+    inside = ~boundary & (d < -eps_b)
+    if inside.any():  # leave radially, or along the heading from the center
+        i = b[inside]
+        heading = goals[i] - pos[i]
+        hn = np.sqrt(np.vecdot(heading, heading))
+        norm = norm[inside]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            direction = np.where(
+                (norm < 1e-12)[:, None],
+                np.where((hn > 1e-12)[:, None], heading / hn[:, None], [1.0, 0.0]),
+                off[inside] / norm[:, None])
+        waypoints[i] = center[inside] + radius[inside][:, None] * direction
+        modes[i] = EXIT_TARGET
+    tangent = ~boundary & ~inside & ~(d > planning_radius)
+    if tangent.any():
+        rows = b[tangent]
+        points, free = _tangent_points(pos[rows], center[tangent], radius[tangent], centers,
+                                       radii[rows], mine[rows])
+        waypoints[rows[free]] = points[free]
+        modes[rows[free]] = MOVE_TOWARD_TANGENT_POINT
+    return waypoints, modes
+
+
+def _tangent_points(pos, center, radius, centers, radii, mine):
+    """The right-hand tangent points of the target circles (`center`,
+    `radius`), and whether the way to each is free: no circle but the
+    target, one equal to it or one in `mine` blocks it."""
     to_c = center - pos
-    dist_c = _length(to_c)
-    u = to_c / dist_c
-    beta = math.asin(min(1.0, radius / dist_c))
-    leg = math.sqrt(max(dist_c * dist_c - radius * radius, 0.0))
-    cb, sb = math.cos(-beta), math.sin(-beta)
-    tangent_dir = np.array([cb * u[0] - sb * u[1], sb * u[0] + cb * u[1]])
-    tangent_pt = pos + leg * tangent_dir
+    dist_c = np.sqrt(np.vecdot(to_c, to_c))
+    u = to_c / dist_c[:, None]
+    ratio = radius / dist_c
+    # libm per element: numpy's asin, cos and sin may round differently
+    beta = [math.asin(x) for x in np.where(ratio < 1.0, ratio, 1.0).tolist()]
+    cb = np.array([math.cos(-x) for x in beta], float)
+    sb = np.array([math.sin(-x) for x in beta], float)
+    sq = dist_c * dist_c - radius * radius
+    leg = np.sqrt(np.where(0.0 > sq, 0.0, sq))
+    tangent_pt = pos + leg[:, None] * np.stack([cb * u[:, 0] - sb * u[:, 1],
+                                                sb * u[:, 0] + cb * u[:, 1]], axis=1)
     # the target circle, and any equal to it as np.allclose judges, does not block
-    close = np.abs(centers - center) <= 1e-8 + 1e-5 * np.abs(center)
-    same = close[:, 0] & close[:, 1] & (np.abs(radii - radius) < 1e-12)
-    if np.any(~same & (_ray_circle_hits(pos, tangent_pt, centers, radii) != np.inf)):
-        return waypoint, "move_toward_waypoint"
-    return tangent_pt, "move_toward_right_hand_tangent_point"
+    close = np.abs(centers - center[:, None]) <= 1e-8 + 1e-5 * np.abs(center)[:, None]
+    same = close[..., 0] & close[..., 1] & (np.abs(radii - radius[:, None]) < 1e-12)
+    crossed = _ray_circle_hits(pos, tangent_pt, centers, radii) != np.inf
+    return tangent_pt, ~np.any(crossed & ~same & ~mine, axis=1)
 
 
-def nominal_velocity(pos, goal, obstacles: Circles, speed: float, dt: float,
-                     planning_radius: float, eps_b: float, hits=None):
-    waypoint, mode = tangent_bug_step(pos, goal, obstacles, planning_radius, eps_b, hits)
-    pos = np.asarray(pos, float)
-    if mode == "move_ccw_along_boundary":
-        # target circle is the one whose boundary we sit on
-        centers, radii = obstacles
-        off = pos - centers
-        center = centers[np.argmin(np.abs(np.sqrt(np.vecdot(off, off)) - radii))]
-        n = pos - center
-        nn = _length(n)
-        n = n / nn if nn > 1e-12 else np.array([1.0, 0.0])
-        direction = np.array([-n[1], n[0]])  # circle center stays on the left
-        return direction * speed, mode
-    delta = waypoint - pos
-    dist = _length(delta)
-    if dist < 1e-12:
-        return np.zeros(2), mode
-    return delta / dist * min(speed, dist / dt), mode
+def nominal_velocity(pos, goals, radii, caps, active, own, centers, circle_radii, dt: float,
+                     planning_radius: float, eps_b: float, stop_range: float) -> np.ndarray:
+    """Level 1, the modified tangent bug: the nominal velocities (n, 2) of
+    the agents at `pos` toward `goals` (n, 2) around the staging circles at
+    `centers` (k, 2) with `circle_radii` (k,), each inflated by the agent's
+    radius.
+
+    An agent sits and waits at its goal, and while inactive within
+    `stop_range` of it. `own` (n,) is the row of an active agent's own
+    open-phase circle, or -1; the agent ignores that circle when its goal
+    lies inside."""
+    out = np.zeros((len(pos), 2))
+    to_goal = goals - pos
+    dist_goal = np.sqrt(np.vecdot(to_goal, to_goal))
+    moving = np.flatnonzero(~((dist_goal < 1e-9) | (~active & (dist_goal <= stop_range))))
+    if not len(moving):
+        return out
+    p, goal, cap = pos[moving], goals[moving], caps[moving]
+    inflated = circle_radii + radii[moving][:, None]
+    mine = np.zeros(inflated.shape, bool)
+    row = own[moving]
+    mover = np.flatnonzero(row >= 0)
+    if len(mover):
+        row = row[mover]
+        gap = goal[mover] - centers[row]
+        inside = np.sqrt(np.vecdot(gap, gap)) <= circle_radii[row]
+        mine[mover[inside], row[inside]] = True
+    waypoints, modes = _tangent_bug(p, goal, centers, inflated, mine, planning_radius, eps_b)
+
+    delta = waypoints - p
+    dist = np.sqrt(np.vecdot(delta, delta))
+    speed = dist / dt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vel = np.where((dist < 1e-12)[:, None], 0.0,
+                       delta / dist[:, None] * np.where(speed < cap, speed, cap)[:, None])
+    # along the boundary: counter-clockwise around the nearest boundary
+    b = np.flatnonzero(modes == MOVE_CCW_ALONG_BOUNDARY)
+    if len(b):
+        off = p[b][:, None] - centers
+        gaps = np.where(mine[b], np.inf, np.abs(np.sqrt(np.vecdot(off, off)) - inflated[b]))
+        n = p[b] - centers[np.argmin(gaps, axis=1)]
+        nn = np.sqrt(np.vecdot(n, n))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            n = np.where((nn > 1e-12)[:, None], n / nn[:, None], [1.0, 0.0])
+        vel[b] = np.stack([-n[:, 1], n[:, 0]], axis=1) * cap[b][:, None]  # center on the left
+    out[moving] = vel
+    return out
 
 
 # -- level 2: prioritized dispersion -----------------------------------------
@@ -691,57 +743,22 @@ def _arrive_and_deposit(world: World):
             world.start(dep)
 
 
-def _nominal(world: World, position, radius: float, speed: float, active: bool, goal, payload,
-             circles: Circles, phase_rows: dict, forbidden: dict, hits: np.ndarray):
-    """Level 1 velocity toward `goal` around the forbidden staging circles.
-
-    `phase_rows` maps an assembly to its row in `circles` and its open
-    phase; `forbidden` caches the step's obstacle sets and their rows by
-    (agent radius, row left out); `hits` is the ray test of position->goal
-    against every row of `circles` inflated by the agent radius."""
-    params = world.params
-    dist_goal = _length(goal - position)
-    if dist_goal < 1e-9:
-        return np.zeros(2)
-    if not active and dist_goal <= params.stop_range_factor * world.fleet.radius:
-        return np.zeros(2)  # sit and wait
-    # forbidden circles: active staging areas this agent may not enter; an
-    # active agent may enter its own phase's circle when its goal lies inside
-    own_row = None
-    if payload is not None and active:
-        a_id, k = world.graph.payload_phase[payload]
-        row, open_k = phase_rows.get(a_id, (None, None))
-        if open_k == k and _length(goal - circles.centers[row]) <= circles.radii[row]:
-            own_row = row
-    key = (radius, own_row)
-    if key not in forbidden:
-        keep = (slice(None) if own_row is None
-                else [r for r in range(len(circles.radii)) if r != own_row])
-        forbidden[key] = (Circles(circles.centers[keep], circles.radii[keep] + radius), keep)
-    obstacles, keep = forbidden[key]
-    v, _ = nominal_velocity(position, goal, obstacles, speed, world.dt,
-                            params.planning_radius, params.boundary_tol, hits[keep])
-    return v
-
-
 def _control(world: World, idx: np.ndarray):
     """Command velocities of the agent rows `idx` from the three-layer
     controller, with each agent's task and priority this step."""
     graph, params = world.graph, world.params
     # staging circles of open phases, one row per assembly
-    phase_rows: dict[str, tuple[int, int]] = {}  # assembly -> (row, phase)
+    phase_rows: dict[str, int] = {}  # assembly -> its row
     centers, radii = [], []
     for a, k in sorted(world.open_phase.items()):
         center, radius = world.staging_plan.staging_circle(a, k)
-        phase_rows[a] = (len(radii), k)
+        phase_rows[a] = len(radii)
         centers.append(center)
         radii.append(radius)
-    circles = Circles(np.array(centers, float).reshape(-1, 2), np.array(radii, float))
-    forbidden: dict[tuple, tuple] = {}
 
     # goal, task, activity and priority depend on the agent alone
     pos = world.pos[idx]
-    goals, payloads, tasks, active, alphas = [], [], [], [], []
+    goals, own, tasks, active, alphas = [], [], [], [], []
     for r, p in zip(idx.tolist(), pos):
         aid = world.ids[r]
         is_unit = aid in world.unit_task
@@ -767,24 +784,24 @@ def _control(world: World, idx: np.ndarray):
             goal = p
             is_active = False
         goals.append(goal)
-        payloads.append(payload)
+        # an active agent's own phase is open: it may enter that circle
+        own.append(phase_rows[a_id] if is_active else -1)
         tasks.append(task)
         active.append(is_active)
         alphas.append(alpha_value(is_unit, task_kind, phase_active, cargo_ready,
                                   world.cargo_id.get(payload, 0), world.max_cargo_id))
-    # the first L1 ray test of every agent against every circle, in one pass
-    rad = world.radius[idx]
-    caps = world.cap[idx].tolist()
-    hits = _ray_circle_hits(pos, np.array(goals, float).reshape(-1, 2), circles.centers,
-                            circles.radii + rad[:, None])
-    nominals = [_nominal(world, p, r, cap, a, goal, payload, circles, phase_rows, forbidden, h)
-                for p, r, cap, a, goal, payload, h
-                in zip(pos, rad.tolist(), caps, active, goals, payloads, hits)]
+    rad, cap = world.radius[idx], world.cap[idx]
+    caps = cap.tolist()
+    active = np.array(active, bool)
+    nominals = nominal_velocity(
+        pos, np.array(goals, float).reshape(-1, 2), rad, cap, active,
+        np.array(own, int), np.array(centers, float).reshape(-1, 2), np.array(radii, float),
+        world.dt, params.planning_radius, params.boundary_tol,
+        params.stop_range_factor * world.fleet.radius)
 
     # level 2 on one array of center distances, each the float _length gives
     diff = pos[:, None] - pos
     dist = np.sqrt(np.vecdot(diff, diff))
-    active = np.array(active, bool)
     alpha = np.array(alphas, float)
     fields = field_radius(dist, rad, active, params.dispersion_r_max, params.dispersion_c)
     prefs = _dispersed_velocities(pos, rad, dist, fields, ~active & (alpha != 0.0), nominals,

@@ -35,7 +35,9 @@ from assemblyforge.schedule import (
     CHECKPOINT_KINDS, ScheduleError, ScheduleGraph, ScheduleNode, ScheduleViolation,
     evaluate_schedule, is_acyclic, node_id, topological_order, travel_time, validate_schedule,
 )
-from assemblyforge.sim import ORCA_SAFETY_FACTOR, _length, _lp1, dispersion_force, preferred_velocity
+from assemblyforge.sim import (
+    ORCA_SAFETY_FACTOR, _length, _lp1, _ray_circle_hits, dispersion_force, preferred_velocity,
+)
 from assemblyforge.transport import CARRY_RESTARTS, TransportConfigError
 
 
@@ -997,7 +999,7 @@ def scalar_ray_circle_hit(pos, goal, center, radius):
 
 
 def scalar_tangent_bug_step(pos, goal, obstacles, planning_radius: float, eps_b: float):
-    """`sim.tangent_bug_step` testing one (center, radius) circle at a time."""
+    """`agent_tangent_bug_step` testing one (center, radius) circle at a time."""
     pos = np.asarray(pos, float)
     goal = np.asarray(goal, float)
     best = None
@@ -1044,7 +1046,7 @@ def scalar_tangent_bug_step(pos, goal, obstacles, planning_radius: float, eps_b:
 
 def scalar_nominal_velocity(pos, goal, obstacles, speed: float, dt: float,
                             planning_radius: float, eps_b: float):
-    """`sim.nominal_velocity` on the scalar tangent bug step."""
+    """`agent_nominal_velocity` on the scalar tangent bug step."""
     waypoint, mode = scalar_tangent_bug_step(pos, goal, obstacles, planning_radius, eps_b)
     pos = np.asarray(pos, float)
     if mode == "move_ccw_along_boundary":
@@ -1064,6 +1066,98 @@ def scalar_nominal_velocity(pos, goal, obstacles, speed: float, dt: float,
     if dist < 1e-12:
         return np.zeros(2), mode
     return delta / dist * min(speed, dist / dt), mode
+
+
+def agent_tangent_bug_step(pos, goal, obstacles, planning_radius: float, eps_b: float):
+    """One evaluation of the switching controller for one agent, as
+    `sim._tangent_bug` batches it. `obstacles` is a (centers (k, 2),
+    radii (k,)) pair already inflated by the agent radius. Returns
+    (waypoint, mode)."""
+    pos = np.asarray(pos, float)
+    goal = np.asarray(goal, float)
+    centers, radii = obstacles
+    ts = _ray_circle_hits(pos, goal, centers, radii)
+    k = int(np.argmin(ts)) if len(ts) else None  # the first of equal minima
+    if k is None or ts[k] == np.inf:
+        return goal, "move_toward_waypoint"
+
+    t, center, radius = ts[k], centers[k], radii[k]
+    waypoint = pos + t * (goal - pos)
+    d = _length(pos - center) - radius
+    if abs(d) <= eps_b:
+        return waypoint, "move_ccw_along_boundary"
+    if d < -eps_b:
+        off = pos - center
+        norm = _length(off)
+        if norm < 1e-12:
+            heading = goal - pos
+            hn = _length(heading)
+            direction = heading / hn if hn > 1e-12 else np.array([1.0, 0.0])
+        else:
+            direction = off / norm
+        return center + radius * direction, "exit_target"
+    if d > planning_radius:
+        return waypoint, "move_toward_waypoint"
+    # right-hand tangent point of the target circle
+    to_c = center - pos
+    dist_c = _length(to_c)
+    u = to_c / dist_c
+    beta = math.asin(min(1.0, radius / dist_c))
+    leg = math.sqrt(max(dist_c * dist_c - radius * radius, 0.0))
+    cb, sb = math.cos(-beta), math.sin(-beta)
+    tangent_dir = np.array([cb * u[0] - sb * u[1], sb * u[0] + cb * u[1]])
+    tangent_pt = pos + leg * tangent_dir
+    # the target circle, and any equal to it as np.allclose judges, does not block
+    close = np.abs(centers - center) <= 1e-8 + 1e-5 * np.abs(center)
+    same = close[:, 0] & close[:, 1] & (np.abs(radii - radius) < 1e-12)
+    if np.any(~same & (_ray_circle_hits(pos, tangent_pt, centers, radii) != np.inf)):
+        return waypoint, "move_toward_waypoint"
+    return tangent_pt, "move_toward_right_hand_tangent_point"
+
+
+def agent_nominal_velocity(pos, goal, obstacles, speed: float, dt: float,
+                           planning_radius: float, eps_b: float):
+    """The velocity toward `agent_tangent_bug_step`'s waypoint, or along the
+    boundary it sits on. Returns (velocity, mode)."""
+    waypoint, mode = agent_tangent_bug_step(pos, goal, obstacles, planning_radius, eps_b)
+    pos = np.asarray(pos, float)
+    if mode == "move_ccw_along_boundary":
+        # target circle is the one whose boundary we sit on
+        centers, radii = obstacles
+        off = pos - centers
+        center = centers[np.argmin(np.abs(np.sqrt(np.vecdot(off, off)) - radii))]
+        n = pos - center
+        nn = _length(n)
+        n = n / nn if nn > 1e-12 else np.array([1.0, 0.0])
+        direction = np.array([-n[1], n[0]])  # circle center stays on the left
+        return direction * speed, mode
+    delta = waypoint - pos
+    dist = _length(delta)
+    if dist < 1e-12:
+        return np.zeros(2), mode
+    return delta / dist * min(speed, dist / dt), mode
+
+
+def agent_nominal(pos, goal, radius: float, speed: float, active: bool, own: int, centers,
+                  circle_radii, dt: float, planning_radius: float, eps_b: float,
+                  stop_range: float):
+    """`sim.nominal_velocity` for one agent, one call per agent: sit and
+    wait, leave out the agent's own open-phase circle (row `own`, or -1)
+    when it is active and its goal lies inside, then
+    `agent_nominal_velocity` around the other circles inflated by `radius`.
+    Returns (velocity, mode), the mode "sit_and_wait" when it waits."""
+    pos = np.asarray(pos, float)
+    goal = np.asarray(goal, float)
+    dist_goal = _length(goal - pos)
+    if dist_goal < 1e-9:
+        return np.zeros(2), "sit_and_wait"
+    if not active and dist_goal <= stop_range:
+        return np.zeros(2), "sit_and_wait"
+    keep = slice(None)
+    if active and own >= 0 and _length(goal - centers[own]) <= circle_radii[own]:
+        keep = [r for r in range(len(circle_radii)) if r != own]
+    obstacles = (centers[keep], circle_radii[keep] + radius)
+    return agent_nominal_velocity(pos, goal, obstacles, speed, dt, planning_radius, eps_b)
 
 
 def scalar_orca_line(p_i, v_i, r_i, p_j, v_j, r_j, share: float, tau: float, dt: float):

@@ -97,15 +97,21 @@ class TestExitCodes:
         ("assemblies-list",
          "project JSON has the wrong structure: 'list' object has no attribute 'items'"),
         ("negative-radius", "robot radius must be positive"),
+        ("zero-rvo-horizon", "rvo_horizon must be positive"),
+        ("negative-boundary-tol", "boundary_tol must be non-negative"),
     ])
     def test_project_error_lines(self, toy_input, tmp_path, capsys, case, message):
         """The same document error gives the same one line as `plan`'s input
-        and as the `project.json` that `allocate` reads."""
+        and as the `project.json` that `allocate` and `simulate` read."""
         doc = json.loads(toy_input.read_text())
         if case == "missing-root":
             del doc["root"]
         elif case == "assemblies-list":
             doc["assemblies"] = []
+        elif case == "zero-rvo-horizon":
+            doc["params"]["rvo_horizon"] = 0
+        elif case == "negative-boundary-tol":
+            doc["params"]["boundary_tol"] = -0.1
         else:
             doc["fleet"]["radius"] = -1
         bad = tmp_path / "bad.json"
@@ -115,11 +121,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: malformed input: {message}\n"
         out = tmp_path / "out"
         assert _plan(toy_input, out) == cli.EXIT_OK
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_OK
         (out / "project.json").write_text(json.dumps(doc))
         capsys.readouterr()
-        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_BAD_INPUT
-        assert capsys.readouterr().err == (
-            f"error: malformed artifact project.json: {message}\n")
+        for command in ("allocate", "simulate"):
+            assert cli.main([command, "--out", str(out)]) == cli.EXIT_BAD_INPUT
+            assert capsys.readouterr().err == (
+                f"error: malformed artifact project.json: {message}\n")
 
     @pytest.mark.parametrize("suffix", [".json", ".mpd"])
     def test_input_not_utf8(self, tmp_path, capsys, suffix):

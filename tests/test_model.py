@@ -167,6 +167,11 @@ class TestPlanParams:
             PlanParams(duration_form=-1.0)
         with pytest.raises(ProjectError):
             PlanParams(buffer_radius=-0.1)
+        with pytest.raises(ProjectError, match="rvo_horizon must be positive"):
+            PlanParams(rvo_horizon=0.0)
+        with pytest.raises(ProjectError, match="boundary_tol must be non-negative"):
+            PlanParams(boundary_tol=-0.1)
+        PlanParams(boundary_tol=0.0)  # the boundary mode fires on the circle only
 
     @pytest.mark.parametrize("field", ["buffer_radius", "dt_sim", "planning_radius",
                                        "rvo_horizon", "stuck_time"])

@@ -11,53 +11,75 @@ from . import oracles
 R = 0.25
 EPS = 0.02
 PLAN_R = 2.0
-NO_CIRCLES = sim.Circles(np.zeros((0, 2)), np.zeros(0))
-UNIT_AT_5 = sim.Circles(np.array([[5.0, 0.0]]), np.array([1.0]))  # center (5, 0), radius 1
+NO_CIRCLES = (np.zeros((0, 2)), np.zeros(0))
+UNIT_AT_5 = (np.array([[5.0, 0.0]]), np.array([1.0]))  # center (5, 0), radius 1
+MODES = {"move_toward_waypoint": sim.MOVE_TOWARD_WAYPOINT,
+         "move_ccw_along_boundary": sim.MOVE_CCW_ALONG_BOUNDARY,
+         "exit_target": sim.EXIT_TARGET,
+         "move_toward_right_hand_tangent_point": sim.MOVE_TOWARD_TANGENT_POINT}
+
+
+def _tangent_bug_step(pos, goal, circles):
+    """`sim._tangent_bug` on one agent that ignores no circle: (waypoint, mode)."""
+    centers, radii = circles
+    wp, modes = sim._tangent_bug(np.array([pos], float), np.array([goal], float), centers,
+                                 radii[None], np.zeros((1, len(radii)), bool), PLAN_R, EPS)
+    return wp[0], {code: name for name, code in MODES.items()}[int(modes[0])]
+
+
+def _nominal_velocity(pos, goal, circles, speed, dt):
+    """`sim.nominal_velocity` on one active agent of radius 0 without an own
+    circle, so the circles are not inflated and only the goal stops it."""
+    centers, radii = circles
+    v = sim.nominal_velocity(np.array([pos], float), np.array([goal], float), np.zeros(1),
+                             np.array([speed]), np.ones(1, bool), np.full(1, -1), centers,
+                             radii, dt, PLAN_R, EPS, 0.0)
+    return v[0]
 
 
 class TestTangentBug:
     def test_free_path_goes_to_goal(self):
-        wp, mode = sim.tangent_bug_step([0, 0], [10, 0], NO_CIRCLES, PLAN_R, EPS)
+        wp, mode = _tangent_bug_step([0, 0], [10, 0], NO_CIRCLES)
         assert mode == "move_toward_waypoint"
         assert np.allclose(wp, [10, 0])
 
     def test_distant_obstacle_keeps_waypoint_mode(self):
-        wp, mode = sim.tangent_bug_step([0, 0], [10, 0], UNIT_AT_5, PLAN_R, EPS)
+        wp, mode = _tangent_bug_step([0, 0], [10, 0], UNIT_AT_5)
         assert mode == "move_toward_waypoint"
         assert wp[0] == pytest.approx(4.0, abs=1e-9)  # circle entry point
 
     def test_near_obstacle_switches_to_tangent(self):
-        wp, mode = sim.tangent_bug_step([3.5, 0], [10, 0], UNIT_AT_5, PLAN_R, EPS)
+        wp, mode = _tangent_bug_step([3.5, 0], [10, 0], UNIT_AT_5)
         assert mode == "move_toward_right_hand_tangent_point"
         assert wp[1] < 0  # right-hand side
 
     def test_on_boundary_follows_ccw(self):
-        _, mode = sim.tangent_bug_step([4.0, 0], [10, 0], UNIT_AT_5, PLAN_R, EPS)
+        _, mode = _tangent_bug_step([4.0, 0], [10, 0], UNIT_AT_5)
         assert mode == "move_ccw_along_boundary"
 
     def test_inside_obstacle_exits_radially(self):
-        wp, mode = sim.tangent_bug_step([4.5, 0], [10, 0], UNIT_AT_5, PLAN_R, EPS)
+        wp, mode = _tangent_bug_step([4.5, 0], [10, 0], UNIT_AT_5)
         assert mode == "exit_target"
         assert np.allclose(wp, [4.0, 0.0])
 
     def test_blocked_tangent_falls_back_to_waypoint(self):
-        obstacles = sim.Circles(np.array([[5.0, 0.0], [3.6, -0.6]]), np.array([1.0, 0.5]))
-        _, mode = sim.tangent_bug_step([2.5, 0], [10, 0], obstacles, PLAN_R, EPS)
+        obstacles = (np.array([[5.0, 0.0], [3.6, -0.6]]), np.array([1.0, 0.5]))
+        _, mode = _tangent_bug_step([2.5, 0], [10, 0], obstacles)
         assert mode == "move_toward_waypoint"
 
 
 class TestNominalVelocity:
     def test_no_overshoot_near_goal(self):
-        v, _ = sim.nominal_velocity([0, 0], [0.01, 0], NO_CIRCLES, 1.0, 0.05, PLAN_R, EPS)
+        v = _nominal_velocity([0, 0], [0.01, 0], NO_CIRCLES, 1.0, 0.05)
         assert np.linalg.norm(v) == pytest.approx(0.2)
 
     def test_zero_at_goal(self):
-        v, _ = sim.nominal_velocity([1, 1], [1, 1], NO_CIRCLES, 1.0, 0.05, PLAN_R, EPS)
+        v = _nominal_velocity([1, 1], [1, 1], NO_CIRCLES, 1.0, 0.05)
         assert np.allclose(v, 0)
 
     def test_ccw_velocity_is_tangential(self):
-        v, mode = sim.nominal_velocity([4.0, 0], [10, 0], UNIT_AT_5, 1.0, 0.05,
-                                       PLAN_R, EPS)
+        v = _nominal_velocity([4.0, 0], [10, 0], UNIT_AT_5, 1.0, 0.05)
+        _, mode = _tangent_bug_step([4.0, 0], [10, 0], UNIT_AT_5)
         assert mode == "move_ccw_along_boundary"
         assert np.allclose(v, [0, -1])  # circle center stays on the left
 
@@ -274,6 +296,104 @@ def _dispersion_scene(rng, scene, params):
 
 
 
+def _rotated(x, y, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([c * x - s * y, s * x + c * y])
+
+
+def _l1_scene(rng, scene):
+    """Agents and staging circles for one call of `sim.nominal_velocity`.
+
+    Returns (pos, goals, radii, caps, active, own, centers, circle_radii,
+    eps_b, stop_range, tags). Some scenes have no circles, some a duplicate
+    or a near-duplicate (equal as np.allclose judges) circle. Robots of
+    radius 0.25 share scenes with units of larger radii. Each agent is built
+    in one of these styles, named in `tags`:
+    - "free": anywhere, toward anywhere;
+    - "boundary", "inside", "center", "near": on the inflated boundary of a
+      circle, inside it, at its center, or outside within the planning
+      radius, toward a goal across it;
+    - "own": active, toward a goal inside its own circle;
+    - "own_tangent": active, its goal inside its own circle O behind a
+      circle X, so that the way to X's tangent point crosses O;
+    - "own_boundary": active, on the boundaries of its own circle O and of a
+      circle X ahead of it, nearer to O's;
+    - "at_eps": at |d| == eps_b from a circle it heads into;
+    - "at_range": exactly stop_range from its goal, active or not;
+    - "at_goal": its goal is its position."""
+    k = 0 if scene % 10 == 0 else int(rng.integers(1, 6))
+    centers = [c for c in rng.uniform(-4, 4, (k, 2))]
+    circle_radii = list(rng.uniform(0.3, 1.5, k))
+    if k > 1 and scene % 4 == 1:
+        centers[1], circle_radii[1] = centers[0], circle_radii[0]  # duplicate
+    if k > 2 and scene % 4 == 2:
+        centers[2], circle_radii[2] = centers[0] + 1e-9, circle_radii[0]  # near-duplicate
+    n = int(rng.integers(1, 13))
+    radii = np.where(rng.random(n) < 0.6, 0.25, rng.choice([0.45, 0.8, 1.3], n))
+    caps = np.where(radii == 0.25, 1.0, rng.uniform(0.2, 0.8, n))
+    active = rng.random(n) < 0.5
+    own = np.full(n, -1)
+    pos, goals = rng.uniform(-4, 4, (n, 2)), rng.uniform(-4, 4, (n, 2))
+    eps_b, stop_range = EPS, 1.0
+    styles = ["free", "own_tangent", "own_boundary", "at_range", "at_goal"]
+    if k:
+        styles += ["boundary", "inside", "center", "near", "own", "at_eps"]
+    tags = []
+    for i in range(n):
+        style = styles[int(rng.integers(len(styles)))]
+        if style == "at_eps" and eps_b != EPS:
+            style = "near"  # one agent per scene sets eps_b
+        tags.append(style)
+        r = radii[i]
+        angle = rng.uniform(0, 2 * math.pi)
+        unit = _rotated(1.0, 0.0, angle)
+        j = int(rng.integers(k)) if k else -1
+        if style in ("boundary", "inside", "center", "near", "at_eps"):
+            c, big_r = centers[j], circle_radii[j] + r
+            gap = {"boundary": 0.0, "inside": -0.5 * big_r, "center": -big_r,
+                   "near": rng.uniform(0.05, 2.5), "at_eps": rng.choice([-1, 1]) * EPS}[style]
+            pos[i] = c + (big_r + gap) * unit
+            goals[i] = c - rng.uniform(0.5, 3.0) * unit + rng.normal(size=2) * 0.3
+            if style == "at_eps":
+                off = pos[i] - c
+                eps_b = abs(float(np.sqrt(np.vecdot(off, off)) - big_r))
+                goals[i] = c
+        elif style == "own":
+            active[i], own[i] = True, j
+            goals[i] = centers[j] + rng.uniform(0, 0.9) * circle_radii[j] * unit
+        elif style == "own_tangent":
+            scale, origin = rng.uniform(1.0, 1.3), rng.uniform(-3, 3, 2)
+            x_r = max(0.5 * scale - r, 0.1)  # X inflated to about 0.5 scale
+            pos[i] = origin
+            centers.append(origin + scale * _rotated(2.0, 0.0, angle))
+            circle_radii.append(x_r)
+            centers.append(origin + scale * _rotated(3.0, -0.6, angle))  # O
+            circle_radii.append(1.2 * scale + rng.uniform(0.0, 0.2))
+            goals[i] = origin + scale * _rotated(3.2, -0.3, angle)
+            active[i], own[i] = True, len(centers) - 1
+        elif style == "own_boundary":
+            o_c, o_r = rng.uniform(-3, 3, 2), rng.uniform(0.3, 1.5)
+            pos[i] = o_c + (o_r + r) * unit
+            goals[i] = o_c + rng.uniform(0, 0.5) * o_r * _rotated(1.0, 0.0, rng.uniform(0, 6.3))
+            heading = goals[i] - pos[i]
+            heading = heading / np.linalg.norm(heading)
+            ahead = _rotated(heading[0], heading[1], rng.uniform(-1.0, 1.0))
+            x_r = rng.uniform(0.3, 1.5)
+            centers.append(pos[i] + (x_r + r + rng.uniform(0.2, 0.8) * EPS) * ahead)
+            circle_radii.append(x_r)
+            centers.append(o_c)
+            circle_radii.append(o_r)
+            active[i], own[i] = True, len(centers) - 1
+        elif style == "at_range":
+            pos[i] = np.round(pos[i] * 1024) / 1024  # goal - pos is exact
+            goals[i] = pos[i] + np.array([stop_range, 0.0])
+        elif style == "at_goal":
+            goals[i] = pos[i]
+    centers = np.array(centers, float).reshape(-1, 2)
+    return (pos, goals, radii, caps, active, own, centers, np.array(circle_radii, float),
+            eps_b, stop_range, tags)
+
+
 def _orca_cases(rng):
     """Pair rows (p_i, v_i, r_i, p_j, v_j, r_j, share): random pairs, then
     groups built to reach each branch of the half-plane construction."""
@@ -446,20 +566,57 @@ class TestArrayKernels:
             obstacles = list(zip(centers, radii))
             want_wp, want_mode = oracles.scalar_tangent_bug_step(pos, goal, obstacles,
                                                                  PLAN_R, EPS)
-            circles = sim.Circles(centers, radii)
-            for got_wp, got_mode in (
-                    sim.tangent_bug_step(pos, goal, circles, PLAN_R, EPS),
-                    sim.tangent_bug_step(pos, goal, circles, PLAN_R, EPS,
-                                         sim._ray_circle_hits(pos, goal, centers, radii))):
-                assert got_mode == want_mode, case
-                assert _same_bits(got_wp, want_wp), case
+            got_wp, got_mode = _tangent_bug_step(pos, goal, (centers, radii))
+            assert got_mode == want_mode, case
+            assert _same_bits(got_wp, want_wp), case
             modes.add(want_mode)
             want_v, _ = oracles.scalar_nominal_velocity(pos, goal, obstacles, 0.8, DT,
                                                         PLAN_R, EPS)
-            got_v, _ = sim.nominal_velocity(pos, goal, circles, 0.8, DT, PLAN_R, EPS)
+            got_v = _nominal_velocity(pos, goal, (centers, radii), 0.8, DT)
             assert _same_bits(got_v, want_v), case
         assert modes == {"move_toward_waypoint", "move_ccw_along_boundary", "exit_target",
                          "move_toward_right_hand_tangent_point"}
+
+    def test_nominal_velocity_matches_agent_loop(self):
+        """The batched level 1 equals `oracles.agent_nominal`, one call per
+        agent, bit for bit, over scenes reaching every mode and edge."""
+        rng = np.random.default_rng(23)
+        seen = dict.fromkeys(
+            ["no_circles", "duplicate", "near_duplicate", "robots_and_units", "sit_and_wait",
+             "own_left_out", "own_tangent", "own_boundary", "at_eps", "at_range_waits",
+             "at_range_moves", "at_goal", *MODES], 0)
+        for scene in range(400):
+            (pos, goals, radii, caps, active, own, centers, circle_radii, eps_b, stop_range,
+             tags) = _l1_scene(rng, scene)
+            got = sim.nominal_velocity(pos, goals, radii, caps, active, own, centers,
+                                       circle_radii, DT, PLAN_R, eps_b, stop_range)
+            assert got.shape == (len(pos), 2)
+            for i, tag in enumerate(tags):
+                want, mode = oracles.agent_nominal(
+                    pos[i], goals[i], float(radii[i]), float(caps[i]), bool(active[i]),
+                    int(own[i]), centers, circle_radii, DT, PLAN_R, eps_b, stop_range)
+                assert _same_bits(got[i], want), (scene, i, tag)
+                seen[mode] += 1
+                inside_own = own[i] >= 0 and (np.linalg.norm(goals[i] - centers[own[i]])
+                                              < circle_radii[own[i]])
+                seen["own_left_out"] += bool(inside_own)
+                seen["own_tangent"] += tag == "own_tangent" and mode == (
+                    "move_toward_right_hand_tangent_point")
+                seen["own_boundary"] += tag == "own_boundary" and mode == (
+                    "move_ccw_along_boundary")
+                seen["at_eps"] += tag == "at_eps" and mode == "move_ccw_along_boundary"
+                seen["at_range_waits"] += tag == "at_range" and mode == "sit_and_wait"
+                seen["at_range_moves"] += tag == "at_range" and mode != "sit_and_wait"
+                seen["at_goal"] += tag == "at_goal"
+            seen["no_circles"] += not len(circle_radii)
+            same = (np.abs(centers[:, None] - centers) <= 1e-8).all(axis=2)
+            same &= circle_radii[:, None] == circle_radii
+            seen["duplicate"] += bool(np.any(np.triu(same & (centers[:, None] == centers)
+                                                     .all(axis=2), 1)))
+            seen["near_duplicate"] += bool(np.any(np.triu(same & (centers[:, None] != centers)
+                                                          .any(axis=2), 1)))
+            seen["robots_and_units"] += len(set(radii.tolist())) > 1
+        assert all(seen.values()), seen
 
     def test_dispersion_matches_agent_loop(self, params):
         rng = np.random.default_rng(17)

@@ -61,6 +61,8 @@ def test_instrumented_toy_run(tracing, pipeline, toy_spec, params):
                              data["fleet"], params, max_steps=200)
     assert sim.field_radius is original  # the wrappers are gone again
     layers = tracing.layer_metrics(recorder, None)
+    assert layers["sim.l1_s"] > 0
+    assert layers["sim.l1_calls"] == trace.steps  # one batched L1 span per step
     assert layers["sim.l2_s"] > 0
     assert layers["sim.l2_force_calls"] >= trace.steps  # one field_radius per step
     assert layers["sim.l3_s"] > 0
