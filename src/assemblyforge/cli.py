@@ -64,15 +64,17 @@ def _invalid_option(problem) -> int:
 def _stream(out: Path, name: str, writer):
     """Write artifact `name` as UTF-8 through `writer(file)` into a temporary
     file in `out`, renamed into place only once the writer has finished, so a
-    writer that fails leaves no partial artifact behind."""
+    writer that fails leaves no partial artifact behind. Returns what
+    `writer` returns."""
     out.mkdir(parents=True, exist_ok=True)
     tmp = out / f"{name}.tmp"
     try:
         with tmp.open("w", encoding="utf-8") as f:
-            writer(f)
+            result = writer(f)
         os.replace(tmp, out / name)
     finally:
         tmp.unlink(missing_ok=True)
+    return result
 
 
 def _write(out: Path, name: str, text: str):
@@ -269,13 +271,13 @@ def cmd_simulate(args) -> int:
 
     _, _, predicted = schedule.evaluate_schedule(graph, fleet)
     t_start = time.perf_counter()
-    trace = sim.simulate(graph, plan, configs, fleet, params, max_steps=args.max_steps)
+    trace = _stream(out, "trace.csv", lambda f: sim.simulate(
+        graph, plan, configs, fleet, params, f, max_steps=args.max_steps))
     runtime = time.perf_counter() - t_start
 
-    metrics = sim.metrics_to_jsonable(trace, predicted_makespan=predicted)
+    metrics = sim.metrics_to_jsonable(trace, predicted)
     metrics["runtime_s"] = runtime
     metrics["robots"] = fleet.count
-    _write(out, "trace.csv", sim.trace_to_csv(trace))
     _write(out, "events.jsonl", sim.events_to_jsonl(trace))
     _write(out, "metrics.json", _json_text(metrics))
     log.info("simulate: %d steps, makespan %.3f, %.3fs",

@@ -230,38 +230,3 @@ def parse_mpd(
 def base_name(instance_id: str) -> str:
     """Strip the `@k` instance suffix added during parsing."""
     return instance_id.rsplit("@", 1)[0] if "@" in instance_id else instance_id
-
-
-def serialize_mpd(project: ProjectSpec, units_per_meter: float = 80.0) -> str:
-    """Write a ProjectSpec back to MPD text (inverse of parse_mpd's subset)."""
-    lines: list[str] = []
-
-    def fmt(x: float) -> str:
-        return f"{x:.12g}"
-
-    emitted: list[str] = []
-
-    def emit(assembly_id: str) -> None:
-        if assembly_id in emitted:
-            return
-        emitted.append(assembly_id)
-        asm = project.assemblies[assembly_id]
-        lines.append(f"0 FILE {base_name(assembly_id)}")
-        order = {cid: i for i, (cid, _) in enumerate(asm.components)}
-        children: list[str] = []
-        for p_i, phase in enumerate(asm.build_phases):
-            if p_i > 0:
-                lines.append("0 STEP")
-            for cid in sorted(phase.member_ids, key=order.__getitem__):
-                tf = asm.transform_of(cid)
-                rot = _LDRAW_TO_WORLD.T @ tf.rotation @ _LDRAW_TO_WORLD
-                trans = _LDRAW_TO_WORLD.T @ (tf.translation * units_per_meter)
-                nums = [*trans, *rot.flatten()]
-                lines.append("1 16 " + " ".join(fmt(v) for v in nums) + f" {base_name(cid)}")
-                if project.is_assembly(cid):
-                    children.append(cid)
-        for cid in children:
-            emit(cid)
-
-    emit(project.root)
-    return "\n".join(lines) + "\n"

@@ -3,9 +3,9 @@
 `step` advances a `World` by one timestep: (1) fire ready checkpoints and
 task transitions, (2) build the staging circles of the open phases, (3) run the
 three-layer velocity controller (tangent bug -> prioritized dispersion ->
-generalized reciprocal velocity obstacles) per agent, (4) integrate. Formed
-transport units replace their member robots as a single agent until the cargo
-is deposited.
+generalized reciprocal velocity obstacles) per agent, (4) integrate and
+write the step's trace rows to the world's text sink. Formed transport units
+replace their member robots as a single agent until the cargo is deposited.
 
 The step is array-backed. Checkpoints come off a ready queue in topological
 order. The tangent bug (Kamon, Rivlin & Rimon, "TangentBug", 1998) is one
@@ -36,6 +36,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -476,7 +477,6 @@ def rvo_resolve(positions, radii, velocities, preferred, caps, shares,
 
 @dataclass
 class SimTrace:
-    rows: list  # (t, agent id, x, y, vx, vy, task, alpha)
     events: list  # dicts
     execution_makespan: float
     collision_count: int
@@ -485,28 +485,25 @@ class SimTrace:
     steps: int
 
 
-def trace_to_csv(trace: SimTrace) -> str:
-    out = ["t,id,x,y,vx,vy,task,alpha"]
-    for t, aid, x, y, vx, vy, task, alpha in trace.rows:
-        out.append(f"{t:.4f},{aid},{x:.6f},{y:.6f},{vx:.6f},{vy:.6f},{task},{alpha:.4f}")
-    return "\n".join(out) + "\n"
+def trace_to_csv(t: float, ids: list, tasks: list, alpha: list, pos: list, vel: list) -> str:
+    """The trace.csv lines of one step at time `t`, one per agent."""
+    return "".join(f"{t:.4f},{aid},{x:.6f},{y:.6f},{vx:.6f},{vy:.6f},{task or ''},{a:.4f}\n"
+                   for aid, task, a, (x, y), (vx, vy) in zip(ids, tasks, alpha, pos, vel))
 
 
 def events_to_jsonl(trace: SimTrace) -> str:
     return "".join(json.dumps(e, sort_keys=True) + "\n" for e in trace.events)
 
 
-def metrics_to_jsonable(trace: SimTrace, predicted_makespan: float | None = None) -> dict:
-    out = {
+def metrics_to_jsonable(trace: SimTrace, predicted_makespan: float) -> dict:
+    return {
         "execution_makespan": trace.execution_makespan,
+        "predicted_makespan": predicted_makespan,
         "collision_count": trace.collision_count,
         "swap_count": trace.swap_count,
         "deadlocked": trace.deadlocked,
         "steps": trace.steps,
     }
-    if predicted_makespan is not None:
-        out["predicted_makespan"] = predicted_makespan
-    return out
 
 
 # -- the simulator -----------------------------------------------------------
@@ -547,8 +544,9 @@ def _robot_itineraries(graph: ScheduleGraph):
 
 class World:
     """Everything the simulator advances from one step to the next: the
-    schedule index and node states, the agent rows, the trace so far, the
-    clock and the counters.
+    schedule index and node states, the agent rows, the events so far, the
+    clock and the counters. Each step's trace rows go to the text sink
+    `trace_out` as CSV, whose header line is written on construction.
 
     There is one agent row per robot and one per payload's transport unit,
     in id order (`ids`, with `row` mapping an id to its row). `pos` and `vel`
@@ -559,7 +557,7 @@ class World:
 
     def __init__(self, graph: ScheduleGraph, staging_plan: StagingPlan,
                  transport_configs: dict[str, TransportUnitConfig],
-                 fleet: RobotFleet, params: PlanParams):
+                 fleet: RobotFleet, params: PlanParams, trace_out: TextIO):
         self.graph = graph
         self.staging_plan = staging_plan
         self.fleet = fleet
@@ -616,7 +614,8 @@ class World:
         self.unit_members: dict[str, list[str]] = {}
         self.stuck_mark: dict[str, tuple[float, np.ndarray]] = {}
 
-        self.rows: list = []
+        self.trace_out = trace_out
+        trace_out.write("t,id,x,y,vx,vy,task,alpha\n")
         self.events: list[dict] = []
         self.t = 0.0
         self.steps = 0
@@ -831,8 +830,7 @@ def _integrate(world: World, idx: np.ndarray, commands: list, tasks: list, alpha
     pos = world.pos[idx] + vel * world.dt
     world.pos[idx], world.vel[idx] = pos, vel
     ids = [world.ids[r] for r in idx.tolist()]
-    for aid, task, a, (x, y), (vx, vy) in zip(ids, tasks, alpha, pos.tolist(), vel.tolist()):
-        world.rows.append((world.t, aid, x, y, vx, vy, task or "", a))
+    world.trace_out.write(trace_to_csv(world.t, ids, tasks, alpha, pos.tolist(), vel.tolist()))
     for i, j in _penetrations(pos, world.radius[idx], world.pen_tol):
         world.collision_count += 1
         world.events.append({"type": "penetration", "agents": [ids[i], ids[j]],
@@ -908,12 +906,15 @@ def simulate(
     transport_configs: dict[str, TransportUnitConfig],
     fleet: RobotFleet,
     params: PlanParams,
+    trace_out: TextIO,
     max_steps: int = 20_000,
 ) -> SimTrace:
-    world = World(graph, staging_plan, transport_configs, fleet, params)
+    """Run `step` until the schedule completes or `max_steps` have passed,
+    writing the trace to `trace_out`."""
+    world = World(graph, staging_plan, transport_configs, fleet, params, trace_out)
     finished = False
     while not finished and world.steps < max_steps:
         finished = step(world)
     makespan = world.t if finished else float("inf")
-    return SimTrace(world.rows, world.events, makespan, world.collision_count,
+    return SimTrace(world.events, makespan, world.collision_count,
                     world.swap_count, not finished, world.steps)

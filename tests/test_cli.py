@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import assemblyforge
-from assemblyforge import allocation, cli, model, projects
+from assemblyforge import allocation, cli, model, projects, sim
 
 
 @pytest.fixture()
@@ -357,6 +357,9 @@ class TestExitCodes:
         assert code == cli.EXIT_DEADLOCK
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["deadlocked"] is True
+        # the trace of the 5 steps is complete: a header and 2 robots per step
+        assert len((out / "trace.csv").read_text().splitlines()) == 1 + 5 * 2
+        assert not (out / "trace.csv.tmp").exists()
 
 
 class TestFullChain:
@@ -452,6 +455,26 @@ class TestFullChain:
                             lambda milp, f: export_lp(milp, FailingFile(f)))
         with pytest.raises(OSError, match="disk full"):
             cli.main(["allocate", "--out", str(out), "--method", "export-lp"])
+        assert sorted(p.name for p in out.iterdir()) == before
+
+    def test_failed_simulate_leaves_no_trace(self, toy_input, tmp_path, monkeypatch):
+        """A simulation that raises partway leaves neither a partial
+        trace.csv nor its temporary file."""
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_OK
+        before = sorted(p.name for p in out.iterdir())
+        step = sim.step
+
+        def failing_step(world):
+            if world.steps == 50:
+                assert (out / "trace.csv.tmp").is_file()  # the trace is streaming
+                raise RuntimeError("step failed")
+            return step(world)
+
+        monkeypatch.setattr(sim, "step", failing_step)
+        with pytest.raises(RuntimeError, match="step failed"):
+            cli.main(["simulate", "--out", str(out)])
         assert sorted(p.name for p in out.iterdir()) == before
 
     def test_trace_is_deterministic_across_runs(self, toy_input, tmp_path):

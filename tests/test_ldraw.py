@@ -114,20 +114,6 @@ class TestParseMpd:
         assert {"3001.dat@1", "3001.dat@2"} <= set(proj.parts_catalog)
 
 
-class TestSerialize:
-    def test_round_trip_fixpoint(self):
-        proj = ldraw.parse_mpd(SMALL_MPD, TABLE).project
-        out1 = ldraw.serialize_mpd(proj)
-        proj2 = ldraw.parse_mpd(out1, TABLE).project
-        assert ldraw.serialize_mpd(proj2) == out1
-
-    def test_step_lines_delimit_phases(self):
-        out = ldraw.serialize_mpd(ldraw.parse_mpd(SMALL_MPD, TABLE).project)
-        lines = out.splitlines()
-        assert lines.count("0 STEP") == 1
-        assert lines[0] == "0 FILE top.ldr"
-
-
 def test_base_name():
     assert ldraw.base_name("3001.dat@7") == "3001.dat"
     assert ldraw.base_name("plain.ldr") == "plain.ldr"

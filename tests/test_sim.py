@@ -1,4 +1,8 @@
+import gc
+import io
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,37 +172,41 @@ class TestRvoResolve:
 @pytest.fixture(scope="module")
 def toy_run(pipeline, toy_spec, params):
     data = pipeline(toy_spec, "toy", 2)
-    run = lambda **kw: sim.simulate(  # noqa: E731
-        data["greedy"].graph, data["plan"], data["configs"],
-        data["fleet"], params, **kw)
+
+    def run(**kw):
+        """The trace of a toy run and the trace.csv text it wrote."""
+        sink = io.StringIO()
+        trace = sim.simulate(data["greedy"].graph, data["plan"], data["configs"],
+                             data["fleet"], params, sink, **kw)
+        return trace, sink.getvalue()
+
     return data, run
 
 
 class TestSimulate:
     def test_completes_without_collisions(self, toy_run):
         data, run = toy_run
-        trace = run()
+        trace, _ = run()
         assert not trace.deadlocked
         assert trace.collision_count == 0
         assert trace.execution_makespan >= data["greedy"].makespan
 
     def test_deterministic(self, toy_run):
         _, run = toy_run
-        a, b = run(), run()
-        assert sim.trace_to_csv(a) == sim.trace_to_csv(b)
+        (a, a_csv), (b, b_csv) = run(), run()
+        assert a_csv == b_csv
         assert sim.events_to_jsonl(a) == sim.events_to_jsonl(b)
 
     def test_step_budget_reports_deadlock(self, toy_run):
         _, run = toy_run
-        trace = run(max_steps=10)
+        trace, _ = run(max_steps=10)
         assert trace.deadlocked
         assert trace.execution_makespan == math.inf
         assert trace.steps == 10
 
     def test_trace_and_metrics_formats(self, toy_run):
         data, run = toy_run
-        trace = run()
-        csv = sim.trace_to_csv(trace)
+        trace, csv = run()
         assert csv.splitlines()[0] == "t,id,x,y,vx,vy,task,alpha"
         metrics = sim.metrics_to_jsonable(trace, data["greedy"].makespan)
         assert set(metrics) == {"execution_makespan", "collision_count",
@@ -208,29 +216,61 @@ class TestSimulate:
     def test_step_by_hand_matches_simulate(self, toy_run, params):
         data, run = toy_run
         n = 120
+        sink = io.StringIO()
         world = sim.World(data["greedy"].graph, data["plan"], data["configs"],
-                          data["fleet"], params)
+                          data["fleet"], params, sink)
         assert not any(sim.step(world) for _ in range(n))
-        trace = run(max_steps=n)
+        trace, csv = run(max_steps=n)
         assert world.steps == trace.steps == n
         assert world.t == pytest.approx(n * params.dt_sim)
-        assert world.rows == trace.rows
+        assert sink.getvalue() == csv
         assert world.events == trace.events
 
     def test_step_after_finish_advances_nothing(self, toy_run, params):
         data, run = toy_run
+        sink = io.StringIO()
         world = sim.World(data["greedy"].graph, data["plan"], data["configs"],
-                          data["fleet"], params)
+                          data["fleet"], params, sink)
         while not sim.step(world):
             pass
-        trace = run()
+        trace, _ = run()
         assert world.steps == trace.steps
         assert world.t == trace.execution_makespan
-        rows, events, t = list(world.rows), list(world.events), world.t
+        csv, events, t = sink.getvalue(), list(world.events), world.t
         assert sim.step(world) and sim.step(world)
-        assert (world.rows, world.events, world.t, world.steps) == \
-            (rows, events, t, trace.steps)
+        assert (sink.getvalue(), world.events, world.t, world.steps) == \
+            (csv, events, t, trace.steps)
         assert world.status[world.graph.terminal_nodes[0]] == "complete"
+
+    def test_trace_streams(self, pipeline, tractor_spec, params):
+        """Memory does not grow with the trace: simulated into os.devnull, a
+        longer run's traced peak grows by far less than the trace text it
+        adds. Tractor with 5 robots writes about 450 B of text per step; toy
+        writes too little to stand out from CPython's free lists, which
+        also fill step by step."""
+        data = pipeline(tractor_spec, "tractor", 5)
+
+        def run(sink, cap):
+            return sim.simulate(data["greedy"].graph, data["plan"], data["configs"],
+                                data["fleet"], params, sink, max_steps=cap)
+
+        caps = (100, 600)
+        texts, peaks = [], []
+        for cap in caps:
+            sink = io.StringIO()
+            run(sink, cap)
+            texts.append(len(sink.getvalue()))
+        tracemalloc.start()
+        try:
+            for cap in caps:
+                with open(os.devnull, "w", encoding="utf-8") as sink:
+                    gc.collect()  # empties the free lists that a run refills
+                    tracemalloc.reset_peak()
+                    assert run(sink, cap).steps == cap
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < (texts[1] - texts[0]) / 4, (peaks, texts)
 
 
 # -- array kernels against the scalar loops they replaced ---------------------
@@ -675,7 +715,7 @@ class TestArrayKernels:
                                               project, robots):
         data = pipeline(toy_spec if project == "toy" else tractor_spec, project, robots)
         world = sim.World(data["greedy"].graph, data["plan"], data["configs"],
-                          data["fleet"], params)
+                          data["fleet"], params, io.StringIO())
         world.status = _StatusLog(world.status)
         fire = world.fire_checkpoints
         fired = []
@@ -704,7 +744,7 @@ class TestArrayKernels:
         spec = {"toy": toy_spec, "tractor": tractor_spec, "synthetic": synthetic_spec}[project]
         data = pipeline(spec, project, robots)
         world = sim.World(data["greedy"].graph, data["plan"], data["configs"],
-                          data["fleet"], params)
+                          data["fleet"], params, io.StringIO())
         robot_ids = set(world.itineraries)
         control = sim._control
         seen = {"open": 0, "units": 0}

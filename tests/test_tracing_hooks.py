@@ -10,6 +10,7 @@ argument of `sim.rvo_resolve`. A rename or a moved function breaks
 import importlib
 import importlib.util
 import inspect
+import io
 from pathlib import Path
 
 import pytest
@@ -58,7 +59,7 @@ def test_instrumented_toy_run(tracing, pipeline, toy_spec, params):
     recorder = tracing.SpanRecorder()
     with tracing.instrumented(recorder):
         trace = sim.simulate(data["greedy"].graph, data["plan"], data["configs"],
-                             data["fleet"], params, max_steps=200)
+                             data["fleet"], params, io.StringIO(), max_steps=200)
     assert sim.field_radius is original  # the wrappers are gone again
     layers = tracing.layer_metrics(recorder, None)
     assert layers["sim.l1_s"] > 0
