@@ -225,8 +225,3 @@ def parse_mpd(
     build(by_name[root_name], root_name)
     project = ProjectSpec(assemblies=assemblies, root=root_name, parts_catalog=parts_catalog)
     return ParseResult(project, report)
-
-
-def base_name(instance_id: str) -> str:
-    """Strip the `@k` instance suffix added during parsing."""
-    return instance_id.rsplit("@", 1)[0] if "@" in instance_id else instance_id

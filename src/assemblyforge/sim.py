@@ -27,7 +27,10 @@ is `np.vecdot`, which rounds as `a @ b` does (numpy's BLAS may fuse the
 multiply-add, so `a[0] * b[0] + a[1] * b[1]` can differ), a length is
 `sqrt(vecdot(v, v))`, as in `np.linalg.norm`, and Python's `min` and `max`
 are `np.where` forms with the same tie rules. Branches are picked by masks.
-The 2D LP (`_lp1`, `_lp3`) stays scalar.
+The 2D LP (`_lp2_rows`) is a loop on Python floats over rows of per-line
+dot products, which one array pass builds for the lines that can bind (see
+LP_MARGIN); its least-violation fallback `_lp3` projects the earlier lines
+onto a violated one in one array pass.
 """
 
 from __future__ import annotations
@@ -350,84 +353,107 @@ def _orca_lines(p_i, v_i, r_i, p_j, v_j, r_j, share, tau: float, dt: float):
     return np.stack([v_i + share[:, None] * u, direction], axis=1)
 
 
-def _lp1(lines, idx, radius, opt):
-    """Clamp result onto line idx while honoring lines [0, idx) and |v|<=radius."""
-    pt, d = lines[idx]
-    dot = float(pt @ d)
-    disc = dot * dot + radius * radius - float(pt @ pt)
-    if disc < 0:
-        return None
-    sq = math.sqrt(disc)
-    t_left = -dot - sq
-    t_right = -dot + sq
-    for p2, d2 in lines[:idx]:
-        denom = d[0] * d2[1] - d[1] * d2[0]
-        numer = d2[0] * (pt[1] - p2[1]) - d2[1] * (pt[0] - p2[0])
-        if abs(denom) < 1e-12:
-            if numer < 0:
-                return None
+# Slack, in m/s, between an agent's speed disc and the lines that
+# `rvo_resolve` drops before `_lp2_rows`: a line (p, d) of an agent with cap
+# c goes when X = d0 p1 - d1 p0 <= -c - LP_MARGIN, both sides as computed.
+# Proof that no bit changes, with u = 2**-53, for the magnitudes of ORCA
+# lines: |p| <= P = 1e3, 1e-2 <= c <= 1e3, and |d| = 1 within 8u.
+# - Never violated. The violation test reads s(v) = d0 (v1 - p1) -
+#   d1 (v0 - p0) = (d0 v1 - d1 v0) - X, and X exceeds its computed value
+#   by at most 3uP, so exactly s(v) >= LP_MARGIN - 3e-7 = 7e-7 for every
+#   |v| <= c + 2e-7. Each velocity the LP tests lies in that disc: the
+#   cap-clamped start is at most 3uc longer than c; a point of a line at a
+#   parameter within its computed chord [-dot - sq, -dot + sq] is at most
+#   15u (P + c)**2 / c < 2e-7 longer, before its own rounding of
+#   2u (P + c). The test rounds s by less than 5u (P + c) < 2e-12.
+# - Never moves a bound. While the LP clamps onto a violated line k, the
+#   dropped line's denom D and numer N satisfy N - t D = s(p_k + t d_k)
+#   exactly, so N - t_right D >= 7e-7 at the current bound t_right, far
+#   above the roundings of N and of t_right D (< 2e-12). So D_c >= 1e-12
+#   gives N_c / D_c >= t_right, and `min` keeps t_right; likewise for
+#   t_left when D_c <= -1e-12. With |D_c| < 1e-12, at the chord's middle
+#   t = -dot, N_c >= 7e-7 - P (1e-12 + 3u) > 0, so it fails nothing.
+# The LP thus takes the same steps and fails at the same line as on the
+# full list. A line with a NaN is never dropped, as a comparison with NaN
+# is false.
+LP_MARGIN = 1e-6
+
+
+def _lp_rows(pts, dirs, opt) -> list:
+    """The LP's rows, one list (px, py, dx, dy, p . d, p . p, d . (opt - p))
+    per line (p, d), in one array pass. `opt` is (2,) or one row per line."""
+    return np.column_stack([pts, dirs, np.vecdot(pts, dirs), np.vecdot(pts, pts),
+                            np.vecdot(dirs, opt - pts)]).tolist()
+
+
+def _lp2_rows(rows, radius, result):
+    """2D LP on the rows of `_lp_rows` from the start velocity `result`: the
+    velocity closest to the rows' opt inside all half-planes and the disc of
+    `radius`.
+
+    Each violated line clamps the result onto itself within the earlier
+    lines and the disc. Returns (len(rows), velocity), or the index of the
+    first line that cannot be met with the velocity before it."""
+    rx, ry = result
+    for k, (px, py, dx, dy, dot, pp, dopt) in enumerate(rows):
+        if not dx * (ry - py) - dy * (rx - px) < -1e-12:
             continue
-        t = numer / denom
-        if denom >= 0:
-            t_right = min(t_right, t)
-        else:
-            t_left = max(t_left, t)
-        if t_left > t_right:
-            return None
-    t = float(d @ (opt - pt))
-    t = min(max(t, t_left), t_right)
-    return pt + t * d
+        disc = dot * dot + radius * radius - pp
+        if disc < 0:
+            return k, (rx, ry)
+        sq = math.sqrt(disc)
+        t_left = -dot - sq
+        t_right = -dot + sq
+        for qx, qy, ex, ey, _, _, _ in rows[:k]:
+            denom = dx * ey - dy * ex
+            numer = ex * (py - qy) - ey * (px - qx)
+            if abs(denom) < 1e-12:
+                if numer < 0:
+                    return k, (rx, ry)
+                continue
+            t = numer / denom
+            if denom >= 0:
+                t_right = min(t_right, t)
+            else:
+                t_left = max(t_left, t)
+            if t_left > t_right:
+                return k, (rx, ry)
+        t = min(max(dopt, t_left), t_right)
+        rx, ry = px + t * dx, py + t * dy
+    return len(rows), (rx, ry)
 
 
 def _lp2(lines, radius, opt):
-    """2D LP: velocity closest to opt inside all half-planes and the disc.
-
-    `lines` holds (point, direction) rows, as an (m, 2, 2) array or a list
-    of pairs."""
+    """`_lp2_rows` on (m, 2, 2) lines of (point, direction) rows, or a list
+    of pairs, starting from opt clamped to the disc."""
     lines = np.asarray(lines, float).reshape(-1, 2, 2)
-    pts, dirs = lines[:, 0], lines[:, 1]
     norm = _length(opt)
-    result = opt if norm <= radius else opt / norm * radius
-    i = 0
-    while i < len(lines):
-        # the first line from i on that the result violates
-        violated = (dirs[i:, 0] * (result[1] - pts[i:, 1])
-                    - dirs[i:, 1] * (result[0] - pts[i:, 0]) < -1e-12)
-        k = int(np.argmax(violated))
-        if not violated[k]:
-            break
-        i += k
-        r2 = _lp1(lines, i, radius, opt)
-        if r2 is None:
-            return i, result
-        result = r2
-        i += 1
-    return len(lines), result
+    start = opt if norm <= radius else opt / norm * radius
+    return _lp2_rows(_lp_rows(lines[:, 0], lines[:, 1], opt), radius, start.tolist())
 
 
 def _lp3(lines, begin, radius, result):
-    """Least-violation fallback when the half-plane intersection is empty."""
+    """Least-violation fallback when the half-plane intersection is empty.
+
+    `lines` is (m, 2, 2); each pass projects all lines before the violated
+    one onto it in one array pass."""
+    pts, dirs = lines[:, 0], lines[:, 1]
     distance = 0.0
     for i in range(begin, len(lines)):
         pt, d = lines[i]
         if d[0] * (result[1] - pt[1]) - d[1] * (result[0] - pt[0]) < distance:
-            proj_lines = []
-            for p2, d2 in lines[:i]:
-                denom = d[0] * d2[1] - d[1] * d2[0]
-                if abs(denom) < 1e-12:
-                    if float(d @ d2) > 0:
-                        continue
-                    p3 = 0.5 * (pt + p2)
-                else:
-                    t = (d2[0] * (pt[1] - p2[1]) - d2[1] * (pt[0] - p2[0])) / denom
-                    p3 = pt + t * d
+            p2, d2 = pts[:i], dirs[:i]
+            denom = d[0] * d2[:, 1] - d[1] * d2[:, 0]
+            parallel = np.abs(denom) < 1e-12
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (d2[:, 0] * (pt[1] - p2[:, 1]) - d2[:, 1] * (pt[0] - p2[:, 0])) / denom
+                p3 = np.where(parallel[:, None], 0.5 * (pt + p2), pt + t[:, None] * d)
                 d3 = d2 - d
-                n3 = float(np.linalg.norm(d3))
-                if n3 < 1e-12:
-                    continue
-                proj_lines.append((p3, d3 / n3))
-            opt_dir = np.array([-d[1], d[0]])
-            _, result = _lp2(proj_lines, radius, opt_dir * radius)
+                n3 = np.sqrt(np.vecdot(d3, d3))
+                proj = np.stack([p3, d3 / n3[:, None]], axis=1)
+            # parallel lines that point the same way, and zero directions, go
+            proj = proj[~(parallel & (np.vecdot(d2, d) > 0)) & ~(n3 < 1e-12)]
+            _, result = _lp2(proj, radius, np.array([-d[1], d[0]]) * radius)
             distance = d[0] * (result[1] - pt[1]) - d[1] * (result[0] - pt[0])
     return result
 
@@ -438,8 +464,9 @@ def rvo_resolve(positions, radii, velocities, preferred, caps, shares,
 
     shares[i][j] is agent i's responsibility toward j (share 0 means no
     constraint from that pair on i). The half-planes of all constrained
-    pairs are built in one array pass, in row-major (i, j) order. Returns a
-    list of velocity vectors."""
+    pairs are built in one array pass, in row-major (i, j) order, and so are
+    the LP rows of the agents that need the LP, without the lines that
+    cannot bind (see LP_MARGIN). Returns a list of velocity vectors."""
     p = np.asarray(positions, float).reshape(-1, 2)
     n = len(p)
     v = np.asarray(velocities, float).reshape(n, 2)
@@ -447,7 +474,6 @@ def rvo_resolve(positions, radii, velocities, preferred, caps, shares,
     s = np.asarray(shares, float).reshape(n, n)
     i, j = np.nonzero(~(s <= 0.0) & ~np.eye(n, dtype=bool))
     lines = _orca_lines(p[i], v[i], r[i], p[j], v[j], r[j], s[i, j], tau, dt)
-    bounds = np.searchsorted(i, np.arange(n + 1))
     # _lp2's start, the preferred velocity clamped to the cap, for all agents;
     # an agent whose start violates none of its lines keeps it
     pref = np.asarray(preferred, float).reshape(n, 2)
@@ -458,18 +484,22 @@ def rvo_resolve(positions, radii, velocities, preferred, caps, shares,
     pts, dirs = lines[:, 0], lines[:, 1]
     violated = (dirs[:, 0] * (start[i, 1] - pts[:, 1])
                 - dirs[:, 1] * (start[i, 0] - pts[:, 0]) < -1e-12)
-    free = np.bincount(i[violated], minlength=n) == 0
-    commands = []
-    for k in range(n):
-        if free[k]:
-            commands.append(start[k])
-            continue
-        own = lines[bounds[k]:bounds[k + 1]]
-        fail, cmd = _lp2(own, caps[k], np.asarray(preferred[k], float))
-        if fail < len(own):
-            cmd = _lp3(own, fail, caps[k], cmd)
-        commands.append(cmd)
-    return commands
+    busy = np.bincount(i[violated], minlength=n) > 0
+    keep = np.flatnonzero(busy[i] & ~(dirs[:, 0] * pts[:, 1] - dirs[:, 1] * pts[:, 0]
+                                      <= -cap[i] - LP_MARGIN))
+    rows = _lp_rows(pts[keep], dirs[keep], pref[i[keep]])
+    bounds = np.searchsorted(i, np.arange(n + 1)).tolist()
+    kept = np.searchsorted(i[keep], np.arange(n + 1)).tolist()
+    starts, caps = start.tolist(), cap.tolist()  # Python floats for the LP loop
+    commands = start.copy()
+    for k in np.flatnonzero(busy).tolist():
+        own = rows[kept[k]:kept[k + 1]]
+        fail, cmd = _lp2_rows(own, caps[k], starts[k])
+        if fail < len(own):  # _lp3 on all the agent's lines, from the failed one
+            cmd = _lp3(lines[bounds[k]:bounds[k + 1]], int(keep[kept[k] + fail]) - bounds[k],
+                       caps[k], cmd)
+        commands[k] = cmd
+    return list(commands)
 
 
 # -- world / trace -----------------------------------------------------------

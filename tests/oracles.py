@@ -36,7 +36,7 @@ from assemblyforge.schedule import (
     evaluate_schedule, is_acyclic, node_id, topological_order, travel_time, validate_schedule,
 )
 from assemblyforge.sim import (
-    ORCA_SAFETY_FACTOR, _length, _lp1, _ray_circle_hits, dispersion_force, preferred_velocity,
+    ORCA_SAFETY_FACTOR, _length, _ray_circle_hits, dispersion_force, preferred_velocity,
 )
 from assemblyforge.transport import CARRY_RESTARTS, TransportConfigError
 
@@ -1200,13 +1200,43 @@ def scalar_orca_line(p_i, v_i, r_i, p_j, v_j, r_j, share: float, tau: float, dt:
     return point, direction
 
 
+def scalar_lp1(lines, idx, radius, opt):
+    """`sim._lp1` as it was, which `sim._lp2_rows` inlines: clamp the result
+    onto line idx while honoring lines [0, idx) and |v| <= radius."""
+    pt, d = lines[idx]
+    dot = float(pt @ d)
+    disc = dot * dot + radius * radius - float(pt @ pt)
+    if disc < 0:
+        return None
+    sq = math.sqrt(disc)
+    t_left = -dot - sq
+    t_right = -dot + sq
+    for p2, d2 in lines[:idx]:
+        denom = d[0] * d2[1] - d[1] * d2[0]
+        numer = d2[0] * (pt[1] - p2[1]) - d2[1] * (pt[0] - p2[0])
+        if abs(denom) < 1e-12:
+            if numer < 0:
+                return None
+            continue
+        t = numer / denom
+        if denom >= 0:
+            t_right = min(t_right, t)
+        else:
+            t_left = max(t_left, t)
+        if t_left > t_right:
+            return None
+    t = float(d @ (opt - pt))
+    t = min(max(t, t_left), t_right)
+    return pt + t * d
+
+
 def scalar_lp2(lines, radius, opt):
     """`sim._lp2` scanning a list of (point, direction) lines one at a time."""
     norm = float(np.linalg.norm(opt))
     result = opt if norm <= radius else opt / norm * radius
     for i, (pt, d) in enumerate(lines):
         if d[0] * (result[1] - pt[1]) - d[1] * (result[0] - pt[0]) < -1e-12:
-            r2 = _lp1(lines, i, radius, opt)
+            r2 = scalar_lp1(lines, i, radius, opt)
             if r2 is None:
                 return i, result
             result = r2

@@ -1,5 +1,5 @@
 """Golden artifacts: the SHA-256 of every deterministic artifact that
-`cli.main` writes for six fixed runs, and their `metrics.json` values.
+`cli.main` writes for seven fixed runs, and their `metrics.json` values.
 
 A refactor that claims to change no output keeps these hashes. The values
 were recorded with Python 3.11.7 and numpy 2.4.6; another toolchain may
@@ -42,6 +42,13 @@ RUNS = {
     "synthetic-8": (
         partial(projects.synthetic_project, 0), 8,
         [["greedy"], ["export-lp"]], (["--max-steps", "2000"], cli.EXIT_DEADLOCK),
+    ),
+    # a dense crowd that reaches the simulator's least-violation fallback (the
+    # LP's third phase) 45 times in 400 steps; its one penetration is pinned
+    # as it is
+    "synthetic-48": (
+        partial(projects.synthetic_project, 0), 48,
+        [["greedy"]], (["--max-steps", "400"], cli.EXIT_DEADLOCK),
     ),
     # the 400-part scale the planning speedups are measured at; planning and
     # the 138 MB LP (256,016 binaries), not simulated
@@ -90,6 +97,13 @@ GOLDEN = {
         "trace.csv": "8fb934f152a1ac9cd6f96f74007637d445280ba9a1b7d7408f798a33bc163bae",
         "events.jsonl": "4a181ed2803f3a108a34f9184ff3ce1af64959bf274f37d76899b15f64d8598f",
     },
+    "synthetic-48": {
+        "schedule_partial.json": "8a2d20fd4378da4d7ffe7825db5265bfe8604c3c77aa90a40ecd2e9a1d6f9cee",
+        "transport_units.json": "ffd90b35977b5cc15da270984591db6b49bf469bafa72d73bc7bdbe6db0721c8",
+        "schedule_complete.json": "29a979fd3ff2ab4125fcea7fd56e4ac21bbba071b92cef24b45c52aaf270916f",
+        "trace.csv": "36124ff46f0fee18a458ed08ad24849842d301e1a4d2766bb14c17c706d214ce",
+        "events.jsonl": "cf5d05bf8ad4fb0284855e1b3a0f8dc97d9ac02e1625d37d64d810e763f711c8",
+    },
     "synthetic-400": {
         "schedule_partial.json": "a7e9ef1224a64338c1cdbfcd20dc6bea4f75d3a307fa0be3970c5e25fc9ea5f8",
         "transport_units.json": "c4e8a138d3d7802fb71f6cc5bce2d94b6123a143b4ca830bc0f53463f6bba070",
@@ -123,6 +137,11 @@ GOLDEN_METRICS = {
     "synthetic-8": {
         "collision_count": 0, "deadlocked": True, "execution_makespan": float("inf"),
         "predicted_makespan": 376.86175981359054, "robots": 8, "steps": 2000,
+        "swap_count": 0,
+    },
+    "synthetic-48": {
+        "collision_count": 1, "deadlocked": True, "execution_makespan": float("inf"),
+        "predicted_makespan": 94.86517866752928, "robots": 48, "steps": 400,
         "swap_count": 0,
     },
 }

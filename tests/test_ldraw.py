@@ -112,8 +112,3 @@ class TestParseMpd:
         proj = ldraw.parse_mpd(text, TABLE).project
         assert {"sub.ldr@1", "sub.ldr@2"} <= set(proj.assemblies)
         assert {"3001.dat@1", "3001.dat@2"} <= set(proj.parts_catalog)
-
-
-def test_base_name():
-    assert ldraw.base_name("3001.dat@7") == "3001.dat"
-    assert ldraw.base_name("plain.ldr") == "plain.ldr"

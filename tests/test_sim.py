@@ -468,6 +468,136 @@ def _orca_cases(rng):
         yield name, (p_i, vi, r_i, p_j, v_j, r_j, share)
 
 
+def _unit_vector(rng):
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    return np.array([math.cos(angle), math.sin(angle)])
+
+
+def _line(d, h, along):
+    """The line of direction d whose left side is n . v >= h, with n the
+    left normal of d, through the point h n + along d."""
+    n = np.array([-d[1], d[0]])
+    return np.stack([h * n + along * d, d])
+
+
+def _tangent_case(rng):
+    """Line a cuts the disc and the start violates it; opt pulls the result
+    to one of its chord ends, which the rounding may put just outside the
+    disc. Earlier lines touch the disc there, a few ulps out (kept only for
+    a positive LP_MARGIN) or just in; where the chord end crosses one, it
+    moves the bound."""
+    cap = rng.uniform(0.5, 2.0)
+    d = _unit_vector(rng)
+    n = np.array([-d[1], d[0]])
+    a = rng.uniform(0.05, 0.9) * cap
+    side = rng.choice([-1.0, 1.0])
+    line_a = _line(d, a, rng.uniform(-20.0, 20.0))
+    opt = side * 3 * cap * d + (a - 3 * cap) * n
+    pt = line_a[0]
+    dot = float(pt @ d)
+    end = pt + (-dot + side * math.sqrt(dot * dot + cap * cap - float(pt @ pt))) * d
+    normal = -end / np.linalg.norm(end)
+    touch = np.array([normal[1], -normal[0]])
+    lines = []
+    for _ in range(int(rng.integers(1, 4))):
+        h = (-cap * (1.0 + int(rng.integers(0, 4)) * 2.0 ** -52) if rng.random() < 0.8
+             else -cap + rng.uniform(0.0, 1e-6))
+        lines.append(_line(touch, h, rng.uniform(-20.0, 20.0)))
+    return [*lines, line_a], cap, opt
+
+
+def _bound_case(rng):
+    """Lines whose computed cross product lies within a few ulps of the cull
+    bound, on both sides, among random lines."""
+    cap = rng.uniform(0.3, 2.0)
+    bound = -cap - sim.LP_MARGIN
+    lines = [_line(_unit_vector(rng), bound + k * math.ulp(bound), 0.0)
+             for k in rng.integers(-3, 4, 3)]
+    lines += [_line(_unit_vector(rng), rng.uniform(-cap, cap), rng.uniform(-3.0, 3.0))
+              for _ in range(3)]
+    rng.shuffle(lines)
+    return lines, cap, _unit_vector(rng) * rng.uniform(0.5, 3.0) * cap
+
+
+def _parallel_case(rng):
+    """Parallel, anti-parallel and near-parallel lines, their |denom| the
+    floats just below, at and just above 1e-12, with at most one random line."""
+    cap = rng.uniform(0.5, 2.0)
+    tiny = [0.0, 1e-12, math.nextafter(1e-12, 0.0), math.nextafter(1e-12, 1.0)]
+    lines = []
+    for _ in range(int(rng.integers(2, 6))):
+        s = rng.choice(tiny) * rng.choice([-1.0, 1.0])
+        d = np.array([rng.choice([-1.0, 1.0]), s])
+        lines.append(np.stack([rng.uniform(-cap, cap, 2), d]))
+    if rng.random() < 0.5:
+        lines.append(np.stack([rng.uniform(-cap, cap, 2), _unit_vector(rng)]))
+    rng.shuffle(lines)
+    return lines, cap, _unit_vector(rng) * rng.uniform(0.5, 3.0) * cap
+
+
+def _zero_case(rng):
+    """Lines through one point, signed zeros among its coordinates, so that
+    their crossings are at t = +0.0 and -0.0."""
+    cap = rng.uniform(0.5, 2.0)
+    point = [(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0),
+             tuple(rng.uniform(-0.5, 0.5, 2) * cap)][int(rng.integers(0, 5))]
+    lines = [np.stack([np.array(point), _unit_vector(rng)]) for _ in range(int(rng.integers(2, 6)))]
+    return lines, cap, _unit_vector(rng) * rng.uniform(0.5, 3.0) * cap
+
+
+def _chord_case(rng):
+    """Exact chord ends: cap 5 * 2**k, a line at distance 3 * 2**k from the
+    origin (chord t in [-4, 4] * 2**k), opt projecting exactly on an end and
+    earlier lines crossing it exactly there, in one of the 8 symmetries of
+    the axes."""
+    scale = 2.0 ** int(rng.integers(-2, 3))
+    end = rng.choice([-4.0, 4.0])
+    lines = [np.array([[x, 0.0], [0.0, rng.choice([-1.0, 1.0])]])
+             for x in rng.choice([-4.0, 4.0], int(rng.integers(0, 3)))]
+    lines.append(np.array([[0.0, 3.0], [-1.0, 0.0]]))
+    opt = np.array([-end, 10.0])
+    turn = int(rng.integers(0, 4))
+    flip = rng.random() < 0.5
+
+    def place(v):
+        v = np.array([v[0], -v[1]]) if flip else np.asarray(v, float)
+        for _ in range(turn):
+            v = np.array([-v[1], v[0]])
+        return v
+
+    # a mirror turns the left sides right; reversed directions turn them back
+    lines = [np.stack([place(pt) * scale, -place(d) if flip else place(d)]) for pt, d in lines]
+    return lines, 5.0 * scale, place(opt) * scale
+
+
+def _random_case(rng):
+    cap = rng.uniform(0.2, 2.0)
+    lines = [np.stack([rng.normal(size=2) * 2, _unit_vector(rng)])
+             for _ in range(int(rng.integers(1, 8)))]
+    return lines, cap, rng.normal(size=2) * 2
+
+
+LP_CASES = {"tangent": _tangent_case, "bound": _bound_case, "parallel": _parallel_case,
+            "zero": _zero_case, "chord": _chord_case, "random": _random_case}
+
+
+def _lp_cases(rng, count):
+    """`count` line sets of every kind: (kind, (m, 2, 2) lines, cap, opt)."""
+    for kind, case in LP_CASES.items():
+        for _ in range(count):
+            lines, cap, opt = case(rng)
+            yield kind, np.array(lines, float).reshape(-1, 2, 2), float(cap), np.asarray(opt, float)
+
+
+def _scalar_lp(lines, cap, opt):
+    """The scalar LP, `_lp3` after a failed `_lp2`: (failed line, velocity)."""
+    pairs = [(pt, d) for pt, d in lines]
+    fail, cmd = oracles.scalar_lp2(pairs, cap, opt)
+    if fail < len(pairs):
+        cmd = oracles.scalar_lp3(pairs, fail, cap, cmd)
+    return fail, cmd
+
+
 class TestArrayKernels:
     def test_orca_lines_match_scalar(self):
         rng = np.random.default_rng(7)
@@ -548,6 +678,86 @@ class TestArrayKernels:
             assert len(got) == n
             for g, w in zip(got, want):
                 assert _same_bits(g, w), scene
+        assert fallbacks > 0  # the _lp3 fallback ran
+
+    def test_row_lp_matches_scalar_on_crafted_lines(self):
+        rng = np.random.default_rng(23)
+        failed, unfused = set(), 0
+        for kind, lines, cap, opt in _lp_cases(rng, 200):
+            pairs = [(pt, d) for pt, d in lines]
+            fail, got = sim._lp2(lines, cap, opt)
+            want_fail, want = oracles.scalar_lp2(pairs, cap, opt)
+            assert fail == want_fail, kind
+            assert _same_bits(got, want), kind
+            if fail < len(lines):
+                failed.add(kind)
+                assert _same_bits(sim._lp3(lines, fail, cap, got),
+                                  oracles.scalar_lp3(pairs, fail, cap, want)), kind
+            unfused += sum(float(pt @ d) != pt[0] * d[0] + pt[1] * d[1]
+                           or float(d @ (opt - pt)) != d[0] * (opt - pt)[0] + d[1] * (opt - pt)[1]
+                           for pt, d in lines)
+        assert {"parallel", "random"} <= failed  # the _lp3 fallback ran
+        assert unfused > 0  # a dot product other than np.vecdot's rounds differently
+
+    def test_culled_rvo_resolve_matches_scalar_on_crafted_lines(self, monkeypatch):
+        """Each agent's crafted lines among lines far outside its disc, which
+        `rvo_resolve` drops before the LP, at random places."""
+        rng = np.random.default_rng(29)
+        cases = list(_lp_cases(rng, 200))
+        rng.shuffle(cases)
+        n = 10  # 9 lines per agent
+        culled = mapped = 0
+        near = {False: 0, True: 0}  # lines within 3 ulps of the cull bound, kept or dropped
+        for first in range(0, len(cases), n):
+            scene = cases[first:first + n]
+            own = []
+            for _, lines, cap, _ in scene:
+                full = [_line(_unit_vector(rng), -cap - rng.uniform(1e-5, 50.0),
+                              rng.uniform(-20.0, 20.0)) for _ in range(n - 1)]
+                for k, line in zip(sorted(rng.choice(n - 1, len(lines), replace=False)), lines):
+                    full[k] = line
+                own.append(np.array(full))
+            stacked = np.concatenate(own)
+            monkeypatch.setattr(sim, "_orca_lines", lambda *args: stacked)
+            caps = [cap for _, _, cap, _ in scene]
+            opts = [opt for _, _, _, opt in scene]
+            got = sim.rvo_resolve(np.zeros((n, 2)), np.ones(n), np.zeros((n, 2)), opts, caps,
+                                  1.0 - np.eye(n), DT, TAU)
+            for k, lines in enumerate(own):
+                fail, want = _scalar_lp(lines, caps[k], opts[k])
+                assert _same_bits(got[k], want), (scene[k][0], k)
+                bound = -caps[k] - sim.LP_MARGIN
+                cross = lines[:, 1, 0] * lines[:, 0, 1] - lines[:, 1, 1] * lines[:, 0, 0]
+                drop = cross <= bound
+                culled += drop.sum()
+                mapped += fail < len(lines) and drop[:fail].any()
+                close = np.abs(cross - bound) <= 3 * math.ulp(bound)
+                near[True] += (close & drop).sum()
+                near[False] += (close & ~drop).sum()
+        assert culled > 0 and mapped > 0  # dropped lines before a failing one
+        assert near[True] > 0 and near[False] > 0
+
+    def test_rvo_resolve_matches_scalar_in_dense_crowds(self):
+        rng = np.random.default_rng(31)
+        fallbacks = 0
+        for n in (15, 30, 45, 60):
+            box = 0.3 * math.sqrt(n)  # about one agent per 0.36 m2
+            positions = list(rng.uniform(-box, box, (n, 2)))
+            velocities = list(rng.normal(size=(n, 2)) * 0.5)
+            preferred = list(rng.normal(size=(n, 2)))
+            radii = list(rng.choice([0.25, 0.25, 0.4], n))
+            caps = list(rng.uniform(0.5, 1.0, n))
+            alpha = rng.choice([0.0, 0.1, 0.5, 1.0, 0.03], n)
+            shares = [[0.0 if i == j else (0.5 if alpha[i] + alpha[j] == 0
+                                           else alpha[i] / (alpha[i] + alpha[j]))
+                       for j in range(n)] for i in range(n)]
+            got = sim.rvo_resolve(positions, radii, velocities, preferred, caps, shares,
+                                  DT, TAU)
+            want, used = oracles.scalar_rvo_resolve(positions, radii, velocities, preferred,
+                                                    caps, shares, DT, TAU)
+            fallbacks += used
+            for g, w in zip(got, want):
+                assert _same_bits(g, w), n
         assert fallbacks > 0  # the _lp3 fallback ran
 
     def test_ray_circle_hits_match_scalar(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from assemblyforge import geometry, ldraw, projects, transport
+from assemblyforge import geometry, projects, transport
 
 from . import oracles
 
@@ -168,7 +168,7 @@ class TestConfigureTransportUnit:
         _, configs = tractor_configs
         sizes = {}
         for cid, cfg in configs.items():
-            sizes.setdefault(ldraw.base_name(cid), set()).add(cfg.n)
+            sizes.setdefault(cid.rsplit("@", 1)[0], set()).add(cfg.n)
         assert sizes == {
             "3001.dat": {3}, "3003.dat": {2}, "3004.dat": {1}, "3641.dat": {1},
             "axle_front.ldr": {2}, "axle_rear.ldr": {2}, "cab.ldr": {3},
