@@ -191,7 +191,7 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
 
     complete = graph.with_edges(set(added))
     violations = validate_schedule(complete, "complete")
-    if violations:  # pragma: no cover - construction guarantees validity
+    if violations:  # pragma: no cover - valid when the partial schedule assigns no pickup
         raise AllocationError(f"greedy produced an invalid schedule: {violations[:3]}")
     _, _, makespan = evaluate_schedule(complete, fleet)
     return AllocationResult(complete, makespan, "greedy", "incumbent", tuple(added))
@@ -211,7 +211,10 @@ class ScheduleMilp:
 
 def _candidate_edges(graph: ScheduleGraph) -> list[tuple[str, str]]:
     """Assignment edges with free capacity on both endpoints that cannot
-    close a cycle in the partial graph."""
+    close a cycle in the partial graph: every robot start and dropoff to
+    every pickup. Both endpoints are free only while no pickup has its chain
+    predecessor yet, which the partial grammar allows and
+    `cli.cmd_allocate` rejects."""
     sources = list(graph.robot_starts) + sorted(d for ds in graph.dropoffs.values() for d in ds)
     targets = sorted(p for ps in graph.pickups.values() for p in ps)
     up = {u: upstream(graph, u) for u in sources}

@@ -179,6 +179,20 @@ def _invalid_schedule(graph: schedule.ScheduleGraph, mode: str) -> bool:
     return bool(issues)
 
 
+def _preassigned_pickups(graph: schedule.ScheduleGraph) -> bool:
+    """Prints one line per pickup of a valid partial schedule that already
+    has a predecessor, a robot start or dropoff: the grammar allows one, the
+    allocators assume none. True if any."""
+    pred, _ = graph.adjacency()
+    found = False
+    for p in sorted(p for ps in graph.pickups.values() for p in ps):
+        if pred[p]:
+            print(f"invalid schedule: {p}: already assigned after {', '.join(sorted(pred[p]))}; "
+                  "allocate assigns every pickup itself", file=sys.stderr)
+            found = True
+    return found
+
+
 def cmd_allocate(args) -> int:
     out = Path(args.out)
     if args.max_nodes < 1:
@@ -197,7 +211,7 @@ def cmd_allocate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    if _invalid_schedule(graph, "partial"):
+    if _invalid_schedule(graph, "partial") or _preassigned_pickups(graph):
         return EXIT_FAILURE
 
     t_start = time.perf_counter()

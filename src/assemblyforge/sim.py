@@ -1,13 +1,15 @@
 """Deterministic fixed-timestep execution of a complete operating schedule.
 
-`step` advances a `World` by one timestep: (1) fire ready checkpoints and
-task transitions, (2) build the staging circles of the open phases, (3) run the
-three-layer velocity controller (tangent bug -> prioritized dispersion ->
-generalized reciprocal velocity obstacles) per agent, (4) integrate and
-write the step's trace rows to the world's text sink. Formed transport units
-replace their member robots as a single agent until the cargo is deposited.
+`step` advances a `World` by one timestep: (1) complete timed tasks, empty
+the ready queue, form units and complete their arrivals, all through
+`World.start` and `World.complete`, (2) build the staging circles of the
+open phases, (3) run the three-layer velocity controller (tangent bug ->
+prioritized dispersion -> generalized reciprocal velocity obstacles) per
+agent, (4) integrate and write the step's trace rows to the world's text
+sink. Formed transport units replace their member robots as a single agent
+until the cargo is deposited.
 
-The step is array-backed. Checkpoints come off a ready queue in topological
+The step is array-backed. Ready nodes come off a queue in topological
 order. The tangent bug (Kamon, Rivlin & Rimon, "TangentBug", 1998) is one
 array pass per step over every agent: the sit-and-wait mask, the ray test of
 every agent against every staging circle (its own open-phase circle masked
@@ -583,7 +585,10 @@ class World:
     are (n, 2), `radius` and `cap` (n,) and fixed per row. `present` marks
     the rows that move: forming a unit clears its members' bits and sets the
     unit's, and the deposit reverses that. `open_phase` maps each assembly
-    with an open build step to that step's phase."""
+    with an open build step to that step's phase. Only `start` and `complete`
+    change node states, timers, unit tasks, open phases, presence and
+    mission indices; `fire_checkpoints` takes off the queue what `complete`
+    readies."""
 
     def __init__(self, graph: ScheduleGraph, staging_plan: StagingPlan,
                  transport_configs: dict[str, TransportUnitConfig],
@@ -622,7 +627,8 @@ class World:
         self.fire_rank = {
             nid: rank for rank, nid in enumerate(self.topo)
             if (node := graph.nodes[nid]).kind in CHECKPOINT_KINDS
-            or node.kind == "LiftIntoPlace" or (node.kind == "RobotGo" and node.role == "dropoff")}
+            or node.kind in ("LiftIntoPlace", "DepositCargo")
+            or (node.kind == "RobotGo" and node.role == "dropoff")}
         self.ready = [(rank, nid) for nid, rank in self.fire_rank.items()
                       if self.remaining[nid] == 0]
         heapq.heapify(self.ready)
@@ -638,11 +644,10 @@ class World:
         self.cap = np.array([units[a].speed_limit if a in units else fleet.v_max
                              for a in self.ids], float)
         self.present = np.zeros(n, bool)
+        self.stuck_mark: dict[str, tuple[float, np.ndarray]] = {}
         for rid, start in starts.items():
             self.enter(rid, start.origin)
         self.unit_task: dict[str, str] = {}  # formed unit id -> its current node
-        self.unit_members: dict[str, list[str]] = {}
-        self.stuck_mark: dict[str, tuple[float, np.ndarray]] = {}
 
         self.trace_out = trace_out
         trace_out.write("t,id,x,y,vx,vy,task,alpha\n")
@@ -651,19 +656,40 @@ class World:
         self.steps = 0
         self.collision_count = 0
         self.swap_count = 0
+        self.fire_checkpoints()
 
     def complete(self, nid: str):
+        """Complete node `nid` and apply what follows: a build step opens or
+        closes; a unit's task moves Form -> TransportUnitGo -> DepositCargo,
+        and after the deposit the unit leaves and its robots enter at their
+        dropoff slots with their next missions. Unit and lift tasks log
+        `task_complete`; successors with no pending predecessor get ready."""
         self.status[nid] = "complete"
         self.complete_time[nid] = self.t
+        self.timers.pop(nid, None)
         node = self.graph.nodes[nid]
+        uid = f"unit:{node.subject}"
         if node.kind == "OpenBuildStep":
             self.open_phase[node.subject] = node.slot
         elif node.kind == "CloseBuildStep":
             self.open_phase.pop(node.subject, None)
+        elif node.kind == "FormTransportUnit":
+            self.unit_task[uid] = node_id("TransportUnitGo", node.subject)
+            self.start(self.unit_task[uid])
+        elif node.kind == "TransportUnitGo":
+            self.unit_task[uid] = node_id("DepositCargo", node.subject)
+        elif node.kind == "DepositCargo":
+            del self.unit_task[uid]
+            self.present[self.row[uid]] = False
+            for rid in self.team_slots[node.subject].values():
+                self.enter(rid, self.mission(rid).dropoff_pos)
+                self.mission_idx[rid] += 1
         for s in self.succ[nid]:
             self.remaining[s] -= 1
             if self.remaining[s] == 0 and s in self.fire_rank:
                 heapq.heappush(self.ready, (self.fire_rank[s], s))
+        if node.kind not in CHECKPOINT_KINDS and node.kind != "RobotGo":
+            self.events.append({"type": "task_complete", "node": nid, "t": round(self.t, 6)})
 
     def mission(self, rid: str) -> _Mission | None:
         ms = self.itineraries[rid]
@@ -671,14 +697,28 @@ class World:
         return ms[i] if i < len(ms) else None
 
     def start(self, nid: str):
-        """Make timed node `nid` active until its duration has passed."""
+        """Make node `nid` active. A TransportUnitGo runs until its unit
+        arrives, any other node until its duration has passed. Starting a
+        FormTransportUnit replaces the team's robots with the unit at its
+        TransportUnitGo origin and logs `unit_formed`."""
         self.status[nid] = "active"
-        self.timers[nid] = self.t + (self.graph.nodes[nid].duration or 0.0)
+        node = self.graph.nodes[nid]
+        if node.kind != "TransportUnitGo":
+            self.timers[nid] = self.t + (node.duration or 0.0)
+        if node.kind == "FormTransportUnit":
+            uid = f"unit:{node.subject}"
+            self.enter(uid, self.graph.nodes[node_id("TransportUnitGo", node.subject)].origin)
+            self.unit_task[uid] = nid
+            for rid in self.team_slots[node.subject].values():
+                self.present[self.row[rid]] = False
+            self.events.append({"type": "unit_formed", "payload": node.subject,
+                                "t": round(self.t, 6)})
 
     def enter(self, aid: str, position):
-        """Make agent `aid` present, at rest at `position`."""
+        """Make agent `aid` present, at rest at `position`, with no stuck mark."""
         r = self.row[aid]
         self.pos[r], self.vel[r], self.present[r] = position, 0.0, True
+        self.stuck_mark.pop(aid, None)
 
     def fire_checkpoints(self) -> bool:
         """Complete or start every ready node; True once the terminal node
@@ -687,7 +727,7 @@ class World:
         # node only readies its successors, which come later
         while self.ready:
             _, nid = heapq.heappop(self.ready)
-            if self.graph.nodes[nid].kind == "LiftIntoPlace":
+            if self.graph.nodes[nid].kind in ("LiftIntoPlace", "DepositCargo"):
                 self.start(nid)
             else:
                 self.complete(nid)
@@ -698,22 +738,7 @@ def _finish_timers(world: World):
     """Complete form / deposit / lift nodes whose time is up."""
     for nid, end in sorted(world.timers.items()):
         if world.t + 1e-9 >= end:
-            del world.timers[nid]
-            node = world.graph.nodes[nid]
             world.complete(nid)
-            world.events.append({"type": "task_complete", "node": nid, "t": round(world.t, 6)})
-            uid = f"unit:{node.subject}"
-            if node.kind == "FormTransportUnit":
-                world.unit_task[uid] = node_id("TransportUnitGo", node.subject)
-                world.status[world.unit_task[uid]] = "active"
-            elif node.kind == "DepositCargo":
-                # disband: members reappear at their dropoff slots
-                del world.unit_task[uid]
-                world.present[world.row[uid]] = False
-                for rid in world.unit_members.pop(uid):
-                    world.enter(rid, world.mission(rid).dropoff_pos)
-                    world.mission_idx[rid] += 1
-                    world.stuck_mark.pop(rid, None)
 
 
 def _form_units(world: World):
@@ -724,52 +749,28 @@ def _form_units(world: World):
     missions = (world.mission(rid) for rid in world.itineraries)
     for payload in sorted({m.payload for m in missions if m is not None}):
         form = node_id("FormTransportUnit", payload)
-        if status[form] != "pending":
+        if status[form] != "pending" or status[graph.source[payload]] != "complete":
             continue
-        if status[graph.source[payload]] != "complete":
-            continue
-        slots = world.team_slots[payload]
-        members = sorted(slots.values())
-        if not all(world.present[row[rid]] for rid in members):
-            continue
-        missions = [(rid, world.mission(rid)) for _, rid in sorted(slots.items())]
-        if any(m is None or m.payload != payload
+        slots = sorted(world.team_slots[payload].items())
+        missions = [(rid, world.mission(rid)) for _, rid in slots]
+        if any(not world.present[row[rid]] or m is None or m.payload != payload
                or _length(world.pos[row[rid]] - m.pickup_pos) > world.arrival_tol
                for rid, m in missions):
             continue
+        # the source and every pickup are then complete, so the form is ready
         for _, m in missions:
-            if status[m.pickup_node] == "pending":
-                world.complete(m.pickup_node)
-        if world.remaining[form] > 0:
-            continue
-        uid = f"unit:{payload}"
-        world.enter(uid, graph.nodes[node_id("TransportUnitGo", payload)].origin)
-        world.unit_task[uid] = form
-        world.unit_members[uid] = members
-        for rid in members:
-            world.present[row[rid]] = False
-            world.stuck_mark.pop(rid, None)
+            world.complete(m.pickup_node)
         world.start(form)
-        world.events.append({"type": "unit_formed", "payload": payload, "t": round(world.t, 6)})
 
 
-def _arrive_and_deposit(world: World):
-    """Transport unit arrivals, then deposits whose build step is open."""
-    graph, status = world.graph, world.status
+def _arrive(world: World):
+    """Complete the TransportUnitGo of every unit at its destination."""
     for uid, task in sorted(world.unit_task.items()):
-        node = graph.nodes[task]
-        if node.kind == "TransportUnitGo":
-            dest = np.array(node.destination, float)
-            if _length(world.pos[world.row[uid]] - dest) <= world.arrival_tol:
-                world.complete(task)
-                world.unit_task[uid] = node_id("DepositCargo", node.subject)
-                world.events.append({"type": "task_complete", "node": task,
-                                     "t": round(world.t, 6)})
+        node = world.graph.nodes[task]
+        if node.kind == "TransportUnitGo" and _length(
+                world.pos[world.row[uid]] - np.array(node.destination, float)) <= world.arrival_tol:
+            world.complete(task)
     world.fire_checkpoints()
-    for _, dep in sorted(world.unit_task.items()):
-        if (graph.nodes[dep].kind == "DepositCargo" and status[dep] == "pending"
-                and world.remaining[dep] == 0):
-            world.start(dep)
 
 
 def _control(world: World, idx: np.ndarray):
@@ -915,13 +916,11 @@ def _swap_stuck(world: World, idx: np.ndarray):
 def step(world: World) -> bool:
     """Advance `world` by one timestep. Returns True, having advanced
     nothing, once the terminal node is complete."""
-    if world.fire_checkpoints():
-        return True
     _finish_timers(world)
     if world.fire_checkpoints():
         return True
     _form_units(world)
-    _arrive_and_deposit(world)
+    _arrive(world)
     idx = np.flatnonzero(world.present)
     _integrate(world, idx, *_control(world, idx))
     _swap_stuck(world, idx)

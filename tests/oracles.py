@@ -1356,7 +1356,7 @@ def scan_fire_checkpoints(world) -> list[tuple[str, str]]:
             status[nid] = "complete"
             for s in world.succ[nid]:
                 remaining[s] -= 1
-        elif node.kind == "LiftIntoPlace":
+        elif node.kind in ("LiftIntoPlace", "DepositCargo"):
             status[nid] = "active"
         else:
             continue

@@ -301,6 +301,27 @@ class TestExitCodes:
         for name in ("schedule_complete.json", "allocation.json", "model.lp"):
             assert not (out / name).exists(), name
 
+    @pytest.mark.parametrize("method", ["greedy", "bnb", "export-lp"])
+    def test_allocate_rejects_preassigned_pickups(self, toy_input, tmp_path, capsys, method):
+        # the partial grammar allows a pickup one chain predecessor; the
+        # allocators assign every pickup themselves
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        path = out / "schedule_partial.json"
+        doc = json.loads(path.read_text())
+        doc["edges"] += [["RobotStart:robot1", "RobotGo:brick@1:0:pickup"],
+                         ["RobotStart:robot0", "RobotGo:brick@1:1:pickup"]]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["allocate", "--out", str(out), "--method", method]) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid schedule: RobotGo:brick@1:0:pickup: already assigned after "
+            "RobotStart:robot1; allocate assigns every pickup itself",
+            "invalid schedule: RobotGo:brick@1:1:pickup: already assigned after "
+            "RobotStart:robot0; allocate assigns every pickup itself"]
+        for name in ("schedule_complete.json", "allocation.json", "model.lp"):
+            assert not (out / name).exists(), name
+
     def test_allocate_rejects_team_size_below_one(self, toy_input, tmp_path, capsys):
         # without its RobotGo nodes, a payload of team size 0 validates
         out = tmp_path / "out"

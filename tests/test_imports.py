@@ -7,6 +7,12 @@ module. The package's `__init__.py` files re-export and are skipped, as are
 Node ids: `schedule.py` is the only package module that writes or parses a
 schedule node id (`Kind:subject[:slot][:role]`); the others use
 `schedule.node_id` and the graph's lookups.
+
+Single writer: outside the methods of `sim.World`, no package code assigns,
+deletes or mutates (a method such as `pop`, `append` or `setdefault`, a heapq
+push or pop, an item assignment) a world's node states, timers, completion
+times, pending counts, ready queue, unit tasks, open phases, agent presence or
+mission indices; `World.start` and `World.complete` make every transition.
 """
 
 import ast
@@ -82,3 +88,86 @@ def test_node_id_checker_flags_ids_and_colon_splits():
     assert node_id_uses(source) == [
         "line 1: node id 'RobotGo:'", "line 2: node id 'DepositCargo:'",
         "line 3: split(':')", "line 4: rsplit(':')"]
+
+
+WORLD_STATE = {"status", "timers", "complete_time", "remaining", "ready", "unit_task",
+               "open_phase", "present", "mission_idx"}
+MUTATORS = {"pop", "popitem", "append", "extend", "insert", "remove", "setdefault", "update",
+            "clear", "heappush", "heappop", "heapify", "heapreplace", "heappushpop"}
+
+
+def _state_written(target) -> str | None:
+    """The world-state attribute that an assignment or `del` of `target`
+    writes, directly or through item assignment, or None."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return next(filter(None, map(_state_written, target.elts)), None)
+    if isinstance(target, ast.Starred):
+        return _state_written(target.value)
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    if isinstance(target, ast.Attribute) and target.attr in WORLD_STATE:
+        return target.attr
+    return None
+
+
+def world_state_writes(source: str) -> list[str]:
+    """Lines outside `class World` that write one of its WORLD_STATE
+    attributes: assigned, deleted, item-assigned, or passed to a MUTATORS
+    method or heapq function."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.ClassDef) and node.name == "World":
+            return
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS):
+            # a method of the attribute, or heapq's function on it
+            on = node.func.value
+            heap = isinstance(on, ast.Name) and on.id == "heapq"
+            targets = node.args[:1] if heap else [on]
+        for target in targets:
+            attr = _state_written(target)
+            if attr is not None:
+                found.append((node.lineno, attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return [f"line {line}: {attr}" for line, attr in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_world_writes_world_state(path):
+    assert world_state_writes(path.read_text()) == []
+
+
+def test_world_state_checker_flags_writes_outside_world():
+    source = (
+        "class World:\n"
+        "    def complete(self, nid):\n"
+        "        self.status[nid] = 'complete'\n"
+        "        self.timers.pop(nid, None)\n"
+        "def finish(world, nid):\n"
+        "    del world.timers[nid]\n"
+        "    world.status[nid] = 'active'\n"
+        "    world.present[world.row[nid]] = False\n"
+        "    world.mission_idx[nid] += 1\n"
+        "    world.unit_task.pop(nid, None)\n"
+        "    world.open_phase.setdefault(nid, 0)\n"
+        "    heapq.heappush(world.ready, (0, nid))\n"
+        "    world.pos[0], world.complete_time = 1.0, {}\n"
+        "    world.events.append(nid)\n"
+        "    log.append(world.status)\n"
+        "    done = world.status[nid] == 'complete' and nid in world.remaining\n"
+        "    keys = sorted(world.timers.items())\n"
+    )
+    assert world_state_writes(source) == [
+        "line 6: timers", "line 7: status", "line 8: present", "line 9: mission_idx",
+        "line 10: unit_task", "line 11: open_phase", "line 12: ready",
+        "line 13: complete_time"]

@@ -921,28 +921,31 @@ class TestArrayKernels:
         assert total > 0
 
     @pytest.mark.parametrize("project,robots", [("toy", 2), ("tractor", 5)])
-    def test_ready_queue_fires_like_full_scan(self, pipeline, params, toy_spec, tractor_spec,
-                                              project, robots):
+    def test_ready_queue_fires_like_full_scan(self, monkeypatch, pipeline, params, toy_spec,
+                                              tractor_spec, project, robots):
         data = pipeline(toy_spec if project == "toy" else tractor_spec, project, robots)
-        world = sim.World(data["greedy"].graph, data["plan"], data["configs"],
-                          data["fleet"], params, io.StringIO())
-        world.status = _StatusLog(world.status)
-        fire = world.fire_checkpoints
-        fired = []
+        fire = sim.World.fire_checkpoints
+        fired, calls = [], []
 
-        def checked():
-            want = oracles.scan_fire_checkpoints(world)
-            start = len(world.status.log)
-            done = fire()
-            assert world.status.log[start:] == want, world.t
+        def checked(w):  # also the fire at the end of World.__init__
+            if not isinstance(w.status, _StatusLog):
+                w.status = _StatusLog(w.status)
+            want = oracles.scan_fire_checkpoints(w)
+            start = len(w.status.log)
+            done = fire(w)
+            assert w.status.log[start:] == want, w.t
             fired.extend(want)
+            calls.append(w.steps)
             return done
 
-        world.fire_checkpoints = checked
+        monkeypatch.setattr(sim.World, "fire_checkpoints", checked)
+        world = sim.World(data["greedy"].graph, data["plan"], data["configs"],
+                          data["fleet"], params, io.StringIO())
+        assert calls == [0] and fired
         while not sim.step(world):
             pass
         kinds = {world.graph.nodes[nid].kind for nid, _ in fired}
-        assert {"LiftIntoPlace", "RobotGo", "ProjectComplete"} <= kinds
+        assert {"LiftIntoPlace", "DepositCargo", "RobotGo", "ProjectComplete"} <= kinds
         assert world.status[world.graph.terminal_nodes[0]] == "complete"
 
     # synthetic-8 livelocks, so it is checked for its first 2,000 steps
@@ -962,11 +965,12 @@ class TestArrayKernels:
         def checked(w, idx):
             phases = {a: oracles.active_phase(w, a) for a in w.graph.assembly_phases}
             assert w.open_phase == {a: k for a, k in phases.items() if k is not None}, w.t
-            in_units = {rid for members in w.unit_members.values() for rid in members}
-            want = sorted(robot_ids - in_units | set(w.unit_members))
+            in_units = {rid for task in w.unit_task.values()
+                        for rid in w.team_slots[w.graph.nodes[task].subject].values()}
+            want = sorted(robot_ids - in_units | set(w.unit_task))
             assert [w.ids[r] for r in idx] == want, w.t
             seen["open"] += len(w.open_phase)
-            seen["units"] += len(w.unit_members)
+            seen["units"] += len(w.unit_task)
             return control(w, idx)
 
         monkeypatch.setattr(sim, "_control", checked)
