@@ -19,10 +19,7 @@ import numpy as np
 
 from .model import RobotFleet
 from .schedule import (
-    CHAIN_KINDS,
     ScheduleGraph,
-    ScheduleError,
-    chain_duration,
     evaluate_schedule,
     node_id,
     topological_order,
@@ -191,7 +188,7 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
 
     complete = graph.with_edges(set(added))
     violations = validate_schedule(complete, "complete")
-    if violations:  # pragma: no cover - valid when the partial schedule assigns no pickup
+    if violations:  # pragma: no cover - the partial grammar leaves every pickup to greedy
         raise AllocationError(f"greedy produced an invalid schedule: {violations[:3]}")
     _, _, makespan = evaluate_schedule(complete, fleet)
     return AllocationResult(complete, makespan, "greedy", "incumbent", tuple(added))
@@ -203,18 +200,16 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
 @dataclass
 class ScheduleMilp:
     graph: ScheduleGraph
-    fleet: RobotFleet
     variables: tuple[tuple[str, str], ...]  # candidate assignment edges (u, v)
     durations: list[float]  # pickup travel of variables[i] if it is chosen
     big_m: float
 
 
 def _candidate_edges(graph: ScheduleGraph) -> list[tuple[str, str]]:
-    """Assignment edges with free capacity on both endpoints that cannot
-    close a cycle in the partial graph: every robot start and dropoff to
-    every pickup. Both endpoints are free only while no pickup has its chain
-    predecessor yet, which the partial grammar allows and
-    `cli.cmd_allocate` rejects."""
+    """Assignment edges that cannot close a cycle in the partial graph:
+    every robot start and dropoff to every pickup that does not reach it.
+    The partial grammar gives no pickup a predecessor, so every endpoint
+    has free capacity."""
     sources = list(graph.robot_starts) + sorted(d for ds in graph.dropoffs.values() for d in ds)
     targets = sorted(p for ps in graph.pickups.values() for p in ps)
     up = {u: upstream(graph, u) for u in sources}
@@ -245,7 +240,7 @@ def build_milp(graph: ScheduleGraph, fleet: RobotFleet) -> ScheduleMilp:
     np.maximum.at(longest, cols, durations)
     fixed = sum(n.duration or 0.0 for n in graph.nodes.values())
     big_m = fixed + sum(longest.tolist()) + 1.0
-    return ScheduleMilp(graph, fleet, tuple(variables), durations.tolist(), big_m)
+    return ScheduleMilp(graph, tuple(variables), durations.tolist(), big_m)
 
 
 def _lp_name(raw: str, taken: dict[str, str]) -> str:
@@ -323,20 +318,18 @@ def export_lp(milp: ScheduleMilp, out: TextIO) -> None:
 # -- exact branch-and-bound --------------------------------------------------
 
 
-@dataclass
-class BnbLimits:
-    max_nodes: int | None = None
-    time_limit: float | None = None
-
-
 def solve_bnb(
-    milp: ScheduleMilp,
+    graph: ScheduleGraph,
+    fleet: RobotFleet,
     incumbent: AllocationResult | None = None,
-    limits: BnbLimits | None = None,
+    max_nodes: int | None = None,
+    time_limit: float | None = None,
 ) -> AllocationResult:
-    """Depth-first branch-and-bound over chain edges into pickup
-    placeholders; bounding by the forward pass that zeroes unassigned
-    travel. Warm start seeds the incumbent.
+    """Depth-first branch-and-bound over chain edges into the pickups of the
+    partial schedule `graph`, which assigns none of them; bounding by the
+    forward pass that zeroes unassigned travel. Warm start seeds the
+    incumbent. Each pickup's chain sources are the robot starts and
+    dropoffs, in id order, that it does not reach: `_candidate_edges`.
 
     The forward pass runs once, on the partial graph. Choosing a chain edge
     u -> v sets v's travel and recomputes the finish times of v and of the
@@ -348,19 +341,24 @@ def solve_bnb(
     edges. Cycle checks OR static descendant bitsets along the chosen edges.
 
     The result carries the nodes explored and the root bound."""
-    limits = limits or BnbLimits()
-    g = milp.graph
-    fleet = milp.fleet
-    by_target: dict[str, list[str]] = {}
-    for u, v in milp.variables:
-        by_target.setdefault(v, []).append(u)
-
+    g = graph
     # the search works on node ranks in the partial graph's topological order
     topo = topological_order(g)
     rank = {nid: i for i, nid in enumerate(topo)}
-    sources = {rank[v]: [rank[u] for u in sorted(us)] for v, us in by_target.items()}
+    pred_ids, succ_ids = g.adjacency()
+    # chosen edges are appended to these lists and popped on backtrack
+    preds = [[rank[p] for p in pred_ids[nid]] for nid in topo]
+    succs = [[rank[w] for w in succ_ids[nid]] for nid in topo]
+    terminals = [rank[t] for t in g.terminal_nodes]
+    desc = [1 << i for i in range(len(topo))]  # static descendants and the node, as bits
+    for i in reversed(range(len(topo))):
+        for w in succs[i]:
+            desc[i] |= desc[w]
+    chain_sources = [rank[u] for u in sorted(
+        [*g.robot_starts, *(d for ds in g.dropoffs.values() for d in ds)])]
     # branch pickups in schedule order so bounds tighten early
-    order = sorted(sources)
+    order = sorted(rank[p] for ps in g.pickups.values() for p in ps)
+    sources = {v: [u for u in chain_sources if not desc[v] >> u & 1] for v in order}
 
     best_edges: tuple[tuple[str, str], ...] | None = None
     best_makespan = math.inf
@@ -372,41 +370,20 @@ def solve_bnb(
     explored = 0
     hit_limit = False
 
-    pred_ids, succ_ids = g.adjacency()
-    # chosen edges are appended to these lists and popped on backtrack
-    preds = [[rank[p] for p in pred_ids[nid]] for nid in topo]
-    succs = [[rank[w] for w in succ_ids[nid]] for nid in topo]
-    terminals = [rank[t] for t in g.terminal_nodes]
-    desc = [1 << i for i in range(len(topo))]  # static descendants and the node, as bits
-    for i in reversed(range(len(topo))):
-        for w in succs[i]:
-            desc[i] |= desc[w]
-    # the static chain predecessors of each node without a fixed duration
-    chains = {i: [p for p in pred_ids[nid] if g.nodes[p].kind in CHAIN_KINDS]
-              for i, nid in enumerate(topo) if g.nodes[nid].duration is None}
-    try:
-        _, tF, root_bound = evaluate_schedule(g, fleet, partial_ok=True)
-    except ScheduleError:  # no completion can be evaluated either
-        finish, root_bound = None, math.inf
-    else:
-        finish = [tF[nid] for nid in topo]
-        duration = [
-            chain_duration(g, nid, chains[i], fleet.v_max, partial_ok=True) if i in chains
-            else g.nodes[nid].duration for i, nid in enumerate(topo)]
+    _, tF, root_bound = evaluate_schedule(g, fleet, partial_ok=True)
+    finish = [tF[nid] for nid in topo]
+    # an unassigned pickup travels 0.0, as in the forward pass
+    duration = [0.0 if (d := g.nodes[nid].duration) is None else d for nid in topo]
     chosen: list[tuple[int, int]] = []  # (pickup, chain source)
     used: set[int] = set()
 
-    def choose(v: int, u: int) -> tuple[float, dict[int, float]] | None:
+    def choose(v: int, u: int) -> tuple[float, dict[int, float]]:
         """Adds chain edge u -> v and updates the finish times. Returns v's
-        old duration and the old finish time of each node that changed, or
-        None if the graph with the edge cannot be evaluated."""
+        old duration and the old finish time of each node that changed."""
         dur = g.nodes[topo[v]].duration
-        if dur is None:
-            chain = chains[v] + [topo[u]] if topo[u] not in chains[v] else chains[v]
-            try:
-                dur = chain_duration(g, topo[v], chain, fleet.v_max, partial_ok=True)
-            except ScheduleError:
-                return None
+        if dur is None:  # as `evaluate_schedule` times the pickup
+            dur = float(travel_time(g.nodes[topo[u]].origin, g.nodes[topo[v]].destination,
+                                    fleet.v_max))
         old, duration[v] = duration[v], dur
         chosen.append((v, u))
         used.add(u)
@@ -452,18 +429,16 @@ def solve_bnb(
 
     def within_budget() -> bool:
         nonlocal hit_limit
-        if limits.max_nodes is not None and explored >= limits.max_nodes:
+        if max_nodes is not None and explored >= max_nodes:
             hit_limit = True
-        if limits.time_limit is not None and _time.monotonic() - t_start > limits.time_limit:
+        if time_limit is not None and _time.monotonic() - t_start > time_limit:
             hit_limit = True
         return not hit_limit
 
-    def descend(idx: int, evaluable: bool):
+    def descend(idx: int):
         """Explores a node within the budget: bounds it, then branches."""
         nonlocal best_edges, best_makespan, explored
         explored += 1
-        if not evaluable:  # pragma: no cover - a built partial graph takes any chain edge
-            return
         lb = max(finish[t] for t in terminals)
         if lb >= best_makespan:
             return
@@ -478,12 +453,11 @@ def solve_bnb(
             if not within_budget():
                 return
             undo = choose(v, u)
-            descend(idx + 1, undo is not None)
-            if undo is not None:
-                unchoose(v, u, *undo)
+            descend(idx + 1)
+            unchoose(v, u, *undo)
 
     if within_budget():
-        descend(0, finish is not None)
+        descend(0)
 
     stats = {"bnb_nodes": explored, "bnb_root_bound": root_bound}
     if best_edges is None:

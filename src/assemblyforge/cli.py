@@ -179,18 +179,20 @@ def _invalid_schedule(graph: schedule.ScheduleGraph, mode: str) -> bool:
     return bool(issues)
 
 
-def _preassigned_pickups(graph: schedule.ScheduleGraph) -> bool:
-    """Prints one line per pickup of a valid partial schedule that already
-    has a predecessor, a robot start or dropoff: the grammar allows one, the
-    allocators assume none. True if any."""
-    pred, _ = graph.adjacency()
-    found = False
-    for p in sorted(p for ps in graph.pickups.values() for p in ps):
-        if pred[p]:
-            print(f"invalid schedule: {p}: already assigned after {', '.join(sorted(pred[p]))}; "
-                  "allocate assigns every pickup itself", file=sys.stderr)
-            found = True
-    return found
+def _unsimulable(graph: schedule.ScheduleGraph, plan, configs) -> str | None:
+    """What the simulator reads for `graph` and the other artifacts lack, as
+    `malformed artifact <name>: ...`: a transport unit config for every
+    payload, and a staging circle for every build step the schedule opens."""
+    payloads = sorted(set(graph.source) - set(configs))
+    if payloads:
+        return f"malformed artifact transport_units.json: no config for {', '.join(payloads)}"
+    steps = [f"{n.subject}:{n.slot}" for _, n in sorted(graph.nodes.items())
+             if n.kind == "OpenBuildStep" and (
+                 n.subject not in plan.assemblies
+                 or n.slot not in range(1, len(plan.assemblies[n.subject].phase_radii) + 1))]
+    if steps:
+        return f"malformed artifact staging.json: no staging circle for {', '.join(steps)}"
+    return None
 
 
 def cmd_allocate(args) -> int:
@@ -211,7 +213,7 @@ def cmd_allocate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    if _invalid_schedule(graph, "partial") or _preassigned_pickups(graph):
+    if _invalid_schedule(graph, "partial"):
         return EXIT_FAILURE
 
     t_start = time.perf_counter()
@@ -227,11 +229,8 @@ def cmd_allocate(args) -> int:
     if args.method == "greedy":
         result = greedy
     else:  # bnb, warm-started by greedy
-        milp = allocation.build_milp(graph, fleet)
-        limits = allocation.BnbLimits(
-            max_nodes=args.max_nodes,
-            time_limit=args.time_limit)
-        result = allocation.solve_bnb(milp, incumbent=greedy, limits=limits)
+        result = allocation.solve_bnb(graph, fleet, incumbent=greedy,
+                                      max_nodes=args.max_nodes, time_limit=args.time_limit)
     runtime = time.perf_counter() - t_start
 
     doc = allocation.allocation_to_jsonable(result, fleet)
@@ -277,6 +276,10 @@ def cmd_simulate(args) -> int:
 
     if _invalid_schedule(graph, "complete"):
         return EXIT_FAILURE
+    problem = _unsimulable(graph, plan, configs)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     if args.dt is not None:
         try:
             params = dataclasses.replace(params, dt_sim=args.dt)

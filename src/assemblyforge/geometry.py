@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CONTAINMENT_TOL = 1e-9
-
 OCTAGON_ANGLES = tuple(k * math.pi / 4 for k in range(8))
 OCTAGON_NORMALS = np.array(
     [[math.cos(a), math.sin(a)] for a in OCTAGON_ANGLES]
@@ -67,9 +65,6 @@ class Circle:
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 
-    def contains(self, point, tol: float = CONTAINMENT_TOL) -> bool:
-        return np.linalg.norm(np.asarray(point, float) - self.center) <= self.radius + tol
-
 
 @dataclass(frozen=True)
 class Sphere:
@@ -92,12 +87,6 @@ class VerticalCylinder:
         if self.z_min > self.z_max:
             raise GeometryError("cylinder requires z_min <= z_max")
 
-    def contains(self, point3d, tol: float = CONTAINMENT_TOL) -> bool:
-        p = np.asarray(point3d, float)
-        if not (self.z_min - tol <= p[2] <= self.z_max + tol):
-            return False
-        return np.linalg.norm(p[:2] - self.center) <= self.radius + tol
-
 
 @dataclass(frozen=True)
 class OctagonalPrism:
@@ -112,12 +101,6 @@ class OctagonalPrism:
         if h.shape != (8,):
             raise GeometryError("octagonal prism needs 8 face offsets")
         object.__setattr__(self, "offsets", h)
-
-    def contains(self, point3d, tol: float = CONTAINMENT_TOL) -> bool:
-        p = np.asarray(point3d, float)
-        if not (self.z_min - tol <= p[2] <= self.z_max + tol):
-            return False
-        return bool(np.all(OCTAGON_NORMALS @ p[:2] <= self.offsets + tol))
 
 
 def _as_points(points, dim: int) -> np.ndarray:

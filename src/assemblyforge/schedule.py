@@ -89,6 +89,9 @@ class ScheduleGraph:
                 raise ScheduleError(f"edge ({u}, {v}) references unknown node")
             succ[u].append(v)
             pred[v].append(u)
+        if not self.terminal_nodes or not set(self.terminal_nodes) <= self.nodes.keys():
+            raise ScheduleError(
+                f"terminal nodes must be schedule nodes, got {list(self.terminal_nodes)}")
 
         # Kahn's algorithm over sorted node ids
         indeg = {v: len(ps) for v, ps in pred.items()}
@@ -335,6 +338,20 @@ _NEIGHBOURS = {
     "LiftIntoPlace": ({"DepositCargo": 1}, {"CloseBuildStep": 1}),
 }
 
+# The fields beyond id, kind and subject that evaluation and simulation read
+# of a node, by its key in `_NEIGHBOURS`; any other kind needs its duration.
+_FIELDS = {"RobotStart": ("origin", "duration"), _PICKUP: ("destination",),
+           _DROPOFF: ("origin", "duration"),
+           "TransportUnitGo": ("origin", "destination", "duration")}
+
+
+def _rule_key(node: ScheduleNode):
+    """The key of `node` in the grammar tables: its kind, or (RobotGo, role),
+    where a RobotGo without the pickup role is a dropoff."""
+    if node.kind != "RobotGo":
+        return node.kind
+    return _PICKUP if node.role == "pickup" else _DROPOFF
+
 
 def _side_violations(graph: ScheduleGraph, node: ScheduleNode, ids, side: str, rule: dict):
     """(rule, message) for each way the neighbours `ids` break `rule`: first
@@ -365,31 +382,30 @@ def _side_violations(graph: ScheduleGraph, node: ScheduleNode, ids, side: str, r
 
 
 def validate_schedule(graph: ScheduleGraph, mode: str = "complete") -> list[ScheduleViolation]:
-    """Check every node's neighbourhood against the `_NEIGHBOURS` table. A
-    pickup RobotGo also needs exactly one chain predecessor in complete mode,
-    and at most one in partial mode, where robots are unassigned."""
+    """Check that every terminal node is a ProjectComplete, then every
+    node's neighbourhood against the `_NEIGHBOURS` table. A pickup RobotGo
+    also needs exactly one chain predecessor in complete mode, and has no
+    predecessor at all in partial mode, where allocation adds every chain
+    edge."""
     if mode not in ("partial", "complete"):
         raise ScheduleError(f"unknown validation mode {mode!r}")
     pred, succ = graph.adjacency()
     out = [] if is_acyclic(graph) else [
         ScheduleViolation("", "acyclic", "schedule graph contains a cycle")]
+    out += [ScheduleViolation(t, "terminal", f"terminal node must be a ProjectComplete, not {kind}")
+            for t in graph.terminal_nodes if (kind := graph.nodes[t].kind) != "ProjectComplete"]
     for nid, node in sorted(graph.nodes.items()):
-        key = node.kind
-        if key == "RobotGo":
-            key = _PICKUP if node.role == "pickup" else _DROPOFF
+        key = _rule_key(node)
         if key not in _NEIGHBOURS:
             out.append(ScheduleViolation(nid, "kind", f"unknown node kind {node.kind!r}"))
             continue
         before, after = _NEIGHBOURS[key]
+        if key == _PICKUP and mode == "partial":
+            before = {}
         found = list(_side_violations(graph, node, pred[nid], "predecessor", before))
-        if key == _PICKUP:
-            chain = len(pred[nid])
-            if mode == "complete" and chain != 1:
-                found.append(("required-predecessor",
-                              f"expected one RobotStart/RobotGo predecessor, got {chain}"))
-            elif mode == "partial" and chain > 1:
-                found.append(("eligible-predecessor",
-                              f"expected at most one chain predecessor, got {chain}"))
+        if key == _PICKUP and mode == "complete" and len(pred[nid]) != 1:
+            found.append(("required-predecessor",
+                          f"expected one RobotStart/RobotGo predecessor, got {len(pred[nid])}"))
         found += _side_violations(graph, node, succ[nid], "successor", after)
         out += [ScheduleViolation(nid, rule, message) for rule, message in found]
     return out
@@ -398,36 +414,15 @@ def validate_schedule(graph: ScheduleGraph, mode: str = "complete") -> list[Sche
 # -- evaluation --------------------------------------------------------------
 
 
-CHAIN_KINDS = ("RobotStart", "RobotGo")  # the kinds a pickup's chain predecessor has
-
-
-def chain_duration(graph: ScheduleGraph, nid: str, chain: list[str], v_max: float,
-                   partial_ok: bool = False) -> float:
-    """Duration of node `nid`, which has no fixed one, given its chain
-    predecessors `chain`: a pickup RobotGo travels unladen from the one
-    predecessor's origin to its destination. With partial_ok, a pickup
-    without a chain predecessor takes 0.0."""
-    node = graph.nodes[nid]
-    if node.kind != "RobotGo" or node.role != "pickup":
-        raise ScheduleError(f"node {nid} has no duration")
-    if len(chain) != 1:
-        if partial_ok and not chain:
-            return 0.0
-        raise ScheduleError(f"pickup RobotGo {nid} needs exactly one chain predecessor")
-    origin = graph.nodes[chain[0]].origin
-    if origin is None or node.destination is None:
-        raise ScheduleError(f"missing pose data on chain into {nid}")
-    return float(travel_time(origin, node.destination, v_max))
-
-
 def evaluate_schedule(
     graph: ScheduleGraph, fleet: RobotFleet, partial_ok: bool = False
 ) -> tuple[dict[str, float], dict[str, float], float]:
-    """Earliest-start forward pass. Pickup RobotGo durations depend on the
-    chain predecessor's position (RobotStart origin or the previous dropoff
-    slot) and use the unladen speed v_max.
+    """Earliest-start forward pass. A pickup RobotGo, the one kind without a
+    fixed duration, travels unladen at v_max from the origin of its chain
+    predecessor (a RobotStart or the previous dropoff slot) to its
+    destination.
 
-    With partial_ok, unassigned pickup RobotGo nodes get zero travel time,
+    With partial_ok, a pickup without a predecessor gets zero travel time,
     which lower-bounds every completion of the graph."""
     order = topological_order(graph)
     pred, _ = graph.adjacency()
@@ -435,10 +430,17 @@ def evaluate_schedule(
     tF: dict[str, float] = {}
     for nid in order:
         start = max((tF[p] for p in pred[nid]), default=0.0)
-        dur = graph.nodes[nid].duration
-        if dur is None:
-            chain = [p for p in pred[nid] if graph.nodes[p].kind in CHAIN_KINDS]
-            dur = chain_duration(graph, nid, chain, fleet.v_max, partial_ok)
+        node = graph.nodes[nid]
+        dur = node.duration
+        if dur is None:  # a pickup
+            chain = pred[nid]
+            if len(chain) == 1:
+                dur = float(travel_time(graph.nodes[chain[0]].origin, node.destination,
+                                        fleet.v_max))
+            elif partial_ok and not chain:
+                dur = 0.0
+            else:
+                raise ScheduleError(f"pickup RobotGo {nid} needs exactly one chain predecessor")
         t0[nid] = start
         tF[nid] = start + dur
     makespan = max(tF[t] for t in graph.terminal_nodes)
@@ -505,6 +507,11 @@ def schedule_from_jsonable(data: dict) -> ScheduleGraph:
     for key, members in data["phase_members"].items():
         aid, k = key.rsplit(":", 1)
         phase_members[(aid, int(k))] = tuple(members)
+    for node in nodes.values():
+        missing = [f for f in _FIELDS.get(_rule_key(node), ("duration",))
+                   if getattr(node, f) is None]
+        if missing:
+            raise ValueError(f"node {node.id} has no {' or '.join(missing)}")
     team_sizes = dict(data["team_sizes"])
     small = {c: n for c, n in team_sizes.items() if not n >= 1}
     if small:

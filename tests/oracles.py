@@ -13,6 +13,9 @@ the neighbourhood table, a graph rebuilt per explored node before the
 incremental bound, a model text joined in memory before the streamed export,
 scalar loops before the array code), kept as written so that tests can
 require equal results from the new code.
+
+The containment tests of the bounding shapes at the start are plain test
+helpers: no package code calls them.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ import numpy as np
 import scipy.optimize
 
 from assemblyforge.allocation import (
-    AllocationError, AllocationResult, BnbLimits, ScheduleMilp, _candidate_edges, _lp_name,
+    AllocationError, AllocationResult, _candidate_edges, _lp_name,
 )
+from assemblyforge.geometry import OCTAGON_NORMALS, Circle, OctagonalPrism, VerticalCylinder
 from assemblyforge.model import RobotFleet
 from assemblyforge.schedule import (
     CHECKPOINT_KINDS, ScheduleError, ScheduleGraph, ScheduleNode, ScheduleViolation,
@@ -39,6 +43,30 @@ from assemblyforge.sim import (
     ORCA_SAFETY_FACTOR, _length, _ray_circle_hits, dispersion_force, preferred_velocity,
 )
 from assemblyforge.transport import CARRY_RESTARTS, TransportConfigError
+
+
+# -- containment in the bounding shapes ---------------------------------------
+
+
+CONTAINMENT_TOL = 1e-9
+
+
+def circle_contains(circle: Circle, point, tol: float = CONTAINMENT_TOL) -> bool:
+    return np.linalg.norm(np.asarray(point, float) - circle.center) <= circle.radius + tol
+
+
+def cylinder_contains(cyl: VerticalCylinder, point3d, tol: float = CONTAINMENT_TOL) -> bool:
+    p = np.asarray(point3d, float)
+    if not (cyl.z_min - tol <= p[2] <= cyl.z_max + tol):
+        return False
+    return np.linalg.norm(p[:2] - cyl.center) <= cyl.radius + tol
+
+
+def prism_contains(prism: OctagonalPrism, point3d, tol: float = CONTAINMENT_TOL) -> bool:
+    p = np.asarray(point3d, float)
+    if not (prism.z_min - tol <= p[2] <= prism.z_max + tol):
+        return False
+    return bool(np.all(OCTAGON_NORMALS @ p[:2] <= prism.offsets + tol))
 
 
 # -- convex hull by gift wrapping (Jarvis march) ------------------------------
@@ -427,11 +455,12 @@ def highs_optimum(text: str) -> float:
 
 
 def validate_schedule_reference(graph: ScheduleGraph, mode: str = "complete") -> list[ScheduleViolation]:
-    """Check every node's neighborhood against the required/eligible table.
+    """Check that every terminal node is a ProjectComplete, then every
+    node's neighborhood against the required/eligible table.
 
-    Partial mode exempts missing robot-assignment links (pickup RobotGo
-    predecessors, RobotStart / dropoff RobotGo successors are optional
-    in both modes up to their caps).
+    A pickup RobotGo has no predecessor in partial mode and exactly one
+    RobotStart/RobotGo predecessor in complete mode; RobotStart / dropoff
+    RobotGo successors are optional in both modes up to their caps.
     """
     if mode not in ("partial", "complete"):
         raise ScheduleError(f"unknown validation mode {mode!r}")
@@ -440,6 +469,11 @@ def validate_schedule_reference(graph: ScheduleGraph, mode: str = "complete") ->
 
     if not is_acyclic(graph):
         out.append(ScheduleViolation("", "acyclic", "schedule graph contains a cycle"))
+    for t in graph.terminal_nodes:
+        k = graph.nodes[t].kind
+        if k != "ProjectComplete":
+            out.append(ScheduleViolation(
+                t, "terminal", f"terminal node must be a ProjectComplete, not {k}"))
 
     def kinds(ids: list[str]) -> list[tuple[str, str]]:
         return [(graph.nodes[i].kind, i) for i in ids]
@@ -526,13 +560,8 @@ def validate_schedule_reference(graph: ScheduleGraph, mode: str = "complete") ->
                         out.append(ScheduleViolation(
                             nid, "required-predecessor",
                             f"expected one RobotStart/RobotGo predecessor, got {total}"))
-                else:
-                    expect_at_most(node, p, "predecessor",
-                                   {"RobotStart": 1, "RobotGo": 1})
-                    if len(p) > 1:
-                        out.append(ScheduleViolation(
-                            nid, "eligible-predecessor",
-                            f"expected at most one chain predecessor, got {len(p)}"))
+                else:  # allocation adds every chain edge
+                    expect_exact(node, p, "predecessor", {})
                 expect_exact(node, s, "successor", {"FormTransportUnit": 1})
             else:  # dropoff
                 expect_exact(node, p, "predecessor", {"DepositCargo": 1})
@@ -778,9 +807,11 @@ def greedy_reference(graph, fleet) -> AllocationResult:
 
 
 def solve_bnb_reference(
-    milp: ScheduleMilp,
+    g: ScheduleGraph,
+    fleet: RobotFleet,
     incumbent: AllocationResult | None = None,
-    limits: BnbLimits | None = None,
+    max_nodes: int | None = None,
+    time_limit: float | None = None,
 ) -> AllocationResult:
     """`allocation.solve_bnb` before its incremental bound: every explored
     node builds the graph with the chosen edges and reruns the forward pass,
@@ -789,11 +820,8 @@ def solve_bnb_reference(
     Depth-first branch-and-bound over chain edges into pickup
     placeholders; bounding by the forward pass that zeroes unassigned
     travel. Warm start seeds the incumbent."""
-    limits = limits or BnbLimits()
-    g = milp.graph
-    fleet = milp.fleet
     by_target: dict[str, list[str]] = {}
-    for u, v in milp.variables:
+    for u, v in _candidate_edges(g):
         by_target.setdefault(v, []).append(u)
 
     # branch pickups in schedule order so bounds tighten early
@@ -837,10 +865,10 @@ def solve_bnb_reference(
         nonlocal best_edges, best_makespan, explored, hit_limit
         if hit_limit:
             return
-        if limits.max_nodes is not None and explored >= limits.max_nodes:
+        if max_nodes is not None and explored >= max_nodes:
             hit_limit = True
             return
-        if limits.time_limit is not None and _time.monotonic() - t_start > limits.time_limit:
+        if time_limit is not None and _time.monotonic() - t_start > time_limit:
             hit_limit = True
             return
         explored += 1

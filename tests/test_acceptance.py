@@ -201,8 +201,7 @@ def test_bnb_equals_exhaustive_and_beats_greedy(pipeline, params, toy_spec,
     ]
     for spec, robots in small:
         fleet, graph = _build_stage(spec, robots, params)
-        milp = allocation.build_milp(graph, fleet)
-        result = allocation.solve_bnb(milp)
+        result = allocation.solve_bnb(graph, fleet)
         oracle_best, _ = oracles.exhaustive_allocation(
             graph, fleet, schedule.evaluate_schedule)
         assert result.status == "optimal"
@@ -212,10 +211,8 @@ def test_bnb_equals_exhaustive_and_beats_greedy(pipeline, params, toy_spec,
     for name, spec, robots in [("toy", toy_spec, 2), ("tractor", tractor_spec, 5),
                                ("synthetic", synthetic_spec, 8)]:
         stage = pipeline(spec, name, robots)
-        milp = allocation.build_milp(stage["graph"], stage["fleet"])
-        result = allocation.solve_bnb(
-            milp, incumbent=stage["greedy"],
-            limits=allocation.BnbLimits(max_nodes=5000, time_limit=10.0))
+        result = allocation.solve_bnb(stage["graph"], stage["fleet"], incumbent=stage["greedy"],
+                                      max_nodes=5000, time_limit=10.0)
         assert result.makespan <= stage["greedy"].makespan + 1e-9
         assert schedule.validate_schedule(result.graph, "complete") == []
     assert time.perf_counter() - t_start < 60.0
@@ -232,11 +229,10 @@ def test_bnb_matches_highs(params):
         (_tiny_project(4), 4),
     ]:
         fleet, graph = _build_stage(spec, robots, params)
-        milp = allocation.build_milp(graph, fleet)
-        result = allocation.solve_bnb(milp)
+        result = allocation.solve_bnb(graph, fleet)
         assert result.status == "optimal"
         buf = io.StringIO()
-        allocation.export_lp(milp, buf)
+        allocation.export_lp(allocation.build_milp(graph, fleet), buf)
         assert oracles.highs_optimum(buf.getvalue()) == pytest.approx(
             result.makespan, abs=1e-6)
 

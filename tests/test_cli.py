@@ -35,6 +35,11 @@ def _drop_robot_go(path, payload):
     path.write_text(json.dumps(doc))
 
 
+def _node(doc, nid):
+    """The record of node `nid` in the schedule JSON `doc`."""
+    return next(n for n in doc["nodes"] if n["id"] == nid)
+
+
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path):
         code = cli.main(["plan", "--input", str(tmp_path / "nope.mpd"),
@@ -303,8 +308,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("method", ["greedy", "bnb", "export-lp"])
     def test_allocate_rejects_preassigned_pickups(self, toy_input, tmp_path, capsys, method):
-        # the partial grammar allows a pickup one chain predecessor; the
-        # allocators assign every pickup themselves
+        # the partial grammar gives a pickup no predecessor: allocation
+        # assigns every pickup itself
         out = tmp_path / "out"
         assert _plan(toy_input, out) == cli.EXIT_OK
         path = out / "schedule_partial.json"
@@ -315,12 +320,73 @@ class TestExitCodes:
         capsys.readouterr()
         assert cli.main(["allocate", "--out", str(out), "--method", method]) == cli.EXIT_FAILURE
         assert capsys.readouterr().err.splitlines() == [
-            "invalid schedule: RobotGo:brick@1:0:pickup: already assigned after "
-            "RobotStart:robot1; allocate assigns every pickup itself",
-            "invalid schedule: RobotGo:brick@1:1:pickup: already assigned after "
-            "RobotStart:robot0; allocate assigns every pickup itself"]
+            "invalid schedule: RobotGo:brick@1:0:pickup: unexpected RobotStart predecessor (1)",
+            "invalid schedule: RobotGo:brick@1:1:pickup: unexpected RobotStart predecessor (1)"]
         for name in ("schedule_complete.json", "allocation.json", "model.lp"):
             assert not (out / name).exists(), name
+
+    @pytest.mark.parametrize("command,name,damage,message", [
+        ("allocate", "schedule_partial.json", lambda d: d.update(terminal_nodes=[]),
+         "terminal nodes must be schedule nodes, got []"),
+        ("allocate", "schedule_partial.json", lambda d: d.update(terminal_nodes=["Nope"]),
+         "terminal nodes must be schedule nodes, got ['Nope']"),
+        ("allocate", "schedule_partial.json",
+         lambda d: _node(d, "RobotGo:brick@1:0:pickup").update(destination=None),
+         "node RobotGo:brick@1:0:pickup has no destination"),
+        ("allocate", "schedule_partial.json",
+         lambda d: _node(d, "DepositCargo:brick@1").update(duration=None),
+         "node DepositCargo:brick@1 has no duration"),
+        ("allocate", "schedule_partial.json",
+         lambda d: _node(d, "RobotStart:robot1").update(origin=None),
+         "node RobotStart:robot1 has no origin"),
+        ("simulate", "schedule_complete.json",
+         lambda d: _node(d, "TransportUnitGo:brick@1").update(destination=None),
+         "node TransportUnitGo:brick@1 has no destination"),
+        ("simulate", "schedule_complete.json",
+         lambda d: _node(d, "RobotGo:brick@1:1:dropoff").update(origin=None, duration=None),
+         "node RobotGo:brick@1:1:dropoff has no origin or duration"),
+        ("simulate", "transport_units.json", lambda d: d.clear(), "no config for brick@1"),
+        ("simulate", "staging.json", lambda d: d["assemblies"].clear(),
+         "no staging circle for toy:1"),
+        ("simulate", "staging.json", lambda d: d["assemblies"]["toy"].update(phase_radii=[]),
+         "no staging circle for toy:1"),
+    ], ids=["no-terminal", "unknown-terminal", "pickup-destination", "deposit-duration",
+            "start-origin", "unit-destination", "dropoff-origin", "no-unit-config",
+            "no-staging-assembly", "no-phase-radius"])
+    def test_inconsistent_artifact(self, toy_input, tmp_path, capsys, command, name, damage,
+                                   message):
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_OK
+        path = out / name
+        doc = json.loads(path.read_text())
+        damage(doc)
+        path.write_text(json.dumps(doc))
+        (out / "allocation.json").unlink()
+        capsys.readouterr()
+        assert cli.main([command, "--out", str(out)]) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: malformed artifact {name}: ")
+        assert err[0].endswith(message), err[0]
+        assert not (out / "trace.csv").exists() and not (out / "allocation.json").exists()
+
+    @pytest.mark.parametrize("command", ["allocate", "simulate"])
+    def test_terminal_node_not_project_complete(self, toy_input, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_OK
+        path = out / ("schedule_partial.json" if command == "allocate"
+                      else "schedule_complete.json")
+        doc = json.loads(path.read_text())
+        doc["terminal_nodes"] = ["ObjectStart:brick@1"]
+        path.write_text(json.dumps(doc))
+        (out / "allocation.json").unlink()
+        capsys.readouterr()
+        assert cli.main([command, "--out", str(out)]) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid schedule: ObjectStart:brick@1: "
+            "terminal node must be a ProjectComplete, not ObjectStart"]
+        assert not (out / "trace.csv").exists() and not (out / "allocation.json").exists()
 
     def test_allocate_rejects_team_size_below_one(self, toy_input, tmp_path, capsys):
         # without its RobotGo nodes, a payload of team size 0 validates

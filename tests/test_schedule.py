@@ -251,6 +251,33 @@ class TestValidation:
                  for k in ((key,) if isinstance(key, str) else key)}
         assert named <= kinds
 
+    def test_partial_mode_rejects_preassigned_pickup(self, pipeline, toy_spec):
+        graph = pipeline(toy_spec, "toy", 2)["graph"]
+        first, second = "RobotGo:brick@1:0:pickup", "RobotGo:brick@1:1:pickup"
+        assigned = graph.with_edges({("RobotStart:robot1", first), ("RobotStart:robot0", second)})
+        for mode in ("partial", "complete"):
+            got = schedule.validate_schedule(assigned, mode)
+            assert got == oracles.validate_schedule_reference(assigned, mode)
+        assert schedule.validate_schedule(assigned, "partial") == [
+            ScheduleViolation(p, "eligible-predecessor", "unexpected RobotStart predecessor (1)")
+            for p in (first, second)]
+
+    def test_terminal_node_must_be_project_complete(self, pipeline, toy_spec):
+        graph = pipeline(toy_spec, "toy", 2)["greedy"].graph
+        odd = dataclasses.replace(
+            graph, terminal_nodes=("ProjectComplete:toy", "ObjectStart:brick@1"))
+        for mode in ("partial", "complete"):
+            got = schedule.validate_schedule(odd, mode)
+            assert got == oracles.validate_schedule_reference(odd, mode)
+        assert schedule.validate_schedule(odd, "complete") == [ScheduleViolation(
+            "ObjectStart:brick@1", "terminal",
+            "terminal node must be a ProjectComplete, not ObjectStart")]
+
+    @pytest.mark.parametrize("terminals", [(), ("c", "Nope")])
+    def test_graph_rejects_missing_terminal(self, terminals):
+        with pytest.raises(schedule.ScheduleError, match="terminal nodes must be schedule nodes"):
+            dataclasses.replace(_tiny_graph(), terminal_nodes=terminals)
+
     def test_unknown_mode_rejected(self, pipeline, toy_spec):
         graph = pipeline(toy_spec, "toy", 2)["graph"]
         with pytest.raises(schedule.ScheduleError):

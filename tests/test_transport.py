@@ -201,11 +201,11 @@ class TestConfigureTransportUnit:
         carried = pts.copy()
         carried[:, 2] += lift - pts[:, 2].min()
         for p in carried:
-            assert cfg.bounding_cylinder.contains(p, tol=1e-6)
-            assert cfg.bounding_prism.contains(p, tol=1e-6)
-            assert cfg.bounding_circle.contains(p[:2], tol=1e-6)
+            assert oracles.cylinder_contains(cfg.bounding_cylinder, p, tol=1e-6)
+            assert oracles.prism_contains(cfg.bounding_prism, p, tol=1e-6)
+            assert oracles.circle_contains(cfg.bounding_circle, p[:2], tol=1e-6)
         for c in cfg.carry_positions:
-            assert cfg.bounding_circle.contains(c, tol=R)
+            assert oracles.circle_contains(cfg.bounding_circle, c, tol=R)
 
     def test_speed_limits_within_bounds(self, tractor_configs):
         _, configs = tractor_configs
