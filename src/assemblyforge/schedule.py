@@ -7,6 +7,7 @@ pickup RobotGo) complete it. Timing is an earliest-start forward pass.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -491,6 +492,36 @@ def schedule_to_jsonable(graph: ScheduleGraph) -> dict:
     }
 
 
+def _finite(x) -> bool:
+    """Whether `x` is a finite int or float (a bool is neither)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _field_problem(node: ScheduleNode) -> str | None:
+    """What is wrong with the `_FIELDS` of a node read from JSON, or None: a
+    field it needs is missing, a pose is not two finite numbers, or a
+    duration is not a finite number, is negative or is on a pickup, whose
+    time is always its travel."""
+    missing = [f for f in _FIELDS.get(_rule_key(node), ("duration",))
+               if getattr(node, f) is None]
+    if missing:
+        return f"has no {' or '.join(missing)}"
+    for f in ("origin", "destination"):
+        pose = getattr(node, f)
+        if pose is not None and not (len(pose) == 2 and all(map(_finite, pose))):
+            return f"has {f} {list(pose)!r}, not two finite numbers"
+    d = node.duration
+    if d is None:
+        return None
+    if not _finite(d):
+        return f"has duration {d!r}, not a finite number"
+    if d < 0:
+        return f"has negative duration {d!r}"
+    if _rule_key(node) == _PICKUP:
+        return f"has duration {d!r}, but a pickup's time is its travel"
+    return None
+
+
 @reading_artifact("schedule JSON")
 def schedule_from_jsonable(data: dict) -> ScheduleGraph:
     nodes = {
@@ -508,10 +539,9 @@ def schedule_from_jsonable(data: dict) -> ScheduleGraph:
         aid, k = key.rsplit(":", 1)
         phase_members[(aid, int(k))] = tuple(members)
     for node in nodes.values():
-        missing = [f for f in _FIELDS.get(_rule_key(node), ("duration",))
-                   if getattr(node, f) is None]
-        if missing:
-            raise ValueError(f"node {node.id} has no {' or '.join(missing)}")
+        problem = _field_problem(node)
+        if problem:
+            raise ValueError(f"node {node.id} {problem}")
     team_sizes = dict(data["team_sizes"])
     small = {c: n for c, n in team_sizes.items() if not n >= 1}
     if small:

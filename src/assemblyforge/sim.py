@@ -7,7 +7,10 @@ open phases, (3) run the three-layer velocity controller (tangent bug ->
 prioritized dispersion -> generalized reciprocal velocity obstacles) per
 agent, (4) integrate and write the step's trace rows to the world's text
 sink. Formed transport units replace their member robots as a single agent
-until the cargo is deposited.
+until the cargo is deposited. A robot's itinerary, the pickups along its
+assignment chain, is the only record of who carries what: a payload's team
+is the robots whose current mission it is, and a stuck robot's hand-over of
+its mission to a teammate is the `World.swap` transition.
 
 The step is array-backed. Ready nodes come off a queue in topological
 order. The tangent bug (Kamon, Rivlin & Rimon, "TangentBug", 1998) is one
@@ -541,36 +544,19 @@ def metrics_to_jsonable(trace: SimTrace, predicted_makespan: float) -> dict:
 # -- the simulator -----------------------------------------------------------
 
 
-@dataclass
-class _Mission:
-    payload: str
-    slot: int
-    pickup_node: str
-    pickup_pos: np.ndarray
-    dropoff_pos: np.ndarray
-
-
-def _robot_itineraries(graph: ScheduleGraph):
-    """Per-robot ordered mission list, traced along assignment chains."""
+def _robot_itineraries(graph: ScheduleGraph) -> dict[str, list[str]]:
+    """Robot -> the pickup RobotGo ids along its assignment chain, in order."""
     _, succ = graph.adjacency()
-    itineraries: dict[str, list[_Mission]] = {}
+    itineraries: dict[str, list[str]] = {}
     for nid in graph.robot_starts:
-        missions: list[_Mission] = []
+        picks: list[str] = []
         cur = nid
-        while True:
-            nxt = [s for s in succ[cur] if graph.nodes[s].kind == "RobotGo"
-                   and graph.nodes[s].role == "pickup"]
-            if not nxt:
-                break
-            pick = nxt[0]
-            pn = graph.nodes[pick]
-            drop = graph.dropoffs[pn.subject][pn.slot]
-            dn = graph.nodes[drop]
-            missions.append(_Mission(
-                pn.subject, pn.slot, pick,
-                np.array(pn.destination), np.array(dn.origin)))
-            cur = drop
-        itineraries[graph.nodes[nid].subject] = missions
+        while nxt := [s for s in succ[cur] if graph.nodes[s].kind == "RobotGo"
+                      and graph.nodes[s].role == "pickup"]:
+            picks.append(nxt[0])
+            pick = graph.nodes[nxt[0]]
+            cur = graph.dropoffs[pick.subject][pick.slot]
+        itineraries[graph.nodes[nid].subject] = picks
     return itineraries
 
 
@@ -585,10 +571,12 @@ class World:
     are (n, 2), `radius` and `cap` (n,) and fixed per row. `present` marks
     the rows that move: forming a unit clears its members' bits and sets the
     unit's, and the deposit reverses that. `open_phase` maps each assembly
-    with an open build step to that step's phase. Only `start` and `complete`
-    change node states, timers, unit tasks, open phases, presence and
-    mission indices; `fire_checkpoints` takes off the queue what `complete`
-    readies."""
+    with an open build step to that step's phase. `itineraries` maps each
+    robot to the pickup ids along its chain and `mission_idx` to the index
+    of its current one; `teams` derives each payload's team from them. Only
+    `start` and `complete` change node states, timers, unit tasks, open
+    phases, presence and mission indices, and only `swap` the itineraries;
+    `fire_checkpoints` takes off the queue what `complete` readies."""
 
     def __init__(self, graph: ScheduleGraph, staging_plan: StagingPlan,
                  transport_configs: dict[str, TransportUnitConfig],
@@ -616,11 +604,6 @@ class World:
 
         self.itineraries = _robot_itineraries(graph)
         self.mission_idx = {rid: 0 for rid in self.itineraries}
-        # payload -> assigned robots per slot (mutable to allow task swapping)
-        self.team_slots: dict[str, dict[int, str]] = {}
-        for rid, missions in self.itineraries.items():
-            for m in missions:
-                self.team_slots.setdefault(m.payload, {})[m.slot] = rid
 
         # ready queue, filled by `complete`: the pending nodes with no pending
         # predecessor that `fire_checkpoints` acts on, keyed by topological rank
@@ -634,7 +617,7 @@ class World:
         heapq.heapify(self.ready)
 
         starts = {graph.nodes[nid].subject: graph.nodes[nid] for nid in graph.robot_starts}
-        units = {f"unit:{p}": transport_configs[p] for p in self.team_slots}
+        units = {f"unit:{p}": transport_configs[p] for p in graph.pickups}
         self.ids = sorted([*starts, *units])
         self.row = {aid: r for r, aid in enumerate(self.ids)}
         n = len(self.ids)
@@ -681,8 +664,9 @@ class World:
         elif node.kind == "DepositCargo":
             del self.unit_task[uid]
             self.present[self.row[uid]] = False
-            for rid in self.team_slots[node.subject].values():
-                self.enter(rid, self.mission(rid).dropoff_pos)
+            drops = self.graph.dropoffs[node.subject]
+            for rid, pick in self.teams()[node.subject]:
+                self.enter(rid, self.graph.nodes[drops[self.graph.nodes[pick].slot]].origin)
                 self.mission_idx[rid] += 1
         for s in self.succ[nid]:
             self.remaining[s] -= 1
@@ -691,10 +675,34 @@ class World:
         if node.kind not in CHECKPOINT_KINDS and node.kind != "RobotGo":
             self.events.append({"type": "task_complete", "node": nid, "t": round(self.t, 6)})
 
-    def mission(self, rid: str) -> _Mission | None:
-        ms = self.itineraries[rid]
+    def mission(self, rid: str) -> str | None:
+        """The pickup of robot `rid`'s current mission, or None after its last."""
+        picks = self.itineraries[rid]
         i = self.mission_idx[rid]
-        return ms[i] if i < len(ms) else None
+        return picks[i] if i < len(picks) else None
+
+    def teams(self) -> dict[str, list[tuple[str, str]]]:
+        """Payload -> [(robot, pickup)] of the robots whose current mission
+        is that payload, in slot order."""
+        teams: dict[str, list[tuple[str, str]]] = {}
+        for rid in self.itineraries:
+            pick = self.mission(rid)
+            if pick is not None:
+                teams.setdefault(self.graph.nodes[pick].subject, []).append((rid, pick))
+        for team in teams.values():
+            team.sort(key=lambda member: self.graph.nodes[member[1]].slot)
+        return teams
+
+    def swap(self, aid: str, orid: str):
+        """Exchange the current missions of robots `aid` and `orid`, two
+        members of one team, drop `orid`'s stuck mark and log `swap`."""
+        mine, theirs = self.itineraries[aid], self.itineraries[orid]
+        i, j = self.mission_idx[aid], self.mission_idx[orid]
+        mine[i], theirs[j] = theirs[j], mine[i]
+        self.swap_count += 1
+        self.events.append({"type": "swap", "agents": [aid, orid],
+                            "payload": self.graph.nodes[mine[i]].subject, "t": round(self.t, 6)})
+        self.stuck_mark.pop(orid, None)
 
     def start(self, nid: str):
         """Make node `nid` active. A TransportUnitGo runs until its unit
@@ -709,7 +717,7 @@ class World:
             uid = f"unit:{node.subject}"
             self.enter(uid, self.graph.nodes[node_id("TransportUnitGo", node.subject)].origin)
             self.unit_task[uid] = nid
-            for rid in self.team_slots[node.subject].values():
+            for rid, _ in self.teams()[node.subject]:
                 self.present[self.row[rid]] = False
             self.events.append({"type": "unit_formed", "payload": node.subject,
                                 "t": round(self.t, 6)})
@@ -744,22 +752,18 @@ def _finish_timers(world: World):
 def _form_units(world: World):
     """Form transport units whose robots are all in position."""
     graph, status, row = world.graph, world.status, world.row
-    # a payload forms its unit only when it is the current mission of all
-    # its robots
-    missions = (world.mission(rid) for rid in world.itineraries)
-    for payload in sorted({m.payload for m in missions if m is not None}):
+    for payload, team in sorted(world.teams().items()):
         form = node_id("FormTransportUnit", payload)
         if status[form] != "pending" or status[graph.source[payload]] != "complete":
             continue
-        slots = sorted(world.team_slots[payload].items())
-        missions = [(rid, world.mission(rid)) for _, rid in slots]
-        if any(not world.present[row[rid]] or m is None or m.payload != payload
-               or _length(world.pos[row[rid]] - m.pickup_pos) > world.arrival_tol
-               for rid, m in missions):
+        if len(team) != graph.team_sizes[payload] or any(
+                not world.present[row[rid]]
+                or _length(world.pos[row[rid]] - graph.nodes[pick].destination) > world.arrival_tol
+                for rid, pick in team):
             continue
         # the source and every pickup are then complete, so the form is ready
-        for _, m in missions:
-            world.complete(m.pickup_node)
+        for _, pick in team:
+            world.complete(pick)
         world.start(form)
 
 
@@ -796,18 +800,17 @@ def _control(world: World, idx: np.ndarray):
             task = world.unit_task[aid]
             task_kind, payload = graph.nodes[task].kind, graph.nodes[task].subject
         else:
-            m = world.mission(aid)
-            task = m.pickup_node if m else None
-            task_kind, payload = ("RobotGo", m.payload) if m else ("", None)
+            task = world.mission(aid)
+            task_kind, payload = ("RobotGo", graph.nodes[task].subject) if task else ("", None)
         phase_active = cargo_ready = False
         if payload is not None:
             a_id, k = graph.payload_phase[payload]
             phase_active = world.open_phase.get(a_id) == k
         if task_kind == "TransportUnitGo":
-            goal = np.array(graph.nodes[task].destination, float)
+            goal = graph.nodes[task].destination
             is_active = phase_active
         elif task_kind == "RobotGo":
-            goal = m.pickup_pos
+            goal = graph.nodes[task].destination
             cargo_ready = world.status[graph.source[payload]] == "complete"
             is_active = phase_active and cargo_ready
         else:  # a unit forming or depositing, or a robot without a mission
@@ -869,14 +872,15 @@ def _integrate(world: World, idx: np.ndarray, commands: list, tasks: list, alpha
 
 
 def _swap_stuck(world: World, idx: np.ndarray):
-    """Hand a stuck robot's mission to a teammate closer to its pickup."""
+    """Hand a stuck robot's mission to the present teammate closest to its
+    pickup, if that one is closer."""
     params, t, row, pos = world.params, world.t, world.row, world.pos
     for r in idx.tolist():
         aid = world.ids[r]
         if aid in world.unit_task:
             continue
-        m = world.mission(aid)
-        if m is None:
+        pick = world.mission(aid)
+        if pick is None:
             world.stuck_mark.pop(aid, None)
             continue
         mark = world.stuck_mark.get(aid)
@@ -890,27 +894,17 @@ def _swap_stuck(world: World, idx: np.ndarray):
         world.stuck_mark[aid] = (t, pos[r].copy())
         if moved >= params.stuck_speed_factor * world.fleet.v_max * params.stuck_time:
             continue
-        my_dist = _length(pos[r] - m.pickup_pos)
+        node = world.graph.nodes[pick]
+        my_dist = _length(pos[r] - node.destination)
         best = None
-        for _, orid in sorted(world.team_slots[m.payload].items()):
+        for orid, _ in world.teams()[node.subject]:
             if orid == aid or not world.present[row[orid]]:
                 continue
-            om = world.mission(orid)
-            if om is None or om.payload != m.payload:
-                continue
-            o_dist = _length(pos[row[orid]] - m.pickup_pos)
+            o_dist = _length(pos[row[orid]] - node.destination)
             if o_dist < my_dist and (best is None or o_dist < best[0]):
-                best = (o_dist, orid, om)
+                best = (o_dist, orid)
         if best is not None:
-            _, orid, om = best
-            i_mine, i_theirs = world.mission_idx[aid], world.mission_idx[orid]
-            world.itineraries[aid][i_mine], world.itineraries[orid][i_theirs] = om, m
-            world.team_slots[m.payload][m.slot] = orid
-            world.team_slots[m.payload][om.slot] = aid
-            world.swap_count += 1
-            world.events.append({"type": "swap", "agents": [aid, orid],
-                                 "payload": m.payload, "t": round(t, 6)})
-            world.stuck_mark.pop(orid, None)
+            world.swap(aid, best[1])
 
 
 def step(world: World) -> bool:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -345,13 +346,36 @@ class TestExitCodes:
         ("simulate", "schedule_complete.json",
          lambda d: _node(d, "RobotGo:brick@1:1:dropoff").update(origin=None, duration=None),
          "node RobotGo:brick@1:1:dropoff has no origin or duration"),
+        ("allocate", "schedule_partial.json",
+         lambda d: _node(d, "RobotStart:robot0").update(origin=[1.0]),
+         "node RobotStart:robot0 has origin [1.0], not two finite numbers"),
+        ("allocate", "schedule_partial.json",
+         lambda d: _node(d, "RobotGo:brick@1:0:pickup").update(duration=50.0),
+         "node RobotGo:brick@1:0:pickup has duration 50.0, but a pickup's time is its travel"),
+        ("simulate", "schedule_complete.json",
+         lambda d: _node(d, "RobotStart:robot0").update(origin=["a", "b"]),
+         "node RobotStart:robot0 has origin ['a', 'b'], not two finite numbers"),
+        ("simulate", "schedule_complete.json",
+         lambda d: _node(d, "DepositCargo:brick@1").update(duration="NaN"),
+         "node DepositCargo:brick@1 has duration 'NaN', not a finite number"),
+        ("simulate", "schedule_complete.json",
+         lambda d: _node(d, "LiftIntoPlace:brick@1").update(duration=math.inf),
+         "node LiftIntoPlace:brick@1 has duration inf, not a finite number"),
+        ("simulate", "schedule_complete.json",
+         lambda d: _node(d, "LiftIntoPlace:brick@1").update(duration=-100.0),
+         "node LiftIntoPlace:brick@1 has negative duration -100.0"),
+        ("simulate", "schedule_complete.json",
+         lambda d: _node(d, "RobotGo:brick@1:0:pickup").update(duration=50.0),
+         "node RobotGo:brick@1:0:pickup has duration 50.0, but a pickup's time is its travel"),
         ("simulate", "transport_units.json", lambda d: d.clear(), "no config for brick@1"),
         ("simulate", "staging.json", lambda d: d["assemblies"].clear(),
          "no staging circle for toy:1"),
         ("simulate", "staging.json", lambda d: d["assemblies"]["toy"].update(phase_radii=[]),
          "no staging circle for toy:1"),
     ], ids=["no-terminal", "unknown-terminal", "pickup-destination", "deposit-duration",
-            "start-origin", "unit-destination", "dropoff-origin", "no-unit-config",
+            "start-origin", "unit-destination", "dropoff-origin", "short-origin",
+            "pickup-duration-partial", "text-origin", "text-duration", "infinite-duration",
+            "negative-duration", "pickup-duration", "no-unit-config",
             "no-staging-assembly", "no-phase-radius"])
     def test_inconsistent_artifact(self, toy_input, tmp_path, capsys, command, name, damage,
                                    message):

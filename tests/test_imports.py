@@ -91,7 +91,7 @@ def test_node_id_checker_flags_ids_and_colon_splits():
 
 
 WORLD_STATE = {"status", "timers", "complete_time", "remaining", "ready", "unit_task",
-               "open_phase", "present", "mission_idx"}
+               "open_phase", "present", "mission_idx", "itineraries"}
 MUTATORS = {"pop", "popitem", "append", "extend", "insert", "remove", "setdefault", "update",
             "clear", "heappush", "heappop", "heapify", "heapreplace", "heappushpop"}
 
@@ -162,6 +162,7 @@ def test_world_state_checker_flags_writes_outside_world():
         "    world.open_phase.setdefault(nid, 0)\n"
         "    heapq.heappush(world.ready, (0, nid))\n"
         "    world.pos[0], world.complete_time = 1.0, {}\n"
+        "    world.itineraries[nid][0], picks = nid, []\n"
         "    world.events.append(nid)\n"
         "    log.append(world.status)\n"
         "    done = world.status[nid] == 'complete' and nid in world.remaining\n"
@@ -170,4 +171,4 @@ def test_world_state_checker_flags_writes_outside_world():
     assert world_state_writes(source) == [
         "line 6: timers", "line 7: status", "line 8: present", "line 9: mission_idx",
         "line 10: unit_task", "line 11: open_phase", "line 12: ready",
-        "line 13: complete_time"]
+        "line 13: complete_time", "line 14: itineraries"]

@@ -965,8 +965,9 @@ class TestArrayKernels:
         def checked(w, idx):
             phases = {a: oracles.active_phase(w, a) for a in w.graph.assembly_phases}
             assert w.open_phase == {a: k for a, k in phases.items() if k is not None}, w.t
+            teams = w.teams()
             in_units = {rid for task in w.unit_task.values()
-                        for rid in w.team_slots[w.graph.nodes[task].subject].values()}
+                        for rid, _ in teams[w.graph.nodes[task].subject]}
             want = sorted(robot_ids - in_units | set(w.unit_task))
             assert [w.ids[r] for r in idx] == want, w.t
             seen["open"] += len(w.open_phase)
@@ -978,6 +979,8 @@ class TestArrayKernels:
             pass
         assert seen["open"] and seen["units"]
         assert (world.steps == max_steps) == (project == "synthetic")
+        if project == "tractor":  # the rows are checked across swaps too
+            assert world.swap_count > 0
 
 
 class _StatusLog(dict):
