@@ -340,12 +340,21 @@ def solve_bnb(
     bit for bit `evaluate_schedule` of the partial graph with the chosen
     edges. Cycle checks OR static descendant bitsets along the chosen edges.
 
+    A child whose pickup would finish no earlier than it did in a sibling
+    that the bound cut is skipped without choosing its edge: its bound
+    could only be larger, so it would be cut on entry. It still counts as
+    explored, so the nodes explored and the result are those of the search
+    without the skip.
+
     The result carries the nodes explored and the root bound."""
     g = graph
     # the search works on node ranks in the partial graph's topological order
     topo = topological_order(g)
     rank = {nid: i for i, nid in enumerate(topo)}
     pred_ids, succ_ids = g.adjacency()
+    if any(pred_ids[p] for ps in g.pickups.values() for p in ps):
+        raise AllocationError("branch-and-bound needs a partial schedule: a pickup has a "
+                              "predecessor")
     # chosen edges are appended to these lists and popped on backtrack
     preds = [[rank[p] for p in pred_ids[nid]] for nid in topo]
     succs = [[rank[w] for w in succ_ids[nid]] for nid in topo]
@@ -377,13 +386,10 @@ def solve_bnb(
     chosen: list[tuple[int, int]] = []  # (pickup, chain source)
     used: set[int] = set()
 
-    def choose(v: int, u: int) -> tuple[float, dict[int, float]]:
-        """Adds chain edge u -> v and updates the finish times. Returns v's
-        old duration and the old finish time of each node that changed."""
-        dur = g.nodes[topo[v]].duration
-        if dur is None:  # as `evaluate_schedule` times the pickup
-            dur = float(travel_time(g.nodes[topo[u]].origin, g.nodes[topo[v]].destination,
-                                    fleet.v_max))
+    def choose(v: int, u: int, dur: float) -> tuple[float, dict[int, float]]:
+        """Adds chain edge u -> v, with v's travel `dur`, and updates the
+        finish times. Returns v's old duration and the old finish time of
+        each node that changed."""
         old, duration[v] = duration[v], dur
         chosen.append((v, u))
         used.add(u)
@@ -392,18 +398,24 @@ def solve_bnb(
         # ranks order every edge but the chosen ones, so few nodes repeat
         saved: dict[int, float] = {}
         heap, last = [v], -1
+        heappop, heappush = heapq.heappop, heapq.heappush
         while heap:
-            w = heapq.heappop(heap)
+            w = heappop(heap)
             if w == last:  # pushed twice while queued
                 continue
             last = w
-            t = max(map(finish.__getitem__, preds[w]), default=0.0) + duration[w]
+            p = preds[w]
+            if len(p) == 1:
+                t = finish[p[0]] + duration[w]
+            else:
+                t = max(map(finish.__getitem__, p), default=0.0) + duration[w]
             if t == finish[w]:
                 continue
-            saved.setdefault(w, finish[w])
+            if w not in saved:
+                saved[w] = finish[w]
             finish[w] = t
             for x in succs[w]:
-                heapq.heappush(heap, x)
+                heappush(heap, x)
         return old, saved
 
     def unchoose(v: int, u: int, old: float, saved: dict[int, float]):
@@ -435,26 +447,52 @@ def solve_bnb(
             hit_limit = True
         return not hit_limit
 
-    def descend(idx: int):
-        """Explores a node within the budget: bounds it, then branches."""
+    def descend(idx: int) -> bool:
+        """Explores a node within the budget: bounds it, then branches.
+        Returns whether the bound cut it on entry."""
         nonlocal best_edges, best_makespan, explored
         explored += 1
         lb = max(finish[t] for t in terminals)
         if lb >= best_makespan:
-            return
+            return True
         if idx == len(order):
             best_makespan = lb
             best_edges = tuple(sorted((topo[u], topo[v]) for v, u in chosen))
-            return
+            return False
         v = order[idx]
         reachable = reach(v)
         candidates = [u for u in sources[v] if u not in used and not reachable >> u & 1]
+        node = g.nodes[topo[v]]
+        # Dominance: the child u is cut on entry if a sibling that was cut
+        # gave v a finish time pruned_at <= x = finish[u] + dur, the float
+        # `choose` gives v (u is v's only predecessor: the partial grammar
+        # gives a pickup none, as checked above). Each finish time is
+        # fl(max(preds) + d); max is monotone and round to nearest is
+        # monotone in its argument, so every finish time of the forward
+        # pass, and lb, is a nondecreasing function of v's finish. Nothing
+        # else about u enters the bound: u does not descend from v, nodes
+        # that do not descend from v keep their finish times, and `unchoose`
+        # restores every value exactly. best_makespan only falls between
+        # siblings, so lb(x) >= lb(pruned_at) >= best_then >= best_now.
+        # Such a child counts as explored, as descend would count it, but is
+        # never chosen. A NaN x fails the test and is chosen as before.
+        pruned_at = None  # until a sibling is cut
         for u in candidates:
             if not within_budget():
-                return
-            undo = choose(v, u)
-            descend(idx + 1)
+                return False
+            dur = node.duration
+            if dur is None:  # as `evaluate_schedule` times the pickup
+                dur = float(travel_time(g.nodes[topo[u]].origin, node.destination,
+                                        fleet.v_max))
+            x = finish[u] + dur
+            if pruned_at is not None and x >= pruned_at:
+                explored += 1
+                continue
+            undo = choose(v, u, dur)
+            if descend(idx + 1):
+                pruned_at = x
             unchoose(v, u, *undo)
+        return False
 
     if within_budget():
         descend(0)

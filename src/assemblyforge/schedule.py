@@ -542,6 +542,14 @@ def schedule_from_jsonable(data: dict) -> ScheduleGraph:
         problem = _field_problem(node)
         if problem:
             raise ValueError(f"node {node.id} {problem}")
+    # a payload's k pickups, and its k dropoffs, index its slots 0..k-1
+    slots: dict[tuple[str, str], list] = {}
+    for node in nodes.values():
+        if (key := _rule_key(node)) in (_PICKUP, _DROPOFF):
+            slots.setdefault((node.subject, key[1]), []).append(node.slot)
+    for (payload, role), got in sorted(slots.items()):
+        if not (all(type(s) is int for s in got) and sorted(got) == list(range(len(got)))):
+            raise ValueError(f"payload {payload} has {role} slots {got}, not 0..{len(got) - 1}")
     team_sizes = dict(data["team_sizes"])
     small = {c: n for c, n in team_sizes.items() if not n >= 1}
     if small:

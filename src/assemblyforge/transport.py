@@ -6,6 +6,7 @@ carrying positions are hull vertices chosen by seeded hill climbing.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -94,17 +95,30 @@ def carry_score(pts) -> float | np.ndarray:
     return scores if pts.ndim == 3 else float(scores[0])
 
 
-def _neighbors(idxs: tuple[int, ...], m: int) -> np.ndarray:
-    """The other sorted index sets a +/-1 move away from `idxs` on a cycle of
-    m, as a (k, n) array in lexicographic order."""
-    n = len(idxs)
+@functools.cache
+def _shifts(n: int) -> np.ndarray:
+    """The +/-1 moves of a sorted index set of size n, one row each: every
+    combination for n <= 8, coordinate-wise moves beyond."""
     if n <= 8:
         shifts = np.indices((3,) * n).reshape(n, -1).T - 1
     else:
         # coordinate-wise moves keep the neighborhood tractable for big teams
         shifts = np.vstack([np.eye(n, dtype=int), -np.eye(n, dtype=int)])
-    cands = np.sort((np.array(idxs) + shifts) % m, axis=1)
-    cands = np.unique(cands[np.all(cands[:, 1:] != cands[:, :-1], axis=1)], axis=0)
+    shifts.flags.writeable = False
+    return shifts
+
+
+def _neighbors(idxs: tuple[int, ...], m: int) -> np.ndarray:
+    """The other sorted index sets a +/-1 move away from `idxs` on a cycle of
+    m, as a (k, n) array in lexicographic order."""
+    cands = np.sort((np.array(idxs) + _shifts(len(idxs))) % m, axis=1)
+    cands = cands[np.all(cands[:, 1:] != cands[:, :-1], axis=1)]
+    # rows in lexicographic order (the last key of lexsort is the primary
+    # one), then the first of each run of equal rows
+    cands = cands[np.lexsort(cands.T[::-1])]
+    first = np.ones(len(cands), bool)
+    first[1:] = np.any(cands[1:] != cands[:-1], axis=1)
+    cands = cands[first]
     return cands[np.any(cands != np.sort(idxs), axis=1)]
 
 

@@ -607,6 +607,19 @@ def scalar_carry_score(pts) -> float:
     return c1 + (0.5 / m) * c2 + (0.1 / m**2) * c3
 
 
+def unique_neighbors(idxs: tuple[int, ...], m: int) -> np.ndarray:
+    """`transport._neighbors` deduplicating its rows with `np.unique(axis=0)`."""
+    n = len(idxs)
+    if n <= 8:
+        shifts = np.indices((3,) * n).reshape(n, -1).T - 1
+    else:
+        # coordinate-wise moves keep the neighborhood tractable for big teams
+        shifts = np.vstack([np.eye(n, dtype=int), -np.eye(n, dtype=int)])
+    cands = np.sort((np.array(idxs) + shifts) % m, axis=1)
+    cands = np.unique(cands[np.all(cands[:, 1:] != cands[:, :-1], axis=1)], axis=0)
+    return cands[np.any(cands != np.sort(idxs), axis=1)]
+
+
 def scalar_neighbors(idxs: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
     """`transport._neighbors` built one shift tuple at a time."""
     n = len(idxs)

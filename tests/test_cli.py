@@ -41,6 +41,12 @@ def _node(doc, nid):
     return next(n for n in doc["nodes"] if n["id"] == nid)
 
 
+def _slot_out_of_range(doc):
+    """Moves brick@1's slot 1, pickup and dropoff, to slot 5."""
+    for role in ("pickup", "dropoff"):
+        _node(doc, f"RobotGo:brick@1:1:{role}")["slot"] = 5
+
+
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path):
         code = cli.main(["plan", "--input", str(tmp_path / "nope.mpd"),
@@ -367,6 +373,13 @@ class TestExitCodes:
         ("simulate", "schedule_complete.json",
          lambda d: _node(d, "RobotGo:brick@1:0:pickup").update(duration=50.0),
          "node RobotGo:brick@1:0:pickup has duration 50.0, but a pickup's time is its travel"),
+        ("allocate", "schedule_partial.json", _slot_out_of_range,
+         "payload brick@1 has dropoff slots [0, 5], not 0..1"),
+        ("simulate", "schedule_complete.json", _slot_out_of_range,
+         "payload brick@1 has dropoff slots [0, 5], not 0..1"),
+        ("simulate", "schedule_complete.json",
+         lambda d: _node(d, "RobotGo:brick@1:1:pickup").update(slot=0),
+         "payload brick@1 has pickup slots [0, 0], not 0..1"),
         ("simulate", "transport_units.json", lambda d: d.clear(), "no config for brick@1"),
         ("simulate", "staging.json", lambda d: d["assemblies"].clear(),
          "no staging circle for toy:1"),
@@ -375,8 +388,8 @@ class TestExitCodes:
     ], ids=["no-terminal", "unknown-terminal", "pickup-destination", "deposit-duration",
             "start-origin", "unit-destination", "dropoff-origin", "short-origin",
             "pickup-duration-partial", "text-origin", "text-duration", "infinite-duration",
-            "negative-duration", "pickup-duration", "no-unit-config",
-            "no-staging-assembly", "no-phase-radius"])
+            "negative-duration", "pickup-duration", "slot-range-partial", "slot-range",
+            "pickup-slot-twice", "no-unit-config", "no-staging-assembly", "no-phase-radius"])
     def test_inconsistent_artifact(self, toy_input, tmp_path, capsys, command, name, damage,
                                    message):
         out = tmp_path / "out"

@@ -112,6 +112,18 @@ class TestSelectCarryPositions:
                 got = [tuple(c) for c in transport._neighbors(idxs, m).tolist()]
                 assert got == oracles.scalar_neighbors(idxs, m)
 
+    def test_neighbors_equal_unique_rows_bitwise(self):
+        # the same rows, order, shape and dtype as deduplicating with
+        # np.unique(axis=0); n > 8 runs the coordinate-wise moves
+        rng = np.random.default_rng(26)
+        for _ in range(600):
+            m = int(rng.integers(1, 24))
+            n = int(rng.integers(1, min(m, 11) + 1))
+            idxs = tuple(sorted(rng.choice(m, n, replace=False).tolist()))
+            got, want = transport._neighbors(idxs, m), oracles.unique_neighbors(idxs, m)
+            assert got.dtype == want.dtype and got.shape == want.shape, (idxs, m)
+            assert np.array_equal(got, want), (idxs, m)
+
     def test_hill_climb_equals_scalar_loop_bitwise(self):
         # n = 9 runs the coordinate-wise branch; the scalar oracle scans 3^n
         # shifts per sweep, so n = 7 and 8 come up less often; regular
