@@ -13,6 +13,7 @@ import math
 import re
 import time as _time
 from dataclasses import dataclass
+from itertools import compress
 from typing import TextIO
 
 import numpy as np
@@ -24,7 +25,6 @@ from .schedule import (
     node_id,
     topological_order,
     travel_time,
-    upstream,
     validate_schedule,
 )
 
@@ -205,21 +205,39 @@ class ScheduleMilp:
     big_m: float
 
 
+def _reachability(graph: ScheduleGraph):
+    """The partial graph's topological order, each node's rank in it, and per
+    rank the bits of the node and of every node it reaches; the chain sources
+    (robot starts and dropoffs) and the pickups, each in id order; and
+    `feeds[i, j]`: whether pickup j does not reach source i, so that the
+    chain edge i -> j closes no cycle."""
+    topo = topological_order(graph)
+    rank = {nid: i for i, nid in enumerate(topo)}
+    _, succ = graph.adjacency()
+    desc = [1 << i for i in range(len(topo))]
+    for i in reversed(range(len(topo))):
+        for w in succ[topo[i]]:
+            desc[i] |= desc[rank[w]]
+    sources = sorted([*graph.robot_starts, *(d for ds in graph.dropoffs.values() for d in ds)])
+    pickups = sorted(p for ps in graph.pickups.values() for p in ps)
+    # bit r of desc[v] is byte r // 8, bit r % 8, of its little-endian bytes
+    cols = np.array([rank[u] for u in sources], np.intp)
+    size = (len(topo) + 7) // 8
+    reached = [np.unpackbits(np.frombuffer(desc[rank[v]].to_bytes(size, "little"), np.uint8),
+                             bitorder="little")[cols] for v in pickups]
+    feeds = np.array(reached, bool).reshape(len(pickups), len(sources)).T == 0
+    return topo, rank, desc, sources, pickups, feeds
+
+
 def _candidate_edges(graph: ScheduleGraph) -> list[tuple[str, str]]:
     """Assignment edges that cannot close a cycle in the partial graph:
-    every robot start and dropoff to every pickup that does not reach it.
-    The partial grammar gives no pickup a predecessor, so every endpoint
-    has free capacity."""
-    sources = list(graph.robot_starts) + sorted(d for ds in graph.dropoffs.values() for d in ds)
-    targets = sorted(p for ps in graph.pickups.values() for p in ps)
-    up = {u: upstream(graph, u) for u in sources}
-    out = []
-    for u in sources:
-        for v in targets:
-            if v in up[u]:  # edge u -> v would close a cycle
-                continue
-            out.append((u, v))
-    return out
+    every robot start, then every dropoff, to every pickup that does not
+    reach it. The partial grammar gives no pickup a predecessor, so every
+    endpoint has free capacity."""
+    _, _, _, sources, pickups, feeds = _reachability(graph)
+    # robot starts first, then dropoffs, each in id order (a stable sort)
+    rows = sorted(range(len(sources)), key=lambda i: graph.nodes[sources[i]].kind != "RobotStart")
+    return [(sources[i], v) for i in rows for v in compress(pickups, feeds[i].tolist())]
 
 
 def build_milp(graph: ScheduleGraph, fleet: RobotFleet) -> ScheduleMilp:
@@ -329,7 +347,7 @@ def solve_bnb(
     partial schedule `graph`, which assigns none of them; bounding by the
     forward pass that zeroes unassigned travel. Warm start seeds the
     incumbent. Each pickup's chain sources are the robot starts and
-    dropoffs, in id order, that it does not reach: `_candidate_edges`.
+    dropoffs, in id order, that it does not reach: `_reachability`.
 
     The forward pass runs once, on the partial graph. Choosing a chain edge
     u -> v sets v's travel and recomputes the finish times of v and of the
@@ -349,8 +367,7 @@ def solve_bnb(
     The result carries the nodes explored and the root bound."""
     g = graph
     # the search works on node ranks in the partial graph's topological order
-    topo = topological_order(g)
-    rank = {nid: i for i, nid in enumerate(topo)}
+    topo, rank, desc, source_ids, pickup_ids, feeds = _reachability(g)
     pred_ids, succ_ids = g.adjacency()
     if any(pred_ids[p] for ps in g.pickups.values() for p in ps):
         raise AllocationError("branch-and-bound needs a partial schedule: a pickup has a "
@@ -359,15 +376,11 @@ def solve_bnb(
     preds = [[rank[p] for p in pred_ids[nid]] for nid in topo]
     succs = [[rank[w] for w in succ_ids[nid]] for nid in topo]
     terminals = [rank[t] for t in g.terminal_nodes]
-    desc = [1 << i for i in range(len(topo))]  # static descendants and the node, as bits
-    for i in reversed(range(len(topo))):
-        for w in succs[i]:
-            desc[i] |= desc[w]
-    chain_sources = [rank[u] for u in sorted(
-        [*g.robot_starts, *(d for ds in g.dropoffs.values() for d in ds)])]
+    source_ranks = [rank[u] for u in source_ids]
+    sources = {rank[v]: list(compress(source_ranks, feeds[:, j].tolist()))
+               for j, v in enumerate(pickup_ids)}
     # branch pickups in schedule order so bounds tighten early
-    order = sorted(rank[p] for ps in g.pickups.values() for p in ps)
-    sources = {v: [u for u in chain_sources if not desc[v] >> u & 1] for v in order}
+    order = sorted(sources)
 
     best_edges: tuple[tuple[str, str], ...] | None = None
     best_makespan = math.inf

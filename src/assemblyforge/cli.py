@@ -123,7 +123,7 @@ def cmd_plan(args) -> int:
     _write(out, "staging.json", _json_text(staging_doc))
     _write(out, "staging.svg", staging.staging_plan_to_svg(plan))
     _write(out, "transport_units.json", _json_text({
-        cid: transport.transport_config_to_jsonable(cfg)
+        cid: {"payload_id": cid, **transport.transport_config_to_jsonable(cfg)}
         for cid, cfg in sorted(configs.items())
     }))
     _write(out, "schedule_partial.json", _json_text(schedule.schedule_to_jsonable(graph)))
@@ -166,9 +166,15 @@ def _project_artifact(doc):
 
 
 def _unit_configs(doc) -> dict:
+    """Transport unit configs by payload; each unit repeats its key as its
+    `payload_id`."""
     if not isinstance(doc, dict):
         raise model.ArtifactError("transport units JSON is not an object")
-    return {cid: transport.transport_config_from_jsonable(d) for cid, d in doc.items()}
+    configs = {cid: transport.transport_config_from_jsonable(d) for cid, d in doc.items()}
+    for cid, d in doc.items():  # each d is an object, as it read as a config
+        if (payload := d.get("payload_id")) != cid:
+            raise model.ArtifactError(f"transport unit {cid} has payload_id {payload!r}")
+    return configs
 
 
 def _invalid_schedule(graph: schedule.ScheduleGraph, mode: str) -> bool:

@@ -334,6 +334,13 @@ def project_to_jsonable(spec: ProjectSpec, fleet: RobotFleet | None = None,
     return doc
 
 
+def _checked(value, kind: type, what: str):
+    """`value` if it is a `kind` (a float may be an int; a bool is neither)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise TypeError(f"{what} {value!r} is not a {kind.__name__}")
+    return value
+
+
 @reading_artifact("project JSON")
 def project_from_jsonable(doc: dict) -> tuple[ProjectSpec, RobotFleet | None, PlanParams | None]:
     """Project, fleet and parameters from a native project JSON document;
@@ -343,19 +350,25 @@ def project_from_jsonable(doc: dict) -> tuple[ProjectSpec, RobotFleet | None, Pl
         aid: Assembly(
             id=aid,
             components=tuple(
-                (c["id"], Transform.from_jsonable(c["transform"])) for c in body["components"]
+                (_checked(c["id"], str, "component id"),
+                 Transform.from_jsonable(c["transform"]))
+                for c in body["components"]
             ),
             build_phases=tuple(
-                BuildPhase(p["index"], tuple(p["members"])) for p in body["build_phases"]
+                BuildPhase(p["index"],
+                           tuple(_checked(m, str, "phase member") for m in p["members"]))
+                for p in body["build_phases"]
             ),
         )
         for aid, body in doc["assemblies"].items()
     }
     parts = {
-        pid: PartGeometry(np.array(body["vertices"]), body["units_per_meter"])
+        pid: PartGeometry(np.array(body["vertices"]),
+                          _checked(body["units_per_meter"], float, "units_per_meter"))
         for pid, body in doc["parts"].items()
     }
-    spec = ProjectSpec(assemblies=assemblies, root=doc["root"], parts_catalog=parts)
+    spec = ProjectSpec(assemblies=assemblies, root=_checked(doc["root"], str, "root"),
+                       parts_catalog=parts)
     fleet = None
     if "fleet" in doc:
         f = doc["fleet"]

@@ -50,7 +50,7 @@ def travel_time(origin, destination, v_max: float):
 
 @dataclass(frozen=True)
 class ScheduleNode:
-    id: str
+    id: str = field(init=False)  # node_id(kind, subject, slot, role)
     kind: str
     subject: str
     slot: int | None = None  # carry-slot index (RobotGo) or phase index
@@ -58,6 +58,9 @@ class ScheduleNode:
     origin: tuple[float, float] | None = None
     destination: tuple[float, float] | None = None
     duration: float | None = None  # None => computed during evaluation
+
+    def __post_init__(self):
+        object.__setattr__(self, "id", node_id(self.kind, self.subject, self.slot, self.role))
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,8 @@ def build_partial_schedule(
     team_sizes: dict[str, int] = {}
     phase_members: dict[tuple[str, int], tuple[str, ...]] = {}
 
-    def add(node: ScheduleNode) -> str:
+    def add(kind: str, subject: str, **fields) -> str:
+        node = ScheduleNode(kind, subject, **fields)
         nodes[node.id] = node
         return node.id
 
@@ -232,70 +236,54 @@ def build_partial_schedule(
 
     for aid in sorted(project.assemblies):
         asm = project.assemblies[aid]
-        a_start = add(ScheduleNode(node_id("AssemblyStart", aid), "AssemblyStart", aid, duration=0.0))
-        a_done = add(ScheduleNode(node_id("AssemblyComplete", aid), "AssemblyComplete", aid, duration=0.0))
+        a_start = add("AssemblyStart", aid, duration=0.0)
+        a_done = add("AssemblyComplete", aid, duration=0.0)
         frames = component_world_frames(aid)
         prev_close: str | None = None
         for phase in asm.build_phases:
             k = phase.index
-            open_id = add(ScheduleNode(node_id("OpenBuildStep", aid, k), "OpenBuildStep", aid, slot=k, duration=0.0))
-            close_id = add(ScheduleNode(node_id("CloseBuildStep", aid, k), "CloseBuildStep", aid, slot=k, duration=0.0))
+            open_id = add("OpenBuildStep", aid, slot=k, duration=0.0)
+            close_id = add("CloseBuildStep", aid, slot=k, duration=0.0)
             edges.add((a_start if prev_close is None else prev_close, open_id))
             phase_members[(aid, k)] = tuple(phase.member_ids)
             for cid in phase.member_ids:
                 pick_origin, drop_origin, cfg, zone = frames[cid]
                 if project.is_part(cid):
-                    src = add(ScheduleNode(node_id("ObjectStart", cid), "ObjectStart", cid, duration=0.0))
+                    src = add("ObjectStart", cid, duration=0.0)
                 else:
                     src = node_id("AssemblyComplete", cid)
-                form = add(ScheduleNode(
-                    node_id("FormTransportUnit", cid), "FormTransportUnit", cid,
-                    duration=params.duration_form))
+                form = add("FormTransportUnit", cid, duration=params.duration_form)
                 bc = np.asarray(cfg.bounding_circle.center, float)[:2]
-                go = add(ScheduleNode(
-                    node_id("TransportUnitGo", cid), "TransportUnitGo", cid,
-                    origin=tuple(pick_origin + bc), destination=tuple(zone.position),
-                    duration=float(np.linalg.norm(zone.position - (pick_origin + bc)))
-                    / cfg.speed_limit))
-                deposit = add(ScheduleNode(
-                    node_id("DepositCargo", cid), "DepositCargo", cid,
-                    duration=params.duration_deposit))
-                lift = add(ScheduleNode(
-                    node_id("LiftIntoPlace", cid), "LiftIntoPlace", cid,
-                    duration=params.duration_lift))
+                go = add("TransportUnitGo", cid,
+                         origin=tuple(pick_origin + bc), destination=tuple(zone.position),
+                         duration=float(np.linalg.norm(zone.position - (pick_origin + bc)))
+                         / cfg.speed_limit)
+                deposit = add("DepositCargo", cid, duration=params.duration_deposit)
+                lift = add("LiftIntoPlace", cid, duration=params.duration_lift)
                 edges.update([
                     (src, form), (form, go), (go, deposit),
                     (deposit, lift), (lift, close_id), (open_id, deposit),
                 ])
                 team_sizes[cid] = cfg.n
                 for s in range(cfg.n):
-                    slot_pick = tuple(pick_origin + cfg.carry_positions[s])
-                    slot_drop = tuple(drop_origin + cfg.carry_positions[s])
-                    pick = add(ScheduleNode(
-                        node_id("RobotGo", cid, s, "pickup"), "RobotGo", cid,
-                        slot=s, role="pickup", destination=slot_pick))
-                    drop = add(ScheduleNode(
-                        node_id("RobotGo", cid, s, "dropoff"), "RobotGo", cid,
-                        slot=s, role="dropoff", origin=slot_drop, duration=0.0))
+                    pick = add("RobotGo", cid, slot=s, role="pickup",
+                               destination=tuple(pick_origin + cfg.carry_positions[s]))
+                    drop = add("RobotGo", cid, slot=s, role="dropoff",
+                               origin=tuple(drop_origin + cfg.carry_positions[s]), duration=0.0)
                     edges.add((pick, form))
                     edges.add((deposit, drop))
             prev_close = close_id
         assert prev_close is not None
         edges.add((prev_close, a_done))
 
-    project_done = ScheduleNode(
-        node_id("ProjectComplete", project.root), "ProjectComplete", project.root, duration=0.0)
-    nodes[project_done.id] = project_done
-    edges.add((node_id("AssemblyComplete", project.root), project_done.id))
+    project_done = add("ProjectComplete", project.root, duration=0.0)
+    edges.add((node_id("AssemblyComplete", project.root), project_done))
 
     for i, pos in enumerate(fleet.initial_positions):
-        rid = f"robot{i}"
-        nodes[node_id("RobotStart", rid)] = ScheduleNode(
-            node_id("RobotStart", rid), "RobotStart", rid,
-            origin=(float(pos[0]), float(pos[1])), duration=0.0)
+        add("RobotStart", f"robot{i}", origin=(float(pos[0]), float(pos[1])), duration=0.0)
 
     return ScheduleGraph(
-        nodes=nodes, edges=edges, terminal_nodes=(project_done.id,),
+        nodes=nodes, edges=edges, terminal_nodes=(project_done,),
         team_sizes=team_sizes, phase_members=phase_members,
     )
 
@@ -524,38 +512,36 @@ def _field_problem(node: ScheduleNode) -> str | None:
 
 @reading_artifact("schedule JSON")
 def schedule_from_jsonable(data: dict) -> ScheduleGraph:
-    nodes = {
-        rec["id"]: ScheduleNode(
-            id=rec["id"], kind=rec["kind"], subject=rec["subject"], slot=rec["slot"],
-            role=rec["role"],
-            origin=tuple(rec["origin"]) if rec["origin"] else None,
-            destination=tuple(rec["destination"]) if rec["destination"] else None,
-            duration=rec["duration"],
-        )
-        for rec in data["nodes"]
-    }
+    records = [(rec["id"], ScheduleNode(
+        kind=rec["kind"], subject=rec["subject"], slot=rec["slot"], role=rec["role"],
+        origin=tuple(rec["origin"]) if rec["origin"] else None,
+        destination=tuple(rec["destination"]) if rec["destination"] else None,
+        duration=rec["duration"],
+    )) for rec in data["nodes"]]
     phase_members = {}
     for key, members in data["phase_members"].items():
         aid, k = key.rsplit(":", 1)
         phase_members[(aid, int(k))] = tuple(members)
-    for node in nodes.values():
+    # a payload's k pickups, and its k dropoffs, index its slots 0..k-1
+    slots: dict[tuple[str, str], list] = {}
+    for _, node in records:
         problem = _field_problem(node)
         if problem:
             raise ValueError(f"node {node.id} {problem}")
-    # a payload's k pickups, and its k dropoffs, index its slots 0..k-1
-    slots: dict[tuple[str, str], list] = {}
-    for node in nodes.values():
         if (key := _rule_key(node)) in (_PICKUP, _DROPOFF):
             slots.setdefault((node.subject, key[1]), []).append(node.slot)
     for (payload, role), got in sorted(slots.items()):
         if not (all(type(s) is int for s in got) and sorted(got) == list(range(len(got)))):
             raise ValueError(f"payload {payload} has {role} slots {got}, not 0..{len(got) - 1}")
+    for nid, node in records:
+        if nid != node.id:
+            raise ValueError(f"node {nid} has the kind, subject, slot and role of {node.id}")
     team_sizes = dict(data["team_sizes"])
     small = {c: n for c, n in team_sizes.items() if not n >= 1}
     if small:
         raise ValueError(f"team sizes below 1: {small}")
     return ScheduleGraph(
-        nodes=nodes,
+        nodes={node.id: node for _, node in records},
         edges={tuple(e) for e in data["edges"]},
         terminal_nodes=tuple(data["terminal_nodes"]),
         team_sizes=team_sizes,

@@ -9,7 +9,7 @@ phase and sibling staging areas around a parent assembly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -122,7 +122,6 @@ def solve_radial_layout(problem: RadialLayoutProblem) -> RadialLayoutResult:
 
 @dataclass(frozen=True)
 class DropoffZone:
-    component_id: str
     phase: int
     position: np.ndarray  # world frame (2,), center of the transport unit circle
     radius: float  # transport unit bounding circle radius
@@ -162,14 +161,15 @@ def layout_phase(
     hub_radius: float,
     prev_radius: float,
     phase: int,
-) -> tuple[list[DropoffZone], float]:
+) -> tuple[dict[str, DropoffZone], float]:
     """Place one build phase's dropoff zones, tiering outward when a single
-    ring cannot hold every component. Returns zones (positions relative to
-    the staging center) and the resulting phase staging radius."""
+    ring cannot hold every component. Returns each component's zone
+    (position relative to the staging center), in placement order, and the
+    resulting phase staging radius."""
     remaining = list(desired)
     # spatial priority: larger bodies first, stable on input order
     remaining.sort(key=lambda item: (-item[2], item[0]))
-    zones: list[DropoffZone] = []
+    zones: dict[str, DropoffZone] = {}
     hub = hub_radius
     tier = 0
     while remaining:
@@ -183,7 +183,6 @@ def layout_phase(
                 continue
             total += 2 * half
             prefix.append(item)
-        prefix_ids = {cid for cid, _, _ in prefix}
         prefix.sort(key=lambda item: item[1])  # solver wants ascending angles
         problem = RadialLayoutProblem(
             desired_angles=np.array([a for _, a, _ in prefix]),
@@ -196,10 +195,10 @@ def layout_phase(
         for (cid, _, rho), angle in zip(prefix, result.angles):
             ring = hub + rho
             pos = np.array([ring * math.cos(angle), ring * math.sin(angle)])
-            zones.append(DropoffZone(cid, phase, pos, rho, float(angle), tier))
+            zones[cid] = DropoffZone(phase, pos, rho, float(angle), tier)
         hub = hub + 2 * max(r for _, _, r in prefix)
-        remaining = [item for item in remaining if item[0] not in prefix_ids]
-    reach = max((float(np.linalg.norm(z.position)) + z.radius) for z in zones)
+        remaining = [item for item in remaining if item[0] not in zones]
+    reach = max((float(np.linalg.norm(z.position)) + z.radius) for z in zones.values())
     radius = max(prev_radius, hub_radius, reach)
     return zones, radius
 
@@ -259,8 +258,7 @@ def build_staging_plan(
                 desired.append((cid, angle, rho))
             zones, radius = layout_phase(desired, hub, prev_radius, phase.index)
             radius = max(radius, cyl.radius)
-            for z in zones:
-                dropoffs[z.component_id] = z
+            dropoffs.update(zones)
             phase_radii.append(radius)
             prev_radius = radius
 
@@ -293,10 +291,9 @@ def build_staging_plan(
                 desired.append((cid, z.angle, rho))
             hub = st.staging_radius + buffer
             zones, _ = layout_phase(desired, hub, 0.0, 0)
-            for z in zones:
-                offsets[z.component_id] = z.position
-                radius = max(radius, float(np.linalg.norm(z.position))
-                             + cluster_radius[z.component_id])
+            for cid, z in zones.items():
+                offsets[cid] = z.position
+                radius = max(radius, float(np.linalg.norm(z.position)) + cluster_radius[cid])
         child_offsets[aid] = offsets
         cluster_radius[aid] = radius
         return radius
@@ -307,11 +304,8 @@ def build_staging_plan(
     def place(aid: str, center: np.ndarray) -> None:
         st = local[aid]
         st.center = center
-        st.dropoffs = {
-            cid: DropoffZone(z.component_id, z.phase, center + z.position,
-                             z.radius, z.angle, z.tier)
-            for cid, z in st.dropoffs.items()
-        }
+        st.dropoffs = {cid: replace(z, position=center + z.position)
+                       for cid, z in st.dropoffs.items()}
         for cid, offset in child_offsets[aid].items():
             place(cid, center + offset)
 
@@ -368,16 +362,8 @@ def staging_plan_to_jsonable(plan: StagingPlan) -> dict:
                 "hub_center_local": st.hub_center_local.tolist(),
                 "final_radius": st.final_radius,
                 "phase_radii": st.phase_radii,
-                "dropoffs": {
-                    cid: {
-                        "phase": z.phase,
-                        "position": z.position.tolist(),
-                        "radius": z.radius,
-                        "angle": z.angle,
-                        "tier": z.tier,
-                    }
-                    for cid, z in sorted(st.dropoffs.items())
-                },
+                "dropoffs": {cid: {**asdict(z), "position": z.position.tolist()}
+                             for cid, z in sorted(st.dropoffs.items())},
             }
             for aid, st in sorted(plan.assemblies.items())
         },
@@ -395,8 +381,7 @@ def staging_plan_from_jsonable(data: dict) -> StagingPlan:
             final_radius=body["final_radius"],
             phase_radii=list(body["phase_radii"]),
             dropoffs={
-                cid: DropoffZone(cid, z["phase"], np.array(z["position"]),
-                                 z["radius"], z["angle"], z["tier"])
+                cid: DropoffZone(z["phase"], z["position"], z["radius"], z["angle"], z["tier"])
                 for cid, z in body["dropoffs"].items()
             },
         )

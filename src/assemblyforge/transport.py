@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class FootprintStats:
 
 @dataclass(frozen=True)
 class TransportUnitConfig:
-    payload_id: str
     n: int
     carry_positions: np.ndarray  # (n, 2), payload frame
     speed_limit: float
@@ -222,7 +221,6 @@ def configure_transport_unit(
     # the cylinder `geometry.bounding_cylinder` would build, on the same circle
     circle = geometry.min_enclosing_circle(combined[:, :2], seed=seed)
     return TransportUnitConfig(
-        payload_id=component_id,
         n=n,
         carry_positions=carry,
         speed_limit=speed_limit(rect_volume, fleet),
@@ -235,7 +233,6 @@ def configure_transport_unit(
 
 def transport_config_to_jsonable(cfg: TransportUnitConfig) -> dict:
     return {
-        "payload_id": cfg.payload_id,
         "n": cfg.n,
         "carry_positions": cfg.carry_positions.tolist(),
         "speed_limit": cfg.speed_limit,
@@ -260,7 +257,6 @@ def transport_config_to_jsonable(cfg: TransportUnitConfig) -> dict:
 @reading_artifact("transport unit JSON")
 def transport_config_from_jsonable(d: dict) -> TransportUnitConfig:
     return TransportUnitConfig(
-        payload_id=d["payload_id"],
         n=d["n"],
         carry_positions=np.array(d["carry_positions"]),
         speed_limit=d["speed_limit"],
@@ -283,7 +279,7 @@ def configure_all_transport_units(
     subassemblies); the root assembly is never transported.
 
     A config depends on the component only through its payload points, so
-    components whose points are equal byte for byte share one computation."""
+    components whose points are equal byte for byte share one config."""
     configs: dict[str, TransportUnitConfig] = {}
     by_points: dict[tuple[tuple[int, ...], bytes], TransportUnitConfig] = {}
     for aid, asm in sorted(project.assemblies.items()):
@@ -292,5 +288,5 @@ def configure_all_transport_units(
             key = (pts.shape, pts.tobytes())
             if key not in by_points:
                 by_points[key] = configure_transport_unit(project, cid, fleet, seed=seed)
-            configs[cid] = replace(by_points[key], payload_id=cid)
+            configs[cid] = by_points[key]
     return configs

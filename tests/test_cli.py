@@ -41,6 +41,13 @@ def _node(doc, nid):
     return next(n for n in doc["nodes"] if n["id"] == nid)
 
 
+def _rename_node(doc, old, new):
+    """Renames node `old` to `new`, in its record and its edges, in the
+    schedule JSON `doc`."""
+    _node(doc, old)["id"] = new
+    doc["edges"] = [[new if x == old else x for x in e] for e in doc["edges"]]
+
+
 def _slot_out_of_range(doc):
     """Moves brick@1's slot 1, pickup and dropoff, to slot 5."""
     for role in ("pickup", "dropoff"):
@@ -85,13 +92,20 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "'parts'" in err[0]
 
-    @pytest.mark.parametrize("key,value", [(None, []), ("assemblies", []),
-                                           ("vertices", "oops")],
-                             ids=["top-level-list", "assemblies-list", "vertices-string"])
+    @pytest.mark.parametrize("key,value", [
+        (None, []), ("assemblies", []), ("vertices", "oops"), ("units_per_meter", "abc"),
+        ("units_per_meter", None), ("root", ["toy"]), ("component", ["x"]), ("member", 7),
+    ], ids=["top-level-list", "assemblies-list", "vertices-string", "units-string",
+            "units-null", "root-list", "component-id-list", "member-number"])
     def test_project_wrong_structure(self, tmp_path, capsys, key, value):
         doc = model.project_to_jsonable(projects.toy_project())
-        if key == "vertices":
-            next(iter(doc["parts"].values()))["vertices"] = value
+        asm = next(iter(doc["assemblies"].values()))
+        if key in ("vertices", "units_per_meter"):
+            next(iter(doc["parts"].values()))[key] = value
+        elif key == "component":
+            asm["components"][0]["id"] = value
+        elif key == "member":
+            asm["build_phases"][0]["members"][0] = value
         elif key is not None:
             doc[key] = value
         else:
@@ -103,6 +117,7 @@ class TestExitCodes:
         assert code == cli.EXIT_BAD_INPUT
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: malformed input:")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case,message", [
         ("missing-root", "project JSON is missing key 'root'"),
@@ -380,7 +395,15 @@ class TestExitCodes:
         ("simulate", "schedule_complete.json",
          lambda d: _node(d, "RobotGo:brick@1:1:pickup").update(slot=0),
          "payload brick@1 has pickup slots [0, 0], not 0..1"),
+        ("allocate", "schedule_partial.json",
+         lambda d: _rename_node(d, "TransportUnitGo:brick@1", "TUGo"),
+         "node TUGo has the kind, subject, slot and role of TransportUnitGo:brick@1"),
+        ("simulate", "schedule_complete.json",
+         lambda d: _rename_node(d, "TransportUnitGo:brick@1", "TUGo"),
+         "node TUGo has the kind, subject, slot and role of TransportUnitGo:brick@1"),
         ("simulate", "transport_units.json", lambda d: d.clear(), "no config for brick@1"),
+        ("simulate", "transport_units.json", lambda d: d["brick@1"].update(payload_id="brick@2"),
+         "transport unit brick@1 has payload_id 'brick@2'"),
         ("simulate", "staging.json", lambda d: d["assemblies"].clear(),
          "no staging circle for toy:1"),
         ("simulate", "staging.json", lambda d: d["assemblies"]["toy"].update(phase_radii=[]),
@@ -389,7 +412,8 @@ class TestExitCodes:
             "start-origin", "unit-destination", "dropoff-origin", "short-origin",
             "pickup-duration-partial", "text-origin", "text-duration", "infinite-duration",
             "negative-duration", "pickup-duration", "slot-range-partial", "slot-range",
-            "pickup-slot-twice", "no-unit-config", "no-staging-assembly", "no-phase-radius"])
+            "pickup-slot-twice", "renamed-node-partial", "renamed-node", "no-unit-config",
+            "wrong-payload-id", "no-staging-assembly", "no-phase-radius"])
     def test_inconsistent_artifact(self, toy_input, tmp_path, capsys, command, name, damage,
                                    message):
         out = tmp_path / "out"

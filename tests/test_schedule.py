@@ -19,10 +19,12 @@ def _counts(graph):
     return out
 
 
+A, B, C = (schedule.node_id("ObjectStart", x) for x in "abc")
+
+
 def _tiny_graph():
-    nodes = {x: ScheduleNode(x, "ObjectStart", x, duration=0.0) for x in "abc"}
-    return ScheduleGraph(nodes=nodes, edges={("a", "b"), ("b", "c")},
-                         terminal_nodes=("c",))
+    nodes = {n.id: n for n in (ScheduleNode("ObjectStart", x, duration=0.0) for x in "abc")}
+    return ScheduleGraph(nodes=nodes, edges={(A, B), (B, C)}, terminal_nodes=(C,))
 
 
 def _reference_index(graph):
@@ -133,10 +135,10 @@ class TestStructure:
     def test_graph_is_immutable(self):
         g = _tiny_graph()
         with pytest.raises(AttributeError):
-            g.edges.add(("c", "a"))
+            g.edges.add((C, A))
         with pytest.raises(dataclasses.FrozenInstanceError):
             g.edges = frozenset()
-        assert g.edges == {("a", "b"), ("b", "c")}
+        assert g.edges == {(A, B), (B, C)}
 
     def test_edge_to_unknown_node_rejected(self):
         with pytest.raises(schedule.ScheduleError, match="unknown node"):
@@ -144,8 +146,8 @@ class TestStructure:
 
     def test_topological_order_and_cycle(self):
         g = _tiny_graph()
-        assert schedule.topological_order(g) == ["a", "b", "c"]
-        cyclic = g.with_edges({("c", "a")})
+        assert schedule.topological_order(g) == [A, B, C]
+        cyclic = g.with_edges({(C, A)})
         assert not schedule.is_acyclic(cyclic)
         with pytest.raises(schedule.ScheduleError, match="cycle"):
             schedule.topological_order(cyclic)
@@ -156,8 +158,8 @@ class TestStructure:
 
     def test_upstream(self):
         g = _tiny_graph()
-        assert schedule.upstream(g, "c") == {"a", "b"}
-        assert schedule.upstream(g, "a") == set()
+        assert schedule.upstream(g, C) == {A, B}
+        assert schedule.upstream(g, A) == set()
 
 
 class TestValidation:
@@ -218,12 +220,14 @@ class TestValidation:
 
     def test_unknown_kind_and_roleless_robot_go(self, pipeline, toy_spec):
         graph = pipeline(toy_spec, "toy", 2)["greedy"].graph
-        pick, form = "RobotGo:brick@1:0:pickup", "FormTransportUnit:brick@1"
+        # without its role the pickup's id is RobotGo:brick@1:0
+        old, pick, form = ("RobotGo:brick@1:0:pickup", "RobotGo:brick@1:0",
+                           "FormTransportUnit:brick@1")
         nodes = dict(graph.nodes)
-        nodes[pick] = dataclasses.replace(nodes[pick], role=None)
-        nodes["Mystery:x"] = ScheduleNode("Mystery:x", "Mystery", "x")
-        odd = dataclasses.replace(graph, nodes=nodes,
-                                  edges=graph.edges | {("Mystery:x", form)})
+        nodes[pick] = dataclasses.replace(nodes.pop(old), role=None)
+        nodes["Mystery:x"] = ScheduleNode("Mystery", "x")
+        edges = {tuple(pick if x == old else x for x in e) for e in graph.edges}
+        odd = dataclasses.replace(graph, nodes=nodes, edges=edges | {("Mystery:x", form)})
         for mode in ("partial", "complete"):
             got = schedule.validate_schedule(odd, mode)
             assert got == oracles.validate_schedule_reference(odd, mode)
@@ -273,7 +277,7 @@ class TestValidation:
             "ObjectStart:brick@1", "terminal",
             "terminal node must be a ProjectComplete, not ObjectStart")]
 
-    @pytest.mark.parametrize("terminals", [(), ("c", "Nope")])
+    @pytest.mark.parametrize("terminals", [(), (C, "Nope")])
     def test_graph_rejects_missing_terminal(self, terminals):
         with pytest.raises(schedule.ScheduleError, match="terminal nodes must be schedule nodes"):
             dataclasses.replace(_tiny_graph(), terminal_nodes=terminals)

@@ -74,8 +74,8 @@ class TestLayoutPhase:
     def test_single_ring(self):
         desired = [("a", 0.0, 0.3), ("b", math.pi, 0.3)]
         zones, radius = staging.layout_phase(desired, 1.0, 0.0, 1)
-        assert {z.tier for z in zones} == {1}
-        for z in zones:
+        assert {z.tier for z in zones.values()} == {1}
+        for z in zones.values():
             assert np.linalg.norm(z.position) == pytest.approx(1.0 + z.radius)
         assert radius >= 1.6
 
@@ -83,13 +83,13 @@ class TestLayoutPhase:
         desired = [(f"c{i}", i * 0.6, 0.5) for i in range(10)]
         zones, radius = staging.layout_phase(desired, 0.5, 0.0, 1)
         assert len(zones) == 10
-        assert max(z.tier for z in zones) >= 2
+        assert max(z.tier for z in zones.values()) >= 2
         # outer-tier zones sit on a larger ring
         by_tier = {}
-        for z in zones:
+        for z in zones.values():
             by_tier.setdefault(z.tier, []).append(np.linalg.norm(z.position))
         assert min(by_tier[2]) > max(by_tier[1])
-        assert radius >= max(np.linalg.norm(z.position) + z.radius for z in zones)
+        assert radius >= max(np.linalg.norm(z.position) + z.radius for z in zones.values())
 
 
 class TestBuildStagingPlan:
