@@ -13,7 +13,6 @@ import math
 import re
 import time as _time
 from dataclasses import dataclass
-from itertools import compress
 from typing import TextIO
 
 import numpy as np
@@ -207,10 +206,7 @@ class ScheduleMilp:
 
 def _reachability(graph: ScheduleGraph):
     """The partial graph's topological order, each node's rank in it, and per
-    rank the bits of the node and of every node it reaches; the chain sources
-    (robot starts and dropoffs) and the pickups, each in id order; and
-    `feeds[i, j]`: whether pickup j does not reach source i, so that the
-    chain edge i -> j closes no cycle."""
+    rank the bits of the node and of every node it reaches."""
     topo = topological_order(graph)
     rank = {nid: i for i, nid in enumerate(topo)}
     _, succ = graph.adjacency()
@@ -218,26 +214,19 @@ def _reachability(graph: ScheduleGraph):
     for i in reversed(range(len(topo))):
         for w in succ[topo[i]]:
             desc[i] |= desc[rank[w]]
-    sources = sorted([*graph.robot_starts, *(d for ds in graph.dropoffs.values() for d in ds)])
-    pickups = sorted(p for ps in graph.pickups.values() for p in ps)
-    # bit r of desc[v] is byte r // 8, bit r % 8, of its little-endian bytes
-    cols = np.array([rank[u] for u in sources], np.intp)
-    size = (len(topo) + 7) // 8
-    reached = [np.unpackbits(np.frombuffer(desc[rank[v]].to_bytes(size, "little"), np.uint8),
-                             bitorder="little")[cols] for v in pickups]
-    feeds = np.array(reached, bool).reshape(len(pickups), len(sources)).T == 0
-    return topo, rank, desc, sources, pickups, feeds
+    return topo, rank, desc
 
 
 def _candidate_edges(graph: ScheduleGraph) -> list[tuple[str, str]]:
     """Assignment edges that cannot close a cycle in the partial graph:
-    every robot start, then every dropoff, to every pickup that does not
-    reach it. The partial grammar gives no pickup a predecessor, so every
-    endpoint has free capacity."""
-    _, _, _, sources, pickups, feeds = _reachability(graph)
-    # robot starts first, then dropoffs, each in id order (a stable sort)
-    rows = sorted(range(len(sources)), key=lambda i: graph.nodes[sources[i]].kind != "RobotStart")
-    return [(sources[i], v) for i in rows for v in compress(pickups, feeds[i].tolist())]
+    every robot start and dropoff to every pickup that does not reach it.
+    The partial grammar gives no pickup a predecessor, so every endpoint
+    has free capacity."""
+    _, rank, desc = _reachability(graph)
+    dropoffs = sorted(d for ds in graph.dropoffs.values() for d in ds)
+    pickups = sorted(p for ps in graph.pickups.values() for p in ps)
+    return [(u, v) for u in [*graph.robot_starts, *dropoffs] for v in pickups
+            if not desc[rank[v]] >> rank[u] & 1]
 
 
 def build_milp(graph: ScheduleGraph, fleet: RobotFleet) -> ScheduleMilp:
@@ -347,7 +336,7 @@ def solve_bnb(
     partial schedule `graph`, which assigns none of them; bounding by the
     forward pass that zeroes unassigned travel. Warm start seeds the
     incumbent. Each pickup's chain sources are the robot starts and
-    dropoffs, in id order, that it does not reach: `_reachability`.
+    dropoffs, in id order, that it does not reach.
 
     The forward pass runs once, on the partial graph. Choosing a chain edge
     u -> v sets v's travel and recomputes the finish times of v and of the
@@ -367,7 +356,7 @@ def solve_bnb(
     The result carries the nodes explored and the root bound."""
     g = graph
     # the search works on node ranks in the partial graph's topological order
-    topo, rank, desc, source_ids, pickup_ids, feeds = _reachability(g)
+    topo, rank, desc = _reachability(g)
     pred_ids, succ_ids = g.adjacency()
     if any(pred_ids[p] for ps in g.pickups.values() for p in ps):
         raise AllocationError("branch-and-bound needs a partial schedule: a pickup has a "
@@ -376,11 +365,11 @@ def solve_bnb(
     preds = [[rank[p] for p in pred_ids[nid]] for nid in topo]
     succs = [[rank[w] for w in succ_ids[nid]] for nid in topo]
     terminals = [rank[t] for t in g.terminal_nodes]
-    source_ranks = [rank[u] for u in source_ids]
-    sources = {rank[v]: list(compress(source_ranks, feeds[:, j].tolist()))
-               for j, v in enumerate(pickup_ids)}
+    chain_sources = [rank[u] for u in sorted(
+        [*g.robot_starts, *(d for ds in g.dropoffs.values() for d in ds)])]
     # branch pickups in schedule order so bounds tighten early
-    order = sorted(sources)
+    order = sorted(rank[p] for ps in g.pickups.values() for p in ps)
+    sources = {v: [u for u in chain_sources if not desc[v] >> u & 1] for v in order}
 
     best_edges: tuple[tuple[str, str], ...] | None = None
     best_makespan = math.inf

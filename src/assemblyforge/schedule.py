@@ -524,10 +524,10 @@ def schedule_from_jsonable(data: dict) -> ScheduleGraph:
         phase_members[(aid, int(k))] = tuple(members)
     # a payload's k pickups, and its k dropoffs, index its slots 0..k-1
     slots: dict[tuple[str, str], list] = {}
-    for _, node in records:
+    for nid, node in records:
         problem = _field_problem(node)
         if problem:
-            raise ValueError(f"node {node.id} {problem}")
+            raise ValueError(f"node {nid} {problem}")
         if (key := _rule_key(node)) in (_PICKUP, _DROPOFF):
             slots.setdefault((node.subject, key[1]), []).append(node.slot)
     for (payload, role), got in sorted(slots.items()):

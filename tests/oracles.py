@@ -31,13 +31,14 @@ import numpy as np
 import scipy.optimize
 
 from assemblyforge.allocation import (
-    AllocationError, AllocationResult, _candidate_edges, _lp_name,
+    AllocationError, AllocationResult, _lp_name,
 )
 from assemblyforge.geometry import OCTAGON_NORMALS, Circle, OctagonalPrism, VerticalCylinder
 from assemblyforge.model import RobotFleet
 from assemblyforge.schedule import (
     CHECKPOINT_KINDS, ScheduleError, ScheduleGraph, ScheduleNode, ScheduleViolation,
-    evaluate_schedule, is_acyclic, node_id, topological_order, travel_time, validate_schedule,
+    evaluate_schedule, is_acyclic, node_id, topological_order, travel_time, upstream,
+    validate_schedule,
 )
 from assemblyforge.sim import (
     ORCA_SAFETY_FACTOR, _length, _ray_circle_hits, dispersion_force, preferred_velocity,
@@ -819,6 +820,16 @@ def greedy_reference(graph, fleet) -> AllocationResult:
     return AllocationResult(complete, makespan, "greedy", "incumbent", tuple(added))
 
 
+def candidate_edges_reference(graph: ScheduleGraph) -> list[tuple[str, str]]:
+    """`allocation._candidate_edges` walking the graph upstream of each
+    source: every robot start and dropoff to every pickup that does not
+    reach it."""
+    sources = list(graph.robot_starts) + sorted(d for ds in graph.dropoffs.values() for d in ds)
+    targets = sorted(p for ps in graph.pickups.values() for p in ps)
+    up = {u: upstream(graph, u) for u in sources}
+    return [(u, v) for u in sources for v in targets if v not in up[u]]
+
+
 def solve_bnb_reference(
     g: ScheduleGraph,
     fleet: RobotFleet,
@@ -834,7 +845,7 @@ def solve_bnb_reference(
     placeholders; bounding by the forward pass that zeroes unassigned
     travel. Warm start seeds the incumbent."""
     by_target: dict[str, list[str]] = {}
-    for u, v in _candidate_edges(g):
+    for u, v in candidate_edges_reference(g):
         by_target.setdefault(v, []).append(u)
 
     # branch pickups in schedule order so bounds tighten early
@@ -937,7 +948,7 @@ class MilpReference:
 
 def build_milp_reference(graph: ScheduleGraph, fleet: RobotFleet) -> MilpReference:
     """`allocation.build_milp` with one scalar `travel_time` call per edge."""
-    variables = _candidate_edges(graph)
+    variables = candidate_edges_reference(graph)
     cond = {(u, v): travel_time(graph.nodes[u].origin, graph.nodes[v].destination, fleet.v_max)
             for u, v in variables}
     fixed = sum(n.duration or 0.0 for n in graph.nodes.values())

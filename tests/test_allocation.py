@@ -219,6 +219,13 @@ class TestMilpModel:
                   if graph.nodes[u].kind == "RobotStart"]
         assert set(starts) == {"RobotStart:robot0", "RobotStart:robot1"}
 
+    @pytest.mark.parametrize("name,robots", [("toy", 2), ("tractor", 5), ("synthetic", 8)])
+    def test_candidate_edges_equal_reference(self, pipeline, toy_spec, tractor_spec,
+                                             synthetic_spec, name, robots):
+        spec = {"toy": toy_spec, "tractor": tractor_spec, "synthetic": synthetic_spec}[name]
+        graph = pipeline(spec, name, robots)["graph"]
+        assert allocation._candidate_edges(graph) == oracles.candidate_edges_reference(graph)
+
     def test_big_m_dominates_any_chain(self, pipeline, toy_spec):
         data = pipeline(toy_spec, "toy", 2)
         milp = allocation.build_milp(data["graph"], data["fleet"])
