@@ -317,9 +317,9 @@ def _run_record(doc) -> dict:
     `robots`, where it has them, are a number and a whole number."""
     if not isinstance(doc, dict):
         raise model.ArtifactError("not a JSON object")
-    for key, kinds in (("runtime_s", (int, float)), ("robots", int)):
+    for key, kind in (("runtime_s", float), ("robots", int)):
         value = doc.get(key, 0)
-        if not isinstance(value, kinds) or isinstance(value, bool):
+        if not model.is_a(value, kind):
             raise model.ArtifactError(f"{key} has the wrong type: {value!r}")
     return doc
 

@@ -15,6 +15,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 
+# The largest part coordinate, in meters, that a project may have. Welzl's
+# circumcircle multiplies a squared coordinate by a coordinate difference, so
+# the cube of this bound must stay well below the float range (about 1.8e308).
+MAX_COORDINATE_M = 1e100
+
+
 class ProjectError(ValueError):
     pass
 
@@ -273,8 +279,11 @@ def validate_project(spec: ProjectSpec) -> list[Violation]:
     for pid, geom in spec.parts_catalog.items():
         if geom.vertices.size == 0:
             out.append(Violation(pid, "geometry-nonempty", "part has no vertices"))
-        elif not np.all(np.isfinite(geom.vertices)):
+        elif not math.isfinite(far := float(np.max(np.abs(geom.vertices)))):
             out.append(Violation(pid, "geometry-finite", "part has non-finite vertices"))
+        elif geom.units_per_meter > 0 and far / geom.units_per_meter > MAX_COORDINATE_M:
+            out.append(Violation(pid, "geometry-finite",
+                                 f"part has a vertex beyond {MAX_COORDINATE_M:g} m"))
         if geom.units_per_meter <= 0:
             out.append(Violation(pid, "geometry-scale", "units_per_meter must be positive"))
     return out
@@ -334,9 +343,20 @@ def project_to_jsonable(spec: ProjectSpec, fleet: RobotFleet | None = None,
     return doc
 
 
+def is_a(value, kind: type) -> bool:
+    """Whether the JSON value `value` is a `kind`: a float may be an int, and
+    a bool is neither."""
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+
+
+def is_finite(value) -> bool:
+    """Whether the JSON value `value` is a finite number."""
+    return is_a(value, float) and math.isfinite(value)
+
+
 def _checked(value, kind: type, what: str):
-    """`value` if it is a `kind` (a float may be an int; a bool is neither)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+    """`value` if it is a `kind`, in the sense of `is_a`."""
+    if not is_a(value, kind):
         raise TypeError(f"{what} {value!r} is not a {kind.__name__}")
     return value
 

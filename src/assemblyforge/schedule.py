@@ -7,14 +7,13 @@ pickup RobotGo) complete it. Timing is an earliest-start forward pass.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .model import PlanParams, ProjectSpec, RobotFleet, reading_artifact
+from .model import PlanParams, ProjectSpec, RobotFleet, is_finite, reading_artifact
 from .staging import StagingPlan
 from .transport import TransportUnitConfig
 
@@ -480,11 +479,6 @@ def schedule_to_jsonable(graph: ScheduleGraph) -> dict:
     }
 
 
-def _finite(x) -> bool:
-    """Whether `x` is a finite int or float (a bool is neither)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _field_problem(node: ScheduleNode) -> str | None:
     """What is wrong with the `_FIELDS` of a node read from JSON, or None: a
     field it needs is missing, a pose is not two finite numbers, or a
@@ -496,12 +490,12 @@ def _field_problem(node: ScheduleNode) -> str | None:
         return f"has no {' or '.join(missing)}"
     for f in ("origin", "destination"):
         pose = getattr(node, f)
-        if pose is not None and not (len(pose) == 2 and all(map(_finite, pose))):
+        if pose is not None and not (len(pose) == 2 and all(map(is_finite, pose))):
             return f"has {f} {list(pose)!r}, not two finite numbers"
     d = node.duration
     if d is None:
         return None
-    if not _finite(d):
+    if not is_finite(d):
         return f"has duration {d!r}, not a finite number"
     if d < 0:
         return f"has negative duration {d!r}"

@@ -3,7 +3,9 @@
 The core solver places angular coordinates around a hub to minimize squared
 deviation from desired angles subject to pairwise separation constraints and
 a wrap-around closure. The same solver lays out dropoff zones within a build
-phase and sibling staging areas around a parent assembly.
+phase and sibling staging areas around a parent assembly. The assembly tree
+takes one bottom-up layout pass, each assembly in its own frame, and one
+top-down placement into the world frame.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import geometry
-from .model import PlanParams, ProjectSpec, reading_artifact
+from .model import PlanParams, ProjectSpec, is_finite, reading_artifact
 from .transport import TransportUnitConfig, payload_points
 
 
@@ -132,7 +134,7 @@ class DropoffZone:
         object.__setattr__(self, "position", np.asarray(self.position, float).reshape(2))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssemblyStaging:
     center: np.ndarray  # world frame (2,)
     hub_center_local: np.ndarray  # bounding cylinder center in assembly frame
@@ -145,7 +147,7 @@ class AssemblyStaging:
         return self.phase_radii[-1] if self.phase_radii else self.final_radius
 
 
-@dataclass
+@dataclass(frozen=True)
 class StagingPlan:
     assemblies: dict[str, AssemblyStaging]
     part_sources: dict[str, np.ndarray]  # payload-frame origin positions, world
@@ -203,109 +205,67 @@ def layout_phase(
     return zones, radius
 
 
-def _partial_hull_radius(points_by_phase: dict[int, np.ndarray], upto_phase: int,
-                         center: np.ndarray) -> float:
-    pts = [p for k, p in points_by_phase.items() if k < upto_phase]
-    if not pts:
-        return 0.0
-    allp = np.vstack(pts)
-    return float(np.max(np.linalg.norm(allp[:, :2] - center, axis=1)))
-
-
 def build_staging_plan(
     project: ProjectSpec,
     transport_configs: dict[str, TransportUnitConfig],
     params: PlanParams,
 ) -> StagingPlan:
-    """Lay out every assembly's per-phase dropoff zones and place the
-    assembly tree bottom-up, root centered at the origin."""
+    """Lay out every assembly's per-phase dropoff zones and its children's
+    staging areas in one bottom-up pass, then place the tree top-down, root
+    centered at the origin."""
     buffer = params.buffer_radius
-    local: dict[str, AssemblyStaging] = {}
+    local: dict[str, AssemblyStaging] = {}  # in its own frame until placed
     child_offsets: dict[str, dict[str, np.ndarray]] = {}  # parent -> child -> offset
 
-    def layout_assembly(aid: str) -> AssemblyStaging:
+    def layout(aid: str) -> float:
+        """Lay out `aid` and its subtree, children first, and return the
+        radius enclosing the whole subtree, so a child placed at one level
+        can never land inside an ancestor's staging circle."""
         asm = project.assemblies[aid]
-        # bounding geometry of the finished assembly
-        pts = payload_points(project, aid)
-        cyl = geometry.bounding_cylinder(pts)
-        hub_center = cyl.center
-
-        # child subassemblies laid out first (bottom-up)
-        for cid, _ in asm.components:
-            if project.is_assembly(cid) and cid not in local:
-                local[cid] = layout_assembly(cid)
-
-        points_by_phase: dict[int, np.ndarray] = {}
-        for phase in asm.build_phases:
-            member_pts = []
-            for cid in phase.member_ids:
-                tf = asm.transform_of(cid)
-                member_pts.append(tf.apply(payload_points(project, cid)))
-            points_by_phase[phase.index] = np.vstack(member_pts)
+        cyl = geometry.bounding_cylinder(payload_points(project, aid))
+        reach = {cid: layout(cid) for cid, _ in asm.components if project.is_assembly(cid)}
 
         dropoffs: dict[str, DropoffZone] = {}
         phase_radii: list[float] = []
-        prev_radius = 0.0
+        radius = 0.0
+        hub = 0.0  # farthest point of the earlier phases' members from the hub center
         order = {cid: i for i, (cid, _) in enumerate(asm.components)}
         for phase in asm.build_phases:
-            hub = _partial_hull_radius(points_by_phase, phase.index, hub_center)
             desired = []
             for cid in sorted(phase.member_ids, key=order.__getitem__):
-                tgt = asm.transform_of(cid).translation[:2] - hub_center
+                tgt = asm.transform_of(cid).translation[:2] - cyl.center
                 angle = math.atan2(tgt[1], tgt[0]) if np.linalg.norm(tgt) > 1e-12 else 0.0
                 angle %= 2 * math.pi
                 rho = transport_configs[cid].bounding_circle.radius
                 desired.append((cid, angle, rho))
-            zones, radius = layout_phase(desired, hub, prev_radius, phase.index)
+            zones, radius = layout_phase(desired, hub, radius, phase.index)
             radius = max(radius, cyl.radius)
             dropoffs.update(zones)
             phase_radii.append(radius)
-            prev_radius = radius
+            for cid in phase.member_ids:
+                pts = asm.transform_of(cid).apply(payload_points(project, cid))
+                hub = max(hub, float(np.max(np.linalg.norm(pts[:, :2] - cyl.center, axis=1))))
 
-        return AssemblyStaging(
-            center=np.zeros(2),
-            hub_center_local=hub_center,
-            final_radius=cyl.radius,
-            phase_radii=phase_radii,
-            dropoffs=dropoffs,
-        )
-
-    local[project.root] = layout_assembly(project.root)
-
-    # bottom-up: lay out each assembly's child staging areas in its own frame
-    # and record the radius enclosing the whole subtree, so a child placed at
-    # one level can never land inside an ancestor's staging circle
-    cluster_radius: dict[str, float] = {}
-
-    def cluster(aid: str) -> float:
-        st = local[aid]
-        asm = project.assemblies[aid]
-        children = [cid for cid, _ in asm.components if project.is_assembly(cid)]
-        offsets: dict[str, np.ndarray] = {}
+        st = local[aid] = AssemblyStaging(np.zeros(2), cyl.center, cyl.radius, phase_radii,
+                                          dropoffs)
+        # the children's staging areas ring this one, each at its dropoff angle
+        offsets = child_offsets[aid] = {}
         radius = st.staging_radius
-        if children:
-            desired = []
-            for cid in children:
-                rho = cluster(cid) + buffer
-                z = st.dropoffs[cid]
-                desired.append((cid, z.angle, rho))
-            hub = st.staging_radius + buffer
-            zones, _ = layout_phase(desired, hub, 0.0, 0)
+        if reach:
+            desired = [(cid, dropoffs[cid].angle, r + buffer) for cid, r in reach.items()]
+            zones, _ = layout_phase(desired, st.staging_radius + buffer, 0.0, 0)
             for cid, z in zones.items():
                 offsets[cid] = z.position
-                radius = max(radius, float(np.linalg.norm(z.position)) + cluster_radius[cid])
-        child_offsets[aid] = offsets
-        cluster_radius[aid] = radius
+                radius = max(radius, float(np.linalg.norm(z.position)) + reach[cid])
         return radius
 
-    cluster(project.root)
+    layout(project.root)
 
-    # top-down: convert the local offsets into world-frame centers
+    # top-down: rebuild each record at its world-frame center
     def place(aid: str, center: np.ndarray) -> None:
         st = local[aid]
-        st.center = center
-        st.dropoffs = {cid: replace(z, position=center + z.position)
-                       for cid, z in st.dropoffs.items()}
+        local[aid] = replace(st, center=center, dropoffs={
+            cid: replace(z, position=center + z.position) for cid, z in st.dropoffs.items()})
         for cid, offset in child_offsets[aid].items():
             place(cid, center + offset)
 
@@ -373,13 +333,22 @@ def staging_plan_to_jsonable(plan: StagingPlan) -> dict:
 
 @reading_artifact("staging JSON")
 def staging_plan_from_jsonable(data: dict) -> StagingPlan:
+    """The plan of a staging JSON document whose staging circles, the part
+    the simulator reads, have a center of two finite numbers and finite
+    radii >= 0."""
     assemblies = {}
     for aid, body in data["assemblies"].items():
+        center, radii = body["center"], list(body["phase_radii"])
+        if not (len(center) == 2 and all(map(is_finite, center))):
+            raise ValueError(f"assembly {aid} has center {center!r}, not two finite numbers")
+        if not all(is_finite(r) and r >= 0 for r in radii):
+            raise ValueError(f"assembly {aid} has phase_radii {radii!r}, "
+                             "not finite numbers >= 0")
         assemblies[aid] = AssemblyStaging(
-            center=np.array(body["center"]),
+            center=np.array(center),
             hub_center_local=np.array(body["hub_center_local"]),
             final_radius=body["final_radius"],
-            phase_radii=list(body["phase_radii"]),
+            phase_radii=radii,
             dropoffs={
                 cid: DropoffZone(z["phase"], z["position"], z["radius"], z["angle"], z["tier"])
                 for cid, z in body["dropoffs"].items()

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import Circle, OctagonalPrism, Polygon2D, VerticalCylinder
-from .model import ProjectSpec, RobotFleet, Transform, reading_artifact
+from .model import ProjectSpec, RobotFleet, Transform, is_finite, reading_artifact
 
 ROBOT_HEIGHT_FACTOR = 2.0  # robot cylinder height = factor * radius
 CARRY_RESTARTS = 5
@@ -216,17 +216,14 @@ def configure_transport_unit(
     carried[:, 2] += lift - pts[:, 2].min()
     combined = np.vstack([carried, _robot_points(carry, r)])
 
-    lo, hi = combined.min(axis=0), combined.max(axis=0)
-    rect_volume = float(np.prod(hi - lo))
-    # the cylinder `geometry.bounding_cylinder` would build, on the same circle
-    circle = geometry.min_enclosing_circle(combined[:, :2], seed=seed)
+    rect_volume = float(np.prod(combined.max(axis=0) - combined.min(axis=0)))
+    cylinder = geometry.bounding_cylinder(combined, seed=seed)
     return TransportUnitConfig(
         n=n,
         carry_positions=carry,
         speed_limit=speed_limit(rect_volume, fleet),
-        bounding_circle=circle,
-        bounding_cylinder=geometry.VerticalCylinder(
-            circle.center, circle.radius, float(lo[2]), float(hi[2])),
+        bounding_circle=Circle(cylinder.center, cylinder.radius),
+        bounding_cylinder=cylinder,
         bounding_prism=geometry.bounding_octagonal_prism(combined, min_face_width=0.05 * r),
     )
 
@@ -256,12 +253,17 @@ def transport_config_to_jsonable(cfg: TransportUnitConfig) -> dict:
 
 @reading_artifact("transport unit JSON")
 def transport_config_from_jsonable(d: dict) -> TransportUnitConfig:
+    """The config of a transport unit JSON document whose bounding circle
+    radius and speed limit, which the simulator reads, are finite and > 0."""
+    radius, speed = d["bounding_circle"]["radius"], d["speed_limit"]
+    for what, value in (("bounding_circle.radius", radius), ("speed_limit", speed)):
+        if not (is_finite(value) and value > 0):
+            raise ValueError(f"{what} {value!r} is not a finite number > 0")
     return TransportUnitConfig(
         n=d["n"],
         carry_positions=np.array(d["carry_positions"]),
-        speed_limit=d["speed_limit"],
-        bounding_circle=Circle(np.array(d["bounding_circle"]["center"]),
-                               d["bounding_circle"]["radius"]),
+        speed_limit=speed,
+        bounding_circle=Circle(np.array(d["bounding_circle"]["center"]), radius),
         bounding_cylinder=VerticalCylinder(
             np.array(d["bounding_cylinder"]["center"]),
             d["bounding_cylinder"]["radius"],

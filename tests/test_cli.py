@@ -119,6 +119,24 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: malformed input:")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("x,units_per_meter", [
+        (1e300, 80.0), (math.nextafter(model.MAX_COORDINATE_M, math.inf), 1.0),
+    ], ids=["1e300", "past-bound"])
+    def test_huge_vertex(self, tmp_path, capsys, x, units_per_meter):
+        """A vertex so far out that the hull perimeter would overflow is an
+        invalid project, not a traceback."""
+        doc = model.project_to_jsonable(projects.toy_project())
+        part = doc["parts"]["brick@1"]
+        assert part["units_per_meter"] == 80.0
+        part.update(vertices=[[x, 0, 0], [-x, 0, 0], [0, x, 0]], units_per_meter=units_per_meter)
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        code = cli.main(["plan", "--input", str(bad), "--out", str(tmp_path / "out"),
+                         "--robots", "2"])
+        assert code == cli.EXIT_FAILURE
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid project: [geometry-finite] brick@1: part has a vertex beyond 1e+100 m"]
+
     @pytest.mark.parametrize("case,message", [
         ("missing-root", "project JSON is missing key 'root'"),
         ("assemblies-list",
@@ -408,12 +426,24 @@ class TestExitCodes:
          "no staging circle for toy:1"),
         ("simulate", "staging.json", lambda d: d["assemblies"]["toy"].update(phase_radii=[]),
          "no staging circle for toy:1"),
+        ("simulate", "staging.json", lambda d: d["assemblies"]["toy"].update(phase_radii=["a"]),
+         "assembly toy has phase_radii ['a'], not finite numbers >= 0"),
+        ("simulate", "staging.json", lambda d: d["assemblies"]["toy"].update(center=[1.0]),
+         "assembly toy has center [1.0], not two finite numbers"),
+        ("simulate", "transport_units.json",
+         lambda d: d["brick@1"]["bounding_circle"].update(radius="x"),
+         "bounding_circle.radius 'x' is not a finite number > 0"),
+        ("simulate", "transport_units.json", lambda d: d["brick@1"].update(speed_limit="a"),
+         "speed_limit 'a' is not a finite number > 0"),
+        ("simulate", "transport_units.json", lambda d: d["brick@1"].update(speed_limit=0.0),
+         "speed_limit 0.0 is not a finite number > 0"),
     ], ids=["no-terminal", "unknown-terminal", "pickup-destination", "deposit-duration",
             "start-origin", "unit-destination", "dropoff-origin", "short-origin",
             "pickup-duration-partial", "text-origin", "text-duration", "infinite-duration",
             "negative-duration", "pickup-duration", "slot-range-partial", "slot-range",
             "pickup-slot-twice", "renamed-node-partial", "renamed-node", "no-unit-config",
-            "wrong-payload-id", "no-staging-assembly", "no-phase-radius"])
+            "wrong-payload-id", "no-staging-assembly", "no-phase-radius", "text-phase-radius",
+            "short-center", "text-unit-radius", "text-speed-limit", "zero-speed-limit"])
     def test_inconsistent_artifact(self, toy_input, tmp_path, capsys, command, name, damage,
                                    message):
         out = tmp_path / "out"

@@ -123,6 +123,23 @@ class TestValidateProject:
         rules = {v.rule for v in model.validate_project(spec)}
         assert {"geometry-finite", "geometry-scale"} <= rules
 
+    @pytest.mark.parametrize("x,units_per_meter,flagged", [
+        (1e300, 80.0, True),
+        (math.nextafter(model.MAX_COORDINATE_M, math.inf), 1.0, True),
+        (-math.nextafter(model.MAX_COORDINATE_M, math.inf), 1.0, True),
+        (1.0, 1e-101, True),  # the bound is in meters
+        (model.MAX_COORDINATE_M, 1.0, False),
+        (1e150, 1e50, False),
+    ], ids=["1e300-units", "past-bound", "past-negative-bound", "small-scale", "at-bound",
+            "large-scale"])
+    def test_vertex_bound(self, x, units_per_meter, flagged):
+        spec = _simple_spec(parts_catalog={
+            "p": PartGeometry(np.array([[x, 0, 0], [0, 1, 0], [0, 0, 1.0]]), units_per_meter)
+        })
+        got = [str(v) for v in model.validate_project(spec)]
+        assert got == (["[geometry-finite] p: part has a vertex beyond 1e+100 m"] if flagged
+                       else [])
+
 
 class TestRobotFleet:
     def test_spacing_enforced(self):
