@@ -15,9 +15,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 
-# The largest part coordinate, in meters, that a project may have. Welzl's
-# circumcircle multiplies a squared coordinate by a coordinate difference, so
-# the cube of this bound must stay well below the float range (about 1.8e308).
+# The largest part coordinate, component translation (composed from the root)
+# and buffer radius, in meters, that a project may have. Welzl's circumcircle
+# multiplies a squared coordinate by a coordinate difference, so the cube of
+# this bound must stay well below the float range (about 1.8e308).
 MAX_COORDINATE_M = 1e100
 
 
@@ -200,6 +201,8 @@ class PlanParams:
             raise ProjectError("task durations must be non-negative")
         if self.dispersion_r_max < 0 or self.buffer_radius < 0:
             raise ProjectError("radii must be non-negative")
+        if self.buffer_radius > MAX_COORDINATE_M:
+            raise ProjectError(f"buffer_radius must be at most {MAX_COORDINATE_M:g} m")
 
 
 @dataclass(frozen=True)
@@ -260,18 +263,28 @@ def validate_project(spec: ProjectSpec) -> list[Violation]:
     if spec.root in parents:
         out.append(Violation(spec.root, "root-is-root", "root appears as a component"))
 
-    # unreachable assemblies / cycles
+    # unreachable assemblies / cycles, and components placed too far out: each
+    # assembly comes with its transform from the root, or None below a
+    # component already flagged
     reachable: set[str] = set()
-    stack = [spec.root]
+    stack: list[tuple[str, Transform | None]] = [(spec.root, Transform.identity())]
     while stack:
-        aid = stack.pop()
+        aid, placed = stack.pop()
         if aid in reachable:
             out.append(Violation(aid, "acyclic", "assembly reachable along two paths or a cycle"))
             continue
         reachable.add(aid)
-        asm = spec.assemblies.get(aid)
-        if asm:
-            stack.extend(c for c in asm.component_ids() if spec.is_assembly(c))
+        for cid, tf in spec.assemblies[aid].components:  # only assemblies are pushed
+            child = None
+            if placed is not None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    child = placed.compose(tf)
+                if not np.max(np.abs(child.translation)) <= MAX_COORDINATE_M:  # or NaN
+                    out.append(Violation(cid, "transform-bounded",
+                                         f"placed beyond {MAX_COORDINATE_M:g} m by {aid}"))
+                    child = None
+            if spec.is_assembly(cid):
+                stack.append((cid, child))
     for aid in spec.assemblies:
         if aid not in reachable:
             out.append(Violation(aid, "reachable", "assembly not reachable from root"))

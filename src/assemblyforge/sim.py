@@ -12,6 +12,15 @@ assignment chain, is the only record of who carries what: a payload's team
 is the robots whose current mission it is, and a stuck robot's hand-over of
 its mission to a teammate is the `World.swap` transition.
 
+Only the transitions `World.start`, `World.complete` and `World.swap` change
+what an agent's goal, task, activity and priority, a payload's team or the
+units that may form derive from, and each steps `World.epoch` first. So
+these are built once per epoch (`World.per_epoch`), not once per step: on
+tractor-15 at seed 0, the epoch changes in 187 of 4,210 steps. The controller
+rows (`control_rows`) also hold the staging circles and the (n, n)
+priority shares; each step fills in only the goals that are the agent's
+own position.
+
 The step is array-backed. Ready nodes come off a queue in topological
 order. The tangent bug (Kamon, Rivlin & Rimon, "TangentBug", 1998) is one
 array pass per step over every agent: the sit-and-wait mask, the ray test of
@@ -40,6 +49,7 @@ onto a violated one in one array pass.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -576,7 +586,13 @@ class World:
     of its current one; `teams` derives each payload's team from them. Only
     `start` and `complete` change node states, timers, unit tasks, open
     phases, presence and mission indices, and only `swap` the itineraries;
-    `fire_checkpoints` takes off the queue what `complete` readies."""
+    `fire_checkpoints` takes off the queue what `complete` readies.
+
+    `epoch` counts those transitions: each of the three steps it first, and
+    a deposit once more after it has read the team and moved its missions on.
+    What is derived from the state they write alone (the teams, the
+    controller's rows, the units that may form) is built by `per_epoch` at
+    most once per epoch and kept in `cache`."""
 
     def __init__(self, graph: ScheduleGraph, staging_plan: StagingPlan,
                  transport_configs: dict[str, TransportUnitConfig],
@@ -588,6 +604,8 @@ class World:
         self.dt = params.dt_sim
         self.arrival_tol = ARRIVAL_TOL_FACTOR * fleet.radius
         self.pen_tol = PENETRATION_TOL_FACTOR * fleet.radius  # also the L2 barrier clamp
+        self.epoch = 0
+        self.cache: dict = {}  # builder -> (epoch, what it built then)
 
         pred, self.succ = graph.adjacency()
         self.topo = topological_order(graph)
@@ -647,6 +665,7 @@ class World:
         and after the deposit the unit leaves and its robots enter at their
         dropoff slots with their next missions. Unit and lift tasks log
         `task_complete`; successors with no pending predecessor get ready."""
+        self.epoch += 1
         self.status[nid] = "complete"
         self.complete_time[nid] = self.t
         self.timers.pop(nid, None)
@@ -668,6 +687,7 @@ class World:
             for rid, pick in self.teams()[node.subject]:
                 self.enter(rid, self.graph.nodes[drops[self.graph.nodes[pick].slot]].origin)
                 self.mission_idx[rid] += 1
+            self.epoch += 1  # the teams just built are stale: the missions moved on
         for s in self.succ[nid]:
             self.remaining[s] -= 1
             if self.remaining[s] == 0 and s in self.fire_rank:
@@ -681,21 +701,24 @@ class World:
         i = self.mission_idx[rid]
         return picks[i] if i < len(picks) else None
 
-    def teams(self) -> dict[str, list[tuple[str, str]]]:
-        """Payload -> [(robot, pickup)] of the robots whose current mission
-        is that payload, in slot order."""
-        teams: dict[str, list[tuple[str, str]]] = {}
-        for rid in self.itineraries:
-            pick = self.mission(rid)
-            if pick is not None:
-                teams.setdefault(self.graph.nodes[pick].subject, []).append((rid, pick))
-        for team in teams.values():
-            team.sort(key=lambda member: self.graph.nodes[member[1]].slot)
-        return teams
+    def per_epoch(self, build):
+        """`build(self)`, built at most once per epoch: between transitions
+        nothing that a builder reads changes."""
+        epoch, built = self.cache.get(build, (None, None))
+        if epoch != self.epoch:
+            built = build(self)
+            self.cache[build] = (self.epoch, built)
+        return built
+
+    def teams(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """Payload -> ((robot, pickup), ...) of the robots whose current
+        mission is that payload, in slot order."""
+        return self.per_epoch(_teams)
 
     def swap(self, aid: str, orid: str):
         """Exchange the current missions of robots `aid` and `orid`, two
         members of one team, drop `orid`'s stuck mark and log `swap`."""
+        self.epoch += 1
         mine, theirs = self.itineraries[aid], self.itineraries[orid]
         i, j = self.mission_idx[aid], self.mission_idx[orid]
         mine[i], theirs[j] = theirs[j], mine[i]
@@ -709,6 +732,7 @@ class World:
         arrives, any other node until its duration has passed. Starting a
         FormTransportUnit replaces the team's robots with the unit at its
         TransportUnitGo origin and logs `unit_formed`."""
+        self.epoch += 1
         self.status[nid] = "active"
         node = self.graph.nodes[nid]
         if node.kind != "TransportUnitGo":
@@ -742,6 +766,17 @@ class World:
         return self.status[self.graph.terminal_nodes[0]] == "complete"
 
 
+def _teams(world: World) -> dict[str, tuple[tuple[str, str], ...]]:
+    """`World.teams`, from one pass over the robots."""
+    teams: dict[str, list[tuple[str, str]]] = {}
+    for rid in world.itineraries:
+        pick = world.mission(rid)
+        if pick is not None:
+            teams.setdefault(world.graph.nodes[pick].subject, []).append((rid, pick))
+    return {payload: tuple(sorted(team, key=lambda member: world.graph.nodes[member[1]].slot))
+            for payload, team in teams.items()}
+
+
 def _finish_timers(world: World):
     """Complete form / deposit / lift nodes whose time is up."""
     for nid, end in sorted(world.timers.items()):
@@ -749,16 +784,26 @@ def _finish_timers(world: World):
             world.complete(nid)
 
 
-def _form_units(world: World):
-    """Form transport units whose robots are all in position."""
-    graph, status, row = world.graph, world.status, world.row
+def _form_candidates(world: World) -> tuple:
+    """(form node, team) of each payload, in order, whose form is pending,
+    whose source is complete and whose team is full."""
+    graph, status = world.graph, world.status
+    candidates = []
     for payload, team in sorted(world.teams().items()):
         form = node_id("FormTransportUnit", payload)
-        if status[form] != "pending" or status[graph.source[payload]] != "complete":
-            continue
-        if len(team) != graph.team_sizes[payload] or any(
+        if (status[form] == "pending" and status[graph.source[payload]] == "complete"
+                and len(team) == graph.team_sizes[payload]):
+            candidates.append((form, team))
+    return tuple(candidates)
+
+
+def _form_units(world: World):
+    """Form transport units whose robots are all in position."""
+    nodes, row = world.graph.nodes, world.row
+    for form, team in world.per_epoch(_form_candidates):
+        if world.status[form] != "pending" or any(
                 not world.present[row[rid]]
-                or _length(world.pos[row[rid]] - graph.nodes[pick].destination) > world.arrival_tol
+                or _length(world.pos[row[rid]] - nodes[pick].destination) > world.arrival_tol
                 for rid, pick in team):
             continue
         # the source and every pickup are then complete, so the form is ready
@@ -777,10 +822,36 @@ def _arrive(world: World):
     world.fire_checkpoints()
 
 
-def _control(world: World, idx: np.ndarray):
-    """Command velocities of the agent rows `idx` from the three-layer
-    controller, with each agent's task and priority this step."""
-    graph, params = world.graph, world.params
+@dataclass(frozen=True)
+class ControlRows:
+    """What the controller reads of the present agents, apart from their
+    positions and velocities: one row per agent, in row order, and the
+    staging circles. Only a transition changes it, so `control_rows` builds
+    it once per epoch."""
+
+    idx: np.ndarray  # the agents' world rows
+    ids: list
+    goals: np.ndarray  # (n, 2); the rows `at_pos` are the agent's position each step
+    at_pos: np.ndarray  # a unit forming or depositing, or a robot without a mission
+    own: np.ndarray  # the row of an active agent's open-phase circle, or -1
+    tasks: list
+    active: np.ndarray
+    alphas: list  # the priorities, as the trace writes them
+    alpha: np.ndarray
+    shares: np.ndarray  # (n, n), rvo_resolve's responsibilities
+    centers: np.ndarray  # (k, 2), the staging circles of the open phases
+    radii: np.ndarray  # (k,)
+    rad: np.ndarray
+    cap: np.ndarray
+    caps: list
+    robots: list  # (world row, id) of each robot, for `_swap_stuck`
+
+
+def control_rows(world: World) -> ControlRows:
+    """The controller rows of the present agents. A robot's row follows its
+    current mission, a unit's its task; an agent is active while its phase
+    is open and, for a robot, its cargo is ready."""
+    graph = world.graph
     # staging circles of open phases, one row per assembly
     phase_rows: dict[str, int] = {}  # assembly -> its row
     centers, radii = [], []
@@ -790,16 +861,16 @@ def _control(world: World, idx: np.ndarray):
         centers.append(center)
         radii.append(radius)
 
-    # goal, task, activity and priority depend on the agent alone
-    pos = world.pos[idx]
-    goals, own, tasks, active, alphas = [], [], [], [], []
-    for r, p in zip(idx.tolist(), pos):
-        aid = world.ids[r]
+    idx = np.flatnonzero(world.present)
+    ids = [world.ids[r] for r in idx.tolist()]
+    goals, at_pos, own, tasks, active, alphas, robots = [], [], [], [], [], [], []
+    for i, (r, aid) in enumerate(zip(idx.tolist(), ids)):
         is_unit = aid in world.unit_task
         if is_unit:
             task = world.unit_task[aid]
             task_kind, payload = graph.nodes[task].kind, graph.nodes[task].subject
         else:
+            robots.append((r, aid))
             task = world.mission(aid)
             task_kind, payload = ("RobotGo", graph.nodes[task].subject) if task else ("", None)
         phase_active = cargo_ready = False
@@ -813,8 +884,9 @@ def _control(world: World, idx: np.ndarray):
             goal = graph.nodes[task].destination
             cargo_ready = world.status[graph.source[payload]] == "complete"
             is_active = phase_active and cargo_ready
-        else:  # a unit forming or depositing, or a robot without a mission
-            goal = p
+        else:  # the goal is the agent's position, filled in each step
+            goal = (math.nan, math.nan)
+            at_pos.append(i)
             is_active = False
         goals.append(goal)
         # an active agent's own phase is open: it may enter that circle
@@ -823,63 +895,86 @@ def _control(world: World, idx: np.ndarray):
         active.append(is_active)
         alphas.append(alpha_value(is_unit, task_kind, phase_active, cargo_ready,
                                   world.cargo_id.get(payload, 0), world.max_cargo_id))
-    rad, cap = world.radius[idx], world.cap[idx]
-    caps = cap.tolist()
-    active = np.array(active, bool)
+
+    alpha = np.array(alphas, float)
+    pair_alpha = alpha[:, None] + alpha
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = np.where(pair_alpha == 0, 0.5, alpha[:, None] / pair_alpha)
+    np.fill_diagonal(shares, 0.0)
+    cap = world.cap[idx]
+    rows = ControlRows(
+        idx, ids, np.array(goals, float).reshape(-1, 2), np.array(at_pos, int),
+        np.array(own, int), tasks, np.array(active, bool), alphas, alpha, shares,
+        np.array(centers, float).reshape(-1, 2), np.array(radii, float), world.radius[idx],
+        cap, cap.tolist(), robots)
+    for value in vars(rows).values():  # kept for the epoch: no step may write them
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return rows
+
+
+def _control(world: World, rows: ControlRows) -> list:
+    """Command velocities of the agents of `rows` from the three-layer
+    controller."""
+    params = world.params
+    pos = world.pos[rows.idx]
+    goals = rows.goals.copy()
+    goals[rows.at_pos] = pos[rows.at_pos]
     nominals = nominal_velocity(
-        pos, np.array(goals, float).reshape(-1, 2), rad, cap, active,
-        np.array(own, int), np.array(centers, float).reshape(-1, 2), np.array(radii, float),
+        pos, goals, rows.rad, rows.cap, rows.active, rows.own, rows.centers, rows.radii,
         world.dt, params.planning_radius, params.boundary_tol,
         params.stop_range_factor * world.fleet.radius)
 
     # level 2 on one array of center distances, each the float _length gives
     diff = pos[:, None] - pos
     dist = np.sqrt(np.vecdot(diff, diff))
-    alpha = np.array(alphas, float)
-    fields = field_radius(dist, rad, active, params.dispersion_r_max, params.dispersion_c)
-    prefs = _dispersed_velocities(pos, rad, dist, fields, ~active & (alpha != 0.0), nominals,
-                                  caps, world.pen_tol, params.blend_a, params.blend_b)
+    fields = field_radius(dist, rows.rad, rows.active, params.dispersion_r_max,
+                          params.dispersion_c)
+    prefs = _dispersed_velocities(pos, rows.rad, dist, fields,
+                                  ~rows.active & (rows.alpha != 0.0), nominals, rows.caps,
+                                  world.pen_tol, params.blend_a, params.blend_b)
+    return rvo_resolve(pos, rows.rad, world.vel[rows.idx], prefs, rows.caps, rows.shares,
+                       world.dt, params.rvo_horizon)
 
-    pair_alpha = alpha[:, None] + alpha
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shares = np.where(pair_alpha == 0, 0.5, alpha[:, None] / pair_alpha)
-    np.fill_diagonal(shares, 0.0)
-    commands = rvo_resolve(pos, rad, world.vel[idx], prefs, caps, shares, world.dt,
-                           params.rvo_horizon)
-    return commands, tasks, alphas
+
+@functools.cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of n agents, in row-major order."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def _penetrations(positions: np.ndarray, radii: np.ndarray, tol: float):
     """Index pairs i < j, in row-major order, of the agents that overlap by
     more than `tol`; all pairs are compared in one array pass."""
-    i, j = np.triu_indices(len(radii), 1)
+    i, j = _pairs(len(radii))
     diff = positions[i] - positions[j]
     hit = np.sqrt(np.vecdot(diff, diff)) < radii[i] + radii[j] - tol
     return list(zip(i[hit].tolist(), j[hit].tolist()))
 
 
-def _integrate(world: World, idx: np.ndarray, commands: list, tasks: list, alpha: list):
-    """Move the agent rows `idx`, trace them and count penetrating pairs."""
+def _integrate(world: World, rows: ControlRows, commands: list):
+    """Move the agents of `rows`, trace them and count penetrating pairs."""
     vel = np.array(commands, float).reshape(-1, 2)
-    pos = world.pos[idx] + vel * world.dt
-    world.pos[idx], world.vel[idx] = pos, vel
-    ids = [world.ids[r] for r in idx.tolist()]
-    world.trace_out.write(trace_to_csv(world.t, ids, tasks, alpha, pos.tolist(), vel.tolist()))
-    for i, j in _penetrations(pos, world.radius[idx], world.pen_tol):
+    pos = world.pos[rows.idx] + vel * world.dt
+    world.pos[rows.idx], world.vel[rows.idx] = pos, vel
+    ids = rows.ids
+    world.trace_out.write(trace_to_csv(world.t, ids, rows.tasks, rows.alphas, pos.tolist(),
+                                       vel.tolist()))
+    for i, j in _penetrations(pos, rows.rad, world.pen_tol):
         world.collision_count += 1
         world.events.append({"type": "penetration", "agents": [ids[i], ids[j]],
                              "t": round(world.t, 6)})
 
 
-def _swap_stuck(world: World, idx: np.ndarray):
+def _swap_stuck(world: World, rows: ControlRows):
     """Hand a stuck robot's mission to the present teammate closest to its
     pickup, if that one is closer."""
     params, t, row, pos = world.params, world.t, world.row, world.pos
-    for r in idx.tolist():
-        aid = world.ids[r]
-        if aid in world.unit_task:
-            continue
-        pick = world.mission(aid)
+    for r, aid in rows.robots:
+        pick = world.mission(aid)  # a swap earlier in this loop may have changed it
         if pick is None:
             world.stuck_mark.pop(aid, None)
             continue
@@ -915,9 +1010,9 @@ def step(world: World) -> bool:
         return True
     _form_units(world)
     _arrive(world)
-    idx = np.flatnonzero(world.present)
-    _integrate(world, idx, *_control(world, idx))
-    _swap_stuck(world, idx)
+    rows = world.per_epoch(control_rows)
+    _integrate(world, rows, _control(world, rows))
+    _swap_stuck(world, rows)
     world.t += world.dt
     world.steps += 1
     return False

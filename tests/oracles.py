@@ -41,7 +41,8 @@ from assemblyforge.schedule import (
     validate_schedule,
 )
 from assemblyforge.sim import (
-    ORCA_SAFETY_FACTOR, _length, _ray_circle_hits, dispersion_force, preferred_velocity,
+    ORCA_SAFETY_FACTOR, _length, _ray_circle_hits, alpha_value, dispersion_force,
+    preferred_velocity,
 )
 from assemblyforge.transport import CARRY_RESTARTS, TransportConfigError
 
@@ -1427,3 +1428,65 @@ def active_phase(world, a: str) -> int | None:
                 return k
             return None
     return None
+
+
+def teams_scan(world) -> dict[str, list[tuple[str, str]]]:
+    """`World.teams` by the pass over every robot that it ran at every call
+    before the world kept it per epoch: payload -> [(robot, pickup)], in
+    slot order."""
+    teams: dict[str, list[tuple[str, str]]] = {}
+    for rid in world.itineraries:
+        pick = world.mission(rid)
+        if pick is not None:
+            teams.setdefault(world.graph.nodes[pick].subject, []).append((rid, pick))
+    for team in teams.values():
+        team.sort(key=lambda member: world.graph.nodes[member[1]].slot)
+    return teams
+
+
+def control_rows_loop(world, idx) -> dict:
+    """The goals (n, 2), own circle rows, tasks, activity, priorities and
+    priority shares of the agent rows `idx`, by the per-agent loop that
+    `sim._control` ran at every step before the world kept them per epoch."""
+    graph = world.graph
+    phase_rows: dict[str, int] = {}
+    for a, _ in sorted(world.open_phase.items()):
+        phase_rows[a] = len(phase_rows)
+    goals, own, tasks, active, alphas = [], [], [], [], []
+    for r, p in zip(idx.tolist(), world.pos[idx]):
+        aid = world.ids[r]
+        is_unit = aid in world.unit_task
+        if is_unit:
+            task = world.unit_task[aid]
+            task_kind, payload = graph.nodes[task].kind, graph.nodes[task].subject
+        else:
+            task = world.mission(aid)
+            task_kind, payload = ("RobotGo", graph.nodes[task].subject) if task else ("", None)
+        phase_active = cargo_ready = False
+        if payload is not None:
+            a_id, k = graph.payload_phase[payload]
+            phase_active = world.open_phase.get(a_id) == k
+        if task_kind == "TransportUnitGo":
+            goal = graph.nodes[task].destination
+            is_active = phase_active
+        elif task_kind == "RobotGo":
+            goal = graph.nodes[task].destination
+            cargo_ready = world.status[graph.source[payload]] == "complete"
+            is_active = phase_active and cargo_ready
+        else:  # a unit forming or depositing, or a robot without a mission
+            goal = p
+            is_active = False
+        goals.append(goal)
+        own.append(phase_rows[a_id] if is_active else -1)
+        tasks.append(task)
+        active.append(is_active)
+        alphas.append(alpha_value(is_unit, task_kind, phase_active, cargo_ready,
+                                  world.cargo_id.get(payload, 0), world.max_cargo_id))
+    alpha = np.array(alphas, float)
+    pair_alpha = alpha[:, None] + alpha
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = np.where(pair_alpha == 0, 0.5, alpha[:, None] / pair_alpha)
+    np.fill_diagonal(shares, 0.0)
+    return {"goals": np.array(goals, float).reshape(-1, 2), "own": np.array(own, int),
+            "tasks": tasks, "active": np.array(active, bool), "alphas": alphas,
+            "shares": shares}

@@ -137,6 +137,24 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "invalid project: [geometry-finite] brick@1: part has a vertex beyond 1e+100 m"]
 
+    @pytest.mark.parametrize("x", [1e300, math.nextafter(model.MAX_COORDINATE_M, math.inf)],
+                             ids=["1e300", "past-bound"])
+    def test_huge_translation(self, tmp_path, capsys, x):
+        """A component placed so far out that a dropoff lands at infinity is
+        an invalid project, not a plan that `allocate` then rejects."""
+        doc = model.project_to_jsonable(projects.tractor_project())
+        first = doc["assemblies"][doc["root"]]["components"][0]
+        first["transform"]["translation"] = [x, 0, 0]
+        bad = tmp_path / "far.json"
+        bad.write_text(json.dumps(doc))
+        code = cli.main(["plan", "--input", str(bad), "--out", str(tmp_path / "out"),
+                         "--robots", "5"])
+        assert code == cli.EXIT_FAILURE
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid project: [transform-bounded] {first['id']}: placed beyond 1e+100 m by "
+            f"{doc['root']}"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("case,message", [
         ("missing-root", "project JSON is missing key 'root'"),
         ("assemblies-list",
@@ -144,6 +162,7 @@ class TestExitCodes:
         ("negative-radius", "robot radius must be positive"),
         ("zero-rvo-horizon", "rvo_horizon must be positive"),
         ("negative-boundary-tol", "boundary_tol must be non-negative"),
+        ("huge-buffer", "buffer_radius must be at most 1e+100 m"),
     ])
     def test_project_error_lines(self, toy_input, tmp_path, capsys, case, message):
         """The same document error gives the same one line as `plan`'s input
@@ -157,6 +176,8 @@ class TestExitCodes:
             doc["params"]["rvo_horizon"] = 0
         elif case == "negative-boundary-tol":
             doc["params"]["boundary_tol"] = -0.1
+        elif case == "huge-buffer":
+            doc["params"]["buffer_radius"] = 1e300
         else:
             doc["fleet"]["radius"] = -1
         bad = tmp_path / "bad.json"
@@ -232,6 +253,21 @@ class TestExitCodes:
         assert code == cli.EXIT_BAD_INPUT
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: invalid option:")
+
+    @pytest.mark.parametrize("buffer", ["1e300", repr(math.nextafter(1e100, math.inf))],
+                             ids=["1e300", "past-bound"])
+    def test_plan_huge_buffer(self, toy_input, tmp_path, capsys, buffer):
+        # beyond the coordinate bound the unit durations overflowed to inf
+        code = cli.main(["plan", "--input", str(toy_input), "--out", str(tmp_path / "out"),
+                         "--robots", "2", "--buffer", buffer])
+        assert code == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            "error: invalid option: buffer_radius must be at most 1e+100 m\n")
+        assert not (tmp_path / "out").exists()
+        out = tmp_path / "at-bound"
+        assert cli.main(["plan", "--input", str(toy_input), "--out", str(out),
+                         "--robots", "2", "--buffer", "1e100"]) == cli.EXIT_OK
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_OK
 
     def test_buffer_overrides_embedded_params(self, toy_input, tmp_path, capsys):
         # the input embeds params with buffer 0.25; --buffer replaces it

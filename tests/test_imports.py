@@ -11,8 +11,10 @@ schedule node id (`Kind:subject[:slot][:role]`); the others use
 Single writer: outside the methods of `sim.World`, no package code assigns,
 deletes or mutates (a method such as `pop`, `append` or `setdefault`, a heapq
 push or pop, an item assignment) a world's node states, timers, completion
-times, pending counts, ready queue, unit tasks, open phases, agent presence or
-mission indices; `World.start` and `World.complete` make every transition.
+times, pending counts, ready queue, unit tasks, open phases, agent presence,
+mission indices or itineraries, nor its epoch or the cache of what it builds per
+epoch; `World.start`, `World.complete` and `World.swap` make every transition
+and step the epoch, so nothing kept for an epoch can go stale.
 """
 
 import ast
@@ -91,7 +93,7 @@ def test_node_id_checker_flags_ids_and_colon_splits():
 
 
 WORLD_STATE = {"status", "timers", "complete_time", "remaining", "ready", "unit_task",
-               "open_phase", "present", "mission_idx", "itineraries"}
+               "open_phase", "present", "mission_idx", "itineraries", "epoch", "cache"}
 MUTATORS = {"pop", "popitem", "append", "extend", "insert", "remove", "setdefault", "update",
             "clear", "heappush", "heappop", "heapify", "heapreplace", "heappushpop"}
 
@@ -163,12 +165,17 @@ def test_world_state_checker_flags_writes_outside_world():
         "    heapq.heappush(world.ready, (0, nid))\n"
         "    world.pos[0], world.complete_time = 1.0, {}\n"
         "    world.itineraries[nid][0], picks = nid, []\n"
+        "    world.epoch += 1\n"
+        "    world.cache[build] = (world.epoch, None)\n"
+        "    world.cache.clear()\n"
         "    world.events.append(nid)\n"
         "    log.append(world.status)\n"
         "    done = world.status[nid] == 'complete' and nid in world.remaining\n"
         "    keys = sorted(world.timers.items())\n"
+        "    rows = world.per_epoch(build) if world.cache.get(build) else world.epoch\n"
     )
     assert world_state_writes(source) == [
         "line 6: timers", "line 7: status", "line 8: present", "line 9: mission_idx",
         "line 10: unit_task", "line 11: open_phase", "line 12: ready",
-        "line 13: complete_time", "line 14: itineraries"]
+        "line 13: complete_time", "line 14: itineraries", "line 15: epoch", "line 16: cache",
+        "line 17: cache"]

@@ -140,6 +140,27 @@ class TestValidateProject:
         assert got == (["[geometry-finite] p: part has a vertex beyond 1e+100 m"] if flagged
                        else [])
 
+    @pytest.mark.parametrize("outer,inner,flagged", [
+        (1e300, 0.0, ["p@outer"]),
+        (math.nextafter(model.MAX_COORDINATE_M, math.inf), 0.0, ["p@outer"]),
+        (-math.nextafter(model.MAX_COORDINATE_M, math.inf), 0.0, ["p@outer"]),
+        (math.nan, 0.0, ["p@outer"]),
+        (0.6e100, 0.6e100, ["p"]),  # each within the bound, composed beyond it
+        (model.MAX_COORDINATE_M, 0.0, []),
+        (1e300, -1e300, ["p@outer"]),  # flagged once, at the top of its subtree
+    ], ids=["1e300", "past-bound", "past-negative-bound", "nan", "composed", "at-bound",
+            "back-in"])
+    def test_translation_bound(self, outer, inner, flagged):
+        sub = Assembly("sub", (("p", Transform(np.eye(3), [inner, 0, 0])),),
+                       (BuildPhase(1, ("p",)),))
+        root = Assembly("root", (("sub", Transform(np.eye(3), [outer, 0, 0])),),
+                        (BuildPhase(1, ("sub",)),))
+        spec = _simple_spec(assemblies={"root": root, "sub": sub})
+        got = [str(v) for v in model.validate_project(spec)]
+        placed = {"p@outer": "[transform-bounded] sub: placed beyond 1e+100 m by root",
+                  "p": "[transform-bounded] p: placed beyond 1e+100 m by sub"}
+        assert got == [placed[f] for f in flagged]
+
 
 class TestRobotFleet:
     def test_spacing_enforced(self):
@@ -188,6 +209,9 @@ class TestPlanParams:
             PlanParams(rvo_horizon=0.0)
         with pytest.raises(ProjectError, match="boundary_tol must be non-negative"):
             PlanParams(boundary_tol=-0.1)
+        with pytest.raises(ProjectError, match="buffer_radius must be at most 1e"):
+            PlanParams(buffer_radius=math.nextafter(model.MAX_COORDINATE_M, math.inf))
+        PlanParams(buffer_radius=model.MAX_COORDINATE_M)
         PlanParams(boundary_tol=0.0)  # the boundary mode fires on the circle only
 
     @pytest.mark.parametrize("field", ["buffer_radius", "dt_sim", "planning_radius",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from assemblyforge import sim
+from assemblyforge.schedule import node_id
 
 from . import oracles
 
@@ -954,33 +955,77 @@ class TestArrayKernels:
     def test_rows_and_open_phases_follow_the_scan(self, monkeypatch, pipeline, params, toy_spec,
                                                   tractor_spec, synthetic_spec, project, robots,
                                                   max_steps):
+        """What the world keeps per epoch equals the scans that ran at every
+        step before: at every controller call, and after every transition
+        that is not part of another."""
         spec = {"toy": toy_spec, "tractor": tractor_spec, "synthetic": synthetic_spec}[project]
         data = pipeline(spec, project, robots)
-        world = sim.World(data["greedy"].graph, data["plan"], data["configs"],
-                          data["fleet"], params, io.StringIO())
-        robot_ids = set(world.itineraries)
         control = sim._control
-        seen = {"open": 0, "units": 0}
+        seen = {"open": 0, "units": 0, "rows": 0, "transitions": 0}
+        depth = [0]
 
-        def checked(w, idx):
+        def transition(method):
+            def checked(w, *args):
+                depth[0] += 1
+                try:
+                    method(w, *args)
+                finally:
+                    depth[0] -= 1
+                if not depth[0]:
+                    _assert_epoch_cache(w)
+                    seen["transitions"] += 1
+            return checked
+
+        def checked(w, rows):
             phases = {a: oracles.active_phase(w, a) for a in w.graph.assembly_phases}
             assert w.open_phase == {a: k for a, k in phases.items() if k is not None}, w.t
+            assert rows is _assert_epoch_cache(w)
             teams = w.teams()
             in_units = {rid for task in w.unit_task.values()
                         for rid, _ in teams[w.graph.nodes[task].subject]}
-            want = sorted(robot_ids - in_units | set(w.unit_task))
-            assert [w.ids[r] for r in idx] == want, w.t
+            want = sorted(set(w.itineraries) - in_units | set(w.unit_task))
+            assert rows.ids == want, w.t
             seen["open"] += len(w.open_phase)
             seen["units"] += len(w.unit_task)
-            return control(w, idx)
+            seen["rows"] += 1
+            return control(w, rows)
 
+        for name in ("start", "complete", "swap"):
+            monkeypatch.setattr(sim.World, name, transition(getattr(sim.World, name)))
         monkeypatch.setattr(sim, "_control", checked)
+        world = sim.World(data["greedy"].graph, data["plan"], data["configs"],
+                          data["fleet"], params, io.StringIO())
         while not sim.step(world) and world.steps != max_steps:
             pass
-        assert seen["open"] and seen["units"]
+        assert seen["open"] and seen["units"] and seen["transitions"]
+        assert seen["rows"] == world.steps
         assert (world.steps == max_steps) == (project == "synthetic")
         if project == "tractor":  # the rows are checked across swaps too
             assert world.swap_count > 0
+
+
+def _assert_epoch_cache(w):
+    """Assert that the world's teams, form candidates and controller rows for
+    this epoch equal the scans of its state, bit for bit; returns the rows."""
+    teams = oracles.teams_scan(w)
+    assert {p: list(team) for p, team in w.teams().items()} == teams, w.t
+    assert w.per_epoch(sim._form_candidates) == tuple(
+        (form, tuple(team)) for p, team in sorted(teams.items())
+        if w.status[form := node_id("FormTransportUnit", p)] == "pending"
+        and w.status[w.graph.source[p]] == "complete" and len(team) == w.graph.team_sizes[p])
+    rows = w.per_epoch(sim.control_rows)
+    assert rows.ids == [w.ids[r] for r in np.flatnonzero(w.present)], w.t
+    loop = oracles.control_rows_loop(w, rows.idx)
+    goals = rows.goals.copy()
+    goals[rows.at_pos] = w.pos[rows.idx][rows.at_pos]
+    assert _same_bits(goals, loop["goals"]), w.t
+    assert _same_bits(rows.shares, loop["shares"]), w.t
+    assert _same_bits(rows.alpha, loop["alphas"]), w.t
+    assert np.array_equal(rows.own, loop["own"]), w.t
+    assert np.array_equal(rows.active, loop["active"]), w.t
+    assert (rows.tasks, rows.alphas) == (loop["tasks"], loop["alphas"]), w.t
+    assert rows.robots == [(w.row[a], a) for a in rows.ids if a not in w.unit_task], w.t
+    return rows
 
 
 class _StatusLog(dict):
