@@ -83,7 +83,10 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
 
     The fleet is two arrays with one row per robot in `graph.robot_starts`
     order, which is robot id order, and a goal's column is its slot; so
-    keys (t, row, column) order as (t, robot id, slot) do.
+    keys (t, row, column) order as (t, robot id, slot) do. The arrival times
+    of every robot at every payload's goals are one matrix; a commit
+    recomputes the rows of the robots it moves, which are the only rows
+    whose position or available time changed.
 
     Each iteration commits the team with the earliest start among the
     available components of the active phases, the first one in iteration
@@ -147,11 +150,16 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
                 active_step[a] = nxt
                 open_time[(a, nxt)] = close
 
-    goals_of = {
-        c: np.array([graph.nodes[p].destination for p in ps], float).reshape(-1, 2)
-        for c, ps in pickups.items()
-    }
-    teams: dict[str, tuple[list[tuple[int, int]], tuple[float, int, int]]] = {}
+    # payload c's goals are the columns span[c] of the arrival matrix
+    span, goals = {}, []
+    for c, ps in pickups.items():
+        span[c] = (len(goals), len(goals) + len(ps))
+        goals += [graph.nodes[p].destination for p in ps]
+    goals = np.array(goals, float).reshape(-1, 2)
+    arrival = (earliest_arrival(position, available, goals, fleet.v_max) if len(goals)
+               else np.empty((len(starts), 0)))
+    # payload -> its team's robot rows, pairs and last pick key
+    teams: dict[str, tuple[set[int], list[tuple[int, int]], tuple[float, int, int]]] = {}
     while active:
         best_team: tuple[str, list[tuple[int, int]], float] | None = None
         for a in sorted(active):
@@ -160,9 +168,10 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
                 if component in assigned or component not in available_components:
                     continue
                 if component not in teams:
-                    teams[component] = _greedy_team(earliest_arrival(
-                        position, available, goals_of[component], fleet.v_max))
-                pairs, (t_task, _, _) = teams[component]
+                    lo, hi = span[component]
+                    pairs, last_key = _greedy_team(arrival[:, lo:hi])
+                    teams[component] = ({row for row, _ in pairs}, pairs, last_key)
+                _, pairs, (t_task, _, _) = teams[component]
                 if best_team is None or t_task < best_team[2]:
                     best_team = (component, pairs, t_task)
         if best_team is None:
@@ -171,16 +180,18 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
 
         del teams[best_team[0]]
         movers = sorted(row for row, _ in best_team[1])
+        arrival[movers] = earliest_arrival(position[movers], available[movers], goals,
+                                           fleet.v_max)
         # no mover arrives anywhere before it is available
         movers_free = max(float(available[movers].min()), 0.0)
-        for component, (pairs, last_key) in list(teams.items()):
-            if any(row in movers for row, _ in pairs):
+        for component, (rows, _, last_key) in list(teams.items()):
+            if not rows.isdisjoint(movers):
                 del teams[component]
                 continue
             if movers_free > last_key[0]:
                 continue
-            times = earliest_arrival(position[movers], available[movers], goals_of[component],
-                                     fleet.v_max)
+            lo, hi = span[component]
+            times = arrival[movers, lo:hi]
             i, col = divmod(int(times.argmin()), times.shape[1])
             if (float(times[i, col]), movers[i], col) < last_key:
                 del teams[component]

@@ -175,28 +175,46 @@ def _within(d, radius: float) -> bool:
     return math.sqrt(d @ d) <= radius * (1 + 1e-12) + 1e-12
 
 
-def min_enclosing_circle(points, seed: int = 0) -> Circle:
-    """Smallest circle containing all points (Welzl's incremental method)."""
-    pts = [np.array(p, float) for p in _as_points(points, 2)]
-    rng = random.Random(seed)
-    rng.shuffle(pts)
+def _first_outside(pts: np.ndarray, start: int, stop: int, c: Circle) -> int:
+    """The first row of pts[start:stop] that `_within` rejects for circle c,
+    or `stop` if there is none. One array test of the same floats: a row's
+    |d| is `sqrt(vecdot(d, d))`, and NaN counts as outside."""
+    if start >= stop:
+        return stop
+    d = pts[start:stop] - c.center
+    outside = ~(np.sqrt(np.vecdot(d, d)) <= c.radius * (1 + 1e-12) + 1e-12)
+    first = int(outside.argmax())
+    return start + first if outside[first] else stop
 
-    c: Circle | None = None
-    for i, p in enumerate(pts):
-        if c is not None and _within(p - c.center, c.radius):
-            continue
+
+def min_enclosing_circle(points, seed: int = 0) -> Circle:
+    """Smallest circle containing all points (Welzl's incremental method).
+
+    Each loop skips, by one array scan, to the next point the current circle
+    does not hold, so the circles are those of testing point by point."""
+    pts = _as_points(points, 2)
+    order = list(range(len(pts)))
+    random.Random(seed).shuffle(order)  # the permutation of shuffling the rows
+    pts = pts[order]
+
+    n = len(pts)
+    c = Circle(pts[0], 0.0)  # holds the first point, so its inner loops do nothing
+    i = _first_outside(pts, 1, n, c)
+    while i < n:
+        p = pts[i]
         c = Circle(p, 0.0)
-        for j, q in enumerate(pts[: i + 1]):
-            if _within(q - c.center, c.radius):
-                continue
+        j = _first_outside(pts, 0, i + 1, c)
+        while j <= i:
+            q = pts[j]
             c = _circle_two(p, q)
-            for k in pts[: j + 1]:
-                if _within(k - c.center, c.radius):
-                    continue
-                cc = _circumcircle(p, q, k)
+            k = _first_outside(pts, 0, j + 1, c)
+            while k <= j:
+                cc = _circumcircle(p, q, pts[k])
                 if cc is not None:
                     c = cc
-    assert c is not None
+                k = _first_outside(pts, k + 1, j + 1, c)
+            j = _first_outside(pts, j + 1, i + 1, c)
+        i = _first_outside(pts, i + 1, n, c)
     return c
 
 

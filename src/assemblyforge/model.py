@@ -15,10 +15,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 
-# The largest part coordinate, component translation (composed from the root)
-# and buffer radius, in meters, that a project may have. Welzl's circumcircle
-# multiplies a squared coordinate by a coordinate difference, so the cube of
-# this bound must stay well below the float range (about 1.8e308).
+# The largest part coordinate, component translation (composed from the root),
+# buffer radius, robot radius and robot start coordinate, in meters, that a
+# project may have. Welzl's circumcircle multiplies a squared coordinate by a
+# coordinate difference, so the cube of this bound must stay well below the
+# float range (about 1.8e308).
 MAX_COORDINATE_M = 1e100
 
 
@@ -151,8 +152,13 @@ class RobotFleet:
         for name in ("radius", "v_max", "v_min", "v_factor"):
             if not math.isfinite(getattr(self, name)):
                 raise ProjectError(f"fleet {name} must be finite, got {getattr(self, name)}")
+        if self.radius > MAX_COORDINATE_M:
+            raise ProjectError(f"robot radius must be at most {MAX_COORDINATE_M:g} m")
         if not np.all(np.isfinite(self.initial_positions)):
             raise ProjectError("initial positions must be finite")
+        if np.any(np.abs(self.initial_positions) > MAX_COORDINATE_M):
+            raise ProjectError(
+                f"initial position coordinates must be at most {MAX_COORDINATE_M:g} m")
         if not (0 < self.v_min <= self.v_max):
             raise ProjectError("fleet requires 0 < v_min <= v_max")
         if self.radius <= 0:
@@ -161,11 +167,27 @@ class RobotFleet:
             raise ProjectError(f"robot count must be at least 1, got {self.count}")
         if self.count != len(self.initial_positions):
             raise ProjectError("count must equal number of initial positions")
-        pos = self.initial_positions
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                if np.linalg.norm(pos[i] - pos[j]) < 2 * self.radius - 1e-9:
-                    raise ProjectError(f"initial positions {i} and {j} closer than 2r")
+        close = _first_close_pair(self.initial_positions, 2 * self.radius - 1e-9)
+        if close is not None:
+            raise ProjectError("initial positions %d and %d closer than 2r" % close)
+
+
+def _first_close_pair(pos: np.ndarray, limit: float) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j in row-major order, of rows of `pos`
+    (n, 2) closer than `limit`, or None. Each block of rows is compared with
+    every later row in one array pass; a distance is `sqrt(vecdot(d, d))`,
+    the float `np.linalg.norm(pos[i] - pos[j])` gives."""
+    n = len(pos)
+    block = max(1, (1 << 20) // max(n, 1))  # about a million pairs per pass
+    for lo in range(0, n - 1, block):
+        hi = min(lo + block, n - 1)
+        d = pos[lo:hi, None, :] - pos[None, lo:, :]
+        close = np.sqrt(np.vecdot(d, d)) < limit
+        close &= np.arange(lo, n) > np.arange(lo, hi)[:, None]  # later rows only
+        if close.any():
+            i, j = divmod(int(close.argmax()), n - lo)
+            return lo + i, lo + j
+    return None
 
 
 @dataclass(frozen=True)

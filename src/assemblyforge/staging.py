@@ -102,7 +102,9 @@ def solve_radial_layout(problem: RadialLayoutProblem) -> RadialLayoutResult:
         u = u0
     else:
         # range constraint binds: clip the isotonic fit into a width-`gap`
-        # band and line-search the band position (convex in the offset)
+        # band and line-search the band position (convex in the offset).
+        # A pass that leaves (lo, hi) as they were is a fixed point: every
+        # later pass would compute the same m1, m2 and comparison.
         def band_cost(t: float) -> float:
             return cost(np.clip(u0, t, t + gap))
 
@@ -112,8 +114,12 @@ def solve_radial_layout(problem: RadialLayoutProblem) -> RadialLayoutResult:
             m1 = lo + (hi - lo) / 3
             m2 = hi - (hi - lo) / 3
             if band_cost(m1) <= band_cost(m2):
+                if hi == m2:
+                    break
                 hi = m2
             else:
+                if lo == m1:
+                    break
                 lo = m1
         t = (lo + hi) / 2
         u = np.clip(u0, t, t + gap)

@@ -33,7 +33,10 @@ import scipy.optimize
 from assemblyforge.allocation import (
     AllocationError, AllocationResult, _lp_name,
 )
-from assemblyforge.geometry import OCTAGON_NORMALS, Circle, OctagonalPrism, VerticalCylinder
+from assemblyforge.geometry import (
+    OCTAGON_NORMALS, Circle, OctagonalPrism, VerticalCylinder, _as_points, _circle_two,
+    _circumcircle, _within,
+)
 from assemblyforge.model import RobotFleet
 from assemblyforge.schedule import (
     CHECKPOINT_KINDS, ScheduleError, ScheduleGraph, ScheduleNode, ScheduleViolation,
@@ -44,6 +47,7 @@ from assemblyforge.sim import (
     ORCA_SAFETY_FACTOR, _length, _ray_circle_hits, alpha_value, dispersion_force,
     preferred_velocity,
 )
+from assemblyforge.staging import RadialLayoutProblem, RadialLayoutResult, _pava
 from assemblyforge.transport import CARRY_RESTARTS, TransportConfigError
 
 
@@ -1490,3 +1494,87 @@ def control_rows_loop(world, idx) -> dict:
     return {"goals": np.array(goals, float).reshape(-1, 2), "own": np.array(own, int),
             "tasks": tasks, "active": np.array(active, bool), "alphas": alphas,
             "shares": shares}
+
+
+# -- planning loops before their array scans ----------------------------------
+
+
+def min_enclosing_circle_reference(points, seed: int = 0) -> Circle:
+    """`geometry.min_enclosing_circle` testing one point at a time, as
+    before it scanned for the next point outside."""
+    pts = [np.array(p, float) for p in _as_points(points, 2)]
+    rng = random.Random(seed)
+    rng.shuffle(pts)
+
+    c: Circle | None = None
+    for i, p in enumerate(pts):
+        if c is not None and _within(p - c.center, c.radius):
+            continue
+        c = Circle(p, 0.0)
+        for j, q in enumerate(pts[: i + 1]):
+            if _within(q - c.center, c.radius):
+                continue
+            c = _circle_two(p, q)
+            for k in pts[: j + 1]:
+                if _within(k - c.center, c.radius):
+                    continue
+                cc = _circumcircle(p, q, k)
+                if cc is not None:
+                    c = cc
+    assert c is not None
+    return c
+
+
+def solve_radial_layout_reference(problem: RadialLayoutProblem) -> RadialLayoutResult:
+    """`staging.solve_radial_layout` with a band search that always makes
+    its 200 ternary passes, as before it stopped at the fixed point."""
+    theta_hat = problem.desired_angles
+    delta = problem.half_widths
+    n = len(theta_hat)
+    if not problem.is_feasible():
+        return RadialLayoutResult(False, None, math.inf)
+    if n == 1:
+        return RadialLayoutResult(True, theta_hat.copy(), 0.0)
+
+    sep = delta + np.roll(delta, -1)
+    cum = np.concatenate([[0.0], np.cumsum(sep[:-1])])
+    u_hat = theta_hat - cum
+    gap = 2 * math.pi - float(sep.sum())
+
+    u0 = _pava(u_hat)
+
+    def cost(u: np.ndarray) -> float:
+        return float(np.sum((u - u_hat) ** 2))
+
+    if u0[-1] - u0[0] <= gap + 1e-15:
+        u = u0
+    else:
+        def band_cost(t: float) -> float:
+            return cost(np.clip(u0, t, t + gap))
+
+        lo = float(u_hat.min()) - gap - 1.0
+        hi = float(u_hat.max()) + 1.0
+        for _ in range(200):
+            m1 = lo + (hi - lo) / 3
+            m2 = hi - (hi - lo) / 3
+            if band_cost(m1) <= band_cost(m2):
+                hi = m2
+            else:
+                lo = m1
+        t = (lo + hi) / 2
+        u = np.clip(u0, t, t + gap)
+
+    theta = u + cum
+    return RadialLayoutResult(True, theta, cost(u))
+
+
+def close_starts_reference(positions, radius: float) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j in row-major order, of start positions
+    closer than 2r, by the pair loop `RobotFleet` ran before its blocked
+    array pass; None if there is none."""
+    pos = np.asarray(positions, float).reshape(-1, 2)
+    for i in range(len(pos)):
+        for j in range(i + 1, len(pos)):
+            if np.linalg.norm(pos[i] - pos[j]) < 2 * radius - 1e-9:
+                return i, j
+    return None

@@ -132,6 +132,32 @@ class TestGreedy:
         assert data["greedy"].added_edges == expected.added_edges
         assert data["greedy"].makespan == expected.makespan
 
+    def test_arrival_matrix_equals_reference_at_32_robots(self, pipeline):
+        # 200 parts: every commit refreshes its movers' rows of the one
+        # robot x goal matrix, and hundreds of cached teams are kept or dropped
+        data = pipeline(projects.synthetic_project(0, 8, 25), "synthetic-0-8x25", 32)
+        expected = oracles.greedy_reference(data["graph"], data["fleet"])
+        assert data["greedy"].added_edges == expected.added_edges
+        assert data["greedy"].makespan == expected.makespan
+
+    def test_no_pickup_builds_no_arrival_matrix(self):
+        # with no goal there is no matrix to build: greedy ends as the
+        # reference does, on the schedule check, not in earliest_arrival
+        fleet = projects.default_fleet(2)
+        starts = [schedule.ScheduleNode("RobotStart", f"robot{i}", origin=tuple(p),
+                                        duration=0.0)
+                  for i, p in enumerate(fleet.initial_positions.tolist())]
+        done = schedule.ScheduleNode("ProjectComplete", "job", duration=0.0)
+        graph = schedule.ScheduleGraph({n.id: n for n in [*starts, done]}, frozenset(),
+                                       (done.id,))
+        assert not graph.pickups
+        with pytest.raises(allocation.AllocationError) as want:
+            oracles.greedy_reference(graph, fleet)
+        with pytest.raises(allocation.AllocationError) as got:
+            allocation.greedy_pccf(graph, fleet)
+        assert str(got.value) == str(want.value)
+        assert "greedy produced an invalid schedule" in str(got.value)
+
     def test_cached_teams_equal_reference_with_scattered_dropoffs(self, tractor_spec):
         # With instant form, transport and deposit and the dropoffs scattered,
         # a robot that just delivered can reach a cached team's goal before

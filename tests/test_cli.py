@@ -269,6 +269,48 @@ class TestExitCodes:
                          "--robots", "2", "--buffer", "1e100"]) == cli.EXIT_OK
         assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_OK
 
+    @pytest.mark.parametrize("radius", ["1e300", repr(math.nextafter(1e100, math.inf))],
+                             ids=["1e300", "past-bound"])
+    def test_plan_huge_radius(self, toy_input, tmp_path, capsys, radius):
+        # at 1e300 staging found no feasible tier; at 1e150 it overflowed
+        code = cli.main(["plan", "--input", str(toy_input), "--out", str(tmp_path / "out"),
+                         "--robots", "2", "--radius", radius])
+        assert code == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            "error: invalid option: robot radius must be at most 1e+100 m\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("start", 1e300, "initial position coordinates must be at most 1e+100 m"),
+        ("start", math.nextafter(1e100, math.inf),
+         "initial position coordinates must be at most 1e+100 m"),
+        ("start", -math.nextafter(1e100, math.inf),
+         "initial position coordinates must be at most 1e+100 m"),
+        ("radius", 1e300, "robot radius must be at most 1e+100 m"),
+        ("radius", math.nextafter(1e100, math.inf), "robot radius must be at most 1e+100 m"),
+        ("start", 1e100, None),
+        ("radius", 1e100, None),
+    ], ids=["start-1e300", "start-past-bound", "start-past-negative-bound", "radius-1e300",
+            "radius-past-bound", "start-at-bound", "radius-at-bound"])
+    def test_project_fleet_bound(self, toy_input, tmp_path, capsys, field, value, message):
+        # a start at 1e300 planned and allocated to a makespan of 1e+300
+        doc = json.loads(toy_input.read_text())
+        if field == "start":
+            doc["fleet"]["initial_positions"][0] = [value, 0.0]
+        else:  # one robot, so that no other start is within 2r
+            doc["fleet"].update(count=1, radius=value, initial_positions=[[0.0, 0.0]])
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = cli.main(["plan", "--input", str(path), "--out", str(out)])
+        if message is not None:
+            assert code == cli.EXIT_BAD_INPUT
+            assert capsys.readouterr().err == f"error: malformed input: {message}\n"
+            assert not out.exists()
+        else:
+            assert code == cli.EXIT_OK
+            assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_OK
+
     def test_buffer_overrides_embedded_params(self, toy_input, tmp_path, capsys):
         # the input embeds params with buffer 0.25; --buffer replaces it
         code = cli.main(["plan", "--input", str(toy_input), "--out", str(tmp_path / "nan"),

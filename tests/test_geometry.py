@@ -152,3 +152,83 @@ class TestSingularExtents:
         l, w = geometry.singular_extents(poly)
         assert l == pytest.approx(1.5 * math.sqrt(2))
         assert w == pytest.approx(0.0, abs=1e-12)
+
+
+def _same_circle(got, want) -> bool:
+    return (got.center.tobytes() == want.center.tobytes()
+            and np.float64(got.radius).tobytes() == np.float64(want.radius).tobytes())
+
+
+class TestMinEnclosingCircleScan:
+    """The array scans give the circles of `_within` tested point by point,
+    kept as `oracles.min_enclosing_circle_reference`: every center and
+    radius bit for bit."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_random_sets(self, scale):
+        rng = np.random.default_rng(31)
+        for trial in range(150):
+            pts = rng.uniform(-5, 5, (int(rng.integers(1, 80)), 2)) * scale
+            for seed in (0, trial):
+                assert _same_circle(geometry.min_enclosing_circle(pts, seed),
+                                    oracles.min_enclosing_circle_reference(pts, seed))
+
+    def test_duplicated_and_cocircular_brick_corners(self):
+        # the corners of bricks on a grid: shared corners repeat, and the four
+        # corners of each brick (and of the whole grid) are co-circular
+        rng = np.random.default_rng(32)
+        corners = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.25], [0.0, 0.25]])
+        for trial in range(60):
+            cells = rng.integers(0, 4, (int(rng.integers(1, 12)), 2)) * [0.5, 0.25]
+            pts = (cells[:, None, :] + corners).reshape(-1, 2)
+            if trial % 2:
+                pts = np.vstack([pts, pts])
+            assert _same_circle(geometry.min_enclosing_circle(pts, trial),
+                                oracles.min_enclosing_circle_reference(pts, trial))
+
+    @pytest.mark.parametrize("direction", [-math.inf, 0.0, math.inf],
+                             ids=["ulp-in", "on", "ulp-out"])
+    def test_points_on_the_circle_and_one_ulp_off(self, direction):
+        rng = np.random.default_rng(33)
+        for trial in range(60):
+            base = rng.uniform(-3, 3, (int(rng.integers(2, 30)), 2))
+            c = geometry.min_enclosing_circle(base, trial)
+            angles = rng.uniform(0, 2 * math.pi, 8)
+            ring = c.center + c.radius * np.c_[np.cos(angles), np.sin(angles)]
+            if direction:  # one ulp away from the center, in x
+                ring[:, 0] = np.nextafter(ring[:, 0], np.copysign(
+                    direction, ring[:, 0] - c.center[0]))
+            pts = np.vstack([base, ring])
+            assert _same_circle(geometry.min_enclosing_circle(pts, trial),
+                                oracles.min_enclosing_circle_reference(pts, trial))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_to_three_points(self, n):
+        rng = np.random.default_rng(34)
+        for trial in range(100):
+            pts = rng.integers(-2, 3, (n, 2)).astype(float) if trial % 2 else (
+                rng.uniform(-1, 1, (n, 2)))
+            assert _same_circle(geometry.min_enclosing_circle(pts, trial),
+                                oracles.min_enclosing_circle_reference(pts, trial))
+
+    def test_points_at_the_slack_bound(self):
+        # a point whose |d| is exactly the containment slack bound is held,
+        # one ulp further out is not
+        rng = np.random.default_rng(35)
+        held = 0
+        for trial in range(60):
+            base = rng.uniform(-3, 3, (int(rng.integers(2, 30)), 2))
+            c = geometry.min_enclosing_circle(base, trial)
+            bound = c.radius * (1 + 1e-12) + 1e-12
+            x = c.center[0] + bound
+            while math.sqrt((x - c.center[0]) ** 2) > bound:
+                x = math.nextafter(x, -math.inf)
+            while math.sqrt((math.nextafter(x, math.inf) - c.center[0]) ** 2) <= bound:
+                x = math.nextafter(x, math.inf)
+            held += math.sqrt((x - c.center[0]) ** 2) == bound
+            for px in (x, math.nextafter(x, math.inf)):
+                pts = np.vstack([base, [[px, c.center[1]]]])
+                for seed in (trial, trial + 1):
+                    assert _same_circle(geometry.min_enclosing_circle(pts, seed),
+                                        oracles.min_enclosing_circle_reference(pts, seed))
+        assert held  # some points sit exactly on the bound

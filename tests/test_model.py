@@ -10,6 +10,8 @@ from assemblyforge.model import (
     RobotFleet, Transform,
 )
 
+from . import oracles
+
 
 def _box_part():
     return PartGeometry(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]]))
@@ -167,6 +169,53 @@ class TestRobotFleet:
         with pytest.raises(ProjectError, match="closer than 2r"):
             RobotFleet(2, 0.25, 1.0, 0.1, 0.5,
                        np.array([[0, 0], [0.4, 0]]))
+
+    @pytest.mark.parametrize("n,spacing", [(6, 0.2), (40, 0.499999998), (200, 0.3),
+                                           (1200, 0.45)])
+    def test_spacing_names_the_first_close_pair(self, n, spacing):
+        # several pairs collide; the message names the first in row-major
+        # order, as the pair loop found it
+        rng = np.random.default_rng(n)
+        pos = model.sample_grid_positions(n, spacing=1.0, seed=n)
+        for _ in range(5):
+            i, j = rng.choice(n, 2, replace=False)
+            pos[j] = pos[i] + [spacing, 0.0]
+        want = oracles.close_starts_reference(pos, 0.25)
+        assert want is not None
+        with pytest.raises(ProjectError) as err:
+            RobotFleet(n, 0.25, 1.0, 0.1, 0.5, pos)
+        assert str(err.value) == "initial positions %d and %d closer than 2r" % want
+
+    def test_spacing_slack(self):
+        RobotFleet(2, 0.25, 1.0, 0.1, 0.5, [[0.0, 0.0], [0.5 - 5e-10, 0.0]])
+        with pytest.raises(ProjectError, match="initial positions 0 and 1 closer than 2r"):
+            RobotFleet(2, 0.25, 1.0, 0.1, 0.5, [[0.0, 0.0], [0.5 - 2e-9, 0.0]])
+
+    @pytest.mark.parametrize("radius,flagged", [
+        (1e300, True), (math.nextafter(model.MAX_COORDINATE_M, math.inf), True),
+        (model.MAX_COORDINATE_M, False)], ids=["1e300", "past-bound", "at-bound"])
+    def test_radius_bound(self, radius, flagged):
+        if flagged:
+            with pytest.raises(ProjectError, match=r"^robot radius must be at most 1e\+100 m$"):
+                RobotFleet(1, radius, 1.0, 0.1, 0.5, [[0.0, 0.0]])
+        else:
+            RobotFleet(1, radius, 1.0, 0.1, 0.5, [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("x,flagged", [
+        (1e300, True), (math.nextafter(model.MAX_COORDINATE_M, math.inf), True),
+        (-math.nextafter(model.MAX_COORDINATE_M, math.inf), True),
+        (model.MAX_COORDINATE_M, False), (-model.MAX_COORDINATE_M, False)],
+        ids=["1e300", "past-bound", "past-negative-bound", "at-bound", "at-negative-bound"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_start_bound(self, x, flagged, axis):
+        pos = np.zeros((2, 2))
+        pos[1, axis] = x
+        if flagged:
+            with pytest.raises(ProjectError, match="initial position coordinates must be at "
+                                                   r"most 1e\+100 m$"):
+                RobotFleet(2, 0.25, 1.0, 0.1, 0.5, pos)
+        else:
+            RobotFleet(2, 0.25, 1.0, 0.1, 0.5, pos)
 
     def test_velocity_and_count_validation(self):
         with pytest.raises(ProjectError):

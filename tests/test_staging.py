@@ -6,6 +6,8 @@ import pytest
 from assemblyforge import staging
 from assemblyforge.staging import RadialLayoutProblem, solve_radial_layout
 
+from . import oracles
+
 
 class TestRadialLayoutProblem:
     def test_validation(self):
@@ -69,6 +71,30 @@ class TestSolveRadialLayout:
                 assert th[i + 1] - th[i] >= d[i] + d[i + 1] - 1e-9
             assert (th[0] + 2 * math.pi) - th[-1] >= d[-1] + d[0] - 1e-9
 
+
+    def test_band_search_equals_the_200_pass_reference(self):
+        # The band search stops at its fixed point; the angles and cost are
+        # bit for bit those of 200 passes, on problems whose band binds
+        rng = np.random.default_rng(12)
+        binds = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 14))
+            theta = np.sort(rng.uniform(0, 2 * math.pi, n))
+            p = RadialLayoutProblem(theta, rng.uniform(0.05, 0.6, n),
+                                    hub_radius=float(rng.uniform(0.5, 2.0)))
+            if not p.is_feasible():
+                continue
+            d = p.half_widths
+            sep = d + np.roll(d, -1)
+            u0 = staging._pava(theta - np.concatenate([[0.0], np.cumsum(sep[:-1])]))
+            if u0[-1] - u0[0] <= 2 * math.pi - float(sep.sum()) + 1e-15:
+                continue  # the band does not bind: no search
+            binds += 1
+            got = solve_radial_layout(p)
+            want = oracles.solve_radial_layout_reference(p)
+            assert got.angles.tobytes() == want.angles.tobytes()
+            assert got.objective == want.objective
+        assert binds >= 50
 
 class TestLayoutPhase:
     def test_single_ring(self):
