@@ -89,12 +89,20 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
     whose position or available time changed.
 
     Each iteration commits the team with the earliest start among the
-    available components of the active phases, the first one in iteration
-    order on a tie. Teams are cached across iterations. A commit moves only
-    the committed robots, so a cached team is dropped only if it used one
-    of them, or if one of them now reaches one of its goals with a key
-    lower than the team's last pick key: no other pick of the team can
-    change, because picks only increase."""
+    eligible payloads (available, unassigned, members of their assembly's
+    active phase), the first in scan order (assembly id, then position in
+    the phase) on a tie. Payloads are indexed in scan order, every eligible
+    one has a cached team, and the start times of the cached teams are one
+    array, so the pick is its first minimum. One-robot teams are built in
+    one pass over their columns.
+
+    A commit moves only the committed robots, so a cached team is dropped
+    only if it used one of them, or if one of them now reaches one of its
+    goals with a key lower than the team's last pick key: no other pick of
+    the team can change, because picks only increase. A payload x robot
+    table of the rows each team uses finds the first kind, and each
+    payload's earliest arrival of a mover, against its team's start, the
+    second."""
     pickups, dropoffs, starts = graph.pickups, graph.dropoffs, graph.robot_starts
     if pickups and max(len(v) for v in pickups.values()) > len(starts):
         raise AllocationError(
@@ -119,6 +127,31 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
 
     added: list[tuple[str, str]] = []
 
+    # payloads in scan order (only one phase of an assembly is active at a
+    # time); payload i's goals are the columns first_col[i] .. + width[i] of
+    # the arrival matrix
+    payloads = [c for a in phases for k in phases[a] for c in graph.phase_members[(a, k)]
+                if c in pickups]
+    index = {c: i for i, c in enumerate(payloads)}
+    width = np.array([len(pickups[c]) for c in payloads], np.intp)
+    first_col = np.concatenate([[0], np.cumsum(width)[:-1]]).astype(np.intp)
+    goals = np.array([graph.nodes[p].destination for c in payloads for p in pickups[c]],
+                     float).reshape(-1, 2)
+    arrival = (earliest_arrival(position, available, goals, fleet.v_max) if len(goals)
+               else np.empty((len(starts), 0)))
+    eligible = np.zeros(len(payloads), bool)
+    # the cached teams: start time (inf without one), robot rows used, the
+    # row of a one-robot team, and the pairs and last pick key of a larger
+    # one
+    start = np.full(len(payloads), np.inf)
+    uses = np.zeros((len(payloads), len(starts)), bool)
+    single_row = np.zeros(len(payloads), np.intp)
+    multi: dict[int, tuple[list[tuple[int, int]], tuple[float, int, int]]] = {}
+
+    def open_phase(a: str, k: int):
+        eligible[[index[c] for c in graph.phase_members[(a, k)]
+                  if c in available_components]] = True
+
     def commit(component: str, pairs: list[tuple[int, int]], t_task: float):
         form_dur, tugo, dep_dur, lift_dur = (
             graph.nodes[node_id(kind, component)].duration
@@ -137,6 +170,7 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
             position[row] = graph.nodes[drop].origin
             available[row] = t_dep_end
         assigned.add(component)
+        eligible[index[component]] = False
 
         members = graph.phase_members[(a, k)]
         if all(m in assigned for m in members):
@@ -145,56 +179,63 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
                 active.discard(a)
                 available_components.add(a)
                 ready_time[a] = close
+                # eligible now if its parent's phase is open (the parent,
+                # missing a, is still active); the root has no parent
+                parent = graph.payload_phase.get(a)
+                if parent is not None and active_step[parent[0]] == parent[1]:
+                    eligible[index[a]] = True
             else:
                 nxt = phases[a][phases[a].index(k) + 1]
                 active_step[a] = nxt
                 open_time[(a, nxt)] = close
+                open_phase(a, nxt)
 
-    # payload c's goals are the columns span[c] of the arrival matrix
-    span, goals = {}, []
-    for c, ps in pickups.items():
-        span[c] = (len(goals), len(goals) + len(ps))
-        goals += [graph.nodes[p].destination for p in ps]
-    goals = np.array(goals, float).reshape(-1, 2)
-    arrival = (earliest_arrival(position, available, goals, fleet.v_max) if len(goals)
-               else np.empty((len(starts), 0)))
-    # payload -> its team's robot rows, pairs and last pick key
-    teams: dict[str, tuple[set[int], list[tuple[int, int]], tuple[float, int, int]]] = {}
+    def uncache(i):
+        start[i] = np.inf
+        uses[i] = False
+
+    for a, ks in phases.items():
+        open_phase(a, ks[0])
     while active:
-        best_team: tuple[str, list[tuple[int, int]], float] | None = None
-        for a in sorted(active):
-            k = active_step[a]
-            for component in graph.phase_members[(a, k)]:
-                if component in assigned or component not in available_components:
-                    continue
-                if component not in teams:
-                    lo, hi = span[component]
-                    pairs, last_key = _greedy_team(arrival[:, lo:hi])
-                    teams[component] = ({row for row, _ in pairs}, pairs, last_key)
-                _, pairs, (t_task, _, _) = teams[component]
-                if best_team is None or t_task < best_team[2]:
-                    best_team = (component, pairs, t_task)
-        if best_team is None:
+        if not eligible.any():
             raise AllocationError("no assignable component; schedule is stuck")
-        commit(*best_team)
+        todo = np.flatnonzero(eligible & (start == np.inf))
+        # one-robot teams in one pass: each column's first minimum is the
+        # pick `_greedy_team` makes
+        ones = todo[width[todo] == 1]
+        cols = first_col[ones]
+        rows = arrival[:, cols].argmin(axis=0)
+        start[ones] = arrival[rows, cols]
+        single_row[ones] = rows
+        uses[ones, rows] = True
+        for i in todo[width[todo] > 1].tolist():
+            lo = first_col[i]
+            pairs, last_key = multi[i] = _greedy_team(arrival[:, lo:lo + width[i]])
+            start[i] = last_key[0]
+            uses[i, [row for row, _ in pairs]] = True
 
-        del teams[best_team[0]]
-        movers = sorted(row for row, _ in best_team[1])
+        i = int(start.argmin())  # every eligible payload has a finite start
+        t_task = float(start[i])
+        pairs = [(int(single_row[i]), 0)] if width[i] == 1 else multi[i][0]
+        uncache(i)
+        commit(payloads[i], pairs, t_task)
+
+        movers = sorted(row for row, _ in pairs)
         arrival[movers] = earliest_arrival(position[movers], available[movers], goals,
                                            fleet.v_max)
-        # no mover arrives anywhere before it is available
-        movers_free = max(float(available[movers].min()), 0.0)
-        for component, (rows, _, last_key) in list(teams.items()):
-            if not rows.isdisjoint(movers):
-                del teams[component]
-                continue
-            if movers_free > last_key[0]:
-                continue
-            lo, hi = span[component]
-            times = arrival[movers, lo:hi]
-            i, col = divmod(int(times.argmin()), times.shape[1])
-            if (float(times[i, col]), movers[i], col) < last_key:
-                del teams[component]
+        uncache(np.flatnonzero(uses[:, movers].any(axis=1)))
+        # each payload's earliest arrival of a mover at its goals: a cached
+        # team that starts later is dropped, and one that starts then is
+        # dropped if the (t, row, column) key of that arrival is lower
+        earliest = np.minimum.reduceat(arrival[movers].min(axis=0), first_col)
+        for j in np.flatnonzero((earliest <= start) & (start < np.inf)).tolist():
+            lo = first_col[j]
+            times = arrival[movers, lo:lo + width[j]]
+            m, col = divmod(int(times.argmin()), times.shape[1])
+            last_key = ((float(start[j]), int(single_row[j]), 0) if width[j] == 1
+                        else multi[j][1])
+            if (float(times[m, col]), movers[m], col) < last_key:
+                uncache(j)
 
     complete = graph.with_edges(set(added))
     violations = validate_schedule(complete, "complete")

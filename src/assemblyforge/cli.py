@@ -32,13 +32,24 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _json_document(text: str):
+    """The JSON document `text`. JSON allows an integer of any length, but
+    Python reads at most 4,300 digits; a longer one raises ArtifactError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # the digit limit of int()
+        raise model.ArtifactError(str(exc)) from None
+
+
 def _load_input(path: Path):
     """Project from an MPD/LDR model or a native JSON document."""
     if not path.is_file():
         raise FileNotFoundError(path)
     text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".json":
-        spec, fleet, params = model.project_from_jsonable(json.loads(text))
+        spec, fleet, params = model.project_from_jsonable(_json_document(text))
         return spec, fleet, params
     result = ldraw.parse_mpd(text, projects.bundled_dimension_table(),
                              units_per_meter=projects.UNITS_PER_METER)
@@ -82,7 +93,9 @@ def _write(out: Path, name: str, text: str):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """A JSON artifact's text: one line with sorted keys, through the C
+    encoder (`indent` would select the pure-Python one)."""
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def cmd_plan(args) -> int:
@@ -149,7 +162,7 @@ def _read_artifact(path: Path, reader):
     model.ArtifactError naming the file when its text is not UTF-8 JSON or
     the document does not have the structure `reader` expects."""
     try:
-        return reader(json.loads(path.read_text(encoding="utf-8")))
+        return reader(_json_document(path.read_text(encoding="utf-8")))
     except (UnicodeDecodeError, json.JSONDecodeError, model.ProjectError,
             model.ArtifactError) as exc:
         raise model.ArtifactError(f"malformed artifact {path.name}: {exc}") from None

@@ -9,6 +9,7 @@ All values are immutable after construction; canonical length unit is meters.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
@@ -21,6 +22,10 @@ import numpy as np
 # coordinate difference, so the cube of this bound must stay well below the
 # float range (about 1.8e308).
 MAX_COORDINATE_M = 1e100
+
+# The largest int that converts to a float. JSON allows any integer, and
+# `json.loads` returns a longer one as an int that no float arithmetic takes.
+_MAX_FLOAT_INT = int(sys.float_info.max)
 
 
 class ProjectError(ValueError):
@@ -82,7 +87,8 @@ class Transform:
 
     @staticmethod
     def from_jsonable(d: dict) -> "Transform":
-        return Transform(np.array(d["rotation"]), np.array(d["translation"]))
+        return Transform(float_array(d["rotation"], "rotation"),
+                         float_array(d["translation"], "translation"))
 
 
 @dataclass(frozen=True)
@@ -379,14 +385,29 @@ def project_to_jsonable(spec: ProjectSpec, fleet: RobotFleet | None = None,
 
 
 def is_a(value, kind: type) -> bool:
-    """Whether the JSON value `value` is a `kind`: a float may be an int, and
-    a bool is neither."""
-    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+    """Whether the JSON value `value` is a `kind`: a float may be an int
+    within the float range, but not a longer one, and a bool is neither."""
+    if isinstance(value, bool):
+        return False
+    if kind is float and isinstance(value, int):
+        return abs(value) <= _MAX_FLOAT_INT
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def is_finite(value) -> bool:
-    """Whether the JSON value `value` is a finite number."""
+    """Whether the JSON value `value` is a finite number; an int beyond the
+    float range is not (see `is_a`)."""
     return is_a(value, float) and math.isfinite(value)
+
+
+def float_array(value, what: str) -> np.ndarray:
+    """The JSON array `value` of numbers as a float array. An int beyond the
+    float range, which `is_a` does not count as a float, raises TypeError
+    naming `what`; any other entry fails as `np.array(value, float)` does."""
+    try:
+        return np.array(value, float)
+    except OverflowError:
+        raise TypeError(f"{what} holds an int beyond the float range") from None
 
 
 def _checked(value, kind: type, what: str):
@@ -418,7 +439,7 @@ def project_from_jsonable(doc: dict) -> tuple[ProjectSpec, RobotFleet | None, Pl
         for aid, body in doc["assemblies"].items()
     }
     parts = {
-        pid: PartGeometry(np.array(body["vertices"]),
+        pid: PartGeometry(float_array(body["vertices"], "vertices"),
                           _checked(body["units_per_meter"], float, "units_per_meter"))
         for pid, body in doc["parts"].items()
     }
@@ -428,10 +449,12 @@ def project_from_jsonable(doc: dict) -> tuple[ProjectSpec, RobotFleet | None, Pl
     if "fleet" in doc:
         f = doc["fleet"]
         fleet = RobotFleet(
-            count=f["count"], radius=f["radius"], v_max=f["v_max"], v_min=f["v_min"],
-            v_factor=f["v_factor"], initial_positions=np.array(f["initial_positions"]),
+            count=f["count"],
+            **{k: _checked(f[k], float, f"fleet {k}") for k in ("radius", "v_max", "v_min",
+                                                                "v_factor")},
+            initial_positions=float_array(f["initial_positions"], "initial_positions"),
         )
     params = None
     if "params" in doc:
-        params = PlanParams(**doc["params"])
+        params = PlanParams(**{k: _checked(v, float, k) for k, v in doc["params"].items()})
     return spec, fleet, params

@@ -7,7 +7,7 @@ pickup RobotGo) complete it. Timing is an earliest-start forward pass.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -534,6 +534,15 @@ def schedule_from_jsonable(data: dict) -> ScheduleGraph:
     small = {c: n for c, n in team_sizes.items() if not n >= 1}
     if small:
         raise ValueError(f"team sizes below 1: {small}")
+    # every payload (a subject of a FormTransportUnit) is a member of
+    # exactly one build phase, and every member is a payload
+    placed = Counter(c for members in phase_members.values() for c in members)
+    payloads = {node.subject for _, node in records if node.kind == "FormTransportUnit"}
+    for c in sorted(payloads | placed.keys()):
+        if c not in payloads:
+            raise ValueError(f"phase member {c} is not a payload")
+        if placed[c] != 1:
+            raise ValueError(f"payload {c} is a member of {placed[c]} build phases, not 1")
     return ScheduleGraph(
         nodes={node.id: node for _, node in records},
         edges={tuple(e) for e in data["edges"]},

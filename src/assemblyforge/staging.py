@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import geometry
-from .model import PlanParams, ProjectSpec, is_finite, reading_artifact
+from .model import PlanParams, ProjectSpec, float_array, is_finite, reading_artifact
 from .transport import TransportUnitConfig, payload_points
 
 
@@ -352,17 +352,19 @@ def staging_plan_from_jsonable(data: dict) -> StagingPlan:
                              "not finite numbers >= 0")
         assemblies[aid] = AssemblyStaging(
             center=np.array(center),
-            hub_center_local=np.array(body["hub_center_local"]),
+            hub_center_local=float_array(body["hub_center_local"], "hub_center_local"),
             final_radius=body["final_radius"],
             phase_radii=radii,
             dropoffs={
-                cid: DropoffZone(z["phase"], z["position"], z["radius"], z["angle"], z["tier"])
+                cid: DropoffZone(z["phase"], float_array(z["position"], "position"),
+                                 z["radius"], z["angle"], z["tier"])
                 for cid, z in body["dropoffs"].items()
             },
         )
     return StagingPlan(
         assemblies=assemblies,
-        part_sources={pid: np.array(p) for pid, p in data["part_sources"].items()},
+        part_sources={pid: float_array(p, "part source")
+                      for pid, p in data["part_sources"].items()},
         buffer_radius=data["buffer_radius"],
     )
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import Circle, OctagonalPrism, Polygon2D, VerticalCylinder
-from .model import ProjectSpec, RobotFleet, Transform, is_finite, reading_artifact
+from .model import ProjectSpec, RobotFleet, Transform, float_array, is_finite, reading_artifact
 
 ROBOT_HEIGHT_FACTOR = 2.0  # robot cylinder height = factor * radius
 CARRY_RESTARTS = 5
@@ -70,28 +70,49 @@ def team_size(stats: FootprintStats, robot_radius: float) -> int:
     return max(1, min(n_lb, 2))
 
 
-def carry_score(pts) -> float | np.ndarray:
-    """Spread-out score: min/sum of cyclic-consecutive distances plus the
-    minimum pairwise distance, with 1/m and 1/m^2 weights.
+def carry_tables(points) -> tuple[np.ndarray, np.ndarray]:
+    """The two (m, m) distance tables of the points (m, 2) that
+    `carry_score` reads: each entry is the distance of points a and b as
+    the coordinate scorer computes it, `np.linalg.norm(..., axis=-1)` for a
+    cyclic-consecutive pair and `sqrt(vecdot(d, d))` for any pair."""
+    pts = np.asarray(points, float).reshape(-1, 2)
+    d = pts[:, None, :] - pts[None, :, :]
+    return np.linalg.norm(d, axis=2), np.sqrt(np.vecdot(d, d))
 
-    `pts` is one (m, 2) point set, scored to a float, or a (k, m, 2) batch
-    of k sets, scored to a (k,) array. Each pairwise distance is
-    `sqrt(vecdot(d, d))`: that is the same fused dot product as the scalar
-    `np.linalg.norm(d)` of a 2-vector, so a set scores bit-for-bit the same
-    alone, in any batch, and as under a loop over its pairs."""
-    pts = np.asarray(pts, float)
-    batch = pts if pts.ndim == 3 else pts.reshape(1, -1, 2)
-    m = batch.shape[1]
-    if m < 2:
+
+@functools.cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a set of n points: each position's cyclic successor, and the
+    (i, j) positions of its pairs i < j in row-major order."""
+    succ = np.roll(np.arange(n), -1)
+    i, j = np.triu_indices(n, 1)
+    for a in (succ, i, j):
+        a.flags.writeable = False
+    return succ, i, j
+
+
+def carry_score(tables: tuple[np.ndarray, np.ndarray], idx) -> float | np.ndarray:
+    """Spread-out score of the points `idx` of the point set `tables` was
+    built from (`carry_tables`): min/sum of cyclic-consecutive distances
+    plus the minimum pairwise distance, with 1/n and 1/n^2 weights.
+
+    `idx` is one index set (n,), scored to a float, or a (k, n) batch of k
+    sets, scored to a (k,) array. Scoring reads distances from the tables,
+    each with the bits of the coordinate scorer's (kept in
+    `tests/oracles.py`), and sums and reduces them in its order, so a set
+    scores bit for bit the same alone, in any batch, and as the
+    coordinates would."""
+    consecutive, pairwise = tables
+    idx = np.asarray(idx, np.intp)
+    batch = idx if idx.ndim == 2 else idx.reshape(1, -1)
+    n = batch.shape[1]
+    if n < 2:
         raise TransportConfigError("carry_score needs at least 2 points")
-    consecutive = np.linalg.norm(batch - np.roll(batch, -1, axis=1), axis=2)
-    i, j = np.triu_indices(m, 1)
-    d = batch[:, i] - batch[:, j]
-    c1 = consecutive.min(axis=1)
-    c2 = consecutive.sum(axis=1)
-    c3 = np.sqrt(np.vecdot(d, d)).min(axis=1)
-    scores = c1 + (0.5 / m) * c2 + (0.1 / m**2) * c3
-    return scores if pts.ndim == 3 else float(scores[0])
+    succ, i, j = _pairs(n)
+    cons = consecutive[batch, batch[:, succ]]
+    c3 = pairwise[batch[:, i], batch[:, j]].min(axis=1)
+    scores = cons.min(axis=1) + (0.5 / n) * cons.sum(axis=1) + (0.1 / n**2) * c3
+    return scores if idx.ndim == 2 else float(scores[0])
 
 
 @functools.cache
@@ -128,7 +149,9 @@ def select_carry_positions(hull_vertices, n: int, seed: int = 0) -> np.ndarray:
     Each sweep scores all neighbours of the current set in one batch and
     moves to the first `argmax` if it beats the current score strictly.
     That is the set a one-at-a-time scan of the same neighbour list ends
-    on when it moves to every candidate that beats the best score so far."""
+    on when it moves to every candidate that beats the best score so far.
+    The hull's distance tables are built once per call, so scoring a batch
+    only gathers from them."""
     verts = np.asarray(hull_vertices, float).reshape(-1, 2)
     m = len(verts)
     if not (1 <= n <= m):
@@ -138,13 +161,14 @@ def select_carry_positions(hull_vertices, n: int, seed: int = 0) -> np.ndarray:
     if n == 1:
         raise TransportConfigError("single-robot placement uses the payload sphere center")
 
+    tables = carry_tables(verts)
     rng = random.Random(seed)
     best_overall: tuple[float, tuple[int, ...]] | None = None
     for _ in range(CARRY_RESTARTS):
         idxs = tuple(sorted(rng.sample(range(m), n)))
-        score = carry_score(verts[list(idxs)])
+        score = carry_score(tables, idxs)
         while len(cands := _neighbors(idxs, m)):
-            scores = carry_score(verts[cands])
+            scores = carry_score(tables, cands)
             best = int(np.argmax(scores))
             if not scores[best] > score:
                 break
@@ -261,15 +285,15 @@ def transport_config_from_jsonable(d: dict) -> TransportUnitConfig:
             raise ValueError(f"{what} {value!r} is not a finite number > 0")
     return TransportUnitConfig(
         n=d["n"],
-        carry_positions=np.array(d["carry_positions"]),
+        carry_positions=float_array(d["carry_positions"], "carry_positions"),
         speed_limit=speed,
-        bounding_circle=Circle(np.array(d["bounding_circle"]["center"]), radius),
+        bounding_circle=Circle(float_array(d["bounding_circle"]["center"], "center"), radius),
         bounding_cylinder=VerticalCylinder(
-            np.array(d["bounding_cylinder"]["center"]),
+            float_array(d["bounding_cylinder"]["center"], "center"),
             d["bounding_cylinder"]["radius"],
             d["bounding_cylinder"]["z_min"], d["bounding_cylinder"]["z_max"]),
         bounding_prism=OctagonalPrism(
-            np.array(d["bounding_prism"]["offsets"]),
+            float_array(d["bounding_prism"]["offsets"], "offsets"),
             d["bounding_prism"]["z_min"], d["bounding_prism"]["z_max"]),
     )
 

@@ -79,8 +79,8 @@ def test_carry_positions_against_exhaustive():
             # every returned row is a hull vertex
             for row in chosen:
                 assert any(np.allclose(row, v) for v in hull)
-            score = transport.carry_score(chosen)
-            best, _ = oracles.exhaustive_carry(hull, n, transport.carry_score)
+            score = oracles.scalar_carry_score(chosen)
+            best, _ = oracles.exhaustive_carry(hull, n, oracles.scalar_carry_score)
             assert score >= 0.95 * best - 1e-12
             checked += 1
     assert checked >= 100

@@ -140,6 +140,14 @@ class TestGreedy:
         assert data["greedy"].added_edges == expected.added_edges
         assert data["greedy"].makespan == expected.makespan
 
+    def test_equals_reference_at_250_robots(self, pipeline):
+        # the paper-scale fleet: most robots idle, most teams one robot, and
+        # each commit drops the teams that picked its movers
+        data = pipeline(projects.synthetic_project(0, 4, 25), "synthetic-0-4x25", 250)
+        expected = oracles.greedy_reference(data["graph"], data["fleet"])
+        assert data["greedy"].added_edges == expected.added_edges
+        assert data["greedy"].makespan == expected.makespan
+
     def test_no_pickup_builds_no_arrival_matrix(self):
         # with no goal there is no matrix to build: greedy ends as the
         # reference does, on the schedule check, not in earliest_arrival

@@ -377,15 +377,26 @@ class TestExitCodes:
         assert cli.main(["simulate", "--out", str(out)]) == cli.EXIT_MISSING_ARTIFACTS
         assert "transport_units.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,name,key", [
-        ("allocate", "project.json", "fleet"),
-        ("allocate", "schedule_partial.json", "team_sizes"),
-        ("simulate", "project.json", "params"),
-        ("simulate", "staging.json", "buffer_radius"),
-        ("simulate", "transport_units.json", "speed_limit"),
-        ("simulate", "schedule_complete.json", "team_sizes"),
+    @pytest.mark.parametrize("damage,command,name,key", [
+        *((damage, *case) for case in [
+            ("allocate", "project.json", "fleet"),
+            ("allocate", "schedule_partial.json", "team_sizes"),
+            ("simulate", "project.json", "params"),
+            ("simulate", "staging.json", "buffer_radius"),
+            ("simulate", "transport_units.json", "speed_limit"),
+            ("simulate", "schedule_complete.json", "team_sizes"),
+        ] for damage in ["missing-key", "not-json", "not-utf8"]),
+        # JSON allows an integer beyond the float range; `key` is the path
+        # to the number it replaces
+        ("huge-int", "allocate", "project.json", "fleet.initial_positions.0.0"),
+        ("huge-int", "allocate", "schedule_partial.json", "nodes.RobotStart:robot0.origin.1"),
+        ("huge-int", "simulate", "schedule_complete.json",
+         "nodes.RobotGo:brick@1:0:dropoff.origin.0"),
+        ("huge-int", "simulate", "staging.json", "assemblies.toy.center.0"),
+        ("huge-int", "simulate", "transport_units.json", "brick@1.bounding_prism.offsets.3"),
+        ("huge-int", "simulate", "project.json",
+         "assemblies.toy.components.0.transform.rotation.1.2"),
     ])
-    @pytest.mark.parametrize("damage", ["missing-key", "not-json", "not-utf8"])
     def test_malformed_artifact(self, toy_input, tmp_path, capsys, command, name, key,
                                 damage):
         out = tmp_path / "out"
@@ -396,6 +407,15 @@ class TestExitCodes:
             path.write_text("{bad")
         elif damage == "not-utf8":
             path.write_bytes(b"\xff\xfe{")
+        elif damage == "huge-int":
+            doc = json.loads(path.read_text())
+            *steps, last = key.split(".")
+            at = doc
+            for step in steps:  # a list index, a schedule node id, or a key
+                at = (at[int(step)] if isinstance(at, list) and step.isdigit()
+                      else _node(doc, step) if isinstance(at, list) else at[step])
+            at[int(last)] = 10**400
+            path.write_text(json.dumps(doc))
         else:
             doc = json.loads(path.read_text())
             # transport_units.json maps each payload to its unit
@@ -515,13 +535,23 @@ class TestExitCodes:
          "speed_limit 'a' is not a finite number > 0"),
         ("simulate", "transport_units.json", lambda d: d["brick@1"].update(speed_limit=0.0),
          "speed_limit 0.0 is not a finite number > 0"),
+        ("simulate", "schedule_complete.json",
+         lambda d: d["phase_members"].update({"toy:1": ["brick@2"]}),
+         "payload brick@1 is a member of 0 build phases, not 1"),
+        ("allocate", "schedule_partial.json",
+         lambda d: d["phase_members"]["toy:1"].append("brick@1"),
+         "payload brick@1 is a member of 2 build phases, not 1"),
+        ("allocate", "schedule_partial.json",
+         lambda d: d["phase_members"]["toy:1"].append("brick@9"),
+         "phase member brick@9 is not a payload"),
     ], ids=["no-terminal", "unknown-terminal", "pickup-destination", "deposit-duration",
             "start-origin", "unit-destination", "dropoff-origin", "short-origin",
             "pickup-duration-partial", "text-origin", "text-duration", "infinite-duration",
             "negative-duration", "pickup-duration", "slot-range-partial", "slot-range",
             "pickup-slot-twice", "renamed-node-partial", "renamed-node", "no-unit-config",
             "wrong-payload-id", "no-staging-assembly", "no-phase-radius", "text-phase-radius",
-            "short-center", "text-unit-radius", "text-speed-limit", "zero-speed-limit"])
+            "short-center", "text-unit-radius", "text-speed-limit", "zero-speed-limit",
+            "phase-member-dropped", "phase-member-twice", "phase-member-unknown"])
     def test_inconsistent_artifact(self, toy_input, tmp_path, capsys, command, name, damage,
                                    message):
         out = tmp_path / "out"

@@ -163,13 +163,20 @@ GOLDEN_METRICS = {
 
 
 def _digest(path) -> str:
-    """SHA-256 of an artifact; `staging.json` is hashed without its
-    wall-clock `runtime_s`, re-dumped with sorted keys."""
+    """SHA-256 of an artifact. A JSON artifact must be one line with sorted
+    keys; `staging.json` is hashed without its wall-clock `runtime_s`,
+    re-dumped with sorted keys, and every other JSON artifact re-dumped
+    with `indent=2`, the layout its pin was recorded in, so each pin still
+    proves the same document."""
     data = path.read_bytes()
-    if path.name == "staging.json":
+    if path.suffix == ".json":
         doc = json.loads(data)
-        del doc["runtime_s"]
-        data = json.dumps(doc, sort_keys=True).encode()
+        assert data.decode() == json.dumps(doc, sort_keys=True) + "\n", path.name
+        if path.name == "staging.json":
+            del doc["runtime_s"]
+            data = json.dumps(doc, sort_keys=True).encode()
+        else:
+            data = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
     return hashlib.sha256(data).hexdigest()
 
 

@@ -8,6 +8,11 @@ Node ids: `schedule.py` is the only package module that writes or parses a
 schedule node id (`Kind:subject[:slot][:role]`); the others use
 `schedule.node_id` and the graph's lookups.
 
+JSON writing: in the package, `json.dumps` is called only by
+`cli._json_text`, which writes every JSON artifact, and by
+`sim.events_to_jsonl`, which writes the event log's lines; both use the C
+encoder's one-line layout with sorted keys.
+
 Single writer: outside the methods of `sim.World`, no package code assigns,
 deletes or mutates (a method such as `pop`, `append` or `setdefault`, a heapq
 push or pop, an item assignment) a world's node states, timers, completion
@@ -90,6 +95,51 @@ def test_node_id_checker_flags_ids_and_colon_splits():
     assert node_id_uses(source) == [
         "line 1: node id 'RobotGo:'", "line 2: node id 'DepositCargo:'",
         "line 3: split(':')", "line 4: rsplit(':')"]
+
+
+JSON_WRITERS = {"cli._json_text", "sim.events_to_jsonl"}
+
+
+def json_dumps_callers(source: str, module: str) -> list[str]:
+    """The `module.function` of each `json.dumps` call in `source`, or
+    `module.<module>` for a call outside any function; `dumps` imported
+    from `json` counts too."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{module}.{node.name}"
+        elif isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                or isinstance(node.func, ast.Name) and node.func.id == "dumps"):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), f"{module}.<module>")
+    return found
+
+
+def test_json_has_two_writers():
+    callers = sorted(c for p in (ROOT / "src").rglob("*.py")
+                     for c in json_dumps_callers(p.read_text(), p.stem))
+    assert callers == sorted(JSON_WRITERS)
+
+
+def test_json_writer_checker_names_the_function():
+    source = (
+        "import json\n"
+        "from json import dumps\n"
+        "HEADER = json.dumps({})\n"
+        "def write(doc):\n"
+        "    def inner():\n"
+        "        return dumps(doc)\n"
+        "    return json.dumps(doc, indent=2) + inner()\n"
+        "def read(text):\n"
+        "    return json.loads(text)\n"
+    )
+    assert json_dumps_callers(source, "m") == ["m.<module>", "m.inner", "m.write"]
 
 
 WORLD_STATE = {"status", "timers", "complete_time", "remaining", "ready", "unit_task",

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -290,6 +291,22 @@ class TestProjectJson:
         spec2, fleet2, params2 = model.project_from_jsonable(doc)
         assert fleet2 is None and params2 is None
         assert model.validate_project(spec2) == []
+
+
+class TestJsonNumbers:
+    def test_int_beyond_the_float_range_is_no_float(self):
+        # json.loads returns an integer literal of any length as an int
+        top = int(sys.float_info.max)
+        assert model.is_a(top, float) and model.is_finite(-top)
+        for huge in (top + 1, -top - 1, 10**400):
+            assert not model.is_a(huge, float) and not model.is_finite(huge)
+            assert model.is_a(huge, int)
+        assert not model.is_a(True, float) and not model.is_finite(math.nan)
+
+    def test_float_array_names_a_huge_int(self):
+        assert model.float_array([[1, 2.5]], "pose").tolist() == [[1.0, 2.5]]
+        with pytest.raises(TypeError, match="pose holds an int beyond the float range"):
+            model.float_array([[0.0, 10**400]], "pose")
 
 
 class TestSampleGrid:

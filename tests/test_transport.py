@@ -50,32 +50,43 @@ class TestTeamSize:
         assert transport.team_size(stats, R) == 1
 
 
+def _score_points(pts):
+    """`transport.carry_score` of the point set `pts` as a whole."""
+    return transport.carry_score(transport.carry_tables(pts), range(len(pts)))
+
+
 class TestCarryScore:
     def test_two_point_hand_value(self):
         # consecutive distances [2, 2]: 2 + (0.5/2)*4 + (0.1/4)*2 = 3.05
-        score = transport.carry_score([[0, 0], [2, 0]])
+        score = _score_points([[0, 0], [2, 0]])
         assert score == pytest.approx(3.05)
 
     def test_rejects_single_point(self):
         with pytest.raises(transport.TransportConfigError):
-            transport.carry_score([[0, 0]])
+            _score_points([[0, 0]])
 
     @pytest.mark.parametrize("grid", [False, True], ids=["uniform", "integer-grid"])
     def test_batch_equals_scalar_loop_bitwise(self, grid):
-        # integer grids make many pair distances equal, so min and argmax tie
+        # integer grids make many pair distances equal, so min and argmax tie;
+        # each batch scores k index sets, in any order, of one table of m
+        # points, as the coordinate scorer scores the sets' points
         rng = np.random.default_rng(5)
         for _ in range(300):
             m, k = int(rng.integers(2, 14)), int(rng.integers(1, 30))
             if grid:
-                batch = rng.integers(-3, 4, (k, m, 2)) * 0.25
+                pool = rng.integers(-3, 4, (m, 2)) * 0.25
             else:
-                batch = rng.uniform(-3, 3, (k, m, 2))
-            scores = transport.carry_score(batch)
+                pool = rng.uniform(-3, 3, (m, 2))
+            n = int(rng.integers(2, m + 1))
+            batch = np.array([rng.choice(m, n, replace=False) for _ in range(k)])
+            tables = transport.carry_tables(pool)
+            scores = transport.carry_score(tables, batch)
             assert scores.shape == (k,)
-            for pts, score in zip(batch, scores):
-                expected = oracles.scalar_carry_score(pts)
+            for idx, score in zip(batch, scores):
+                expected = oracles.scalar_carry_score(pool[idx])
                 assert score == expected
-                assert transport.carry_score(pts) == expected
+                assert transport.carry_score(tables, idx) == expected
+            assert _score_points(pool) == oracles.scalar_carry_score(pool)
 
 
 class TestSelectCarryPositions:
@@ -148,6 +159,26 @@ class TestSelectCarryPositions:
             expected = oracles.scalar_select_carry_positions(hull, n, seed=i)
             assert np.array_equal(got, expected)
         assert hulls >= 200
+
+    def test_payload_hulls_equal_scalar_loop_bitwise(self):
+        # every distinct multi-robot payload hull of the tractor (15 robots)
+        # and of the 400-part synthetic project (32 robots), at the seed
+        # `plan` uses
+        cases = {}
+        for spec, fleet in ((projects.tractor_project(), projects.default_fleet(15)),
+                            (projects.synthetic_project(0, 16, 25), projects.default_fleet(32))):
+            for asm in spec.assemblies.values():
+                for cid, _ in asm.components:
+                    stats = transport.footprint_stats(transport.payload_points(spec, cid),
+                                                      fleet.radius)
+                    n = transport.team_size(stats, fleet.radius)
+                    hull = stats.hull.vertices
+                    if n > 1:
+                        cases[(hull.tobytes(), n)] = (hull, n)
+        assert len(cases) == 21
+        for hull, n in cases.values():
+            got = transport.select_carry_positions(hull, n, seed=0)
+            assert np.array_equal(got, oracles.scalar_select_carry_positions(hull, n, seed=0))
 
     def test_invalid_counts(self):
         verts = self._hexagon()
