@@ -100,6 +100,8 @@ def _json_text(obj) -> str:
 
 def cmd_plan(args) -> int:
     out = Path(args.out)
+    if args.seed < 0:  # it seeds the fleet and the carry search whatever the input
+        return _invalid_option(f"--seed must be at least 0, got {args.seed}")
     try:
         spec, fleet, params = _load_input(Path(args.input))
     except (FileNotFoundError, OSError):
@@ -168,26 +170,27 @@ def _read_artifact(path: Path, reader):
         raise model.ArtifactError(f"malformed artifact {path.name}: {exc}") from None
 
 
+# `plan` always writes the fleet and the parameters, which its input may lack
+_PLANNED = {"fleet": model.FLEET, "params": model.PARAMS}
+
+
+@model.reading_artifact("project JSON", _PLANNED)
 def _project_artifact(doc):
-    """Project, fleet and parameters of a `project.json` written by `plan`,
-    which always carries the fleet and the parameters."""
-    spec, fleet, params = model.project_from_jsonable(doc)
-    for key, value in (("fleet", fleet), ("params", params)):
-        if value is None:
-            raise model.ArtifactError(f"project JSON is missing key {key!r}")
-    return spec, fleet, params
+    """Project, fleet and parameters of a `project.json` written by `plan`."""
+    return model.project_from_jsonable(doc)
 
 
+_UNITS = model.MapOf({"payload_id": model.STRING}, label="transport unit")
+
+
+@model.reading_artifact("transport units JSON", _UNITS)
 def _unit_configs(doc) -> dict:
     """Transport unit configs by payload; each unit repeats its key as its
     `payload_id`."""
-    if not isinstance(doc, dict):
-        raise model.ArtifactError("transport units JSON is not an object")
-    configs = {cid: transport.transport_config_from_jsonable(d) for cid, d in doc.items()}
-    for cid, d in doc.items():  # each d is an object, as it read as a config
-        if (payload := d.get("payload_id")) != cid:
-            raise model.ArtifactError(f"transport unit {cid} has payload_id {payload!r}")
-    return configs
+    for cid, d in doc.items():
+        if d["payload_id"] != cid:
+            raise model.ArtifactError(f"transport unit {cid} has payload_id {d['payload_id']!r}")
+    return {cid: transport.transport_config_from_jsonable(d) for cid, d in doc.items()}
 
 
 def _invalid_schedule(graph: schedule.ScheduleGraph, mode: str) -> bool:
@@ -325,16 +328,9 @@ REPORT_COLUMNS = ["run", "robots", "preprocessing_s", "predicted_makespan",
                   "execution_makespan", "runtime_s"]
 
 
-def _run_record(doc) -> dict:
-    """A document that `report` reads: a JSON object whose `runtime_s` and
-    `robots`, where it has them, are a number and a whole number."""
-    if not isinstance(doc, dict):
-        raise model.ArtifactError("not a JSON object")
-    for key, kind in (("runtime_s", float), ("robots", int)):
-        value = doc.get(key, 0)
-        if not model.is_a(value, kind):
-            raise model.ArtifactError(f"{key} has the wrong type: {value!r}")
-    return doc
+# what `report` reads of a run's documents, where they have it
+_RUN_RECORD = {"runtime_s": model.Optional(model.NUMBER), "robots": model.Optional(model.WHOLE)}
+_run_record = model.reading_artifact("run record", _RUN_RECORD)(lambda doc: doc)
 
 
 def _report_row(d: Path) -> dict:

@@ -8,10 +8,11 @@ All values are immutable after construction; canonical length unit is meters.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,12 @@ import numpy as np
 # coordinate difference, so the cube of this bound must stay well below the
 # float range (about 1.8e308).
 MAX_COORDINATE_M = 1e100
+
+# The largest coordinate or length, in meters, that an artifact passed between
+# the stages may hold. A plan of a project within MAX_COORDINATE_M stays far
+# below it, and the square of the difference of two such coordinates, which
+# allocation computes, stays within the float range.
+MAX_ARTIFACT_M = 1e150
 
 # The largest int that converts to a float. JSON allows any integer, and
 # `json.loads` returns a longer one as an int that no float arithmetic takes.
@@ -34,22 +41,6 @@ class ProjectError(ValueError):
 
 class ArtifactError(ValueError):
     """A pipeline artifact whose document does not have the expected structure."""
-
-
-@contextmanager
-def reading_artifact(what: str):
-    """Turn a missing key, or a value of the wrong type or shape, met while
-    reading the document `what`, into an ArtifactError; a ProjectError (a
-    value out of range) passes through. Also a decorator of a reader
-    function."""
-    try:
-        yield
-    except ProjectError:
-        raise
-    except KeyError as exc:
-        raise ArtifactError(f"{what} is missing key {exc}") from None
-    except (TypeError, AttributeError, IndexError, ValueError) as exc:
-        raise ArtifactError(f"{what} has the wrong structure: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -79,7 +70,8 @@ class Transform:
 
     def is_rigid(self, tol: float = 1e-6) -> bool:
         r = self.rotation
-        ortho = np.allclose(r @ r.T, np.eye(3), atol=tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge or NaN entry: not rigid
+            ortho = np.allclose(r @ r.T, np.eye(3), atol=tol)
         return ortho and abs(np.linalg.det(r) - 1.0) <= tol
 
     def to_jsonable(self) -> dict:
@@ -160,6 +152,8 @@ class RobotFleet:
                 raise ProjectError(f"fleet {name} must be finite, got {getattr(self, name)}")
         if self.radius > MAX_COORDINATE_M:
             raise ProjectError(f"robot radius must be at most {MAX_COORDINATE_M:g} m")
+        if self.v_max > MAX_COORDINATE_M:
+            raise ProjectError(f"v_max must be at most {MAX_COORDINATE_M:g} m/s")
         if not np.all(np.isfinite(self.initial_positions)):
             raise ProjectError("initial positions must be finite")
         if np.any(np.abs(self.initial_positions) > MAX_COORDINATE_M):
@@ -216,11 +210,15 @@ class PlanParams:
     seed: int = 0
 
     def __post_init__(self):
+        if type(self.seed) is not int or self.seed < 0:  # numpy's generators take no other
+            raise ProjectError(f"seed must be a whole number >= 0, got {self.seed!r}")
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
+            if f.name != "seed" and not math.isfinite(getattr(self, f.name)):
                 raise ProjectError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.dt_sim <= 0:
             raise ProjectError("dt_sim must be positive")
+        if self.dt_sim > MAX_COORDINATE_M:
+            raise ProjectError(f"dt_sim must be at most {MAX_COORDINATE_M:g} s")
         if self.rvo_horizon <= 0:  # the ORCA cut-off divides by it
             raise ProjectError("rvo_horizon must be positive")
         if self.boundary_tol < 0:  # the tangent bug's boundary mode could never fire
@@ -362,25 +360,12 @@ def project_to_jsonable(spec: ProjectSpec, fleet: RobotFleet | None = None,
             }
             for aid, asm in spec.assemblies.items()
         },
-        "parts": {
-            pid: {
-                "vertices": geom.vertices.tolist(),
-                "units_per_meter": geom.units_per_meter,
-            }
-            for pid, geom in spec.parts_catalog.items()
-        },
+        "parts": to_jsonable(spec.parts_catalog, PROJECT["parts"]),
     }
     if fleet is not None:
-        doc["fleet"] = {
-            "count": fleet.count,
-            "radius": fleet.radius,
-            "v_max": fleet.v_max,
-            "v_min": fleet.v_min,
-            "v_factor": fleet.v_factor,
-            "initial_positions": fleet.initial_positions.tolist(),
-        }
+        doc["fleet"] = to_jsonable(fleet, FLEET)
     if params is not None:
-        doc["params"] = {k: getattr(params, k) for k in PlanParams.__dataclass_fields__}
+        doc["params"] = to_jsonable(params, PARAMS)
     return doc
 
 
@@ -397,6 +382,8 @@ def is_a(value, kind: type) -> bool:
 def is_finite(value) -> bool:
     """Whether the JSON value `value` is a finite number; an int beyond the
     float range is not (see `is_a`)."""
+    if type(value) is float:  # the common case, without `is_a`
+        return math.isfinite(value)
     return is_a(value, float) and math.isfinite(value)
 
 
@@ -410,51 +397,212 @@ def float_array(value, what: str) -> np.ndarray:
         raise TypeError(f"{what} holds an int beyond the float range") from None
 
 
-def _checked(value, kind: type, what: str):
-    """`value` if it is a `kind`, in the sense of `is_a`."""
-    if not is_a(value, kind):
-        raise TypeError(f"{what} {value!r} is not a {kind.__name__}")
-    return value
+# -- artifact field tables ---------------------------------------------------
+#
+# A reader declares the JSON kind of each field it reads in one table;
+# `reading_artifact(what, table)` checks the document against it, and the
+# reader builds its objects with no check of its own. A table maps keys to
+# kinds: a `Kind`, tested whole, another table, or `Optional` (a key that may
+# be absent), `ListOf`, `MapOf` or `Variant`. An `ARRAY` is any list here;
+# its numbers and shape are checked as the reader converts it.
 
 
-@reading_artifact("project JSON")
+class Kind(NamedTuple):
+    noun: str
+    test: Callable[[object], bool]
+
+
+class Optional(NamedTuple):
+    kind: object
+
+
+class ListOf(NamedTuple):
+    kind: object
+    label: str = ""  # an entry with a string "id" is "<label> <id>" in messages
+
+
+class MapOf(NamedTuple):
+    kind: object
+    label: str = ""  # an entry is "<label> <key>" in messages
+    key: Kind | None = None  # the kind of the keys, if not any string
+
+
+class Variant(NamedTuple):
+    select: Callable[[dict], object]  # an object's key in `tables`
+    tables: dict
+    default: dict
+
+
+def nullable(kind: Kind) -> Kind:
+    return Kind(kind.noun, lambda v: v is None or kind.test(v))
+
+
+def _coordinate(x) -> bool:  # so neither NaN nor inf
+    return (type(x) is float or is_a(x, float)) and -MAX_ARTIFACT_M <= x <= MAX_ARTIFACT_M
+
+
+STRING = Kind("a string", lambda v: type(v) is str)
+WHOLE = Kind("a whole number", lambda v: type(v) is int or is_a(v, int))
+COUNT = Kind("a whole number >= 1", lambda v: (type(v) is int or is_a(v, int)) and v >= 1)
+NUMBER = Kind("a finite number", is_finite)
+POSITIVE = Kind("a finite number > 0", lambda v: is_finite(v) and v > 0)
+NON_NEGATIVE = Kind("a finite number >= 0", lambda v: is_finite(v) and v >= 0)
+LENGTH = Kind(f"a finite number from 0 to {MAX_ARTIFACT_M:g} m",
+              lambda v: _coordinate(v) and v >= 0)
+POINT = Kind(f"two finite numbers of at most {MAX_ARTIFACT_M:g} m",
+             lambda v: (type(v) is list or type(v) is tuple) and len(v) == 2
+             and _coordinate(v[0]) and _coordinate(v[1]))
+ARRAY = Kind("an array of numbers", lambda v: type(v) is list)
+
+
+def _test(kind) -> Callable[[object], bool]:
+    """Whether a JSON value is a `kind`, as one function."""
+    if type(kind) is Kind:
+        return kind.test
+    if type(kind) is Optional:
+        return _test(kind.kind)
+    if type(kind) is ListOf:
+        entry = _test(kind.kind)
+        return lambda v: type(v) is list and all(map(entry, v))
+    if type(kind) is MapOf:
+        entry, key = _test(kind.kind), kind.key and kind.key.test
+        return lambda v: (type(v) is dict and all(map(entry, v.values()))
+                          and (key is None or all(map(key, v))))
+    if type(kind) is Variant:
+        tables, default = {k: _test(t) for k, t in kind.tables.items()}, _test(kind.default)
+        return lambda v: type(v) is dict and tables.get(kind.select(v), default)(v)
+    fields = [(key, _test(sub)) for key, sub in kind.items()]
+
+    def test(v) -> bool:
+        if type(v) is not dict:
+            return False
+        try:
+            for key, field in fields:  # a field's test raises nothing
+                if not field(v[key]):
+                    return False
+            return True
+        except KeyError:  # a key is absent: only an Optional one may be
+            return all(field(v[key]) if key in v else type(kind[key]) is Optional
+                       for key, field in fields)
+    return test
+
+
+def _problem(value, kind, what: str) -> str:
+    """The message for the first place where `value` is not a `kind`: the
+    document `what`, the entry (`node RobotStart:robot0`), the field below
+    it, and what is wrong there."""
+    owner, path = what, ""
+    while True:
+        if type(kind) is Optional:
+            kind = kind.kind
+        if type(kind) is Variant and type(value) is dict:
+            kind = kind.tables.get(kind.select(value), kind.default)
+        cls = type(kind)
+        if cls is Kind or type(value) is not (list if cls is ListOf else dict):
+            noun = kind.noun if cls is Kind else "a list" if cls is ListOf else "an object"
+            shown = repr(value) if len(repr(value)) <= 60 else repr(value)[:57] + "..."
+            return f"{owner} {f'has {path}' if path else 'is'} {shown}, not {noun}"
+        if cls is dict:
+            for step, sub in kind.items():
+                if step not in value and type(sub) is not Optional:
+                    return f"{owner} is missing key {step!r}" + (f" in {path}" if path else "")
+                if step in value and not _test(sub)(value[step]):
+                    break
+            if value[step] is None:  # name every null of the object
+                null = [k for k, sub in kind.items()
+                        if value.get(k, 0) is None and not _test(sub)(None)]
+                return f"{owner} has no " + " or ".join(f"{path}.{k}" if path else k for k in null)
+            value, kind = value[step], sub
+        else:
+            entries = enumerate(value) if cls is ListOf else value.items()
+            if cls is MapOf and kind.key and not all(map(kind.key.test, value)):
+                key = next(k for k in value if not kind.key.test(k))
+                return f"{owner} has key {key!r} in {path or 'the document'}, not {kind.key.noun}"
+            test, label = _test(kind.kind), kind.label
+            step, value = next((i, v) for i, v in entries if not test(v))
+            kind = kind.kind
+            name = value.get("id") if cls is ListOf and type(value) is dict else step
+            if label and type(name) is str:
+                owner, path = f"{what}: {label} {name}", ""
+                continue
+        path += f"[{step}]" if type(step) is int else f".{step}" if path else step
+
+
+def to_jsonable(obj, kind):
+    """The JSON value of `obj` as `kind` declares it: a table's fields read
+    as attributes of `obj`, a map's entries in turn, an ndarray as a list."""
+    if type(kind) is Optional:
+        kind = kind.kind
+    if type(kind) is dict:
+        return {key: to_jsonable(getattr(obj, key), sub) for key, sub in kind.items()}
+    if type(kind) is MapOf:
+        return {key: to_jsonable(value, kind.kind) for key, value in obj.items()}
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+def reading_artifact(what: str, table):
+    """Decorates the reader of the document `what`: the document is checked
+    against `table` first. An error the reader raises as it converts a
+    numeric array or meets a rule that is not a field's kind (a graph shape,
+    a constructor's invariant) becomes an ArtifactError; a ProjectError (a
+    value out of range) passes through."""
+    test = _test(table)
+
+    def decorate(reader):
+        @functools.wraps(reader)
+        def read(doc):
+            if not test(doc):
+                raise ArtifactError(_problem(doc, table, what))
+            try:
+                return reader(doc)
+            except (ProjectError, ArtifactError):
+                raise
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise ArtifactError(f"{what} has the wrong structure: {exc}") from None
+        return read
+    return decorate
+
+
+FLEET = {"count": WHOLE, "radius": NUMBER, "v_max": NUMBER, "v_min": NUMBER,
+         "v_factor": NUMBER, "initial_positions": ARRAY}
+# a parameter the document omits takes its default
+PARAMS = {f.name: Optional(WHOLE if f.name == "seed" else NUMBER) for f in fields(PlanParams)}
+PROJECT = {
+    "root": STRING,
+    "assemblies": MapOf({
+        "components": ListOf({"id": STRING, "transform": {"rotation": ARRAY,
+                                                           "translation": ARRAY}}),
+        "build_phases": ListOf({"index": WHOLE, "members": ListOf(STRING)}),
+    }, label="assembly"),
+    "parts": MapOf({"vertices": ARRAY, "units_per_meter": NUMBER}, label="part"),
+    "fleet": Optional(FLEET),
+    "params": Optional(PARAMS),
+}
+
+
+@reading_artifact("project JSON", PROJECT)
 def project_from_jsonable(doc: dict) -> tuple[ProjectSpec, RobotFleet | None, PlanParams | None]:
     """Project, fleet and parameters from a native project JSON document;
-    raises ArtifactError when a required key is missing or a value has the
-    wrong structure, and ProjectError when a value is out of range."""
+    raises ArtifactError where it breaks `PROJECT`, and ProjectError when a
+    value is out of range."""
     assemblies = {
         aid: Assembly(
             id=aid,
-            components=tuple(
-                (_checked(c["id"], str, "component id"),
-                 Transform.from_jsonable(c["transform"]))
-                for c in body["components"]
-            ),
-            build_phases=tuple(
-                BuildPhase(p["index"],
-                           tuple(_checked(m, str, "phase member") for m in p["members"]))
-                for p in body["build_phases"]
-            ),
+            components=tuple((c["id"], Transform.from_jsonable(c["transform"]))
+                             for c in body["components"]),
+            build_phases=tuple(BuildPhase(p["index"], tuple(p["members"]))
+                               for p in body["build_phases"]),
         )
         for aid, body in doc["assemblies"].items()
     }
     parts = {
-        pid: PartGeometry(float_array(body["vertices"], "vertices"),
-                          _checked(body["units_per_meter"], float, "units_per_meter"))
+        pid: PartGeometry(body["vertices"], body["units_per_meter"])
         for pid, body in doc["parts"].items()
     }
-    spec = ProjectSpec(assemblies=assemblies, root=_checked(doc["root"], str, "root"),
-                       parts_catalog=parts)
-    fleet = None
+    spec = ProjectSpec(assemblies=assemblies, root=doc["root"], parts_catalog=parts)
+    fleet = params = None
     if "fleet" in doc:
-        f = doc["fleet"]
-        fleet = RobotFleet(
-            count=f["count"],
-            **{k: _checked(f[k], float, f"fleet {k}") for k in ("radius", "v_max", "v_min",
-                                                                "v_factor")},
-            initial_positions=float_array(f["initial_positions"], "initial_positions"),
-        )
-    params = None
+        fleet = RobotFleet(**{k: doc["fleet"][k] for k in FLEET})
     if "params" in doc:
-        params = PlanParams(**{k: _checked(v, float, k) for k, v in doc["params"].items()})
+        params = PlanParams(**{k: v for k, v in doc["params"].items() if k in PARAMS})
     return spec, fleet, params

@@ -13,7 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import PlanParams, ProjectSpec, RobotFleet, is_finite, reading_artifact
+from .model import (COUNT, NON_NEGATIVE, POINT, STRING, WHOLE, Kind, ListOf, MapOf, PlanParams,
+                    ProjectSpec, RobotFleet, Variant, nullable, reading_artifact)
 from .staging import StagingPlan
 from .transport import TransportUnitConfig
 
@@ -326,19 +327,13 @@ _NEIGHBOURS = {
     "LiftIntoPlace": ({"DepositCargo": 1}, {"CloseBuildStep": 1}),
 }
 
-# The fields beyond id, kind and subject that evaluation and simulation read
-# of a node, by its key in `_NEIGHBOURS`; any other kind needs its duration.
-_FIELDS = {"RobotStart": ("origin", "duration"), _PICKUP: ("destination",),
-           _DROPOFF: ("origin", "duration"),
-           "TransportUnitGo": ("origin", "destination", "duration")}
-
-
-def _rule_key(node: ScheduleNode):
-    """The key of `node` in the grammar tables: its kind, or (RobotGo, role),
-    where a RobotGo without the pickup role is a dropoff."""
-    if node.kind != "RobotGo":
-        return node.kind
-    return _PICKUP if node.role == "pickup" else _DROPOFF
+def _rule_key(kind: str, role: str | None):
+    """The key of a node of `kind` and `role` in the grammar tables: its
+    kind, or (RobotGo, role), where a RobotGo without the pickup role is a
+    dropoff."""
+    if kind != "RobotGo":
+        return kind
+    return _PICKUP if role == "pickup" else _DROPOFF
 
 
 def _side_violations(graph: ScheduleGraph, node: ScheduleNode, ids, side: str, rule: dict):
@@ -383,7 +378,7 @@ def validate_schedule(graph: ScheduleGraph, mode: str = "complete") -> list[Sche
     out += [ScheduleViolation(t, "terminal", f"terminal node must be a ProjectComplete, not {kind}")
             for t in graph.terminal_nodes if (kind := graph.nodes[t].kind) != "ProjectComplete"]
     for nid, node in sorted(graph.nodes.items()):
-        key = _rule_key(node)
+        key = _rule_key(node.kind, node.role)
         if key not in _NEIGHBOURS:
             out.append(ScheduleViolation(nid, "kind", f"unknown node kind {node.kind!r}"))
             continue
@@ -479,33 +474,49 @@ def schedule_to_jsonable(graph: ScheduleGraph) -> dict:
     }
 
 
-def _field_problem(node: ScheduleNode) -> str | None:
-    """What is wrong with the `_FIELDS` of a node read from JSON, or None: a
-    field it needs is missing, a pose is not two finite numbers, or a
-    duration is not a finite number, is negative or is on a pickup, whose
-    time is always its travel."""
-    missing = [f for f in _FIELDS.get(_rule_key(node), ("duration",))
-               if getattr(node, f) is None]
-    if missing:
-        return f"has no {' or '.join(missing)}"
-    for f in ("origin", "destination"):
-        pose = getattr(node, f)
-        if pose is not None and not (len(pose) == 2 and all(map(is_finite, pose))):
-            return f"has {f} {list(pose)!r}, not two finite numbers"
-    d = node.duration
-    if d is None:
-        return None
-    if not is_finite(d):
-        return f"has duration {d!r}, not a finite number"
-    if d < 0:
-        return f"has negative duration {d!r}"
-    if _rule_key(node) == _PICKUP:
-        return f"has duration {d!r}, but a pickup's time is its travel"
-    return None
+# A node record's fields by its key in `_NEIGHBOURS`: evaluation and
+# simulation read a RobotStart's and a dropoff's origin, a pickup's
+# destination and a TransportUnitGo's origin and destination; a RobotGo and a
+# build step have a slot; every kind but a pickup has a duration, and a
+# pickup's time is always its travel.
+_NODE = {"id": STRING, "kind": STRING, "subject": STRING, "slot": nullable(WHOLE),
+         "role": nullable(STRING), "origin": nullable(POINT), "destination": nullable(POINT),
+         "duration": NON_NEGATIVE}
+_TRAVEL = Kind("null: a pickup's time is its travel", lambda v: v is None)
 
 
-@reading_artifact("schedule JSON")
+def _record_key(rec: dict):
+    """The `_NEIGHBOURS` key of a node record, or None if its kind is not a
+    string."""
+    kind = rec.get("kind")
+    return _rule_key(kind, rec.get("role")) if type(kind) is str else None
+
+
+_NODE_FIELDS = Variant(
+    _record_key,
+    {"RobotStart": {**_NODE, "origin": POINT},
+     _PICKUP: {**_NODE, "slot": WHOLE, "destination": POINT, "duration": _TRAVEL},
+     _DROPOFF: {**_NODE, "slot": WHOLE, "origin": POINT},
+     "TransportUnitGo": {**_NODE, "origin": POINT, "destination": POINT},
+     "OpenBuildStep": {**_NODE, "slot": WHOLE},
+     "CloseBuildStep": {**_NODE, "slot": WHOLE}},
+    default=_NODE)
+SCHEDULE = {
+    "nodes": ListOf(_NODE_FIELDS, label="node"),
+    "edges": ListOf(Kind("two node ids", lambda e: type(e) is list and len(e) == 2
+                         and type(e[0]) is str and type(e[1]) is str)),
+    "terminal_nodes": ListOf(STRING),
+    "team_sizes": MapOf(COUNT),
+    "phase_members": MapOf(ListOf(STRING), key=Kind(
+        "an assembly:phase key", lambda k: ":" in k and k.rsplit(":", 1)[1].isdecimal())),
+}
+
+
+@reading_artifact("schedule JSON", SCHEDULE)
 def schedule_from_jsonable(data: dict) -> ScheduleGraph:
+    """The graph of a schedule JSON document that keeps to `SCHEDULE`, whose
+    node ids are the ones their fields give, whose payloads' slots are
+    0..k - 1 and whose phases' members are its payloads."""
     records = [(rec["id"], ScheduleNode(
         kind=rec["kind"], subject=rec["subject"], slot=rec["slot"], role=rec["role"],
         origin=tuple(rec["origin"]) if rec["origin"] else None,
@@ -518,22 +529,15 @@ def schedule_from_jsonable(data: dict) -> ScheduleGraph:
         phase_members[(aid, int(k))] = tuple(members)
     # a payload's k pickups, and its k dropoffs, index its slots 0..k-1
     slots: dict[tuple[str, str], list] = {}
-    for nid, node in records:
-        problem = _field_problem(node)
-        if problem:
-            raise ValueError(f"node {nid} {problem}")
-        if (key := _rule_key(node)) in (_PICKUP, _DROPOFF):
+    for _, node in records:
+        if (key := _rule_key(node.kind, node.role)) in (_PICKUP, _DROPOFF):
             slots.setdefault((node.subject, key[1]), []).append(node.slot)
     for (payload, role), got in sorted(slots.items()):
-        if not (all(type(s) is int for s in got) and sorted(got) == list(range(len(got)))):
+        if sorted(got) != list(range(len(got))):
             raise ValueError(f"payload {payload} has {role} slots {got}, not 0..{len(got) - 1}")
     for nid, node in records:
         if nid != node.id:
             raise ValueError(f"node {nid} has the kind, subject, slot and role of {node.id}")
-    team_sizes = dict(data["team_sizes"])
-    small = {c: n for c, n in team_sizes.items() if not n >= 1}
-    if small:
-        raise ValueError(f"team sizes below 1: {small}")
     # every payload (a subject of a FormTransportUnit) is a member of
     # exactly one build phase, and every member is a payload
     placed = Counter(c for members in phase_members.values() for c in members)
@@ -547,6 +551,6 @@ def schedule_from_jsonable(data: dict) -> ScheduleGraph:
         nodes={node.id: node for _, node in records},
         edges={tuple(e) for e in data["edges"]},
         terminal_nodes=tuple(data["terminal_nodes"]),
-        team_sizes=team_sizes,
+        team_sizes=dict(data["team_sizes"]),
         phase_members=phase_members,
     )

@@ -11,12 +11,13 @@ top-down placement into the world frame.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import geometry
-from .model import PlanParams, ProjectSpec, float_array, is_finite, reading_artifact
+from .model import (ARRAY, LENGTH, NUMBER, POINT, WHOLE, ListOf, MapOf, PlanParams,
+                    ProjectSpec, reading_artifact, to_jsonable)
 from .transport import TransportUnitConfig, payload_points
 
 
@@ -319,52 +320,38 @@ def _place_part_sources(
 # -- export ------------------------------------------------------------------
 
 
+_ZONE = {"phase": WHOLE, "position": ARRAY, "radius": LENGTH, "angle": NUMBER, "tier": WHOLE}
+STAGING = {
+    "buffer_radius": LENGTH,
+    "assemblies": MapOf({
+        "center": POINT, "hub_center_local": ARRAY, "final_radius": LENGTH,
+        "phase_radii": ListOf(LENGTH), "dropoffs": MapOf(_ZONE, label="dropoff"),
+    }, label="assembly"),
+    "part_sources": MapOf(ARRAY),
+}
+
+
 def staging_plan_to_jsonable(plan: StagingPlan) -> dict:
-    return {
-        "buffer_radius": plan.buffer_radius,
-        "assemblies": {
-            aid: {
-                "center": st.center.tolist(),
-                "hub_center_local": st.hub_center_local.tolist(),
-                "final_radius": st.final_radius,
-                "phase_radii": st.phase_radii,
-                "dropoffs": {cid: {**asdict(z), "position": z.position.tolist()}
-                             for cid, z in sorted(st.dropoffs.items())},
-            }
-            for aid, st in sorted(plan.assemblies.items())
-        },
-        "part_sources": {pid: pos.tolist() for pid, pos in sorted(plan.part_sources.items())},
-    }
+    return to_jsonable(plan, STAGING)
 
 
-@reading_artifact("staging JSON")
+@reading_artifact("staging JSON", STAGING)
 def staging_plan_from_jsonable(data: dict) -> StagingPlan:
-    """The plan of a staging JSON document whose staging circles, the part
-    the simulator reads, have a center of two finite numbers and finite
-    radii >= 0."""
-    assemblies = {}
-    for aid, body in data["assemblies"].items():
-        center, radii = body["center"], list(body["phase_radii"])
-        if not (len(center) == 2 and all(map(is_finite, center))):
-            raise ValueError(f"assembly {aid} has center {center!r}, not two finite numbers")
-        if not all(is_finite(r) and r >= 0 for r in radii):
-            raise ValueError(f"assembly {aid} has phase_radii {radii!r}, "
-                             "not finite numbers >= 0")
-        assemblies[aid] = AssemblyStaging(
-            center=np.array(center),
-            hub_center_local=float_array(body["hub_center_local"], "hub_center_local"),
-            final_radius=body["final_radius"],
-            phase_radii=radii,
-            dropoffs={
-                cid: DropoffZone(z["phase"], float_array(z["position"], "position"),
-                                 z["radius"], z["angle"], z["tier"])
-                for cid, z in body["dropoffs"].items()
-            },
-        )
     return StagingPlan(
-        assemblies=assemblies,
-        part_sources={pid: float_array(p, "part source")
-                      for pid, p in data["part_sources"].items()},
+        assemblies={
+            aid: AssemblyStaging(
+                center=np.array(body["center"], float),
+                hub_center_local=np.array(body["hub_center_local"], float),
+                final_radius=body["final_radius"],
+                phase_radii=list(body["phase_radii"]),
+                dropoffs={
+                    cid: DropoffZone(z["phase"], z["position"], z["radius"], z["angle"], z["tier"])
+                    for cid, z in body["dropoffs"].items()
+                },
+            )
+            for aid, body in data["assemblies"].items()
+        },
+        part_sources={pid: np.array(p, float) for pid, p in data["part_sources"].items()},
         buffer_radius=data["buffer_radius"],
     )
 

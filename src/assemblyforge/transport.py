@@ -15,7 +15,8 @@ import numpy as np
 
 from . import geometry
 from .geometry import Circle, OctagonalPrism, Polygon2D, VerticalCylinder
-from .model import ProjectSpec, RobotFleet, Transform, float_array, is_finite, reading_artifact
+from .model import (ARRAY, COUNT, NUMBER, POSITIVE, ProjectSpec, RobotFleet, Transform,
+                    reading_artifact, to_jsonable)
 
 ROBOT_HEIGHT_FACTOR = 2.0  # robot cylinder height = factor * radius
 CARRY_RESTARTS = 5
@@ -252,50 +253,25 @@ def configure_transport_unit(
     )
 
 
+UNIT = {
+    "n": COUNT,
+    "carry_positions": ARRAY,
+    "speed_limit": POSITIVE,
+    "bounding_circle": {"center": ARRAY, "radius": POSITIVE},
+    "bounding_cylinder": {"center": ARRAY, "radius": NUMBER, "z_min": NUMBER, "z_max": NUMBER},
+    "bounding_prism": {"offsets": ARRAY, "z_min": NUMBER, "z_max": NUMBER},
+}
+
+
 def transport_config_to_jsonable(cfg: TransportUnitConfig) -> dict:
-    return {
-        "n": cfg.n,
-        "carry_positions": cfg.carry_positions.tolist(),
-        "speed_limit": cfg.speed_limit,
-        "bounding_circle": {
-            "center": cfg.bounding_circle.center.tolist(),
-            "radius": cfg.bounding_circle.radius,
-        },
-        "bounding_cylinder": {
-            "center": cfg.bounding_cylinder.center.tolist(),
-            "radius": cfg.bounding_cylinder.radius,
-            "z_min": cfg.bounding_cylinder.z_min,
-            "z_max": cfg.bounding_cylinder.z_max,
-        },
-        "bounding_prism": {
-            "offsets": cfg.bounding_prism.offsets.tolist(),
-            "z_min": cfg.bounding_prism.z_min,
-            "z_max": cfg.bounding_prism.z_max,
-        },
-    }
+    return to_jsonable(cfg, UNIT)
 
 
-@reading_artifact("transport unit JSON")
+@reading_artifact("transport unit JSON", UNIT)
 def transport_config_from_jsonable(d: dict) -> TransportUnitConfig:
-    """The config of a transport unit JSON document whose bounding circle
-    radius and speed limit, which the simulator reads, are finite and > 0."""
-    radius, speed = d["bounding_circle"]["radius"], d["speed_limit"]
-    for what, value in (("bounding_circle.radius", radius), ("speed_limit", speed)):
-        if not (is_finite(value) and value > 0):
-            raise ValueError(f"{what} {value!r} is not a finite number > 0")
     return TransportUnitConfig(
-        n=d["n"],
-        carry_positions=float_array(d["carry_positions"], "carry_positions"),
-        speed_limit=speed,
-        bounding_circle=Circle(float_array(d["bounding_circle"]["center"], "center"), radius),
-        bounding_cylinder=VerticalCylinder(
-            float_array(d["bounding_cylinder"]["center"], "center"),
-            d["bounding_cylinder"]["radius"],
-            d["bounding_cylinder"]["z_min"], d["bounding_cylinder"]["z_max"]),
-        bounding_prism=OctagonalPrism(
-            float_array(d["bounding_prism"]["offsets"], "offsets"),
-            d["bounding_prism"]["z_min"], d["bounding_prism"]["z_max"]),
-    )
+        d["n"], d["carry_positions"], d["speed_limit"], Circle(**d["bounding_circle"]),
+        VerticalCylinder(**d["bounding_cylinder"]), OctagonalPrism(**d["bounding_prism"]))
 
 
 def configure_all_transport_units(

@@ -95,8 +95,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("key,value", [
         (None, []), ("assemblies", []), ("vertices", "oops"), ("units_per_meter", "abc"),
         ("units_per_meter", None), ("root", ["toy"]), ("component", ["x"]), ("member", 7),
+        ("units_per_meter", math.nan),
     ], ids=["top-level-list", "assemblies-list", "vertices-string", "units-string",
-            "units-null", "root-list", "component-id-list", "member-number"])
+            "units-null", "root-list", "component-id-list", "member-number", "units-nan"])
     def test_project_wrong_structure(self, tmp_path, capsys, key, value):
         doc = model.project_to_jsonable(projects.toy_project())
         asm = next(iter(doc["assemblies"].values()))
@@ -158,11 +159,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("case,message", [
         ("missing-root", "project JSON is missing key 'root'"),
         ("assemblies-list",
-         "project JSON has the wrong structure: 'list' object has no attribute 'items'"),
+         "project JSON has assemblies [], not an object"),
         ("negative-radius", "robot radius must be positive"),
         ("zero-rvo-horizon", "rvo_horizon must be positive"),
         ("negative-boundary-tol", "boundary_tol must be non-negative"),
         ("huge-buffer", "buffer_radius must be at most 1e+100 m"),
+        ("huge-v-max", "v_max must be at most 1e+100 m/s"),
+        ("huge-dt", "dt_sim must be at most 1e+100 s"),
     ])
     def test_project_error_lines(self, toy_input, tmp_path, capsys, case, message):
         """The same document error gives the same one line as `plan`'s input
@@ -178,6 +181,10 @@ class TestExitCodes:
             doc["params"]["boundary_tol"] = -0.1
         elif case == "huge-buffer":
             doc["params"]["buffer_radius"] = 1e300
+        elif case == "huge-v-max":  # the simulator overflowed
+            doc["fleet"]["v_max"] = 1e300
+        elif case == "huge-dt":
+            doc["params"]["dt_sim"] = 1e300
         else:
             doc["fleet"]["radius"] = -1
         bad = tmp_path / "bad.json"
@@ -194,6 +201,34 @@ class TestExitCodes:
             assert cli.main([command, "--out", str(out)]) == cli.EXIT_BAD_INPUT
             assert capsys.readouterr().err == (
                 f"error: malformed artifact project.json: {message}\n")
+
+    @pytest.mark.parametrize("seed,message", [
+        (-1, "seed must be a whole number >= 0, got -1"),
+        (0.5, "project JSON has params.seed 0.5, not a whole number"),
+        (1e300, "project JSON has params.seed 1e+300, not a whole number"),
+    ], ids=["negative", "half", "1e300"])
+    def test_project_seed(self, toy_input, tmp_path, capsys, seed, message):
+        # numpy's generators, which the seed feeds, raised on each of these
+        doc = json.loads(toy_input.read_text())
+        doc["params"]["seed"] = seed
+        bad = tmp_path / "seed.json"
+        bad.write_text(json.dumps(doc))
+        code = cli.main(["plan", "--input", str(bad), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: malformed input: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_plan_negative_seed_option(self, tmp_path, capsys):
+        # the fleet and the carry search take --seed even where the input
+        # embeds its own parameters; an MPD embeds none
+        mpd = tmp_path / "tractor.mpd"
+        mpd.write_text(projects._data_text("tractor.mpd"))
+        code = cli.main(["plan", "--input", str(mpd), "--out", str(tmp_path / "out"),
+                         "--seed", "-1"])
+        assert code == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            "error: invalid option: --seed must be at least 0, got -1\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("suffix", [".json", ".mpd"])
     def test_input_not_utf8(self, tmp_path, capsys, suffix):
@@ -485,25 +520,28 @@ class TestExitCodes:
          "node RobotGo:brick@1:1:dropoff has no origin or duration"),
         ("allocate", "schedule_partial.json",
          lambda d: _node(d, "RobotStart:robot0").update(origin=[1.0]),
-         "node RobotStart:robot0 has origin [1.0], not two finite numbers"),
+         "node RobotStart:robot0 has origin [1.0], not two finite numbers of at most 1e+150 m"),
         ("allocate", "schedule_partial.json",
          lambda d: _node(d, "RobotGo:brick@1:0:pickup").update(duration=50.0),
-         "node RobotGo:brick@1:0:pickup has duration 50.0, but a pickup's time is its travel"),
+         "node RobotGo:brick@1:0:pickup has duration 50.0, "
+         "not null: a pickup's time is its travel"),
         ("simulate", "schedule_complete.json",
          lambda d: _node(d, "RobotStart:robot0").update(origin=["a", "b"]),
-         "node RobotStart:robot0 has origin ['a', 'b'], not two finite numbers"),
+         "node RobotStart:robot0 has origin ['a', 'b'], "
+         "not two finite numbers of at most 1e+150 m"),
         ("simulate", "schedule_complete.json",
          lambda d: _node(d, "DepositCargo:brick@1").update(duration="NaN"),
-         "node DepositCargo:brick@1 has duration 'NaN', not a finite number"),
+         "node DepositCargo:brick@1 has duration 'NaN', not a finite number >= 0"),
         ("simulate", "schedule_complete.json",
          lambda d: _node(d, "LiftIntoPlace:brick@1").update(duration=math.inf),
-         "node LiftIntoPlace:brick@1 has duration inf, not a finite number"),
+         "node LiftIntoPlace:brick@1 has duration inf, not a finite number >= 0"),
         ("simulate", "schedule_complete.json",
          lambda d: _node(d, "LiftIntoPlace:brick@1").update(duration=-100.0),
-         "node LiftIntoPlace:brick@1 has negative duration -100.0"),
+         "node LiftIntoPlace:brick@1 has duration -100.0, not a finite number >= 0"),
         ("simulate", "schedule_complete.json",
          lambda d: _node(d, "RobotGo:brick@1:0:pickup").update(duration=50.0),
-         "node RobotGo:brick@1:0:pickup has duration 50.0, but a pickup's time is its travel"),
+         "node RobotGo:brick@1:0:pickup has duration 50.0, "
+         "not null: a pickup's time is its travel"),
         ("allocate", "schedule_partial.json", _slot_out_of_range,
          "payload brick@1 has dropoff slots [0, 5], not 0..1"),
         ("simulate", "schedule_complete.json", _slot_out_of_range,
@@ -525,16 +563,16 @@ class TestExitCodes:
         ("simulate", "staging.json", lambda d: d["assemblies"]["toy"].update(phase_radii=[]),
          "no staging circle for toy:1"),
         ("simulate", "staging.json", lambda d: d["assemblies"]["toy"].update(phase_radii=["a"]),
-         "assembly toy has phase_radii ['a'], not finite numbers >= 0"),
+         "assembly toy has phase_radii[0] 'a', not a finite number from 0 to 1e+150 m"),
         ("simulate", "staging.json", lambda d: d["assemblies"]["toy"].update(center=[1.0]),
-         "assembly toy has center [1.0], not two finite numbers"),
+         "assembly toy has center [1.0], not two finite numbers of at most 1e+150 m"),
         ("simulate", "transport_units.json",
          lambda d: d["brick@1"]["bounding_circle"].update(radius="x"),
-         "bounding_circle.radius 'x' is not a finite number > 0"),
+         "transport unit JSON has bounding_circle.radius 'x', not a finite number > 0"),
         ("simulate", "transport_units.json", lambda d: d["brick@1"].update(speed_limit="a"),
-         "speed_limit 'a' is not a finite number > 0"),
+         "transport unit JSON has speed_limit 'a', not a finite number > 0"),
         ("simulate", "transport_units.json", lambda d: d["brick@1"].update(speed_limit=0.0),
-         "speed_limit 0.0 is not a finite number > 0"),
+         "transport unit JSON has speed_limit 0.0, not a finite number > 0"),
         ("simulate", "schedule_complete.json",
          lambda d: d["phase_members"].update({"toy:1": ["brick@2"]}),
          "payload brick@1 is a member of 0 build phases, not 1"),
@@ -544,6 +582,38 @@ class TestExitCodes:
         ("allocate", "schedule_partial.json",
          lambda d: d["phase_members"]["toy:1"].append("brick@9"),
          "phase member brick@9 is not a payload"),
+        ("allocate", "schedule_partial.json", lambda d: d["team_sizes"].update({"brick@1": 1.5}),
+         "schedule JSON has team_sizes.brick@1 1.5, not a whole number >= 1"),
+        ("allocate", "schedule_partial.json", lambda d: d["team_sizes"].update({"brick@1": True}),
+         "schedule JSON has team_sizes.brick@1 True, not a whole number >= 1"),
+        ("allocate", "project.json", lambda d: d["fleet"].update(count=2.0),
+         "project JSON has fleet.count 2.0, not a whole number"),
+        ("allocate", "schedule_partial.json",
+         lambda d: d.update(terminal_nodes="ProjectComplete:toy"),
+         "schedule JSON has terminal_nodes 'ProjectComplete:toy', not a list"),
+        ("simulate", "staging.json", lambda d: d["assemblies"]["toy"].update(final_radius="x"),
+         "staging JSON: assembly toy has final_radius 'x', not a finite number from 0 to 1e+150 m"),
+        ("simulate", "staging.json",
+         lambda d: d["assemblies"]["toy"]["dropoffs"]["brick@1"].update(radius="x"),
+         "staging JSON: dropoff brick@1 has radius 'x', not a finite number from 0 to 1e+150 m"),
+        ("simulate", "staging.json",
+         lambda d: d["assemblies"]["toy"]["dropoffs"]["brick@1"].update(phase="x"),
+         "staging JSON: dropoff brick@1 has phase 'x', not a whole number"),
+        ("simulate", "transport_units.json", lambda d: d["brick@1"].update(n="x"),
+         "transport unit JSON has n 'x', not a whole number >= 1"),
+        ("simulate", "transport_units.json",
+         lambda d: d["brick@1"]["bounding_cylinder"].update(z_min="x"),
+         "transport unit JSON has bounding_cylinder.z_min 'x', not a finite number"),
+        # allocation and the simulator overflowed on these
+        ("allocate", "schedule_partial.json",
+         lambda d: _node(d, "RobotStart:robot0").update(origin=[1e300, 0.0]),
+         "node RobotStart:robot0 has origin [1e+300, 0.0], not two finite numbers of at most "
+         "1e+150 m"),
+        ("simulate", "staging.json", lambda d: d["assemblies"]["toy"].update(phase_radii=[1e300]),
+         "assembly toy has phase_radii[0] 1e+300, not a finite number from 0 to 1e+150 m"),
+        ("allocate", "schedule_partial.json",
+         lambda d: d["phase_members"].update({"toy-1": d["phase_members"].pop("toy:1")}),
+         "schedule JSON has key 'toy-1' in phase_members, not an assembly:phase key"),
     ], ids=["no-terminal", "unknown-terminal", "pickup-destination", "deposit-duration",
             "start-origin", "unit-destination", "dropoff-origin", "short-origin",
             "pickup-duration-partial", "text-origin", "text-duration", "infinite-duration",
@@ -551,7 +621,11 @@ class TestExitCodes:
             "pickup-slot-twice", "renamed-node-partial", "renamed-node", "no-unit-config",
             "wrong-payload-id", "no-staging-assembly", "no-phase-radius", "text-phase-radius",
             "short-center", "text-unit-radius", "text-speed-limit", "zero-speed-limit",
-            "phase-member-dropped", "phase-member-twice", "phase-member-unknown"])
+            "phase-member-dropped", "phase-member-twice", "phase-member-unknown",
+            "fractional-team-size", "bool-team-size", "fractional-fleet-count",
+            "text-terminal-nodes", "text-final-radius", "text-dropoff-radius",
+            "text-dropoff-phase", "text-unit-n", "text-cylinder-z-min", "huge-origin",
+            "huge-phase-radius", "phase-key"])
     def test_inconsistent_artifact(self, toy_input, tmp_path, capsys, command, name, damage,
                                    message):
         out = tmp_path / "out"
@@ -601,7 +675,7 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: malformed artifact schedule_partial.json: ")
-        assert "team sizes below 1: {'brick@1': 0}" in err[0]
+        assert err[0].endswith("schedule JSON has team_sizes.brick@1 0, not a whole number >= 1")
         assert not (out / "schedule_complete.json").exists()
 
     @pytest.mark.parametrize("name", ["metrics.json", "staging.json",

@@ -8,6 +8,10 @@ Node ids: `schedule.py` is the only package module that writes or parses a
 schedule node id (`Kind:subject[:slot][:role]`); the others use
 `schedule.node_id` and the graph's lookups.
 
+JSON numbers: in the package, `model.is_a` and `model.is_finite` are called
+only by the artifact table checker in `model.py` (its kinds and their
+helpers), so that no reader checks a field's kind on its own.
+
 JSON writing: in the package, `json.dumps` is called only by
 `cli._json_text`, which writes every JSON artifact, and by
 `sim.events_to_jsonl`, which writes the event log's lines; both use the C
@@ -100,25 +104,29 @@ def test_node_id_checker_flags_ids_and_colon_splits():
 JSON_WRITERS = {"cli._json_text", "sim.events_to_jsonl"}
 
 
-def json_dumps_callers(source: str, module: str) -> list[str]:
-    """The `module.function` of each `json.dumps` call in `source`, or
-    `module.<module>` for a call outside any function; `dumps` imported
-    from `json` counts too."""
+def callers(source: str, module: str, owner: str, names: set[str]) -> list[str]:
+    """The `module.function` of each call in `source` of `owner.<name>`, or
+    of `<name>` imported bare, for a name in `names`; `module.<module>` for
+    a call outside any function."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{module}.{node.name}"
         elif isinstance(node, ast.Call) and (
-                isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"
-                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
-                or isinstance(node.func, ast.Name) and node.func.id == "dumps"):
+                isinstance(node.func, ast.Attribute) and node.func.attr in names
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == owner
+                or isinstance(node.func, ast.Name) and node.func.id in names):
             found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(ast.parse(source), f"{module}.<module>")
     return found
+
+
+def json_dumps_callers(source: str, module: str) -> list[str]:
+    return callers(source, module, "json", {"dumps"})
 
 
 def test_json_has_two_writers():
@@ -140,6 +148,32 @@ def test_json_writer_checker_names_the_function():
         "    return json.loads(text)\n"
     )
     assert json_dumps_callers(source, "m") == ["m.<module>", "m.inner", "m.write"]
+
+
+# The JSON number tests are called only by the artifact table checker in
+# model.py: its kinds, declared at module level, and the functions they call.
+NUMBER_TESTS = {"is_a", "is_finite"}
+CHECKER = {"model.<module>", "model.is_finite", "model._coordinate"}
+
+
+def test_number_tests_only_in_the_checker():
+    found = {c for p in (ROOT / "src").rglob("*.py")
+             for c in callers(p.read_text(), p.stem, "model", NUMBER_TESTS)}
+    assert found <= CHECKER
+
+
+def test_number_test_checker_flags_a_reader():
+    source = (
+        "from .model import is_finite\n"
+        "POSITIVE = Kind('a number > 0', lambda v: model.is_finite(v) and v > 0)\n"
+        "@reading_artifact('unit JSON', UNIT)\n"
+        "def unit_from_jsonable(d):\n"
+        "    if not is_finite(d['speed']):\n"
+        "        raise ValueError('speed')\n"
+        "    return Unit(d['speed'], model.is_a(d['n'], int), isfinite(d['n']))\n"
+    )
+    assert callers(source, "transport", "model", NUMBER_TESTS) == [
+        "transport.<module>", "transport.unit_from_jsonable", "transport.unit_from_jsonable"]
 
 
 WORLD_STATE = {"status", "timers", "complete_time", "remaining", "ready", "unit_task",

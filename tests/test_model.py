@@ -47,6 +47,10 @@ class TestTransform:
         assert not Transform(2 * np.eye(3), np.zeros(3)).is_rigid()
         reflect = np.diag([1.0, 1.0, -1.0])
         assert not Transform(reflect, np.zeros(3)).is_rigid()
+        for entry in (math.inf, math.nan, 1e300):  # without an overflow warning
+            rotation = np.eye(3)
+            rotation[0, 0] = entry
+            assert not Transform(rotation, np.zeros(3)).is_rigid()
 
     def test_json_round_trip(self):
         tf = Transform(np.eye(3), [0.1, 0.2, 0.3])
@@ -218,6 +222,12 @@ class TestRobotFleet:
         else:
             RobotFleet(2, 0.25, 1.0, 0.1, 0.5, pos)
 
+    def test_speed_bound(self):
+        with pytest.raises(ProjectError, match=r"^v_max must be at most 1e\+100 m/s$"):
+            RobotFleet(1, 0.25, math.nextafter(model.MAX_COORDINATE_M, math.inf), 0.1, 0.5,
+                       [[0.0, 0.0]])
+        RobotFleet(1, 0.25, model.MAX_COORDINATE_M, 0.1, 0.5, [[0.0, 0.0]])
+
     def test_velocity_and_count_validation(self):
         with pytest.raises(ProjectError):
             RobotFleet(1, 0.25, 1.0, 2.0, 0.5, np.array([[0, 0]]))
@@ -263,6 +273,16 @@ class TestPlanParams:
             PlanParams(buffer_radius=math.nextafter(model.MAX_COORDINATE_M, math.inf))
         PlanParams(buffer_radius=model.MAX_COORDINATE_M)
         PlanParams(boundary_tol=0.0)  # the boundary mode fires on the circle only
+        with pytest.raises(ProjectError, match=r"^dt_sim must be at most 1e\+100 s$"):
+            PlanParams(dt_sim=math.nextafter(model.MAX_COORDINATE_M, math.inf))
+        PlanParams(dt_sim=model.MAX_COORDINATE_M)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5, 1e300, True, None])
+    def test_seed_is_a_whole_number(self, seed):
+        with pytest.raises(ProjectError) as err:
+            PlanParams(seed=seed)
+        assert str(err.value) == f"seed must be a whole number >= 0, got {seed!r}"
+        assert PlanParams(seed=10**400).seed == 10**400  # numpy's generators take any
 
     @pytest.mark.parametrize("field", ["buffer_radius", "dt_sim", "planning_radius",
                                        "rvo_horizon", "stuck_time"])
