@@ -26,31 +26,27 @@ EXIT_DEADLOCK = 4
 log = logging.getLogger("assemblyforge")
 
 
+class CommandError(Exception):
+    """A command's failure: the exit code and the lines `main` prints."""
+
+    def __init__(self, code: int, *lines: str):
+        super().__init__(*lines)
+        self.code, self.lines = code, lines
+
+
 def _setup_logging():
     level = os.environ.get("ASSEMBLYFORGE_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _json_document(text: str):
-    """The JSON document `text`. JSON allows an integer of any length, but
-    Python reads at most 4,300 digits; a longer one raises ArtifactError."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError as exc:  # the digit limit of int()
-        raise model.ArtifactError(str(exc)) from None
-
-
 def _load_input(path: Path):
-    """Project from an MPD/LDR model or a native JSON document."""
-    if not path.is_file():
-        raise FileNotFoundError(path)
+    """Project from an MPD/LDR model or a native JSON document; raises
+    OSError if `path` cannot be read, and ValueError if it is not UTF-8 text
+    or not a well-formed input (JSON, `int()` and the readers raise one)."""
     text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".json":
-        spec, fleet, params = model.project_from_jsonable(_json_document(text))
-        return spec, fleet, params
+        return model.project_from_jsonable(json.loads(text))
     result = ldraw.parse_mpd(text, projects.bundled_dimension_table(),
                              units_per_meter=projects.UNITS_PER_METER)
     for w in result.report.warnings:
@@ -65,11 +61,6 @@ def _fleet_from_args(args, fleet):
     return projects.default_fleet(
         count, seed=args.seed, radius=args.radius,
         v_max=args.vmax, v_min=args.vmin, v_factor=args.vfactor)
-
-
-def _invalid_option(problem) -> int:
-    print(f"error: invalid option: {problem}", file=sys.stderr)
-    return EXIT_BAD_INPUT
 
 
 def _stream(out: Path, name: str, writer):
@@ -101,22 +92,18 @@ def _json_text(obj) -> str:
 def cmd_plan(args) -> int:
     out = Path(args.out)
     if args.seed < 0:  # it seeds the fleet and the carry search whatever the input
-        return _invalid_option(f"--seed must be at least 0, got {args.seed}")
+        raise CommandError(EXIT_BAD_INPUT,
+                           f"error: invalid option: --seed must be at least 0, got {args.seed}")
     try:
         spec, fleet, params = _load_input(Path(args.input))
-    except (FileNotFoundError, OSError):
-        print(f"error: cannot read input {args.input}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (UnicodeDecodeError, ldraw.LdrawParseError, json.JSONDecodeError,
-            model.ProjectError, model.ArtifactError) as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    except OSError:
+        raise CommandError(EXIT_BAD_INPUT, f"error: cannot read input {args.input}") from None
+    except ValueError as exc:
+        raise CommandError(EXIT_BAD_INPUT, f"error: malformed input: {exc}") from None
 
     violations = model.validate_project(spec)
     if violations:
-        for v in violations:
-            print(f"invalid project: {v}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise CommandError(EXIT_FAILURE, *(f"invalid project: {v}" for v in violations))
 
     t_start = time.perf_counter()
     try:
@@ -125,12 +112,11 @@ def cmd_plan(args) -> int:
         if args.buffer is not None:
             params = dataclasses.replace(params, buffer_radius=args.buffer)
     except model.ProjectError as exc:
-        return _invalid_option(exc)
+        raise CommandError(EXIT_BAD_INPUT, f"error: invalid option: {exc}") from None
     configs = transport.configure_all_transport_units(spec, fleet, seed=args.seed)
     plan = staging.build_staging_plan(spec, configs, params)
     graph = schedule.build_partial_schedule(spec, plan, configs, fleet, params)
-    if _invalid_schedule(graph, "partial"):
-        return EXIT_FAILURE
+    _check_schedule(graph, "partial")
     runtime = time.perf_counter() - t_start
 
     staging_doc = staging.staging_plan_to_jsonable(plan)
@@ -149,13 +135,13 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _artifacts(out: Path, *names: str) -> list[Path]:
+def _artifacts(out: Path, what: str, *names: str) -> list[Path]:
     """The paths of the artifacts `names` a command reads; raises
-    FileNotFoundError naming each one that is missing."""
+    CommandError (exit 3) naming each one that is missing."""
     paths = [out / n for n in names]
     missing = [p.name for p in paths if not p.is_file()]
     if missing:
-        raise FileNotFoundError(", ".join(missing))
+        raise CommandError(EXIT_MISSING_ARTIFACTS, f"error: missing {what}: {', '.join(missing)}")
     return paths
 
 
@@ -164,9 +150,8 @@ def _read_artifact(path: Path, reader):
     model.ArtifactError naming the file when its text is not UTF-8 JSON or
     the document does not have the structure `reader` expects."""
     try:
-        return reader(_json_document(path.read_text(encoding="utf-8")))
-    except (UnicodeDecodeError, json.JSONDecodeError, model.ProjectError,
-            model.ArtifactError) as exc:
+        return reader(json.loads(path.read_text(encoding="utf-8")))
+    except ValueError as exc:
         raise model.ArtifactError(f"malformed artifact {path.name}: {exc}") from None
 
 
@@ -193,61 +178,52 @@ def _unit_configs(doc) -> dict:
     return {cid: transport.transport_config_from_jsonable(d) for cid, d in doc.items()}
 
 
-def _invalid_schedule(graph: schedule.ScheduleGraph, mode: str) -> bool:
-    """Prints one line per violation of `graph` in `mode`; True if any."""
+def _check_schedule(graph: schedule.ScheduleGraph, mode: str):
+    """Raises CommandError (exit 1), one line per violation of `graph` in `mode`."""
     issues = schedule.validate_schedule(graph, mode)
-    for v in issues:
-        print(f"invalid schedule: {v.node}: {v.message}", file=sys.stderr)
-    return bool(issues)
+    if issues:
+        raise CommandError(EXIT_FAILURE,
+                           *(f"invalid schedule: {v.node}: {v.message}" for v in issues))
 
 
-def _unsimulable(graph: schedule.ScheduleGraph, plan, configs) -> str | None:
-    """What the simulator reads for `graph` and the other artifacts lack, as
-    `malformed artifact <name>: ...`: a transport unit config for every
-    payload, and a staging circle for every build step the schedule opens."""
+def _check_simulable(graph: schedule.ScheduleGraph, plan, configs):
+    """Raises model.ArtifactError, as `malformed artifact <name>: ...`, for
+    what the simulator reads for `graph` and the other artifacts lack: a
+    transport unit config for every payload, and a staging circle for every
+    build step the schedule opens."""
     payloads = sorted(set(graph.source) - set(configs))
     if payloads:
-        return f"malformed artifact transport_units.json: no config for {', '.join(payloads)}"
+        raise model.ArtifactError(
+            f"malformed artifact transport_units.json: no config for {', '.join(payloads)}")
     steps = [f"{n.subject}:{n.slot}" for _, n in sorted(graph.nodes.items())
              if n.kind == "OpenBuildStep" and (
                  n.subject not in plan.assemblies
                  or n.slot not in range(1, len(plan.assemblies[n.subject].phase_radii) + 1))]
     if steps:
-        return f"malformed artifact staging.json: no staging circle for {', '.join(steps)}"
-    return None
+        raise model.ArtifactError(
+            f"malformed artifact staging.json: no staging circle for {', '.join(steps)}")
 
 
 def cmd_allocate(args) -> int:
     out = Path(args.out)
     if args.max_nodes < 1:
-        return _invalid_option(f"--max-nodes must be at least 1, got {args.max_nodes}")
+        raise CommandError(EXIT_BAD_INPUT, "error: invalid option: "
+                           f"--max-nodes must be at least 1, got {args.max_nodes}")
     if not args.time_limit > 0:  # inf turns the limit off
-        return _invalid_option(f"--time-limit must be positive, got {args.time_limit}")
-    try:
-        project_json, partial_json = _artifacts(out, "project.json", "schedule_partial.json")
-    except FileNotFoundError as exc:
-        print(f"error: missing plan artifacts: {exc}", file=sys.stderr)
-        return EXIT_MISSING_ARTIFACTS
-    try:
-        _, fleet, _ = _read_artifact(project_json, _project_artifact)
-        graph = _read_artifact(partial_json, schedule.schedule_from_jsonable)
-    except model.ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    if _invalid_schedule(graph, "partial"):
-        return EXIT_FAILURE
+        raise CommandError(EXIT_BAD_INPUT, "error: invalid option: "
+                           f"--time-limit must be positive, got {args.time_limit}")
+    project_json, partial_json = _artifacts(
+        out, "plan artifacts", "project.json", "schedule_partial.json")
+    _, fleet, _ = _read_artifact(project_json, _project_artifact)
+    graph = _read_artifact(partial_json, schedule.schedule_from_jsonable)
+    _check_schedule(graph, "partial")
 
     t_start = time.perf_counter()
     if args.method == "export-lp":
         milp = allocation.build_milp(graph, fleet)
         _stream(out, "model.lp", lambda f: allocation.export_lp(milp, f))
         return EXIT_OK
-    try:
-        greedy = allocation.greedy_pccf(graph, fleet)
-    except allocation.AllocationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    greedy = allocation.greedy_pccf(graph, fleet)
     if args.method == "greedy":
         result = greedy
     else:  # bnb, warm-started by greedy
@@ -279,34 +255,22 @@ def cmd_allocate(args) -> int:
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     if args.max_steps < 1:
-        return _invalid_option(f"--max-steps must be at least 1, got {args.max_steps}")
-    try:
-        project_json, staging_json, units_json, complete_json = _artifacts(
-            out, "project.json", "staging.json", "transport_units.json",
-            "schedule_complete.json")
-    except FileNotFoundError as exc:
-        print(f"error: missing artifacts: {exc}", file=sys.stderr)
-        return EXIT_MISSING_ARTIFACTS
-    try:
-        _, fleet, params = _read_artifact(project_json, _project_artifact)
-        plan = _read_artifact(staging_json, staging.staging_plan_from_jsonable)
-        configs = _read_artifact(units_json, _unit_configs)
-        graph = _read_artifact(complete_json, schedule.schedule_from_jsonable)
-    except model.ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    if _invalid_schedule(graph, "complete"):
-        return EXIT_FAILURE
-    problem = _unsimulable(graph, plan, configs)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise CommandError(EXIT_BAD_INPUT, "error: invalid option: "
+                           f"--max-steps must be at least 1, got {args.max_steps}")
+    project_json, staging_json, units_json, complete_json = _artifacts(
+        out, "artifacts", "project.json", "staging.json", "transport_units.json",
+        "schedule_complete.json")
+    _, fleet, params = _read_artifact(project_json, _project_artifact)
+    plan = _read_artifact(staging_json, staging.staging_plan_from_jsonable)
+    configs = _read_artifact(units_json, _unit_configs)
+    graph = _read_artifact(complete_json, schedule.schedule_from_jsonable)
+    _check_schedule(graph, "complete")
+    _check_simulable(graph, plan, configs)
     if args.dt is not None:
         try:
             params = dataclasses.replace(params, dt_sim=args.dt)
         except model.ProjectError as exc:
-            return _invalid_option(exc)
+            raise CommandError(EXIT_BAD_INPUT, f"error: invalid option: {exc}") from None
 
     _, _, predicted = schedule.evaluate_schedule(graph, fleet)
     t_start = time.perf_counter()
@@ -353,15 +317,8 @@ def _report_row(d: Path) -> dict:
 
 def cmd_report(args) -> int:
     out = Path(args.out)
-    rows = []
     candidates = [out] + sorted(p for p in out.glob("*") if p.is_dir()) if out.is_dir() else []
-    try:
-        for d in candidates:
-            if (d / "metrics.json").is_file():
-                rows.append(_report_row(d))
-    except model.ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    rows = [_report_row(d) for d in candidates if (d / "metrics.json").is_file()]
     rows.sort(key=lambda r: (r["robots"] if r["robots"] != "" else -1, r["run"]))
     print(",".join(REPORT_COLUMNS))
     for row in rows:
@@ -414,10 +371,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# control characters print escaped (a newline as `\n`): one line per line
+_ESCAPED = {c: chr(c).encode("unicode_escape").decode()
+            for c in [*range(0x20), *range(0x7f, 0xa0), 0x2028, 0x2029]}
+
+
 def main(argv=None) -> int:
+    """Runs a command; the one writer of its errors to stderr, and of the
+    exit codes of CommandError, model.ArtifactError and AllocationError."""
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CommandError as exc:
+        failure = exc
+    except model.ArtifactError as exc:
+        failure = CommandError(EXIT_BAD_INPUT, f"error: {exc}")
+    except allocation.AllocationError as exc:
+        failure = CommandError(EXIT_FAILURE, f"error: {exc}")
+    for line in failure.lines:
+        print(line.translate(_ESCAPED), file=sys.stderr)
+    return failure.code
 
 
 if __name__ == "__main__":

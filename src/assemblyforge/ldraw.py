@@ -40,7 +40,6 @@ class PartDimensionTable:
 @dataclass
 class ParseReport:
     warnings: list[str] = field(default_factory=list)
-    skipped_lines: dict[int, int] = field(default_factory=dict)  # line type -> count
 
 
 @dataclass(frozen=True)
@@ -110,8 +109,7 @@ def _parse_type1(fields: list[str], line_no: int) -> tuple[int, Transform, str]:
     return color, Transform(rot, np.array([x, y, z])), name
 
 
-def _split_sections(text: str) -> tuple[list[_Section], ParseReport]:
-    report = ParseReport()
+def _split_sections(text: str) -> list[_Section]:
     sections: list[_Section] = []
     current: _Section | None = None
     section_names: set[str] = set()
@@ -144,11 +142,9 @@ def _split_sections(text: str) -> tuple[list[_Section], ParseReport]:
             rot = _LDRAW_TO_WORLD @ tf_ldraw.rotation @ _LDRAW_TO_WORLD.T
             trans = _LDRAW_TO_WORLD @ tf_ldraw.translation
             current.refs.append((line_no, name.lower(), Transform(rot, trans), color))
-        elif lt in {"2", "3", "4", "5"}:
-            report.skipped_lines[int(lt)] = report.skipped_lines.get(int(lt), 0) + 1
-        else:
+        elif lt not in {"2", "3", "4", "5"}:  # geometry lines are skipped
             raise LdrawParseError(f"unknown line type {lt!r}", line_no)
-    return sections, report
+    return sections
 
 
 def parse_mpd(
@@ -163,7 +159,7 @@ def parse_mpd(
     `.dat` references become parts sized from the dimension table.
     """
     table = dimension_table or PartDimensionTable({})
-    sections, report = _split_sections(text)
+    sections, report = _split_sections(text), ParseReport()
     if not sections:
         raise LdrawParseError("no model content found", 1)
 

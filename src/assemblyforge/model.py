@@ -111,9 +111,6 @@ class Assembly:
     components: tuple[tuple[str, Transform], ...]
     build_phases: tuple[BuildPhase, ...]
 
-    def component_ids(self) -> list[str]:
-        return [cid for cid, _ in self.components]
-
     def transform_of(self, child_id: str) -> Transform:
         for cid, tf in self.components:
             if cid == child_id:
@@ -316,6 +313,8 @@ def validate_project(spec: ProjectSpec) -> list[Violation]:
             out.append(Violation(aid, "reachable", "assembly not reachable from root"))
 
     for pid, geom in spec.parts_catalog.items():
+        if pid in spec.assemblies:
+            out.append(Violation(pid, "part-or-assembly", "names both a part and an assembly"))
         if geom.vertices.size == 0:
             out.append(Violation(pid, "geometry-nonempty", "part has no vertices"))
         elif not math.isfinite(far := float(np.max(np.abs(geom.vertices)))):

@@ -3,8 +3,9 @@
 The inputs are real documents: the toy run (2 robots, greedy, simulated to
 the end), the tractor partial schedule at 5 robots, and the toy project JSON
 that `plan` reads. Each example changes one place in one document: it
-deletes a key, replaces a value (null, a string, a bool, `[]`, `{}`, 0, -1,
-NaN, +-inf, +-1e300, an int beyond the float range, 0.5 or a node id), or
+deletes a key, replaces a value (null, a string, one holding a newline, a
+bool, `[]`, `{}`, 0, -1, NaN, +-inf, +-1e300, an int beyond the float
+range, 0.5 or a node id), or
 duplicates or drops a list entry. The commands that read the document then
 run on a copy of the run directory.
 
@@ -37,8 +38,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from assemblyforge import cli, model, projects, schedule, staging, transport
 
-VALUES = [None, "x", True, [], {}, 0, -1, math.nan, math.inf, -math.inf, 1e300, -1e300,
-          10**400, 0.5]
+VALUES = [None, "x", "x\ny", True, [], {}, 0, -1, math.nan, math.inf, -math.inf, 1e300,
+          -1e300, 10**400, 0.5]
 ALLOCATE = [["allocate"], ["allocate", "--method", "bnb", "--max-nodes", "50"],
             ["allocate", "--method", "export-lp"]]
 SIMULATE = [["simulate", "--max-steps", "30"]]

@@ -255,6 +255,34 @@ class TestExitCodes:
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_FAILURE
 
+    def test_part_named_like_an_assembly(self, tmp_path, capsys):
+        # else only the schedule grammar catches it, with a message about a node
+        doc = model.project_to_jsonable(projects.tractor_project())
+        doc["parts"]["axle_front.ldr@1"] = doc["parts"]["3001.dat@1"]
+        bad = tmp_path / "both.json"
+        bad.write_text(json.dumps(doc))
+        code = cli.main(["plan", "--input", str(bad), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            "invalid project: [part-or-assembly] axle_front.ldr@1: "
+            "names both a part and an assembly\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("pid,shown", [
+        ("bri\nck", "bri\\nck"), ("bri\x1bck", "bri\\x1bck"),
+        ("bri\u2028ck", "bri\\u2028ck"), ("bri\x85ck", "bri\\x85ck"),
+    ], ids=["newline", "escape", "line-separator", "next-line"])
+    def test_control_character_in_part_id(self, toy_input, tmp_path, capsys, pid, shown):
+        doc = json.loads(toy_input.read_text())
+        doc["parts"][pid] = dict(doc["parts"]["brick@1"], units_per_meter="x")
+        bad = tmp_path / "control.json"
+        bad.write_text(json.dumps(doc))
+        code = cli.main(["plan", "--input", str(bad), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            f"error: malformed input: project JSON: part {shown} has units_per_meter 'x', "
+            "not a finite number\n")
+
     @pytest.mark.parametrize("option", [["--radius", "-1"], ["--vmin", "2"],
                                         ["--robots", "-3"], ["--robots", "0"],
                                         ["--radius", "inf"], ["--vmax", "inf"],
@@ -497,6 +525,42 @@ class TestExitCodes:
             "invalid schedule: RobotGo:brick@1:1:pickup: unexpected RobotStart predecessor (1)"]
         for name in ("schedule_complete.json", "allocation.json", "model.lp"):
             assert not (out / name).exists(), name
+
+    def test_newline_in_payload_id(self, toy_input, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        path = out / "schedule_partial.json"
+        # `\\n` in the JSON text is a newline in the id it decodes to
+        doc = json.loads(path.read_text().replace("brick@1", "bri\\nck"))
+        doc["edges"] += [["RobotStart:robot1", "RobotGo:bri\nck:0:pickup"],
+                         ["RobotStart:robot0", "RobotGo:bri\nck:1:pickup"]]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == (
+            "invalid schedule: RobotGo:bri\\nck:0:pickup: unexpected RobotStart predecessor (1)\n"
+            "invalid schedule: RobotGo:bri\\nck:1:pickup: unexpected RobotStart predecessor (1)\n")
+        assert not (out / "schedule_complete.json").exists()
+
+    @pytest.mark.parametrize("name,damage,line", [
+        ("staging.json", lambda d: d["assemblies"].update(
+            {"to\ny": dict(d["assemblies"]["toy"], final_radius="x")}),
+         "staging JSON: assembly to\\ny has final_radius 'x', "
+         "not a finite number from 0 to 1e+150 m"),
+        ("transport_units.json", lambda d: d.update({"bri\nck": d["brick@1"]}),
+         "transport unit bri\\nck has payload_id 'brick@1'"),
+    ], ids=["staging-assembly", "unit-key"])
+    def test_newline_in_artifact_key(self, toy_input, tmp_path, capsys, name, damage, line):
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_OK
+        doc = json.loads((out / name).read_text())
+        damage(doc)
+        (out / name).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["simulate", "--out", str(out)]) == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: malformed artifact {name}: {line}\n"
+        assert not (out / "trace.csv").exists()
 
     @pytest.mark.parametrize("command,name,damage,message", [
         ("allocate", "schedule_partial.json", lambda d: d.update(terminal_nodes=[]),

@@ -17,6 +17,10 @@ JSON writing: in the package, `json.dumps` is called only by
 `sim.events_to_jsonl`, which writes the event log's lines; both use the C
 encoder's one-line layout with sorted keys.
 
+Error output: in the package, only `cli.main` writes to `sys.stderr`, by
+`print(..., file=sys.stderr)` or `sys.stderr.write`; commands raise, and
+`main` prints each error line and picks the exit code. Logging is exempt.
+
 Single writer: outside the methods of `sim.World`, no package code assigns,
 deletes or mutates (a method such as `pop`, `append` or `setdefault`, a heapq
 push or pop, an item assignment) a world's node states, timers, completion
@@ -104,25 +108,30 @@ def test_node_id_checker_flags_ids_and_colon_splits():
 JSON_WRITERS = {"cli._json_text", "sim.events_to_jsonl"}
 
 
-def callers(source: str, module: str, owner: str, names: set[str]) -> list[str]:
-    """The `module.function` of each call in `source` of `owner.<name>`, or
-    of `<name>` imported bare, for a name in `names`; `module.<module>` for
-    a call outside any function."""
+def calls(source: str, module: str, match) -> list[str]:
+    """The `module.function` of each call in `source` for which
+    `match(call)` holds; `module.<module>` for a call outside any function."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{module}.{node.name}"
-        elif isinstance(node, ast.Call) and (
-                isinstance(node.func, ast.Attribute) and node.func.attr in names
-                and isinstance(node.func.value, ast.Name) and node.func.value.id == owner
-                or isinstance(node.func, ast.Name) and node.func.id in names):
+        elif isinstance(node, ast.Call) and match(node):
             found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(ast.parse(source), f"{module}.<module>")
     return found
+
+
+def callers(source: str, module: str, owner: str, names: set[str]) -> list[str]:
+    """The `module.function` of each call in `source` of `owner.<name>`, or
+    of `<name>` imported bare, for a name in `names`."""
+    return calls(source, module, lambda call: (
+        isinstance(call.func, ast.Attribute) and call.func.attr in names
+        and isinstance(call.func.value, ast.Name) and call.func.value.id == owner
+        or isinstance(call.func, ast.Name) and call.func.id in names))
 
 
 def json_dumps_callers(source: str, module: str) -> list[str]:
@@ -148,6 +157,47 @@ def test_json_writer_checker_names_the_function():
         "    return json.loads(text)\n"
     )
     assert json_dumps_callers(source, "m") == ["m.<module>", "m.inner", "m.write"]
+
+
+def _is_stderr(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "stderr"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys"
+            or isinstance(node, ast.Name) and node.id == "stderr")
+
+
+def stderr_writers(source: str, module: str) -> list[str]:
+    """The `module.function` of each `print(..., file=sys.stderr)` and
+    `sys.stderr.write` or `writelines` call in `source`."""
+    return calls(source, module, lambda call: (
+        any(k.arg == "file" and _is_stderr(k.value) for k in call.keywords)
+        if isinstance(call.func, ast.Name) and call.func.id == "print"
+        else isinstance(call.func, ast.Attribute) and _is_stderr(call.func.value)
+        and call.func.attr in ("write", "writelines")))
+
+
+def test_stderr_has_one_writer():
+    found = sorted(c for p in (ROOT / "src").rglob("*.py")
+                   for c in stderr_writers(p.read_text(), p.stem))
+    assert found == ["cli.main"]
+
+
+def test_stderr_checker_flags_a_command():
+    source = (
+        "import sys\n"
+        "from sys import stderr\n"
+        "def cmd_plan(args):\n"
+        "    print('error: invalid option', file=sys.stderr)\n"
+        "    print('run,robots', file=sys.stdout)\n"
+        "    print('done')\n"
+        "    log.warning('slow')\n"
+        "def _report(lines):\n"
+        "    stderr.write(lines[0])\n"
+        "    sys.stderr.writelines(lines)\n"
+        "def main(argv):\n"
+        "    print(argv, file=stderr)\n"
+    )
+    assert stderr_writers(source, "cli") == [
+        "cli.cmd_plan", "cli._report", "cli._report", "cli.main"]
 
 
 # The JSON number tests are called only by the artifact table checker in

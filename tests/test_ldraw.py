@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from assemblyforge import ldraw
+from assemblyforge import ldraw, model
 
 
 TABLE = ldraw.load_dimension_table("""
@@ -84,10 +84,12 @@ class TestParseMpd:
         spans = geom.vertices.max(axis=0) - geom.vertices.min(axis=0)
         assert tuple(spans) == ldraw.GENERIC_BRICK_LDU
 
-    def test_geometry_lines_skipped_and_counted(self):
+    def test_geometry_lines_skipped(self):
         text = SMALL_MPD + "3 16 0 0 0 1 0 0 0 1 0\n4 16 0 0 0 1 0 0 0 1 0 0 0 1\n"
-        result = ldraw.parse_mpd(text, TABLE)
-        assert result.report.skipped_lines == {3: 1, 4: 1}
+        result, plain = ldraw.parse_mpd(text, TABLE), ldraw.parse_mpd(SMALL_MPD, TABLE)
+        assert result.report == plain.report
+        assert model.project_to_jsonable(result.project) == model.project_to_jsonable(
+            plain.project)
 
     def test_malformed_type1_errors(self):
         with pytest.raises(ldraw.LdrawParseError, match="14 numeric fields"):

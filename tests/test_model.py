@@ -123,6 +123,11 @@ class TestValidateProject:
         assert "single-parent" in rules
         assert "reachable" in rules
 
+    def test_part_named_like_an_assembly(self):
+        spec = _simple_spec(parts_catalog={"p": _box_part(), "root": _box_part()})
+        assert [str(v) for v in model.validate_project(spec)] == [
+            "[part-or-assembly] root: names both a part and an assembly"]
+
     def test_bad_part_geometry(self):
         spec = _simple_spec(parts_catalog={
             "p": PartGeometry(np.array([[math.inf, 0, 0]]), units_per_meter=-1.0)
