@@ -441,16 +441,27 @@ _DOT_SHORT = {
 }
 
 
+def _dot_string(text: str) -> str:
+    """`text` as a DOT quoted string on one line: a backslash is doubled, and
+    a quote, a line feed and a carriage return are written as backslash
+    escapes, so that no string ends in an escaping backslash or continues
+    onto the next line."""
+    escaped = (text.replace("\\", "\\\\").replace('"', '\\"')
+               .replace("\n", "\\n").replace("\r", "\\r"))
+    return f'"{escaped}"'
+
+
 def schedule_to_dot(graph: ScheduleGraph) -> str:
+    """The schedule as a DOT digraph, one statement per line."""
     lines = ["digraph schedule {", "  rankdir=LR;"]
     for nid, node in sorted(graph.nodes.items()):
         label = f"{_DOT_SHORT[node.kind]} {node.subject}"
         if node.slot is not None:
             label += f"/{node.slot}"
         shape = "ellipse" if node.kind in CHECKPOINT_KINDS else "box"
-        lines.append(f'  "{nid}" [label="{label}", shape={shape}];')
+        lines.append(f"  {_dot_string(nid)} [label={_dot_string(label)}, shape={shape}];")
     for u, v in sorted(graph.edges):
-        lines.append(f'  "{u}" -> "{v}";')
+        lines.append(f"  {_dot_string(u)} -> {_dot_string(v)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

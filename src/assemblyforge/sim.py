@@ -17,9 +17,14 @@ what an agent's goal, task, activity and priority, a payload's team or the
 units that may form derive from, and each steps `World.epoch` first. So
 these are built once per epoch (`World.per_epoch`), not once per step: on
 tractor-15 at seed 0, the epoch changes in 187 of 4,210 steps. The controller
-rows (`control_rows`) also hold the staging circles and the (n, n)
-priority shares; each step fills in only the goals that are the agent's
-own position.
+rows (`control_rows`) also hold the staging circles, the (n, n) priority
+shares, L3's pair table (`orca_pairs`: the constrained pairs, their shares,
+combined radii and LP cull bounds, and each agent's rows) and the
+penetration bound of every pair; `_form_candidates` and `_arrivals` hold the
+rows and destinations of the teams that may form and of the units on their
+way. Each step fills in only the goals that are the agent's own position,
+gathers the positions and velocities of the pairs, and tests every waiting
+team member and moving unit against its destination in one array pass.
 
 The step is array-backed. Ready nodes come off a queue in topological
 order. The tangent bug (Kamon, Rivlin & Rimon, "TangentBug", 1998) is one
@@ -325,47 +330,60 @@ def alpha_value(is_unit: bool, task_kind: str, phase_active: bool,
 # -- level 3: generalized RVO (ORCA half-planes with priority shares) --------
 
 
-def _orca_lines(p_i, v_i, r_i, p_j, v_j, r_j, share, tau: float, dt: float):
-    """Half-planes constraining each agent i against its j, one pair per row.
+def _orca_lines(rel_pos, v_i, v_j, comb_r, comb_r_sq, share, tau: float, dt: float):
+    """Half-planes constraining each agent i against its j, one pair per row:
+    `rel_pos` is p_j - p_i, `comb_r` the pair's inflated combined radius and
+    `comb_r_sq` its square (see `orca_pairs`).
 
     Returns an (m, 2, 2) array of (point, direction) rows; feasible
-    velocities lie to the left of each directed line."""
-    rel_pos = p_j - p_i
+    velocities lie to the left of each directed line. The arithmetic runs
+    on columns, each element through the float operations of the scalar
+    construction; only the dot products take (m, 2) rows."""
     rel_vel = v_i - v_j
     dist_sq = np.vecdot(rel_pos, rel_pos)
-    comb_r = (r_i + r_j) * (1.0 + ORCA_SAFETY_FACTOR)
-    comb_r_sq = comb_r * comb_r
     apart = dist_sq > comb_r_sq
     # apart: velocity obstacle truncated at horizon tau; overlapping: resolve
     # the overlap within one step
     horizon = np.where(apart, tau, dt)
+    x, y = rel_pos[:, 0], rel_pos[:, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = rel_vel - rel_pos / horizon[:, None]
+        w = np.empty_like(rel_pos)
+        np.subtract(rel_vel[:, 0], x / horizon, out=w[:, 0])
+        np.subtract(rel_vel[:, 1], y / horizon, out=w[:, 1])
         w_len_sq = np.vecdot(w, w)
         w_len = np.sqrt(w_len_sq)
         dot1 = np.vecdot(w, rel_pos)
         # apart and projecting on the cutoff circle, or overlapping
         on_circle = ~apart | ((dot1 < 0) & (dot1 * dot1 > comb_r_sq * w_len_sq))
-        unit_w = np.where((~apart & ~(w_len > 1e-12))[:, None], [1.0, 0.0],
-                          w / w_len[:, None])
-        circle_dir = np.stack([unit_w[:, 1], -unit_w[:, 0]], axis=1)
-        circle_u = (comb_r / horizon - w_len)[:, None] * unit_w
+        unit = ~apart & ~(w_len > 1e-12)  # an overlap with w = 0 pushes along +x
+        ux = np.where(unit, 1.0, w[:, 0] / w_len)
+        uy = np.where(unit, 0.0, w[:, 1] / w_len)
+        scale = comb_r / horizon - w_len  # circle_u = scale * (ux, uy)
 
-        # apart and projecting on a leg of the cone
+        # apart and projecting on a leg of the cone. The right leg is the
+        # left leg's formula with -comb_r, negated: x * leg - y * -comb_r is
+        # x * leg + y * comb_r, x * -comb_r is -x * comb_r, and -(a / d) is
+        # (-a) / d, all exactly, so one formula gives each leg's bits.
         diff = dist_sq - comb_r_sq
         leg = np.sqrt(np.where(0.0 > diff, 0.0, diff))
-        x, y = rel_pos[:, 0], rel_pos[:, 1]
-        left = (x * w[:, 1] - y * w[:, 0] > 0)[:, None]
-        leg_dir = np.where(
-            left,
-            np.stack([x * leg - y * comb_r, x * comb_r + y * leg], axis=1) / dist_sq[:, None],
-            -np.stack([x * leg + y * comb_r, -x * comb_r + y * leg], axis=1) / dist_sq[:, None])
-        dot2 = np.vecdot(rel_vel, leg_dir)
-        leg_u = dot2[:, None] * leg_dir - rel_vel
+        right = ~(x * w[:, 1] - y * w[:, 0] > 0)
+        c = np.where(right, -comb_r, comb_r)
+        lx = (x * leg - y * c) / dist_sq
+        ly = (x * c + y * leg) / dist_sq
+        leg_dir = np.empty_like(rel_pos)
+        leg_dir[:, 0] = np.where(right, -lx, lx)
+        leg_dir[:, 1] = np.where(right, -ly, ly)
+        dot2 = np.vecdot(rel_vel, leg_dir)  # leg_u = dot2 * leg_dir - rel_vel
 
-    direction = np.where(on_circle[:, None], circle_dir, leg_dir)
-    u = np.where(on_circle[:, None], circle_u, leg_u)
-    return np.stack([v_i + share[:, None] * u, direction], axis=1)
+    # on the circle: (v_i + share * circle_u, (uy, -ux)); on a leg:
+    # (v_i + share * leg_u, leg_dir)
+    lines = np.empty((len(rel_pos), 2, 2))
+    for k, (u, leg_k) in enumerate(((ux, leg_dir[:, 0]), (uy, leg_dir[:, 1]))):
+        toward = np.where(on_circle, scale * u, dot2 * leg_k - rel_vel[:, k])
+        np.add(v_i[:, k], share * toward, out=lines[:, 0, k])
+    lines[:, 1, 0] = np.where(on_circle, uy, leg_dir[:, 0])
+    lines[:, 1, 1] = np.where(on_circle, -ux, leg_dir[:, 1])
+    return lines
 
 
 # Slack, in m/s, between an agent's speed disc and the lines that
@@ -473,40 +491,84 @@ def _lp3(lines, begin, radius, result):
     return result
 
 
+def _read_only(*arrays):
+    """Mark `arrays`, kept for an epoch, read-only: no step may write them."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class OrcaPairs:
+    """What L3 reads of the agents apart from their positions, velocities
+    and preferred velocities; only a transition changes it. One row per
+    constrained pair (i, j), i != j with a share that is not <= 0, in
+    row-major order. `orca_pairs` builds it, read-only."""
+
+    i: np.ndarray  # (m,) the agent each row constrains
+    j: np.ndarray  # (m,) the agent it avoids
+    share: np.ndarray  # (m,) shares[i][j]
+    comb_r: np.ndarray  # (m,) (r_i + r_j) * (1 + ORCA_SAFETY_FACTOR)
+    comb_r_sq: np.ndarray  # (m,) comb_r * comb_r
+    cap: np.ndarray  # (n,) the agents' speed caps
+    floor: np.ndarray  # (m,) -cap[i] - LP_MARGIN: a line at or below it cannot bind
+    bounds: list  # agent k's rows are bounds[k]:bounds[k + 1]
+    caps: list  # cap, as Python floats for the LP loop
+
+
+def orca_pairs(radii, caps, shares) -> OrcaPairs:
+    """The L3 pair table of agents with `radii` and `caps` (n,) and the
+    (n, n) priority `shares`."""
+    r = np.asarray(radii, float)
+    cap = np.array(caps, float)  # a copy: it is made read-only below
+    n = len(r)
+    s = np.asarray(shares, float).reshape(n, n)
+    i, j = np.nonzero(~(s <= 0.0) & ~np.eye(n, dtype=bool))
+    comb_r = (r[i] + r[j]) * (1.0 + ORCA_SAFETY_FACTOR)
+    pairs = OrcaPairs(i, j, s[i, j], comb_r, comb_r * comb_r, cap, -cap[i] - LP_MARGIN,
+                      np.searchsorted(i, np.arange(n + 1)).tolist(), cap.tolist())
+    _read_only(i, j, pairs.share, comb_r, pairs.comb_r_sq, cap, pairs.floor)
+    return pairs
+
+
 def rvo_resolve(positions, radii, velocities, preferred, caps, shares,
-                dt: float, tau: float):
-    """Command velocities for all agents.
+                dt: float, tau: float, *, pairs: OrcaPairs | None = None) -> np.ndarray:
+    """Command velocities (n, 2) for all agents.
 
     shares[i][j] is agent i's responsibility toward j (share 0 means no
-    constraint from that pair on i). The half-planes of all constrained
-    pairs are built in one array pass, in row-major (i, j) order, and so are
+    constraint from that pair on i). `pairs` is `orca_pairs(radii, caps,
+    shares)`, which a caller resolving many steps of one epoch builds once;
+    without it, it is built here. Each call builds the half-planes of all
+    constrained pairs in one array pass, in row-major (i, j) order, and so
     the LP rows of the agents that need the LP, without the lines that
-    cannot bind (see LP_MARGIN). Returns a list of velocity vectors."""
+    cannot bind (see LP_MARGIN)."""
+    if pairs is None:
+        pairs = orca_pairs(radii, caps, shares)
     p = np.asarray(positions, float).reshape(-1, 2)
     n = len(p)
     v = np.asarray(velocities, float).reshape(n, 2)
-    r = np.asarray(radii, float)
-    s = np.asarray(shares, float).reshape(n, n)
-    i, j = np.nonzero(~(s <= 0.0) & ~np.eye(n, dtype=bool))
-    lines = _orca_lines(p[i], v[i], r[i], p[j], v[j], r[j], s[i, j], tau, dt)
+    i, j = pairs.i, pairs.j
+    # rows are gathered by `take`: the same copy as p[j], at a fraction of the
+    # cost per call
+    lines = _orca_lines(p.take(j, 0) - p.take(i, 0), v.take(i, 0), v.take(j, 0), pairs.comb_r,
+                        pairs.comb_r_sq, pairs.share, tau, dt)
     # _lp2's start, the preferred velocity clamped to the cap, for all agents;
     # an agent whose start violates none of its lines keeps it
     pref = np.asarray(preferred, float).reshape(n, 2)
-    cap = np.asarray(caps, float)
+    cap = pairs.cap
     speed = np.sqrt(np.vecdot(pref, pref))
     with np.errstate(divide="ignore", invalid="ignore"):
-        start = np.where((speed <= cap)[:, None], pref, pref / speed[:, None] * cap[:, None])
+        commands = np.where((speed <= cap)[:, None], pref, pref / speed[:, None] * cap[:, None])
     pts, dirs = lines[:, 0], lines[:, 1]
-    violated = (dirs[:, 0] * (start[i, 1] - pts[:, 1])
-                - dirs[:, 1] * (start[i, 0] - pts[:, 0]) < -1e-12)
+    start = commands.take(i, 0)
+    violated = (dirs[:, 0] * (start[:, 1] - pts[:, 1])
+                - dirs[:, 1] * (start[:, 0] - pts[:, 0]) < -1e-12)
     busy = np.bincount(i[violated], minlength=n) > 0
     keep = np.flatnonzero(busy[i] & ~(dirs[:, 0] * pts[:, 1] - dirs[:, 1] * pts[:, 0]
-                                      <= -cap[i] - LP_MARGIN))
-    rows = _lp_rows(pts[keep], dirs[keep], pref[i[keep]])
-    bounds = np.searchsorted(i, np.arange(n + 1)).tolist()
+                                      <= pairs.floor))
+    binding = lines.take(keep, 0)
+    rows = _lp_rows(binding[:, 0], binding[:, 1], pref.take(i[keep], 0))
     kept = np.searchsorted(i[keep], np.arange(n + 1)).tolist()
-    starts, caps = start.tolist(), cap.tolist()  # Python floats for the LP loop
-    commands = start.copy()
+    starts, caps, bounds = commands.tolist(), pairs.caps, pairs.bounds
     for k in np.flatnonzero(busy).tolist():
         own = rows[kept[k]:kept[k + 1]]
         fail, cmd = _lp2_rows(own, caps[k], starts[k])
@@ -514,7 +576,7 @@ def rvo_resolve(positions, radii, velocities, preferred, caps, shares,
             cmd = _lp3(lines[bounds[k]:bounds[k + 1]], int(keep[kept[k] + fail]) - bounds[k],
                        caps[k], cmd)
         commands[k] = cmd
-    return list(commands)
+    return commands
 
 
 # -- world / trace -----------------------------------------------------------
@@ -785,49 +847,75 @@ def _finish_timers(world: World):
 
 
 def _form_candidates(world: World) -> tuple:
-    """(form node, team) of each payload, in order, whose form is pending,
-    whose source is complete and whose team is full."""
+    """((form node, team), ...) of each payload, in order, whose form is
+    pending, whose source is complete and whose team is full; the world rows
+    of their members, candidate by candidate in slot order, with the (m, 2)
+    destinations of the members' pickups; and the index of each candidate's
+    first member among them."""
     graph, status = world.graph, world.status
-    candidates = []
+    candidates, rows, destinations, firsts = [], [], [], []
     for payload, team in sorted(world.teams().items()):
         form = node_id("FormTransportUnit", payload)
         if (status[form] == "pending" and status[graph.source[payload]] == "complete"
                 and len(team) == graph.team_sizes[payload]):
             candidates.append((form, team))
-    return tuple(candidates)
+            firsts.append(len(rows))
+            rows.extend(world.row[rid] for rid, _ in team)
+            destinations.extend(graph.nodes[pick].destination for _, pick in team)
+    arrays = (np.array(rows, int), np.array(destinations, float).reshape(-1, 2),
+              np.array(firsts, int))
+    _read_only(*arrays)
+    return (tuple(candidates), *arrays)
 
 
 def _form_units(world: World):
-    """Form transport units whose robots are all in position."""
-    nodes, row = world.graph.nodes, world.row
-    for form, team in world.per_epoch(_form_candidates):
-        if world.status[form] != "pending" or any(
-                not world.present[row[rid]]
-                or _length(world.pos[row[rid]] - nodes[pick].destination) > world.arrival_tol
-                for rid, pick in team):
-            continue
-        # the source and every pickup are then complete, so the form is ready
-        for _, pick in team:
-            world.complete(pick)
-        world.start(form)
+    """Form transport units whose robots are all in position: present and
+    within the arrival tolerance of their pickups, one test for all the
+    candidates' members. Only a candidate's own pickups and form change
+    below and no agent moves, so each test holds until its turn."""
+    candidates, rows, destinations, firsts = world.per_epoch(_form_candidates)
+    if not candidates:
+        return
+    gap = world.pos[rows] - destinations
+    there = world.present[rows] & ~(np.sqrt(np.vecdot(gap, gap)) > world.arrival_tol)
+    for (form, team), ready in zip(candidates, np.logical_and.reduceat(there, firsts).tolist()):
+        if ready:  # the source and every pickup are then complete, so the form is ready
+            for _, pick in team:
+                world.complete(pick)
+            world.start(form)
+
+
+def _arrivals(world: World) -> tuple:
+    """The TransportUnitGo tasks of the formed units, in unit id order, with
+    the units' world rows and the (m, 2) task destinations."""
+    nodes = world.graph.nodes
+    going = [(uid, task) for uid, task in sorted(world.unit_task.items())
+             if nodes[task].kind == "TransportUnitGo"]
+    arrays = (np.array([world.row[uid] for uid, _ in going], int),
+              np.array([nodes[task].destination for _, task in going], float).reshape(-1, 2))
+    _read_only(*arrays)
+    return ([task for _, task in going], *arrays)
 
 
 def _arrive(world: World):
-    """Complete the TransportUnitGo of every unit at its destination."""
-    for uid, task in sorted(world.unit_task.items()):
-        node = world.graph.nodes[task]
-        if node.kind == "TransportUnitGo" and _length(
-                world.pos[world.row[uid]] - np.array(node.destination, float)) <= world.arrival_tol:
-            world.complete(task)
+    """Complete the TransportUnitGo of every unit at its destination, one
+    test for all the units; a completion changes no other unit's task."""
+    tasks, rows, destinations = world.per_epoch(_arrivals)
+    if tasks:
+        gap = world.pos[rows] - destinations
+        for task, there in zip(tasks, (np.sqrt(np.vecdot(gap, gap))
+                                       <= world.arrival_tol).tolist()):
+            if there:
+                world.complete(task)
     world.fire_checkpoints()
 
 
 @dataclass(frozen=True)
 class ControlRows:
-    """What the controller reads of the present agents, apart from their
-    positions and velocities: one row per agent, in row order, and the
-    staging circles. Only a transition changes it, so `control_rows` builds
-    it once per epoch."""
+    """What the controller and the penetration check read of the present
+    agents, apart from their positions and velocities: one row per agent,
+    in row order, the staging circles and the pair tables. Only a transition
+    changes it, so `control_rows` builds it once per epoch."""
 
     idx: np.ndarray  # the agents' world rows
     ids: list
@@ -845,6 +933,8 @@ class ControlRows:
     cap: np.ndarray
     caps: list
     robots: list  # (world row, id) of each robot, for `_swap_stuck`
+    pairs: OrcaPairs  # L3's constrained pairs
+    reach: np.ndarray  # per pair i < j of `_pairs(n)`, the distance below which it penetrates
 
 
 def control_rows(world: World) -> ControlRows:
@@ -901,20 +991,19 @@ def control_rows(world: World) -> ControlRows:
     with np.errstate(divide="ignore", invalid="ignore"):
         shares = np.where(pair_alpha == 0, 0.5, alpha[:, None] / pair_alpha)
     np.fill_diagonal(shares, 0.0)
-    cap = world.cap[idx]
+    rad, cap = world.radius[idx], world.cap[idx]
+    pairs = orca_pairs(rad, cap, shares)
     rows = ControlRows(
         idx, ids, np.array(goals, float).reshape(-1, 2), np.array(at_pos, int),
         np.array(own, int), tasks, np.array(active, bool), alphas, alpha, shares,
-        np.array(centers, float).reshape(-1, 2), np.array(radii, float), world.radius[idx],
-        cap, cap.tolist(), robots)
-    for value in vars(rows).values():  # kept for the epoch: no step may write them
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+        np.array(centers, float).reshape(-1, 2), np.array(radii, float), rad,
+        cap, pairs.caps, robots, pairs, _contact_reach(rad, world.pen_tol))
+    _read_only(*(value for value in vars(rows).values() if isinstance(value, np.ndarray)))
     return rows
 
 
-def _control(world: World, rows: ControlRows) -> list:
-    """Command velocities of the agents of `rows` from the three-layer
+def _control(world: World, rows: ControlRows) -> np.ndarray:
+    """Command velocities (n, 2) of the agents of `rows` from the three-layer
     controller."""
     params = world.params
     pos = world.pos[rows.idx]
@@ -934,7 +1023,7 @@ def _control(world: World, rows: ControlRows) -> list:
                                   ~rows.active & (rows.alpha != 0.0), nominals, rows.caps,
                                   world.pen_tol, params.blend_a, params.blend_b)
     return rvo_resolve(pos, rows.rad, world.vel[rows.idx], prefs, rows.caps, rows.shares,
-                       world.dt, params.rvo_horizon)
+                       world.dt, params.rvo_horizon, pairs=rows.pairs)
 
 
 @functools.cache
@@ -946,24 +1035,31 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _penetrations(positions: np.ndarray, radii: np.ndarray, tol: float):
-    """Index pairs i < j, in row-major order, of the agents that overlap by
-    more than `tol`; all pairs are compared in one array pass."""
+def _contact_reach(radii: np.ndarray, tol: float) -> np.ndarray:
+    """r_i + r_j - tol of each pair i < j of `_pairs`: the center distance
+    below which the two agents overlap by more than `tol`."""
     i, j = _pairs(len(radii))
-    diff = positions[i] - positions[j]
-    hit = np.sqrt(np.vecdot(diff, diff)) < radii[i] + radii[j] - tol
+    return radii[i] + radii[j] - tol
+
+
+def _penetrations(positions: np.ndarray, reach: np.ndarray):
+    """Index pairs i < j, in row-major order, of the agents closer than
+    their `_contact_reach`; all pairs are compared in one array pass."""
+    i, j = _pairs(len(positions))
+    diff = positions.take(i, 0) - positions.take(j, 0)
+    hit = np.sqrt(np.vecdot(diff, diff)) < reach
     return list(zip(i[hit].tolist(), j[hit].tolist()))
 
 
-def _integrate(world: World, rows: ControlRows, commands: list):
-    """Move the agents of `rows`, trace them and count penetrating pairs."""
-    vel = np.array(commands, float).reshape(-1, 2)
+def _integrate(world: World, rows: ControlRows, vel: np.ndarray):
+    """Move the agents of `rows` at the command velocities `vel` (n, 2),
+    trace them and count penetrating pairs."""
     pos = world.pos[rows.idx] + vel * world.dt
     world.pos[rows.idx], world.vel[rows.idx] = pos, vel
     ids = rows.ids
     world.trace_out.write(trace_to_csv(world.t, ids, rows.tasks, rows.alphas, pos.tolist(),
                                        vel.tolist()))
-    for i, j in _penetrations(pos, rows.rad, world.pen_tol):
+    for i, j in _penetrations(pos, rows.reach):
         world.collision_count += 1
         world.events.append({"type": "penetration", "agents": [ids[i], ids[j]],
                              "t": round(world.t, 6)})

@@ -44,7 +44,7 @@ from assemblyforge.schedule import (
     validate_schedule,
 )
 from assemblyforge.sim import (
-    ORCA_SAFETY_FACTOR, _length, _ray_circle_hits, alpha_value, dispersion_force,
+    LP_MARGIN, ORCA_SAFETY_FACTOR, _length, _ray_circle_hits, alpha_value, dispersion_force,
     preferred_velocity,
 )
 from assemblyforge.staging import RadialLayoutProblem, RadialLayoutResult, _pava
@@ -1495,6 +1495,82 @@ def control_rows_loop(world, idx) -> dict:
             "tasks": tasks, "active": np.array(active, bool), "alphas": alphas,
             "shares": shares}
 
+
+
+def orca_pairs_scan(radii, caps, shares) -> dict:
+    """What `sim.rvo_resolve` derived from its radii, caps and shares at
+    every call before the epoch's pair table kept it, by a scan over the
+    ordered pairs: the constrained (i, j) in row-major order, their shares,
+    the combined radii as `_orca_lines` inflated them and their squares,
+    the LP cull bound of each row, and each agent's first row."""
+    n = len(radii)
+    out = {k: [] for k in ("i", "j", "share", "comb_r", "comb_r_sq", "floor", "bounds")}
+    for i in range(n):
+        out["bounds"].append(len(out["i"]))
+        for j in range(n):
+            s = float(shares[i][j])
+            if j == i or s <= 0.0:
+                continue
+            comb_r = (float(radii[i]) + float(radii[j])) * (1.0 + ORCA_SAFETY_FACTOR)
+            out["i"].append(i)
+            out["j"].append(j)
+            out["share"].append(s)
+            out["comb_r"].append(comb_r)
+            out["comb_r_sq"].append(comb_r * comb_r)
+            out["floor"].append(-float(caps[i]) - LP_MARGIN)
+    out["bounds"].append(len(out["i"]))
+    out["caps"] = [float(c) for c in caps]
+    return out
+
+
+def contact_reach_scan(radii, tol: float) -> list[float]:
+    """r_i + r_j - tol of each pair i < j in row-major order, the bound that
+    the penetration check compared each distance with at every step."""
+    return [float(radii[i]) + float(radii[j]) - tol
+            for i in range(len(radii)) for j in range(i + 1, len(radii))]
+
+
+def form_candidates_scan(world) -> list[tuple[str, tuple]]:
+    """(form node, team) of each payload, in order, whose form is pending,
+    whose source is complete and whose team is full, from `teams_scan`."""
+    graph, status = world.graph, world.status
+    return [(form, tuple(team)) for p, team in sorted(teams_scan(world).items())
+            if status[form := node_id("FormTransportUnit", p)] == "pending"
+            and status[graph.source[p]] == "complete" and len(team) == graph.team_sizes[p]]
+
+
+def form_units_loop(world) -> list[tuple[str, str]]:
+    """The (node, new status) changes of one `sim._form_units` call, by the
+    loop that ran before the array test: one scalar distance per member,
+    each candidate tested after the earlier ones formed, on copies of the
+    node states and the presence bits."""
+    status, present = dict(world.status), world.present.copy()
+    nodes, row = world.graph.nodes, world.row
+    changes = []
+    for form, team in form_candidates_scan(world):
+        if status[form] != "pending" or any(
+                not present[row[rid]]
+                or _length(world.pos[row[rid]] - nodes[pick].destination) > world.arrival_tol
+                for rid, pick in team):
+            continue
+        for rid, pick in team:
+            status[pick] = "complete"
+            present[row[rid]] = False
+            changes.append((pick, "complete"))
+        status[form] = "active"
+        changes.append((form, "active"))
+    return changes
+
+
+def arrive_loop(world) -> list[str]:
+    """The TransportUnitGo nodes that one `sim._arrive` call completes, in
+    order, by the loop over the formed units that ran before the array
+    test."""
+    nodes = world.graph.nodes
+    return [task for uid, task in sorted(world.unit_task.items())
+            if nodes[task].kind == "TransportUnitGo"
+            and _length(world.pos[world.row[uid]] - np.array(nodes[task].destination, float))
+            <= world.arrival_tol]
 
 # -- planning loops before their array scans ----------------------------------
 

@@ -2,10 +2,12 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import assemblyforge
@@ -910,6 +912,45 @@ class TestFullChain:
             assert cli.main(["simulate", "--out", str(out)]) == cli.EXIT_OK
             traces.append((out / "trace.csv").read_bytes())
         assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("names", [("brick@1", "brick@2"), ('b"r<i>&ck', "brick\\")],
+                             ids=["plain", "quote-and-backslash"])
+    def test_dot_lines_are_statements(self, tmp_path, names):
+        """Each line of `schedule_partial.dot` is one statement whose quoted
+        strings are balanced, also for part names holding a quote or ending
+        in a backslash, and each id reads back as the schedule's. A plain
+        id is written as it is."""
+        toy = projects.toy_project()
+        asm = model.Assembly("toy", tuple(
+            (name, model.Transform(np.eye(3), [x, 0.0, 0.0])) for name, x in zip(names, (0, 2))),
+            (model.BuildPhase(1, names),))
+        part = toy.parts_catalog["brick@1"]
+        spec = model.ProjectSpec({"toy": asm}, "toy", {name: part for name in names})
+        inp = tmp_path / "project.json"
+        inp.write_text(json.dumps(model.project_to_jsonable(
+            spec, projects.default_fleet(2), model.PlanParams(buffer_radius=0.25))))
+        out = tmp_path / "out"
+        assert _plan(inp, out) == cli.EXIT_OK
+        text = (out / "schedule_partial.dot").read_text(encoding="utf-8")
+        lines = text.splitlines()
+        assert lines[:2] == ["digraph schedule {", "  rankdir=LR;"] and lines[-1] == "}"
+        quoted = r'"((?:[^"\\\n]|\\.)*)"'
+        node = re.compile(rf"  {quoted} \[label={quoted}, shape=(?:box|ellipse)\];")
+        edge = re.compile(rf"  {quoted} -> {quoted};")
+        ids, edges = set(), set()
+        for line in lines[2:-1]:
+            if m := node.fullmatch(line):
+                ids.add(re.sub(r"\\(.)", r"\1", m[1]))
+            else:
+                m = edge.fullmatch(line)
+                assert m, line
+                edges.add(tuple(re.sub(r"\\(.)", r"\1", g) for g in m.groups()))
+        doc = json.loads((out / "schedule_partial.json").read_text())
+        assert ids == {n["id"] for n in doc["nodes"]}
+        assert edges == {tuple(e) for e in doc["edges"]}
+        assert any(names[0] in nid for nid in ids)
+        if names[0] == "brick@1":
+            assert all(f'"{nid}"' in text for nid in ids)
 
     @pytest.mark.parametrize("name", ["modèle.mpd", "jouet.json"], ids=["mpd", "json"])
     def test_utf8_whatever_the_locale(self, tmp_path, name):

@@ -51,11 +51,12 @@ RUNS = {
         partial(projects.synthetic_project, 0), 48,
         [["greedy"]], (["--max-steps", "400"], cli.EXIT_DEADLOCK),
     ),
-    # the 400-part scale the planning speedups are measured at; planning and
-    # the 138 MB LP (256,016 binaries), not simulated
+    # the 400-part scale the planning speedups are measured at: planning, the
+    # 138 MB LP (256,016 binaries), and the benchmark's 32-agent crowd for its
+    # first 1,000 steps, whose 4 penetrations are pinned as they are
     "synthetic-400": (
         partial(projects.synthetic_project, 0, clusters=16, parts_per_cluster=25), 32,
-        [["greedy"], ["export-lp"]], None,
+        [["greedy"], ["export-lp"]], (["--max-steps", "1000"], cli.EXIT_DEADLOCK),
     ),
 }
 
@@ -124,6 +125,8 @@ GOLDEN = {
         "transport_units.json": "c4e8a138d3d7802fb71f6cc5bce2d94b6123a143b4ca830bc0f53463f6bba070",
         "schedule_complete.json": "e7e060bdaca557690058515055820e339c57bd39e4fb86d7a721c502f27ea3b4",
         "model.lp": "29867a90542f80d20c06dbe97b62baac9db656cb39b7198c6657bfecebfbf04b",
+        "trace.csv": "ca7d31a667c6e10f2d5526ac0866924cd2b4ce089da94ea2ab18ed856e75906d",
+        "events.jsonl": "efa5fd314465b16129d985d564ba5b8565a5dd0147db6de0fd93bfab2f58f9a2",
     },
 }
 
@@ -157,6 +160,11 @@ GOLDEN_METRICS = {
     "synthetic-48": {
         "collision_count": 1, "deadlocked": True, "execution_makespan": float("inf"),
         "predicted_makespan": 94.86517866752928, "robots": 48, "steps": 400,
+        "swap_count": 0,
+    },
+    "synthetic-400": {
+        "collision_count": 4, "deadlocked": True, "execution_makespan": float("inf"),
+        "predicted_makespan": 622.3067791839786, "robots": 32, "steps": 1000,
         "swap_count": 0,
     },
 }

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from assemblyforge import sim
-from assemblyforge.schedule import node_id
 
 from . import oracles
 
@@ -604,7 +603,8 @@ class TestArrayKernels:
         rng = np.random.default_rng(7)
         seen = set()
         for name, (p_i, v_i, r_i, p_j, v_j, r_j, share) in _orca_cases(rng):
-            lines = sim._orca_lines(p_i, v_i, r_i, p_j, v_j, r_j, share, TAU, DT)
+            comb_r = (r_i + r_j) * (1.0 + sim.ORCA_SAFETY_FACTOR)
+            lines = sim._orca_lines(p_j - p_i, v_i, v_j, comb_r, comb_r * comb_r, share, TAU, DT)
             assert lines.shape == (len(p_i), 2, 2)
             for k in range(len(p_i)):
                 point, direction = oracles.scalar_orca_line(
@@ -617,18 +617,19 @@ class TestArrayKernels:
                     w = rel_vel - rel_pos / TAU
                     dot1 = float(w @ rel_pos)
                     cutoff = dot1 < 0 and dot1 * dot1 > comb_r * comb_r * float(w @ w)
-                    seen.add("cutoff" if cutoff else "leg")
+                    left = rel_pos[0] * w[1] - rel_pos[1] * w[0] > 0
+                    seen.add("cutoff" if cutoff else "left leg" if left else "right leg")
                 else:
                     w = rel_vel - rel_pos / DT
                     seen.add("overlap" if np.linalg.norm(w) > 1e-12 else "w_len_zero")
                     if not rel_pos.any():
                         seen.add("coincident")
-        assert seen == {"cutoff", "leg", "overlap", "w_len_zero", "coincident"}
+        assert seen == {"cutoff", "left leg", "right leg", "overlap", "w_len_zero", "coincident"}
 
     def test_orca_lines_empty(self):
         empty = np.zeros((0, 2))
-        lines = sim._orca_lines(empty, empty, np.zeros(0), empty, empty, np.zeros(0),
-                                np.zeros(0), TAU, DT)
+        lines = sim._orca_lines(empty, empty, empty, np.zeros(0), np.zeros(0), np.zeros(0),
+                                TAU, DT)
         assert lines.shape == (0, 2, 2)
 
     def test_lp2_matches_scalar(self):
@@ -724,6 +725,10 @@ class TestArrayKernels:
             opts = [opt for _, _, _, opt in scene]
             got = sim.rvo_resolve(np.zeros((n, 2)), np.ones(n), np.zeros((n, 2)), opts, caps,
                                   1.0 - np.eye(n), DT, TAU)
+            pairs = sim.orca_pairs(np.ones(n), caps, 1.0 - np.eye(n))
+            assert _same_bits(sim.rvo_resolve(np.zeros((n, 2)), np.ones(n), np.zeros((n, 2)),
+                                              opts, caps, 1.0 - np.eye(n), DT, TAU,
+                                              pairs=pairs), got)
             for k, lines in enumerate(own):
                 fail, want = _scalar_lp(lines, caps[k], opts[k])
                 assert _same_bits(got[k], want), (scene[k][0], k)
@@ -759,6 +764,9 @@ class TestArrayKernels:
             fallbacks += used
             for g, w in zip(got, want):
                 assert _same_bits(g, w), n
+            pairs = sim.orca_pairs(radii, caps, shares)
+            assert _same_bits(sim.rvo_resolve(positions, radii, velocities, preferred, caps,
+                                              shares, DT, TAU, pairs=pairs), got), n
         assert fallbacks > 0  # the _lp3 fallback ran
 
     def test_ray_circle_hits_match_scalar(self):
@@ -916,10 +924,54 @@ class TestArrayKernels:
         for n in list(range(0, 6)) + [30, 60]:
             positions = rng.uniform(0, 0.3 * n + 0.5, (n, 2))
             radii = rng.choice([0.25, 0.4], n)
-            got = sim._penetrations(positions, radii, 1e-3 * 0.25)
+            got = sim._penetrations(positions, sim._contact_reach(radii, 1e-3 * 0.25))
             assert got == oracles.scalar_penetrations(positions, radii, 1e-3 * 0.25)
             total += len(got)
         assert total > 0
+
+    @pytest.mark.parametrize("where", ["form", "arrive"])
+    def test_arrival_at_the_tolerance(self, pipeline, params, toy_spec, where):
+        """A team member, or a unit, at exactly `arrival_tol` from its goal
+        has arrived, as it had for the scalar loops; one ulp beyond the
+        tolerance it has not, one ulp within it has. The tolerance is set to
+        the distance as computed and to its two neighbouring floats."""
+        data = pipeline(toy_spec, "toy", 2)
+        nodes = data["greedy"].graph.nodes
+
+        def world_at_target():
+            """A toy world between steps with a team gathering (form) or a
+            unit on its way (arrive), and that one's agent row and goal."""
+            w = sim.World(data["greedy"].graph, data["plan"], data["configs"], data["fleet"],
+                          params, io.StringIO())
+            while True:
+                assert not sim.step(w)
+                if where == "form" and (candidates := w.per_epoch(sim._form_candidates)[0]):
+                    form, team = candidates[0]
+                    for rid, pick in team:  # all members on their pickups
+                        w.pos[w.row[rid]] = nodes[pick].destination
+                    rid, pick = team[-1]
+                    return w, form, w.row[rid], np.array(nodes[pick].destination, float)
+                going = [(uid, task) for uid, task in sorted(w.unit_task.items())
+                         if nodes[task].kind == "TransportUnitGo"]
+                if where == "arrive" and going:
+                    uid, task = going[0]
+                    return w, task, w.row[uid], np.array(nodes[task].destination, float)
+
+        goal = world_at_target()[3]
+        dist = sim._length(goal + [0.03, 0.04] - goal)
+        for tol, arrives in ((dist, True), (math.nextafter(dist, 0.0), False),
+                             (math.nextafter(dist, math.inf), True)):
+            w, node, r, goal = world_at_target()
+            w.pos[r] = goal + [0.03, 0.04]
+            w.arrival_tol = tol
+            if where == "form":
+                want = oracles.form_units_loop(w)
+                sim._form_units(w)
+                assert (w.status[node] == "active") == bool(want) == arrives, tol
+            else:
+                want = oracles.arrive_loop(w)
+                sim._arrive(w)
+                assert (w.status[node] == "complete") == (want == [node]) == arrives, tol
 
     @pytest.mark.parametrize("project,robots", [("toy", 2), ("tractor", 5)])
     def test_ready_queue_fires_like_full_scan(self, monkeypatch, pipeline, params, toy_spec,
@@ -957,12 +1009,33 @@ class TestArrayKernels:
                                                   max_steps):
         """What the world keeps per epoch equals the scans that ran at every
         step before: at every controller call, and after every transition
-        that is not part of another."""
+        that is not part of another. The units that form and arrive at each
+        step are those of the scalar loops that ran before the array tests."""
         spec = {"toy": toy_spec, "tractor": tractor_spec, "synthetic": synthetic_spec}[project]
         data = pipeline(spec, project, robots)
-        control = sim._control
-        seen = {"open": 0, "units": 0, "rows": 0, "transitions": 0}
+        control, form_units, arrive = sim._control, sim._form_units, sim._arrive
+        seen = {"open": 0, "units": 0, "rows": 0, "transitions": 0, "formed": 0, "arrived": 0}
         depth = [0]
+
+        def logged(w):
+            if not isinstance(w.status, _StatusLog):
+                w.status = _StatusLog(w.status)
+            return len(w.status.log)
+
+        def checked_form(w):
+            want, start = oracles.form_units_loop(w), logged(w)
+            form_units(w)
+            assert w.status.log[start:] == want, w.t
+            seen["formed"] += len(want)
+
+        def checked_arrive(w):
+            want, start = oracles.arrive_loop(w), logged(w)
+            arrive(w)  # completes the arrivals, then fires what they readied
+            got = w.status.log[start:]
+            assert got[:len(want)] == [(task, "complete") for task in want], w.t
+            assert all(w.graph.nodes[nid].kind != "TransportUnitGo"
+                       for nid, _ in got[len(want):]), w.t
+            seen["arrived"] += len(want)
 
         def transition(method):
             def checked(w, *args):
@@ -993,11 +1066,13 @@ class TestArrayKernels:
         for name in ("start", "complete", "swap"):
             monkeypatch.setattr(sim.World, name, transition(getattr(sim.World, name)))
         monkeypatch.setattr(sim, "_control", checked)
+        monkeypatch.setattr(sim, "_form_units", checked_form)
+        monkeypatch.setattr(sim, "_arrive", checked_arrive)
         world = sim.World(data["greedy"].graph, data["plan"], data["configs"],
                           data["fleet"], params, io.StringIO())
         while not sim.step(world) and world.steps != max_steps:
             pass
-        assert seen["open"] and seen["units"] and seen["transitions"]
+        assert all(seen.values()), seen
         assert seen["rows"] == world.steps
         assert (world.steps == max_steps) == (project == "synthetic")
         if project == "tractor":  # the rows are checked across swaps too
@@ -1005,14 +1080,26 @@ class TestArrayKernels:
 
 
 def _assert_epoch_cache(w):
-    """Assert that the world's teams, form candidates and controller rows for
-    this epoch equal the scans of its state, bit for bit; returns the rows."""
+    """Assert that the world's teams, form candidates, arrival targets,
+    controller rows and pair tables for this epoch equal the scans of its
+    state, bit for bit; returns the rows."""
     teams = oracles.teams_scan(w)
     assert {p: list(team) for p, team in w.teams().items()} == teams, w.t
-    assert w.per_epoch(sim._form_candidates) == tuple(
-        (form, tuple(team)) for p, team in sorted(teams.items())
-        if w.status[form := node_id("FormTransportUnit", p)] == "pending"
-        and w.status[w.graph.source[p]] == "complete" and len(team) == w.graph.team_sizes[p])
+    candidates, members, destinations, firsts = w.per_epoch(sim._form_candidates)
+    want = oracles.form_candidates_scan(w)
+    assert candidates == tuple(want), w.t
+    assert members.tolist() == [w.row[rid] for _, team in want for rid, _ in team], w.t
+    assert _same_bits(destinations, np.array(
+        [w.graph.nodes[pick].destination for _, team in want for _, pick in team],
+        float).reshape(-1, 2)), w.t
+    assert firsts.tolist() == np.cumsum([0] + [len(team) for _, team in want])[:-1].tolist()
+    tasks, units, destinations = w.per_epoch(sim._arrivals)
+    going = [(uid, task) for uid, task in sorted(w.unit_task.items())
+             if w.graph.nodes[task].kind == "TransportUnitGo"]
+    assert tasks == [task for _, task in going], w.t
+    assert units.tolist() == [w.row[uid] for uid, _ in going], w.t
+    assert _same_bits(destinations, np.array(
+        [w.graph.nodes[task].destination for _, task in going], float).reshape(-1, 2)), w.t
     rows = w.per_epoch(sim.control_rows)
     assert rows.ids == [w.ids[r] for r in np.flatnonzero(w.present)], w.t
     loop = oracles.control_rows_loop(w, rows.idx)
@@ -1025,6 +1112,12 @@ def _assert_epoch_cache(w):
     assert np.array_equal(rows.active, loop["active"]), w.t
     assert (rows.tasks, rows.alphas) == (loop["tasks"], loop["alphas"]), w.t
     assert rows.robots == [(w.row[a], a) for a in rows.ids if a not in w.unit_task], w.t
+    scan = oracles.orca_pairs_scan(rows.rad, rows.caps, rows.shares)
+    for name in ("i", "j", "share", "comb_r", "comb_r_sq", "floor"):
+        assert _same_bits(getattr(rows.pairs, name), np.array(scan[name], float)), (name, w.t)
+    assert _same_bits(rows.pairs.cap, rows.cap), w.t
+    assert (rows.pairs.bounds, rows.pairs.caps) == (scan["bounds"], scan["caps"]), w.t
+    assert _same_bits(rows.reach, np.array(oracles.contact_reach_scan(rows.rad, w.pen_tol))), w.t
     return rows
 
 

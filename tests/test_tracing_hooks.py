@@ -67,3 +67,6 @@ def test_instrumented_toy_run(tracing, pipeline, toy_spec, params):
     assert layers["sim.l2_s"] > 0
     assert layers["sim.l2_force_calls"] >= trace.steps  # one field_radius per step
     assert layers["sim.l3_s"] > 0
+    # the constrained pairs of the 200 L3 calls: a change to what rvo_resolve
+    # is handed must not change what this per-layer count means
+    assert layers["sim.l3_constraints"] == 326
