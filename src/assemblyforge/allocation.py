@@ -13,6 +13,7 @@ import math
 import re
 import time as _time
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import TextIO
 
 import numpy as np
@@ -254,6 +255,11 @@ class ScheduleMilp:
     variables: tuple[tuple[str, str], ...]  # candidate assignment edges (u, v)
     durations: list[float]  # pickup travel of variables[i] if it is chosen
     big_m: float
+    sources: tuple[str, ...]  # robot starts, then dropoffs in id order
+    targets: tuple[str, ...]  # pickups in id order
+    # (sources, targets) bool, true where (sources[i], targets[j]) is a
+    # candidate; `variables` are its true cells in row-major order
+    candidates: np.ndarray
 
 
 def _reachability(graph: ScheduleGraph):
@@ -269,37 +275,41 @@ def _reachability(graph: ScheduleGraph):
     return topo, rank, desc
 
 
-def _candidate_edges(graph: ScheduleGraph) -> list[tuple[str, str]]:
-    """Assignment edges that cannot close a cycle in the partial graph:
-    every robot start and dropoff to every pickup that does not reach it.
-    The partial grammar gives no pickup a predecessor, so every endpoint
-    has free capacity."""
-    _, rank, desc = _reachability(graph)
-    dropoffs = sorted(d for ds in graph.dropoffs.values() for d in ds)
-    pickups = sorted(p for ps in graph.pickups.values() for p in ps)
-    return [(u, v) for u in [*graph.robot_starts, *dropoffs] for v in pickups
-            if not desc[rank[v]] >> rank[u] & 1]
-
-
 def build_milp(graph: ScheduleGraph, fleet: RobotFleet) -> ScheduleMilp:
-    variables = _candidate_edges(graph)
-    # the origin of each distinct source and the destination of each
-    # distinct target, gathered per edge: every edge's travel_time in one
-    # call
-    src = {u: i for i, u in enumerate(dict.fromkeys(u for u, _ in variables))}
-    tgt = {v: i for i, v in enumerate(dict.fromkeys(v for _, v in variables))}
-    origin = np.array([graph.nodes[u].origin for u in src], float).reshape(-1, 2)
-    dest = np.array([graph.nodes[v].destination for v in tgt], float).reshape(-1, 2)
-    rows = np.array([src[u] for u, _ in variables], np.intp)
-    cols = np.array([tgt[v] for _, v in variables], np.intp)
+    """The assignment model of the partial schedule `graph`. Its candidate
+    edges are those that cannot close a cycle: every robot start and dropoff
+    to every pickup that does not reach it. The partial grammar gives no
+    pickup a predecessor, so every endpoint has free capacity.
+
+    The candidates are one sources x pickups table, read from each pickup's
+    descendant bits at the sources' ranks. Its true cells in row-major order
+    are the variables, source by source, and their indices time every edge
+    in one `travel_time` call."""
+    topo, rank, desc = _reachability(graph)
+    sources = (*graph.robot_starts, *sorted(d for ds in graph.dropoffs.values() for d in ds))
+    targets = tuple(sorted(p for ps in graph.pickups.values() for p in ps))
+    width = (len(topo) + 7) // 8
+    bits = np.frombuffer(b"".join(desc[rank[v]].to_bytes(width, "little") for v in targets),
+                         np.uint8).reshape(len(targets), width)
+    at = np.array([rank[u] for u in sources], np.intp)
+    reaches = (bits[:, at >> 3] >> (at & 7).astype(np.uint8)) & 1  # (targets, sources)
+    candidates = np.ascontiguousarray(reaches.T == 0)
+    rows, cols = np.nonzero(candidates)
+    origin = np.array([graph.nodes[u].origin for u in sources], float).reshape(-1, 2)
+    dest = np.array([graph.nodes[v].destination for v in targets], float).reshape(-1, 2)
     durations = travel_time(origin[rows].T, dest[cols].T, fleet.v_max)
-    # the longest pickup into each target, in first-seen target order, added
-    # left to right as the scalar loop added them
-    longest = np.zeros(len(tgt))
+    # the longest pickup into each target, added left to right in the order
+    # in which the targets first appear among the variables; a target
+    # without a candidate adds 0.0, which changes no sum
+    longest = np.zeros(len(targets))
     np.maximum.at(longest, cols, durations)
+    first_seen = np.argsort(candidates.argmax(axis=0), kind="stable") if sources else []
     fixed = sum(n.duration or 0.0 for n in graph.nodes.values())
-    big_m = fixed + sum(longest.tolist()) + 1.0
-    return ScheduleMilp(graph, tuple(variables), durations.tolist(), big_m)
+    big_m = fixed + sum(longest[first_seen].tolist()) + 1.0
+    variables = tuple(zip(np.array(sources, object)[rows].tolist(),
+                          np.array(targets, object)[cols].tolist()))
+    return ScheduleMilp(graph, variables, durations.tolist(), big_m, sources, targets,
+                        candidates)
 
 
 def _lp_name(raw: str, taken: dict[str, str]) -> str:
@@ -313,64 +323,90 @@ def _lp_name(raw: str, taken: dict[str, str]) -> str:
     return name
 
 
-def _lp_constraints(milp: ScheduleMilp, node_name: dict[str, str]):
-    """The expression of every constraint row, in row order; `export_lp`
-    numbers them."""
-    g = milp.graph
-    # durations (fixed) and precedence over existing edges
-    for nid in sorted(g.nodes):
-        node = g.nodes[nid]
-        if node.duration is not None:
-            yield f"tF_{node_name[nid]} - t0_{node_name[nid]} >= {node.duration:.9g}"
-        else:
-            yield f"tF_{node_name[nid]} - t0_{node_name[nid]} >= 0"
-    for u, v in sorted(g.edges):
-        yield f"t0_{node_name[v]} - tF_{node_name[u]} >= 0"
+# the rows of a node or edge section that `export_lp` writes at a time
+_LP_CHUNK = 1024
 
-    # degree rows over candidate variables
-    in_vars: dict[str, list[str]] = {}
-    out_vars: dict[str, list[str]] = {}
-    for u, v in milp.variables:
-        in_vars.setdefault(v, []).append(u)
-        out_vars.setdefault(u, []).append(v)
-    for v in sorted(in_vars):
-        nv = node_name[v]
-        terms = " + ".join(f"X_{node_name[u]}__{nv}" for u in in_vars[v])
-        yield f"{terms} >= 1"
-        yield f"{terms} <= 1"
-    for u in sorted(out_vars):
-        nu = node_name[u]
-        yield " + ".join(f"X_{nu}__{node_name[v]}" for v in out_vars[u]) + " <= 1"
 
-    # big-M precedence and conditional durations for candidate edges:
-    # t0_v - tF_u >= -M (1 - X)  and  tF_v - t0_v >= d (activated when X = 1)
-    m, neg_m = f"{milp.big_m:.9g}", f"{-milp.big_m:.9g}"
-    for (u, v), d in zip(milp.variables, milp.durations):
-        nu, nv = node_name[u], node_name[v]
-        x = f"X_{nu}__{nv}"
-        yield f"t0_{nv} - tF_{nu} - {m} {x} >= {neg_m}"
-        if d > 0:
-            yield f"tF_{nv} - t0_{nv} - {d:.9g} {x} >= 0"
+def _write_chunked(write, lines) -> None:
+    """Writes the strings of the iterable `lines`, `_LP_CHUNK` at a time."""
+    lines = iter(lines)
+    while block := "".join(islice(lines, _LP_CHUNK)):
+        write(block)
 
 
 def export_lp(milp: ScheduleMilp, out: TextIO) -> None:
-    """Write the CPLEX-LP text of the model to `out` one row at a time:
-    edge binaries, node start/finish times, big-M precedence and
-    conditional-duration rows."""
+    """Write the CPLEX-LP text of the model to `out`: the objective; a
+    fixed-duration row per node and a precedence row per edge of the
+    partial graph; two degree rows per target and one per source; for each
+    candidate edge a big-M precedence row and, when its travel is positive,
+    a conditional-duration row; the time bounds; the edge binaries.
+
+    The text goes out a block at a time, never a whole section: node and
+    edge rows `_LP_CHUNK` at a time, then one write per target (its degree
+    rows) and three per source (its out-degree row, its big-M and
+    conditional-duration rows, its binaries), each block read from the
+    source's row or the target's column of `milp.candidates`. A block joins
+    its X_<u>__<v> terms with a separator, and a source's big-M block is one
+    `%` of a template over its pickups."""
     g = milp.graph
     taken: dict[str, str] = {}
     node_name = {nid: _lp_name(nid, taken) for nid in sorted(g.nodes)}
+    src = np.array([node_name[u] for u in milp.sources], object)
+    tgt = np.array([node_name[v] for v in milp.targets], object)
+    table = milp.candidates
     write = out.write
     obj = " + ".join(f"tF_{node_name[t]}" for t in g.terminal_nodes)
     write(f"\\ sparse adjacency assignment model\nMinimize\n obj: {obj}\nSubject To\n")
-    for row, expr in enumerate(_lp_constraints(milp, node_name), 1):
-        write(f" c{row}: {expr}\n")
+
+    # durations (fixed) and precedence over existing edges
+    fixed = ("0" if (d := g.nodes[nid].duration) is None else f"{d:.9g}" for nid in node_name)
+    _write_chunked(write, (f" c{r}: tF_{n} - t0_{n} >= {d}\n"
+                           for r, (n, d) in enumerate(zip(node_name.values(), fixed), 1)))
+    row = len(node_name)
+    _write_chunked(write, (f" c{r}: t0_{node_name[v]} - tF_{node_name[u]} >= 0\n"
+                           for r, (u, v) in enumerate(sorted(g.edges), row + 1)))
+    row += len(g.edges)
+
+    # degree rows over candidate variables, a target's sources in source
+    # order and a source's pickups in id order
+    for j, nv in enumerate(tgt.tolist()):
+        if us := src[table[:, j]].tolist():
+            terms = "X_" + f"__{nv} + X_".join(us) + f"__{nv}"
+            write(f" c{row + 1}: {terms} >= 1\n c{row + 2}: {terms} <= 1\n")
+            row += 2
+    for i in sorted(range(len(src)), key=milp.sources.__getitem__):
+        if vs := tgt[table[i]].tolist():
+            row += 1
+            write(f" c{row}: X_{src[i]}__" + f" + X_{src[i]}__".join(vs) + " <= 1\n")
+
+    # big-M precedence and conditional durations for candidate edges:
+    # t0_v - tF_u >= -M (1 - X)  and  tF_v - t0_v >= d (activated when X = 1).
+    # Each pickup's piece of the template takes the arguments (row, v, v,
+    # row + 1, v, v, d, v); the piece for d = 0 has no conditional row and
+    # prints its last five arguments as nothing.
+    m, neg_m = f"{milp.big_m:.9g}", f"{-milp.big_m:.9g}"
+    k = 0
+    for i, nu in enumerate(src.tolist()):
+        if not (vs := tgt[table[i]].tolist()):
+            continue
+        ds = milp.durations[k:k + len(vs)]
+        k += len(vs)
+        big_m_row = f" c%d: t0_%s - tF_{nu} - {m} X_{nu}__%s >= {neg_m}\n"
+        pieces = (big_m_row + "%.0s" * 5,
+                  big_m_row + f" c%d: tF_%s - t0_%s - %.9g X_{nu}__%s >= 0\n")
+        conditional = np.array(ds) > 0
+        last = row + np.cumsum(conditional + 1)  # each pickup's last row
+        args = zip((last - conditional).tolist(), vs, vs, last.tolist(), vs, vs, ds, vs)
+        write("".join(map(pieces.__getitem__, conditional.tolist()))
+              % tuple(chain.from_iterable(args)))
+        row = int(last[-1])
+
     write("Bounds\n")
-    for nid in sorted(g.nodes):
-        write(f" t0_{node_name[nid]} >= 0\n tF_{node_name[nid]} >= 0\n")
+    _write_chunked(write, (f" t0_{n} >= 0\n tF_{n} >= 0\n" for n in node_name.values()))
     write("Binary\n")
-    for u, v in milp.variables:
-        write(f" X_{node_name[u]}__{node_name[v]}\n")
+    for i, nu in enumerate(src.tolist()):
+        if vs := tgt[table[i]].tolist():
+            write(f" X_{nu}__" + f"\n X_{nu}__".join(vs) + "\n")
     write("End\n")
 
 

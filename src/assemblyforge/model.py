@@ -24,6 +24,17 @@ import numpy as np
 # float range (about 1.8e308).
 MAX_COORDINATE_M = 1e100
 
+# The largest fleet v_max (m/s) and dt_sim (s), and the reciprocal of the
+# smallest dt_sim and rvo_horizon (s), that the simulator takes. A step moves
+# an agent at most v_max * dt_sim, up to 1e60 m. L1's ray test multiplies the
+# squares of two such lengths (b * b and a * c), up to 1e240. L3's ORCA
+# divides a length by rvo_horizon, or by dt_sim for an overlapping pair, and
+# squares that speed times a length, up to (1e60 / 1e-30 * 1e60)^2 = 1e300.
+# Both stay within the float range; 1e100 (v_max, dt_sim) and 1e-300
+# (rvo_horizon) overflowed. Positions far beyond 1e60 m, which
+# MAX_COORDINATE_M still allows, can overflow the ray test by themselves.
+MAX_SIM_SCALE = 1e30
+
 # The largest coordinate or length, in meters, that an artifact passed between
 # the stages may hold. A plan of a project within MAX_COORDINATE_M stays far
 # below it, and the square of the difference of two such coordinates, which
@@ -149,8 +160,8 @@ class RobotFleet:
                 raise ProjectError(f"fleet {name} must be finite, got {getattr(self, name)}")
         if self.radius > MAX_COORDINATE_M:
             raise ProjectError(f"robot radius must be at most {MAX_COORDINATE_M:g} m")
-        if self.v_max > MAX_COORDINATE_M:
-            raise ProjectError(f"v_max must be at most {MAX_COORDINATE_M:g} m/s")
+        if self.v_max > MAX_SIM_SCALE:
+            raise ProjectError(f"v_max must be at most {MAX_SIM_SCALE:g} m/s")
         if not np.all(np.isfinite(self.initial_positions)):
             raise ProjectError("initial positions must be finite")
         if np.any(np.abs(self.initial_positions) > MAX_COORDINATE_M):
@@ -214,10 +225,14 @@ class PlanParams:
                 raise ProjectError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.dt_sim <= 0:
             raise ProjectError("dt_sim must be positive")
-        if self.dt_sim > MAX_COORDINATE_M:
-            raise ProjectError(f"dt_sim must be at most {MAX_COORDINATE_M:g} s")
+        if self.dt_sim > MAX_SIM_SCALE:
+            raise ProjectError(f"dt_sim must be at most {MAX_SIM_SCALE:g} s")
+        if self.dt_sim < 1 / MAX_SIM_SCALE:
+            raise ProjectError(f"dt_sim must be at least {1 / MAX_SIM_SCALE:g} s")
         if self.rvo_horizon <= 0:  # the ORCA cut-off divides by it
             raise ProjectError("rvo_horizon must be positive")
+        if self.rvo_horizon < 1 / MAX_SIM_SCALE:
+            raise ProjectError(f"rvo_horizon must be at least {1 / MAX_SIM_SCALE:g} s")
         if self.boundary_tol < 0:  # the tangent bug's boundary mode could never fire
             raise ProjectError("boundary_tol must be non-negative")
         if min(self.duration_form, self.duration_deposit, self.duration_lift) < 0:

@@ -826,9 +826,9 @@ def greedy_reference(graph, fleet) -> AllocationResult:
 
 
 def candidate_edges_reference(graph: ScheduleGraph) -> list[tuple[str, str]]:
-    """`allocation._candidate_edges` walking the graph upstream of each
-    source: every robot start and dropoff to every pickup that does not
-    reach it."""
+    """The candidate edges of `allocation.build_milp`, walking the graph
+    upstream of each source: every robot start and dropoff to every pickup
+    that does not reach it."""
     sources = list(graph.robot_starts) + sorted(d for ds in graph.dropoffs.values() for d in ds)
     targets = sorted(p for ps in graph.pickups.values() for p in ps)
     up = {u: upstream(graph, u) for u in sources}

@@ -244,8 +244,9 @@ class TestGreedy:
 
 class TestMilpModel:
     def test_candidate_edges_exclude_upstream_sources(self, pipeline, toy_spec):
-        graph = pipeline(toy_spec, "toy", 2)["graph"]
-        edges = allocation._candidate_edges(graph)
+        data = pipeline(toy_spec, "toy", 2)
+        graph = data["graph"]
+        edges = allocation.build_milp(graph, data["fleet"]).variables
         # a payload's own dropoff is downstream of its pickup: never eligible
         for u, v in edges:
             assert v not in schedule.upstream(graph, u)
@@ -257,8 +258,10 @@ class TestMilpModel:
     def test_candidate_edges_equal_reference(self, pipeline, toy_spec, tractor_spec,
                                              synthetic_spec, name, robots):
         spec = {"toy": toy_spec, "tractor": tractor_spec, "synthetic": synthetic_spec}[name]
-        graph = pipeline(spec, name, robots)["graph"]
-        assert allocation._candidate_edges(graph) == oracles.candidate_edges_reference(graph)
+        data = pipeline(spec, name, robots)
+        graph = data["graph"]
+        want = oracles.candidate_edges_reference(graph)
+        assert list(allocation.build_milp(graph, data["fleet"]).variables) == want
 
     def test_big_m_dominates_any_chain(self, pipeline, toy_spec):
         data = pipeline(toy_spec, "toy", 2)
@@ -404,14 +407,35 @@ def _colliding_names_graph(params):
     return schedule.build_partial_schedule(spec, plan, configs, fleet, params), fleet
 
 
+def _robot_on_pickup_graph(params, spec):
+    """The toy project with robot0 starting exactly on the first pickup
+    slot, so that one candidate edge travels 0 and has no
+    conditional-duration row."""
+    def partial(fleet):
+        configs = transport.configure_all_transport_units(spec, fleet)
+        plan = staging.build_staging_plan(spec, configs, params)
+        return schedule.build_partial_schedule(spec, plan, configs, fleet, params)
+
+    fleet = projects.default_fleet(2)
+    graph = partial(fleet)
+    pickup = graph.nodes[min(p for ps in graph.pickups.values() for p in ps)]
+    starts = fleet.initial_positions.copy()
+    starts[0] = pickup.destination
+    fleet = dataclasses.replace(fleet, initial_positions=starts)
+    return partial(fleet), fleet
+
+
 @pytest.mark.parametrize("name,robots", [("toy", 2), ("tractor", 5), ("tractor", 15),
-                                         ("synthetic", 8), ("colliding-names", 2)])
+                                         ("synthetic", 8), ("colliding-names", 2),
+                                         ("robot-on-pickup", 2)])
 def test_milp_and_lp_equal_reference(pipeline, params, toy_spec, tractor_spec, synthetic_spec,
                                      name, robots):
     """The array durations carry the scalar `travel_time` bits, and the
     streamed LP is the joined text byte for byte."""
     if name == "colliding-names":
         graph, fleet = _colliding_names_graph(params)
+    elif name == "robot-on-pickup":
+        graph, fleet = _robot_on_pickup_graph(params, toy_spec)
     else:
         data = pipeline({"toy": toy_spec, "tractor": tractor_spec,
                          "synthetic": synthetic_spec}[name], name, robots)
@@ -427,6 +451,11 @@ def test_milp_and_lp_equal_reference(pipeline, params, toy_spec, tractor_spec, s
     assert text == oracles.export_lp_reference(want)
     if name == "colliding-names":
         assert " X_RobotStart_robot0__RobotGo_brick_1_0_pickup_2\n" in text
+    if name == "robot-on-pickup":
+        x = "X_RobotStart_robot0__RobotGo_brick_1_0_pickup"
+        assert got.durations[got.variables.index(
+            ("RobotStart:robot0", "RobotGo:brick@1:0:pickup"))] == 0.0
+        assert f" {x} >= -" in text and f" {x} >= 0\n" not in text
 
 
 def test_export_lp_streams(pipeline, synthetic_spec):
@@ -443,6 +472,28 @@ def test_export_lp_streams(pipeline, synthetic_spec):
         finally:
             tracemalloc.stop()
     assert peak < size / 4, (peak, size)
+
+
+def test_export_lp_writes_a_block_at_a_time(pipeline, synthetic_spec):
+    """The LP goes out a block at a time, not a row at a time: one write per
+    target (its degree rows) and three per source (its out-degree row, its
+    big-M rows, its binaries), and a few more for the header, the section
+    heads and the chunks of node and edge rows."""
+    data = pipeline(synthetic_spec, "synthetic", 8)
+    milp = allocation.build_milp(data["graph"], data["fleet"])
+
+    class Counting:
+        writes = rows = 0
+
+        def write(self, text):
+            self.writes += 1
+            self.rows += text.count("\n")
+
+    out = Counting()
+    allocation.export_lp(milp, out)
+    assert out.rows == _lp_text(milp).count("\n")
+    assert out.writes <= 8 + len(milp.targets) + 3 * len(milp.sources), out.writes
+    assert out.writes * 20 < out.rows, (out.writes, out.rows)
 
 
 def test_allocation_jsonable(pipeline, toy_spec):

@@ -166,8 +166,8 @@ class TestExitCodes:
         ("zero-rvo-horizon", "rvo_horizon must be positive"),
         ("negative-boundary-tol", "boundary_tol must be non-negative"),
         ("huge-buffer", "buffer_radius must be at most 1e+100 m"),
-        ("huge-v-max", "v_max must be at most 1e+100 m/s"),
-        ("huge-dt", "dt_sim must be at most 1e+100 s"),
+        ("huge-v-max", "v_max must be at most 1e+30 m/s"),
+        ("huge-dt", "dt_sim must be at most 1e+30 s"),
     ])
     def test_project_error_lines(self, toy_input, tmp_path, capsys, case, message):
         """The same document error gives the same one line as `plan`'s input
@@ -203,6 +203,36 @@ class TestExitCodes:
             assert cli.main([command, "--out", str(out)]) == cli.EXIT_BAD_INPUT
             assert capsys.readouterr().err == (
                 f"error: malformed artifact project.json: {message}\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("section,field,value,message", [
+        ("fleet", "v_max", 1e100, "v_max must be at most 1e+30 m/s"),
+        ("params", "dt_sim", 1e100, "dt_sim must be at most 1e+30 s"),
+        ("params", "rvo_horizon", 1e-300, "rvo_horizon must be at least 1e-30 s"),
+        ("fleet", "v_max", model.MAX_SIM_SCALE, None),
+        ("params", "dt_sim", model.MAX_SIM_SCALE, None),
+        ("params", "rvo_horizon", 1 / model.MAX_SIM_SCALE, None),
+    ], ids=["v-max-1e100", "dt-1e100", "rvo-horizon-1e-300", "v-max-at-bound",
+            "dt-at-bound", "rvo-horizon-at-bound"])
+    def test_simulator_scale_bound(self, toy_input, tmp_path, capsys, section, field, value,
+                                   message):
+        """A project.json value that made the simulator overflow is one
+        `error:` line; at the bound, 30 steps run without a warning."""
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        assert cli.main(["allocate", "--out", str(out)]) == cli.EXIT_OK
+        doc = json.loads((out / "project.json").read_text())
+        doc[section][field] = value
+        (out / "project.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli.main(["simulate", "--max-steps", "30", "--out", str(out)])
+        if message is not None:
+            assert code == cli.EXIT_BAD_INPUT
+            assert capsys.readouterr().err == f"error: malformed artifact project.json: {message}\n"
+            assert not (out / "trace.csv").exists()
+        else:
+            assert code in (cli.EXIT_OK, cli.EXIT_DEADLOCK)  # done, or stopped at the cap
+            assert (out / "trace.csv").exists()
 
     @pytest.mark.parametrize("seed,message", [
         (-1, "seed must be a whole number >= 0, got -1"),

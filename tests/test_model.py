@@ -228,10 +228,10 @@ class TestRobotFleet:
             RobotFleet(2, 0.25, 1.0, 0.1, 0.5, pos)
 
     def test_speed_bound(self):
-        with pytest.raises(ProjectError, match=r"^v_max must be at most 1e\+100 m/s$"):
-            RobotFleet(1, 0.25, math.nextafter(model.MAX_COORDINATE_M, math.inf), 0.1, 0.5,
+        with pytest.raises(ProjectError, match=r"^v_max must be at most 1e\+30 m/s$"):
+            RobotFleet(1, 0.25, math.nextafter(model.MAX_SIM_SCALE, math.inf), 0.1, 0.5,
                        [[0.0, 0.0]])
-        RobotFleet(1, 0.25, model.MAX_COORDINATE_M, 0.1, 0.5, [[0.0, 0.0]])
+        RobotFleet(1, 0.25, model.MAX_SIM_SCALE, 0.1, 0.5, [[0.0, 0.0]])
 
     def test_velocity_and_count_validation(self):
         with pytest.raises(ProjectError):
@@ -278,9 +278,16 @@ class TestPlanParams:
             PlanParams(buffer_radius=math.nextafter(model.MAX_COORDINATE_M, math.inf))
         PlanParams(buffer_radius=model.MAX_COORDINATE_M)
         PlanParams(boundary_tol=0.0)  # the boundary mode fires on the circle only
-        with pytest.raises(ProjectError, match=r"^dt_sim must be at most 1e\+100 s$"):
-            PlanParams(dt_sim=math.nextafter(model.MAX_COORDINATE_M, math.inf))
-        PlanParams(dt_sim=model.MAX_COORDINATE_M)
+        with pytest.raises(ProjectError, match=r"^dt_sim must be at most 1e\+30 s$"):
+            PlanParams(dt_sim=math.nextafter(model.MAX_SIM_SCALE, math.inf))
+        PlanParams(dt_sim=model.MAX_SIM_SCALE)
+
+    @pytest.mark.parametrize("field", ["dt_sim", "rvo_horizon"])
+    def test_time_lower_bound(self, field):
+        least = 1 / model.MAX_SIM_SCALE
+        with pytest.raises(ProjectError, match=f"^{field} must be at least 1e-30 s$"):
+            PlanParams(**{field: math.nextafter(least, 0.0)})
+        PlanParams(**{field: least})
 
     @pytest.mark.parametrize("seed", [-1, 0.5, 1e300, True, None])
     def test_seed_is_a_whole_number(self, seed):
