@@ -17,14 +17,19 @@ what an agent's goal, task, activity and priority, a payload's team or the
 units that may form derive from, and each steps `World.epoch` first. So
 these are built once per epoch (`World.per_epoch`), not once per step: on
 tractor-15 at seed 0, the epoch changes in 187 of 4,210 steps. The controller
-rows (`control_rows`) also hold the staging circles, the (n, n) priority
-shares, L3's pair table (`orca_pairs`: the constrained pairs, their shares,
-combined radii and LP cull bounds, and each agent's rows) and the
-penetration bound of every pair; `_form_candidates` and `_arrivals` hold the
-rows and destinations of the teams that may form and of the units on their
-way. Each step fills in only the goals that are the agent's own position,
-gathers the positions and velocities of the pairs, and tests every waiting
-team member and moving unit against its destination in one array pass.
+rows (`control_rows`) also hold the staging circles and L1's tables of them
+(`circle_tables`: the radii inflated by each agent's, the circle each agent
+ignores, and which centers np.allclose calls equal), the agents L2 pushes,
+the (n, n) priority shares, L3's pair table (`orca_pairs`: the constrained
+pairs, their shares, combined radii, LP cull bounds and flat indices, and
+each agent's rows), the penetration bound of every pair and the `%`
+template of the agents' trace rows; `_form_candidates` and `_arrivals` hold
+the rows and destinations of the teams that may form and of the units on
+their way. Each step fills in only the goals that are the agent's own
+position, builds one pair geometry (`pair_geometry`) that L2 and L3 both
+read, gathers the velocities of the pairs, formats the time and four floats
+of each trace row, and tests every waiting team member and moving unit
+against its destination in one array pass.
 
 The step is array-backed. Ready nodes come off a queue in topological
 order. The tangent bug (Kamon, Rivlin & Rimon, "TangentBug", 1998) is one
@@ -37,19 +42,21 @@ tangent mode toward its tangent point. Only `math.asin`, `math.cos` and
 last bit differently from libm. The ORCA half-planes of every constrained
 pair (van den Berg et al., "Reciprocal n-Body Collision Avoidance", 2011) and
 the penetration test of every pair are each one array pass per step too. The
-dispersion layer reads one array of center distances per step: the field
-radii are one masked minimum over it, and only the pairs closer than a proven
-bound beyond which the force is exactly zero (see CULL_MARGIN) reach the
-scalar `dispersion_force`. Each element goes through the float operations of
-the scalar formula it replaced, in the same order: a dot product of 2-vectors
-is `np.vecdot`, which rounds as `a @ b` does (numpy's BLAS may fuse the
-multiply-add, so `a[0] * b[0] + a[1] * b[1]` can differ), a length is
-`sqrt(vecdot(v, v))`, as in `np.linalg.norm`, and Python's `min` and `max`
-are `np.where` forms with the same tie rules. Branches are picked by masks.
-The 2D LP (`_lp2_rows`) is a loop on Python floats over rows of per-line
-dot products, which one array pass builds for the lines that can bind (see
-LP_MARGIN); its least-violation fallback `_lp3` projects the earlier lines
-onto a violated one in one array pass.
+dispersion layer reads the center distances of the pair geometry: the field
+radii are one masked minimum over them, and the forces of the pairs closer
+than a proven bound beyond which the force is exactly zero (see CULL_MARGIN)
+are one array pass, summed per agent in ascending order and blended with the
+nominal velocities in another. Each element goes through the float
+operations of the scalar formula it replaced (`dispersion_force`,
+`preferred_velocity`, which stay as the reference), in the same order: a dot
+product of 2-vectors is `np.vecdot`, which rounds as `a @ b` does (numpy's
+BLAS may fuse the multiply-add, so `a[0] * b[0] + a[1] * b[1]` can differ), a
+length is `sqrt(vecdot(v, v))`, as in `np.linalg.norm`, and Python's `min`
+and `max` are `np.where` forms with the same tie rules. Branches are picked
+by masks. The 2D LP (`_lp2_rows`) is a loop on Python floats over rows of
+per-line dot products, which one array pass builds for the lines that can
+bind (see LP_MARGIN); its least-violation fallback `_lp3` projects the
+earlier lines onto a violated one in one array pass.
 """
 
 from __future__ import annotations
@@ -106,12 +113,13 @@ def _ray_circle_hits(pos, goal, centers, radii) -> np.ndarray:
 MOVE_TOWARD_WAYPOINT, MOVE_CCW_ALONG_BOUNDARY, EXIT_TARGET, MOVE_TOWARD_TANGENT_POINT = range(4)
 
 
-def _tangent_bug(pos, goals, centers, radii, mine, planning_radius: float, eps_b: float):
+def _tangent_bug(pos, goals, centers, radii, mine, same, planning_radius: float, eps_b: float):
     """One evaluation of the switching controller for every agent row.
 
     `pos` and `goals` are (m, 2); `radii` (m, k) are the circles at `centers`
-    (k, 2) inflated by each agent's radius, and `mine` (m, k) marks the
-    circles an agent ignores. Returns the waypoints (m, 2) and modes (m,)."""
+    (k, 2) inflated by each agent's radius, `mine` (m, k) marks the circles
+    an agent ignores and `same` is the (k, k) table of `circle_tables`.
+    Returns the waypoints (m, 2) and modes (m,)."""
     m = len(pos)
     waypoints, modes = goals.copy(), np.full(m, MOVE_TOWARD_WAYPOINT)
     if not len(centers):
@@ -147,16 +155,17 @@ def _tangent_bug(pos, goals, centers, radii, mine, planning_radius: float, eps_b
     if tangent.any():
         rows = b[tangent]
         points, free = _tangent_points(pos[rows], center[tangent], radius[tangent], centers,
-                                       radii[rows], mine[rows])
+                                       radii[rows], mine[rows], same[k[tangent]])
         waypoints[rows[free]] = points[free]
         modes[rows[free]] = MOVE_TOWARD_TANGENT_POINT
     return waypoints, modes
 
 
-def _tangent_points(pos, center, radius, centers, radii, mine):
+def _tangent_points(pos, center, radius, centers, radii, mine, same):
     """The right-hand tangent points of the target circles (`center`,
     `radius`), and whether the way to each is free: no circle but the
-    target, one equal to it or one in `mine` blocks it."""
+    target, one equal to it or one in `mine` blocks it. `same` (m, k) marks
+    the circles whose centers equal the target's, as np.allclose judges."""
     to_c = center - pos
     dist_c = np.sqrt(np.vecdot(to_c, to_c))
     u = to_c / dist_c[:, None]
@@ -169,24 +178,40 @@ def _tangent_points(pos, center, radius, centers, radii, mine):
     leg = np.sqrt(np.where(0.0 > sq, 0.0, sq))
     tangent_pt = pos + leg[:, None] * np.stack([cb * u[:, 0] - sb * u[:, 1],
                                                 sb * u[:, 0] + cb * u[:, 1]], axis=1)
-    # the target circle, and any equal to it as np.allclose judges, does not block
-    close = np.abs(centers - center[:, None]) <= 1e-8 + 1e-5 * np.abs(center)[:, None]
-    same = close[..., 0] & close[..., 1] & (np.abs(radii - radius[:, None]) < 1e-12)
+    # the target circle, and any equal to it, does not block
+    same = same & (np.abs(radii - radius[:, None]) < 1e-12)
     crossed = _ray_circle_hits(pos, tangent_pt, centers, radii) != np.inf
     return tangent_pt, ~np.any(crossed & ~same & ~mine, axis=1)
 
 
-def nominal_velocity(pos, goals, radii, caps, active, own, centers, circle_radii, dt: float,
+def circle_tables(centers, circle_radii, radii, goals, own):
+    """What L1 reads of the staging circles at `centers` (k, 2) with
+    `circle_radii` (k,), for agents of `radii` toward `goals` (n, 2) with
+    own circle rows `own` (n,) (see `nominal_velocity`); it holds while they
+    do. Returns the (n, k) circle radii inflated by each agent's radius; the
+    (n, k) mask of the circle each agent ignores, its own when its goal lies
+    inside; and the (k, k) table whose [a, b] is True where circle b's
+    center equals a's as np.allclose judges."""
+    inflated = circle_radii + radii[:, None]
+    mine = np.zeros(inflated.shape, bool)
+    agent = np.flatnonzero(own >= 0)
+    row = own[agent]
+    gap = goals[agent] - centers[row]
+    inside = np.sqrt(np.vecdot(gap, gap)) <= circle_radii[row]
+    mine[agent[inside], row[inside]] = True
+    close = np.abs(centers - centers[:, None]) <= 1e-8 + 1e-5 * np.abs(centers)[:, None]
+    return inflated, mine, close[..., 0] & close[..., 1]
+
+
+def nominal_velocity(pos, goals, caps, active, centers, inflated, mine, same, dt: float,
                      planning_radius: float, eps_b: float, stop_range: float) -> np.ndarray:
     """Level 1, the modified tangent bug: the nominal velocities (n, 2) of
     the agents at `pos` toward `goals` (n, 2) around the staging circles at
-    `centers` (k, 2) with `circle_radii` (k,), each inflated by the agent's
-    radius.
+    `centers` (k, 2). `inflated`, `mine` and `same` are `circle_tables` of
+    the circles and agents.
 
     An agent sits and waits at its goal, and while inactive within
-    `stop_range` of it. `own` (n,) is the row of an active agent's own
-    open-phase circle, or -1; the agent ignores that circle when its goal
-    lies inside."""
+    `stop_range` of it."""
     out = np.zeros((len(pos), 2))
     to_goal = goals - pos
     dist_goal = np.sqrt(np.vecdot(to_goal, to_goal))
@@ -194,16 +219,9 @@ def nominal_velocity(pos, goals, radii, caps, active, own, centers, circle_radii
     if not len(moving):
         return out
     p, goal, cap = pos[moving], goals[moving], caps[moving]
-    inflated = circle_radii + radii[moving][:, None]
-    mine = np.zeros(inflated.shape, bool)
-    row = own[moving]
-    mover = np.flatnonzero(row >= 0)
-    if len(mover):
-        row = row[mover]
-        gap = goal[mover] - centers[row]
-        inside = np.sqrt(np.vecdot(gap, gap)) <= circle_radii[row]
-        mine[mover[inside], row[inside]] = True
-    waypoints, modes = _tangent_bug(p, goal, centers, inflated, mine, planning_radius, eps_b)
+    inflated, mine = inflated[moving], mine[moving]
+    waypoints, modes = _tangent_bug(p, goal, centers, inflated, mine, same, planning_radius,
+                                    eps_b)
 
     delta = waypoints - p
     dist = np.sqrt(np.vecdot(delta, delta))
@@ -291,26 +309,48 @@ def preferred_velocity(v_nominal, forces, a: float, b: float, v_cap: float) -> n
 CULL_MARGIN = 1e-6
 
 
-def _dispersed_velocities(positions, radii, dist, fields, pushed, nominals, caps,
-                          delta: float, a: float, b: float) -> list:
-    """Preferred velocities: an agent in `pushed` blends its nominal velocity
-    with the dispersion forces of the other agents, the others keep theirs.
+def _dispersed_velocities(diff, dist, radii, fields, pushed, nominals, caps, delta: float,
+                          a: float, b: float) -> np.ndarray:
+    """Preferred velocities (n, 2): an agent in `pushed` blends its nominal
+    velocity with the dispersion forces of the other agents, the others keep
+    theirs. `diff` (n, n, 2) and `dist` (n, n) are p_i - p_j and its length.
 
-    Only pairs closer than the cull bound (see CULL_MARGIN) reach
-    `dispersion_force`, in ascending j order. Skipping the rest changes no
-    bit: each would add a +-0 vector to a sum that starts at +0.0 and, under
-    round to nearest, is never -0.0."""
+    One array pass over the pairs closer than the cull bound (see
+    CULL_MARGIN), each element through the float operations of
+    `dispersion_force`, then of `preferred_velocity`. The forces are summed
+    per agent from +0.0 in ascending j order, as `np.add.at` applies repeated
+    indices in order. Skipping the other pairs changes no bit: each would add
+    a +-0 vector to a sum that starts at +0.0 and, under round to nearest, is
+    never -0.0."""
+    k = np.flatnonzero(pushed)
+    if not len(k):
+        return nominals
     reach = fields + radii[:, None] + radii + CULL_MARGIN  # [i, j]: (R_j + r_i) + r_j + m
     near = pushed[:, None] & (fields > 0) & (dist < reach)
     np.fill_diagonal(near, False)
-    rows, cols = np.nonzero(near)
-    bounds = np.searchsorted(rows, np.arange(len(radii) + 1)).tolist()
-    cols, r, f = cols.tolist(), radii.tolist(), fields.tolist()
-    prefs = list(nominals)
-    for i in np.flatnonzero(pushed).tolist():
-        forces = [dispersion_force(positions[i], positions[j], r[i], r[j], f[j], delta)
-                  for j in cols[bounds[i]:bounds[i + 1]]]
-        prefs[i] = preferred_velocity(nominals[i], forces, a, b, caps[i])
+    i, j = np.nonzero(near)
+    forces = np.zeros(nominals.shape)
+    if len(i):
+        length = dist[i, j]
+        coincident = length < 1e-12  # a fixed unit direction, at distance delta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.where(coincident[:, None], [1.0, 0.0], diff[i, j] / length[:, None])
+        length = np.where(coincident, delta, length)
+        big_r, r_i, r_j = fields[j], radii[i], radii[j]
+        mag = np.where(length < big_r + r_i + r_j, -1.0, 0.0)  # cone term, unit slope
+        gap = length - big_r
+        gap = np.where(delta > gap, delta, gap)  # max(gap, delta)
+        mag = np.where(1.0 / gap - 1.0 / (r_i + r_j) > 0, mag + -1.0 / (gap * gap),
+                       mag)  # barrier term
+        np.add.at(forces, i, mag[:, None] * u)
+
+    v_hat = a * nominals[k] - b * forces[k]
+    norm = np.sqrt(np.vecdot(v_hat, v_hat))
+    cap = caps[k]
+    prefs = nominals.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prefs[k] = np.where((norm < 1e-12)[:, None], 0.0,
+                            v_hat / norm[:, None] * np.where(norm < cap, norm, cap)[:, None])
     return prefs
 
 
@@ -330,17 +370,17 @@ def alpha_value(is_unit: bool, task_kind: str, phase_active: bool,
 # -- level 3: generalized RVO (ORCA half-planes with priority shares) --------
 
 
-def _orca_lines(rel_pos, v_i, v_j, comb_r, comb_r_sq, share, tau: float, dt: float):
+def _orca_lines(rel_pos, dist_sq, v_i, v_j, comb_r, comb_r_sq, share, tau: float, dt: float):
     """Half-planes constraining each agent i against its j, one pair per row:
-    `rel_pos` is p_j - p_i, `comb_r` the pair's inflated combined radius and
-    `comb_r_sq` its square (see `orca_pairs`).
+    `rel_pos` is p_j - p_i and `dist_sq` its `np.vecdot` with itself,
+    `comb_r` the pair's inflated combined radius and `comb_r_sq` its square
+    (see `orca_pairs`).
 
     Returns an (m, 2, 2) array of (point, direction) rows; feasible
     velocities lie to the left of each directed line. The arithmetic runs
     on columns, each element through the float operations of the scalar
     construction; only the dot products take (m, 2) rows."""
     rel_vel = v_i - v_j
-    dist_sq = np.vecdot(rel_pos, rel_pos)
     apart = dist_sq > comb_r_sq
     # apart: velocity obstacle truncated at horizon tau; overlapping: resolve
     # the overlap within one step
@@ -511,6 +551,7 @@ class OrcaPairs:
     comb_r_sq: np.ndarray  # (m,) comb_r * comb_r
     cap: np.ndarray  # (n,) the agents' speed caps
     floor: np.ndarray  # (m,) -cap[i] - LP_MARGIN: a line at or below it cannot bind
+    flat: np.ndarray  # (m,) j * n + i: the row of p_j - p_i in `pair_geometry`, flattened
     bounds: list  # agent k's rows are bounds[k]:bounds[k + 1]
     caps: list  # cap, as Python floats for the LP loop
 
@@ -525,32 +566,44 @@ def orca_pairs(radii, caps, shares) -> OrcaPairs:
     i, j = np.nonzero(~(s <= 0.0) & ~np.eye(n, dtype=bool))
     comb_r = (r[i] + r[j]) * (1.0 + ORCA_SAFETY_FACTOR)
     pairs = OrcaPairs(i, j, s[i, j], comb_r, comb_r * comb_r, cap, -cap[i] - LP_MARGIN,
-                      np.searchsorted(i, np.arange(n + 1)).tolist(), cap.tolist())
-    _read_only(i, j, pairs.share, comb_r, pairs.comb_r_sq, cap, pairs.floor)
+                      j * n + i, np.searchsorted(i, np.arange(n + 1)).tolist(), cap.tolist())
+    _read_only(i, j, pairs.share, comb_r, pairs.comb_r_sq, cap, pairs.floor, pairs.flat)
     return pairs
 
 
+def pair_geometry(pos) -> tuple[np.ndarray, np.ndarray]:
+    """The pair geometry of the agents at `pos` (n, 2): the (n, n, 2)
+    differences pos[a] - pos[b] and their (n, n) `np.vecdot` with themselves,
+    which L2 and L3 both read."""
+    diff = pos[:, None] - pos
+    return diff, np.vecdot(diff, diff)
+
+
 def rvo_resolve(positions, radii, velocities, preferred, caps, shares,
-                dt: float, tau: float, *, pairs: OrcaPairs | None = None) -> np.ndarray:
+                dt: float, tau: float, *, pairs: OrcaPairs | None = None,
+                geometry: tuple | None = None) -> np.ndarray:
     """Command velocities (n, 2) for all agents.
 
     shares[i][j] is agent i's responsibility toward j (share 0 means no
     constraint from that pair on i). `pairs` is `orca_pairs(radii, caps,
-    shares)`, which a caller resolving many steps of one epoch builds once;
-    without it, it is built here. Each call builds the half-planes of all
-    constrained pairs in one array pass, in row-major (i, j) order, and so
-    the LP rows of the agents that need the LP, without the lines that
-    cannot bind (see LP_MARGIN)."""
+    shares)`, which a caller resolving many steps of one epoch builds once,
+    and `geometry` is `pair_geometry(positions)`, which a caller may share
+    with L2; without them, they are built here. Each call builds the
+    half-planes of all constrained pairs in one array pass, in row-major
+    (i, j) order, and so the LP rows of the agents that need the LP, without
+    the lines that cannot bind (see LP_MARGIN)."""
     if pairs is None:
         pairs = orca_pairs(radii, caps, shares)
     p = np.asarray(positions, float).reshape(-1, 2)
     n = len(p)
+    diff, dist_sq = pair_geometry(p) if geometry is None else geometry
     v = np.asarray(velocities, float).reshape(n, 2)
-    i, j = pairs.i, pairs.j
-    # rows are gathered by `take`: the same copy as p[j], at a fraction of the
-    # cost per call
-    lines = _orca_lines(p.take(j, 0) - p.take(i, 0), v.take(i, 0), v.take(j, 0), pairs.comb_r,
-                        pairs.comb_r_sq, pairs.share, tau, dt)
+    i, j, flat = pairs.i, pairs.j, pairs.flat
+    # rows are gathered by `take`: the same copy as v[j], at a fraction of the
+    # cost per call; diff[j, i] is p_j - p_i
+    lines = _orca_lines(diff.reshape(-1, 2).take(flat, 0), dist_sq.reshape(-1).take(flat),
+                        v.take(i, 0), v.take(j, 0), pairs.comb_r, pairs.comb_r_sq, pairs.share,
+                        tau, dt)
     # _lp2's start, the preferred velocity clamped to the cap, for all agents;
     # an agent whose start violates none of its lines keeps it
     pref = np.asarray(preferred, float).reshape(n, 2)
@@ -592,10 +645,23 @@ class SimTrace:
     steps: int
 
 
-def trace_to_csv(t: float, ids: list, tasks: list, alpha: list, pos: list, vel: list) -> str:
-    """The trace.csv lines of one step at time `t`, one per agent."""
-    return "".join(f"{t:.4f},{aid},{x:.6f},{y:.6f},{vx:.6f},{vy:.6f},{task or ''},{a:.4f}\n"
-                   for aid, task, a, (x, y), (vx, vy) in zip(ids, tasks, alpha, pos, vel))
+def trace_template(ids: list, tasks: list, alpha: list) -> str:
+    """The `%` template of one step's trace.csv lines, one per agent, with
+    its id, task (None writes nothing) and priority `alpha` written in, each
+    `%` of an id or task doubled; `trace_to_csv` fills in the rest."""
+    return "".join(f"%.4f,{aid.replace('%', '%%')},%.6f,%.6f,%.6f,%.6f,"
+                   f"{(task or '').replace('%', '%%')},{a:.4f}\n"
+                   for aid, task, a in zip(ids, tasks, alpha))
+
+
+def trace_to_csv(t: float, template: str, pos: np.ndarray, vel: np.ndarray) -> str:
+    """The trace.csv lines of one step at time `t` from the `trace_template`
+    of its agents, at positions `pos` and velocities `vel` (n, 2)."""
+    values = np.empty((len(pos), 5))
+    values[:, 0] = t
+    values[:, 1:3] = pos
+    values[:, 3:] = vel
+    return template % tuple(values.ravel().tolist())
 
 
 def events_to_jsonl(trace: SimTrace) -> str:
@@ -921,20 +987,19 @@ class ControlRows:
     ids: list
     goals: np.ndarray  # (n, 2); the rows `at_pos` are the agent's position each step
     at_pos: np.ndarray  # a unit forming or depositing, or a robot without a mission
-    own: np.ndarray  # the row of an active agent's open-phase circle, or -1
-    tasks: list
     active: np.ndarray
-    alphas: list  # the priorities, as the trace writes them
-    alpha: np.ndarray
+    pushed: np.ndarray  # inactive with a nonzero priority: L2 blends in its forces
     shares: np.ndarray  # (n, n), rvo_resolve's responsibilities
     centers: np.ndarray  # (k, 2), the staging circles of the open phases
-    radii: np.ndarray  # (k,)
+    inflated: np.ndarray  # (n, k), mine (n, k) and same (k, k): their `circle_tables`
+    mine: np.ndarray
+    same: np.ndarray
     rad: np.ndarray
     cap: np.ndarray
-    caps: list
     robots: list  # (world row, id) of each robot, for `_swap_stuck`
     pairs: OrcaPairs  # L3's constrained pairs
     reach: np.ndarray  # per pair i < j of `_pairs(n)`, the distance below which it penetrates
+    trace: str  # the agents' `trace_template`
 
 
 def control_rows(world: World) -> ControlRows:
@@ -992,12 +1057,14 @@ def control_rows(world: World) -> ControlRows:
         shares = np.where(pair_alpha == 0, 0.5, alpha[:, None] / pair_alpha)
     np.fill_diagonal(shares, 0.0)
     rad, cap = world.radius[idx], world.cap[idx]
-    pairs = orca_pairs(rad, cap, shares)
+    goals = np.array(goals, float).reshape(-1, 2)
+    active = np.array(active, bool)
+    centers = np.array(centers, float).reshape(-1, 2)
     rows = ControlRows(
-        idx, ids, np.array(goals, float).reshape(-1, 2), np.array(at_pos, int),
-        np.array(own, int), tasks, np.array(active, bool), alphas, alpha, shares,
-        np.array(centers, float).reshape(-1, 2), np.array(radii, float), rad,
-        cap, pairs.caps, robots, pairs, _contact_reach(rad, world.pen_tol))
+        idx, ids, goals, np.array(at_pos, int), active, ~active & (alpha != 0.0), shares,
+        centers, *circle_tables(centers, np.array(radii, float), rad, goals, np.array(own, int)),
+        rad, cap, robots, orca_pairs(rad, cap, shares), _contact_reach(rad, world.pen_tol),
+        trace_template(ids, tasks, alphas))
     _read_only(*(value for value in vars(rows).values() if isinstance(value, np.ndarray)))
     return rows
 
@@ -1010,20 +1077,20 @@ def _control(world: World, rows: ControlRows) -> np.ndarray:
     goals = rows.goals.copy()
     goals[rows.at_pos] = pos[rows.at_pos]
     nominals = nominal_velocity(
-        pos, goals, rows.rad, rows.cap, rows.active, rows.own, rows.centers, rows.radii,
+        pos, goals, rows.cap, rows.active, rows.centers, rows.inflated, rows.mine, rows.same,
         world.dt, params.planning_radius, params.boundary_tol,
         params.stop_range_factor * world.fleet.radius)
 
-    # level 2 on one array of center distances, each the float _length gives
-    diff = pos[:, None] - pos
-    dist = np.sqrt(np.vecdot(diff, diff))
+    # levels 2 and 3 read one pair geometry; each center distance is the
+    # float _length gives
+    geometry = diff, dist_sq = pair_geometry(pos)
+    dist = np.sqrt(dist_sq)
     fields = field_radius(dist, rows.rad, rows.active, params.dispersion_r_max,
                           params.dispersion_c)
-    prefs = _dispersed_velocities(pos, rows.rad, dist, fields,
-                                  ~rows.active & (rows.alpha != 0.0), nominals, rows.caps,
+    prefs = _dispersed_velocities(diff, dist, rows.rad, fields, rows.pushed, nominals, rows.cap,
                                   world.pen_tol, params.blend_a, params.blend_b)
-    return rvo_resolve(pos, rows.rad, world.vel[rows.idx], prefs, rows.caps, rows.shares,
-                       world.dt, params.rvo_horizon, pairs=rows.pairs)
+    return rvo_resolve(pos, rows.rad, world.vel[rows.idx], prefs, rows.cap, rows.shares,
+                       world.dt, params.rvo_horizon, pairs=rows.pairs, geometry=geometry)
 
 
 @functools.cache
@@ -1057,8 +1124,7 @@ def _integrate(world: World, rows: ControlRows, vel: np.ndarray):
     pos = world.pos[rows.idx] + vel * world.dt
     world.pos[rows.idx], world.vel[rows.idx] = pos, vel
     ids = rows.ids
-    world.trace_out.write(trace_to_csv(world.t, ids, rows.tasks, rows.alphas, pos.tolist(),
-                                       vel.tolist()))
+    world.trace_out.write(trace_to_csv(world.t, rows.trace, pos, vel))
     for i, j in _penetrations(pos, rows.reach):
         world.collision_count += 1
         world.events.append({"type": "penetration", "agents": [ids[i], ids[j]],

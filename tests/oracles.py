@@ -1502,9 +1502,11 @@ def orca_pairs_scan(radii, caps, shares) -> dict:
     every call before the epoch's pair table kept it, by a scan over the
     ordered pairs: the constrained (i, j) in row-major order, their shares,
     the combined radii as `_orca_lines` inflated them and their squares,
-    the LP cull bound of each row, and each agent's first row."""
+    the LP cull bound of each row, each agent's first row, and each row's
+    flat index j * n + i of p_j - p_i in an (n, n, 2) difference array."""
     n = len(radii)
-    out = {k: [] for k in ("i", "j", "share", "comb_r", "comb_r_sq", "floor", "bounds")}
+    out = {k: [] for k in ("i", "j", "share", "comb_r", "comb_r_sq", "floor", "flat",
+                           "bounds")}
     for i in range(n):
         out["bounds"].append(len(out["i"]))
         for j in range(n):
@@ -1518,9 +1520,46 @@ def orca_pairs_scan(radii, caps, shares) -> dict:
             out["comb_r"].append(comb_r)
             out["comb_r_sq"].append(comb_r * comb_r)
             out["floor"].append(-float(caps[i]) - LP_MARGIN)
+            out["flat"].append(j * n + i)
     out["bounds"].append(len(out["i"]))
     out["caps"] = [float(c) for c in caps]
     return out
+
+
+def staging_circles_scan(world) -> tuple[np.ndarray, np.ndarray]:
+    """The centers (k, 2) and radii (k,) of the open phases' staging
+    circles, one per assembly in id order, as `sim._control` read them from
+    the staging plan at every step before the world kept them per epoch."""
+    circles = [world.staging_plan.staging_circle(a, active_phase(world, a))
+               for a in sorted(world.graph.assembly_phases)
+               if active_phase(world, a) is not None]
+    return (np.array([c for c, _ in circles], float).reshape(-1, 2),
+            np.array([r for _, r in circles], float))
+
+
+def circle_tables_scan(centers, circle_radii, radii, goals, own) -> dict:
+    """What `sim.nominal_velocity` derived of the staging circles at every
+    step before the epoch kept it, by a scan over each agent and circle:
+    the circle radii inflated by each agent's radius, the circle each agent
+    ignores (its own, when its goal lies inside) and, for each pair of
+    circles, whether np.allclose calls the second's center equal to the
+    first's."""
+    n, k = len(radii), len(circle_radii)
+    inflated = [[float(circle_radii[b]) + float(radii[a]) for b in range(k)] for a in range(n)]
+    mine = [[b == own[a] and _length(goals[a] - centers[b]) <= circle_radii[b]
+             for b in range(k)] for a in range(n)]
+    same = [[bool(np.allclose(centers[b], centers[a])) for b in range(k)] for a in range(k)]
+    return {"inflated": np.array(inflated, float).reshape(n, k),
+            "mine": np.array(mine, bool).reshape(n, k),
+            "same": np.array(same, bool).reshape(k, k)}
+
+
+def trace_rows(t: float, ids, tasks, alpha, pos, vel) -> str:
+    """The trace.csv lines of one step at time `t`, one per agent, by the
+    per-row f-string that `sim.trace_to_csv` ran before the epoch kept a
+    template of the rows."""
+    return "".join(f"{t:.4f},{aid},{x:.6f},{y:.6f},{vx:.6f},{vy:.6f},{task or ''},{a:.4f}\n"
+                   for aid, task, a, (x, y), (vx, vy) in zip(ids, tasks, alpha, pos, vel))
 
 
 def contact_reach_scan(radii, tol: float) -> list[float]:

@@ -23,21 +23,26 @@ MODES = {"move_toward_waypoint": sim.MOVE_TOWARD_WAYPOINT,
          "move_toward_right_hand_tangent_point": sim.MOVE_TOWARD_TANGENT_POINT}
 
 
+def _tables(goal, circles):
+    """`sim.circle_tables` of one agent of radius 0 toward `goal` without an
+    own circle, so the circles are not inflated and it ignores none."""
+    centers, radii = circles
+    return sim.circle_tables(centers, radii, np.zeros(1), np.array([goal], float), np.full(1, -1))
+
+
 def _tangent_bug_step(pos, goal, circles):
     """`sim._tangent_bug` on one agent that ignores no circle: (waypoint, mode)."""
-    centers, radii = circles
-    wp, modes = sim._tangent_bug(np.array([pos], float), np.array([goal], float), centers,
-                                 radii[None], np.zeros((1, len(radii)), bool), PLAN_R, EPS)
+    wp, modes = sim._tangent_bug(np.array([pos], float), np.array([goal], float), circles[0],
+                                 *_tables(goal, circles), PLAN_R, EPS)
     return wp[0], {code: name for name, code in MODES.items()}[int(modes[0])]
 
 
 def _nominal_velocity(pos, goal, circles, speed, dt):
     """`sim.nominal_velocity` on one active agent of radius 0 without an own
     circle, so the circles are not inflated and only the goal stops it."""
-    centers, radii = circles
-    v = sim.nominal_velocity(np.array([pos], float), np.array([goal], float), np.zeros(1),
-                             np.array([speed]), np.ones(1, bool), np.full(1, -1), centers,
-                             radii, dt, PLAN_R, EPS, 0.0)
+    v = sim.nominal_velocity(np.array([pos], float), np.array([goal], float),
+                             np.array([speed]), np.ones(1, bool), circles[0],
+                             *_tables(goal, circles), dt, PLAN_R, EPS, 0.0)
     return v[0]
 
 
@@ -288,8 +293,7 @@ DT, TAU = 0.05, 2.0
 
 def _distances(pos):
     """Center distances as `sim._control` computes them."""
-    diff = pos[:, None] - pos
-    return np.sqrt(np.vecdot(diff, diff))
+    return np.sqrt(sim.pair_geometry(pos)[1])
 
 
 def _near_bound(p_j, bound, ulps):
@@ -306,8 +310,9 @@ def _near_bound(p_j, bound, ulps):
 def _dispersion_scene(rng, scene, params):
     """Agents (positions, radii, active, alpha, nominals, caps) for one scene:
     n from 2 to 60, some scenes without active agents, some with coincident
-    agents, and some with inactive agents moved to within a few ulps of a
-    pair's cull bound or cone bound, on both sides of it."""
+    agents, some with signed zeros in the nominal velocities, and some with
+    inactive agents moved to within a few ulps of a pair's cull bound or cone
+    bound, on both sides of it."""
     n = int(rng.integers(2, 61))
     box = 0.5 + 0.25 * n * rng.uniform(0.3, 1.5)
     pos = rng.uniform(-box, box, (n, 2))
@@ -318,6 +323,9 @@ def _dispersion_scene(rng, scene, params):
     caps = list(rng.uniform(0.3, 1.5, n))
     if scene % 5 == 1:
         pos[1] = pos[0]  # coincident agents
+    if scene % 4 == 3:  # signed zeros in the nominals, which the blend must keep
+        for i in range(0, n, 3):
+            nominals[i][i % 2] = -0.0 if i % 4 else 0.0
     if scene % 3 == 2:
         fields = sim.field_radius(_distances(pos), rad, active, params.dispersion_r_max,
                                   params.dispersion_c)
@@ -346,14 +354,18 @@ def _l1_scene(rng, scene):
 
     Returns (pos, goals, radii, caps, active, own, centers, circle_radii,
     eps_b, stop_range, tags). Some scenes have no circles, some a duplicate
-    or a near-duplicate (equal as np.allclose judges) circle. Robots of
-    radius 0.25 share scenes with units of larger radii. Each agent is built
-    in one of these styles, named in `tags`:
+    or a near-duplicate (equal as np.allclose judges) circle, and some a
+    circle whose center equals another's only as np.allclose judges one way
+    (its tolerance scales with the second center). Robots of radius 0.25
+    share scenes with units of larger radii. Each agent is built in one of
+    these styles, named in `tags`:
     - "free": anywhere, toward anywhere;
     - "boundary", "inside", "center", "near": on the inflated boundary of a
       circle, inside it, at its center, or outside within the planning
       radius, toward a goal across it;
     - "own": active, toward a goal inside its own circle;
+    - "own_rim": one "own" agent of some scenes, its circle shrunk to put
+      the goal exactly on its rim;
     - "own_tangent": active, its goal inside its own circle O behind a
       circle X, so that the way to X's tangent point crosses O;
     - "own_boundary": active, on the boundaries of its own circle O and of a
@@ -368,6 +380,9 @@ def _l1_scene(rng, scene):
         centers[1], circle_radii[1] = centers[0], circle_radii[0]  # duplicate
     if k > 2 and scene % 4 == 2:
         centers[2], circle_radii[2] = centers[0] + 1e-9, circle_radii[0]  # near-duplicate
+    if k > 3 and scene % 4 == 3:  # one way equal
+        c = centers[0]
+        centers[3] = c + np.sign(c) * (1e-8 + 1e-5 * np.abs(c) + 1e-12)
     n = int(rng.integers(1, 13))
     radii = np.where(rng.random(n) < 0.6, 0.25, rng.choice([0.45, 0.8, 1.3], n))
     caps = np.where(radii == 0.25, 1.0, rng.uniform(0.2, 0.8, n))
@@ -429,6 +444,11 @@ def _l1_scene(rng, scene):
             goals[i] = pos[i] + np.array([stop_range, 0.0])
         elif style == "at_goal":
             goals[i] = pos[i]
+    if scene % 8 == 5 and "own" in tags:  # a goal exactly on the rim of its own circle
+        i = tags.index("own")
+        gap = goals[i] - centers[own[i]]
+        circle_radii[own[i]] = float(np.sqrt(np.vecdot(gap, gap)))
+        tags[i] = "own_rim"
     centers = np.array(centers, float).reshape(-1, 2)
     return (pos, goals, radii, caps, active, own, centers, np.array(circle_radii, float),
             eps_b, stop_range, tags)
@@ -604,7 +624,9 @@ class TestArrayKernels:
         seen = set()
         for name, (p_i, v_i, r_i, p_j, v_j, r_j, share) in _orca_cases(rng):
             comb_r = (r_i + r_j) * (1.0 + sim.ORCA_SAFETY_FACTOR)
-            lines = sim._orca_lines(p_j - p_i, v_i, v_j, comb_r, comb_r * comb_r, share, TAU, DT)
+            rel_pos = p_j - p_i
+            lines = sim._orca_lines(rel_pos, np.vecdot(rel_pos, rel_pos), v_i, v_j, comb_r,
+                                    comb_r * comb_r, share, TAU, DT)
             assert lines.shape == (len(p_i), 2, 2)
             for k in range(len(p_i)):
                 point, direction = oracles.scalar_orca_line(
@@ -628,8 +650,8 @@ class TestArrayKernels:
 
     def test_orca_lines_empty(self):
         empty = np.zeros((0, 2))
-        lines = sim._orca_lines(empty, empty, empty, np.zeros(0), np.zeros(0), np.zeros(0),
-                                TAU, DT)
+        lines = sim._orca_lines(empty, np.zeros(0), empty, empty, np.zeros(0), np.zeros(0),
+                                np.zeros(0), TAU, DT)
         assert lines.shape == (0, 2, 2)
 
     def test_lp2_matches_scalar(self):
@@ -841,14 +863,18 @@ class TestArrayKernels:
         agent, bit for bit, over scenes reaching every mode and edge."""
         rng = np.random.default_rng(23)
         seen = dict.fromkeys(
-            ["no_circles", "duplicate", "near_duplicate", "robots_and_units", "sit_and_wait",
-             "own_left_out", "own_tangent", "own_boundary", "at_eps", "at_range_waits",
-             "at_range_moves", "at_goal", *MODES], 0)
+            ["no_circles", "duplicate", "near_duplicate", "one_way_equal", "robots_and_units",
+             "sit_and_wait", "own_left_out", "own_rim", "own_tangent", "own_boundary", "at_eps",
+             "at_range_waits", "at_range_moves", "at_goal", *MODES], 0)
         for scene in range(400):
             (pos, goals, radii, caps, active, own, centers, circle_radii, eps_b, stop_range,
              tags) = _l1_scene(rng, scene)
-            got = sim.nominal_velocity(pos, goals, radii, caps, active, own, centers,
-                                       circle_radii, DT, PLAN_R, eps_b, stop_range)
+            tables = sim.circle_tables(centers, circle_radii, radii, goals, own)
+            scan = oracles.circle_tables_scan(centers, circle_radii, radii, goals, own)
+            for name, table in zip(("inflated", "mine", "same"), tables):
+                assert _same_bits(table, scan[name]), (scene, name)
+            got = sim.nominal_velocity(pos, goals, caps, active, centers, *tables, DT, PLAN_R,
+                                       eps_b, stop_range)
             assert got.shape == (len(pos), 2)
             for i, tag in enumerate(tags):
                 want, mode = oracles.agent_nominal(
@@ -859,6 +885,7 @@ class TestArrayKernels:
                 inside_own = own[i] >= 0 and (np.linalg.norm(goals[i] - centers[own[i]])
                                               < circle_radii[own[i]])
                 seen["own_left_out"] += bool(inside_own)
+                seen["own_rim"] += tag == "own_rim" and bool(tables[1][i, own[i]])
                 seen["own_tangent"] += tag == "own_tangent" and mode == (
                     "move_toward_right_hand_tangent_point")
                 seen["own_boundary"] += tag == "own_boundary" and mode == (
@@ -874,29 +901,38 @@ class TestArrayKernels:
                                                      .all(axis=2), 1)))
             seen["near_duplicate"] += bool(np.any(np.triu(same & (centers[:, None] != centers)
                                                           .any(axis=2), 1)))
+            seen["one_way_equal"] += bool(np.any(tables[2] != tables[2].T))
             seen["robots_and_units"] += len(set(radii.tolist())) > 1
         assert all(seen.values()), seen
 
     def test_dispersion_matches_agent_loop(self, params):
+        """The one-pass L2 equals `oracles.scalar_dispersion`, one
+        `dispersion_force` per pair and one `preferred_velocity` per pushed
+        agent, bit for bit. The scenes reach pushed agents with at least
+        three kept neighbours, for which summing the forces in another order
+        changes some bit, pushed agents with none kept, and coincident
+        agents whose pair is kept."""
         rng = np.random.default_rng(17)
         r_max, c = params.dispersion_r_max, params.dispersion_c
         delta = 1e-3 * 0.25
         seen = {"no_active": 0, "coincident": 0, "overlap": 0, "clamp": 0, "partial": 0,
-                "culled": 0, "kept": 0, "at_bound_below": 0, "at_bound_above": 0}
+                "culled": 0, "kept": 0, "at_bound_below": 0, "at_bound_above": 0,
+                "three_kept": 0, "order_matters": 0, "none_kept": 0, "no_pushed": 0,
+                "negative_zero": 0}
         for scene in range(240):
             pos, rad, active, alpha, nominals, caps = _dispersion_scene(rng, scene, params)
-            dist = _distances(pos)
+            diff, dist_sq = sim.pair_geometry(pos)
+            dist = np.sqrt(dist_sq)
             want_fields, want_prefs = oracles.scalar_dispersion(
                 pos, rad, active, alpha, nominals, caps, r_max, c, delta,
                 params.blend_a, params.blend_b)
             fields = sim.field_radius(dist, rad, active, r_max, c)
             assert _same_bits(fields, want_fields), scene
             pushed = ~active & (alpha != 0.0)
-            prefs = sim._dispersed_velocities(pos, rad, dist, fields, pushed, nominals, caps,
-                                              delta, params.blend_a, params.blend_b)
-            assert len(prefs) == len(want_prefs)
-            for got, want in zip(prefs, want_prefs):
-                assert _same_bits(got, want), scene
+            prefs = sim._dispersed_velocities(diff, dist, rad, fields, pushed, np.array(nominals),
+                                              np.array(caps), delta, params.blend_a,
+                                              params.blend_b)
+            assert _same_bits(prefs, want_prefs), scene
 
             # what the cull skips is exactly zero
             reach = fields + rad[:, None] + rad + sim.CULL_MARGIN
@@ -904,19 +940,52 @@ class TestArrayKernels:
             for i, j in zip(*np.nonzero(pairs & (dist >= reach))):
                 force = sim.dispersion_force(pos[i], pos[j], rad[i], rad[j], fields[j], delta)
                 assert not force.any(), (scene, i, j)
+            kept = pairs & (dist < reach)
+            for i in np.flatnonzero(kept.sum(axis=1) >= 3):
+                forces = [sim.dispersion_force(pos[i], pos[j], rad[i], rad[j], fields[j], delta)
+                          for j in np.flatnonzero(kept[i])]
+                seen["three_kept"] += 1
+                seen["order_matters"] += not _same_bits(sum(forces, np.zeros(2)),
+                                                        sum(forces[::-1], np.zeros(2)))
+            seen["none_kept"] += int((pushed & ~kept.any(axis=1)).sum())
+            seen["no_pushed"] += not pushed.any()
+            seen["negative_zero"] += int(np.sum(pushed[:, None] & (np.array(nominals) == 0)
+                                                & np.signbit(nominals)))
             gap = np.abs(dist - reach) <= 4 * np.spacing(reach)
             seen["at_bound_below"] += int((pairs & gap & (dist < reach)).sum())
             seen["at_bound_above"] += int((pairs & gap & (dist >= reach)).sum())
             seen["culled"] += int((pairs & (dist >= reach)).sum())
-            seen["kept"] += int((pairs & (dist < reach)).sum())
+            seen["kept"] += int(kept.sum())
             seen["no_active"] += not active.any()
-            seen["coincident"] += bool(np.any((dist == 0) & ~np.eye(len(rad), dtype=bool)))
+            seen["coincident"] += bool(np.any(kept & (dist == 0)))
             if active.any():
                 least = np.min(dist[:, active] - (rad[active] + rad[:, None]), axis=1)
                 seen["overlap"] += int((~active & (least <= 0)).sum())
                 seen["clamp"] += int((~active & (least > 0) & (c / least >= r_max)).sum())
                 seen["partial"] += int((~active & (c / least < r_max)).sum())
         assert all(seen.values()), seen
+
+    def test_trace_rows_match_the_row_formatter(self):
+        """The epoch's template, filled in per step, writes the bytes of the
+        per-row f-string for ids and tasks holding `%`, `,`, braces and
+        non-ASCII text and for a task of None, at floats that round at the
+        last printed digit, signed zeros, huge values and non-finite ones."""
+        ids = ["robot%d", "unit:a,b", "unit:{0}", "robot_é✓", "100%", "%%s", "%(t)s",
+               "plain"]
+        tasks = ["RobotGo:p%s@1:0:pickup", None, "T:{}", "Förm,ü", "%", "%%",
+                 "%(t)s", ""]
+        alpha = [0.0, 0.1, 0.5, 1.0, 0.00005, 1 / 3, 0.12345, 2.0]
+        floats = np.array([-0.0, 0.0, 5e-7, -5e-7, 0.0000015, 1e20, -1234.5678905, math.inf,
+                           -math.inf, math.nan, 2.5e-7, 1 / 3])
+        rng = np.random.default_rng(41)
+        template = sim.trace_template(ids, tasks, alpha)
+        for t in (0.0, 0.00005, 12.34565, 1e6):
+            pos = rng.choice(floats, (len(ids), 2))
+            vel = rng.normal(size=(len(ids), 2)) * 10.0 ** rng.integers(-8, 4, (len(ids), 2))
+            assert sim.trace_to_csv(t, template, pos, vel) == oracles.trace_rows(
+                t, ids, tasks, alpha, pos.tolist(), vel.tolist())
+        empty = np.zeros((0, 2))
+        assert sim.trace_to_csv(1.0, sim.trace_template([], [], []), empty, empty) == ""
 
     def test_penetrations_match_pair_loop(self):
         rng = np.random.default_rng(13)
@@ -1107,13 +1176,20 @@ def _assert_epoch_cache(w):
     goals[rows.at_pos] = w.pos[rows.idx][rows.at_pos]
     assert _same_bits(goals, loop["goals"]), w.t
     assert _same_bits(rows.shares, loop["shares"]), w.t
-    assert _same_bits(rows.alpha, loop["alphas"]), w.t
-    assert np.array_equal(rows.own, loop["own"]), w.t
     assert np.array_equal(rows.active, loop["active"]), w.t
-    assert (rows.tasks, rows.alphas) == (loop["tasks"], loop["alphas"]), w.t
+    assert np.array_equal(rows.pushed, ~loop["active"] & (np.array(loop["alphas"]) != 0.0)), w.t
+    pos, vel = w.pos[rows.idx], w.vel[rows.idx]
+    assert sim.trace_to_csv(w.t, rows.trace, pos, vel) == oracles.trace_rows(
+        w.t, rows.ids, loop["tasks"], loop["alphas"], pos.tolist(), vel.tolist()), w.t
     assert rows.robots == [(w.row[a], a) for a in rows.ids if a not in w.unit_task], w.t
-    scan = oracles.orca_pairs_scan(rows.rad, rows.caps, rows.shares)
-    for name in ("i", "j", "share", "comb_r", "comb_r_sq", "floor"):
+    centers, radii = oracles.staging_circles_scan(w)
+    assert _same_bits(rows.centers, centers), w.t
+    tables = oracles.circle_tables_scan(centers, radii, rows.rad, loop["goals"], loop["own"])
+    assert _same_bits(rows.inflated, tables["inflated"]), w.t
+    assert np.array_equal(rows.mine, tables["mine"]), w.t
+    assert np.array_equal(rows.same, tables["same"]), w.t
+    scan = oracles.orca_pairs_scan(rows.rad, rows.cap, rows.shares)
+    for name in ("i", "j", "share", "comb_r", "comb_r_sq", "floor", "flat"):
         assert _same_bits(getattr(rows.pairs, name), np.array(scan[name], float)), (name, w.t)
     assert _same_bits(rows.pairs.cap, rows.cap), w.t
     assert (rows.pairs.bounds, rows.pairs.caps) == (scan["bounds"], scan["caps"]), w.t
