@@ -13,8 +13,9 @@ import math
 import re
 import time as _time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
-from typing import TextIO
+from typing import BinaryIO
 
 import numpy as np
 
@@ -252,7 +253,6 @@ def greedy_pccf(graph: ScheduleGraph, fleet: RobotFleet) -> AllocationResult:
 @dataclass
 class ScheduleMilp:
     graph: ScheduleGraph
-    variables: tuple[tuple[str, str], ...]  # candidate assignment edges (u, v)
     durations: list[float]  # pickup travel of variables[i] if it is chosen
     big_m: float
     sources: tuple[str, ...]  # robot starts, then dropoffs in id order
@@ -260,6 +260,14 @@ class ScheduleMilp:
     # (sources, targets) bool, true where (sources[i], targets[j]) is a
     # candidate; `variables` are its true cells in row-major order
     candidates: np.ndarray
+
+    @cached_property
+    def variables(self) -> tuple[tuple[str, str], ...]:
+        """The candidate assignment edges (u, v), built on first use; the LP
+        export reads the table instead."""
+        rows, cols = np.nonzero(self.candidates)
+        return tuple(zip(np.array(self.sources, object)[rows].tolist(),
+                         np.array(self.targets, object)[cols].tolist()))
 
 
 def _reachability(graph: ScheduleGraph):
@@ -306,10 +314,7 @@ def build_milp(graph: ScheduleGraph, fleet: RobotFleet) -> ScheduleMilp:
     first_seen = np.argsort(candidates.argmax(axis=0), kind="stable") if sources else []
     fixed = sum(n.duration or 0.0 for n in graph.nodes.values())
     big_m = fixed + sum(longest[first_seen].tolist()) + 1.0
-    variables = tuple(zip(np.array(sources, object)[rows].tolist(),
-                          np.array(targets, object)[cols].tolist()))
-    return ScheduleMilp(graph, variables, durations.tolist(), big_m, sources, targets,
-                        candidates)
+    return ScheduleMilp(graph, durations.tolist(), big_m, sources, targets, candidates)
 
 
 def _lp_name(raw: str, taken: dict[str, str]) -> str:
@@ -325,45 +330,52 @@ def _lp_name(raw: str, taken: dict[str, str]) -> str:
 
 # the rows of a node or edge section that `export_lp` writes at a time
 _LP_CHUNK = 1024
+# the arguments that `export_lp`'s big-M piece of a pickup takes, without
+# and with a conditional-duration row
+_LP_ARGS = (slice(3), slice(8))
 
 
 def _write_chunked(write, lines) -> None:
-    """Writes the strings of the iterable `lines`, `_LP_CHUNK` at a time."""
+    """Writes the byte strings of the iterable `lines`, `_LP_CHUNK` at a
+    time."""
     lines = iter(lines)
-    while block := "".join(islice(lines, _LP_CHUNK)):
+    while block := b"".join(islice(lines, _LP_CHUNK)):
         write(block)
 
 
-def export_lp(milp: ScheduleMilp, out: TextIO) -> None:
-    """Write the CPLEX-LP text of the model to `out`: the objective; a
-    fixed-duration row per node and a precedence row per edge of the
-    partial graph; two degree rows per target and one per source; for each
-    candidate edge a big-M precedence row and, when its travel is positive,
-    a conditional-duration row; the time bounds; the edge binaries.
+def export_lp(milp: ScheduleMilp, out: BinaryIO) -> None:
+    """Write the CPLEX-LP text of the model to the binary sink `out`: the
+    objective; a fixed-duration row per node and a precedence row per edge
+    of the partial graph; two degree rows per target and one per source;
+    for each candidate edge a big-M precedence row and, when its travel is
+    positive, a conditional-duration row; the time bounds; the edge
+    binaries.
 
-    The text goes out a block at a time, never a whole section: node and
-    edge rows `_LP_CHUNK` at a time, then one write per target (its degree
-    rows) and three per source (its out-degree row, its big-M and
-    conditional-duration rows, its binaries), each block read from the
-    source's row or the target's column of `milp.candidates`. A block joins
-    its X_<u>__<v> terms with a separator, and a source's big-M block is one
-    `%` of a template over its pickups."""
+    The text is ASCII (`_lp_name` keeps names to [A-Za-z0-9_]), so every
+    row is formatted as bytes, with each name encoded once. It goes out a
+    block at a time, never a whole section: node and edge rows `_LP_CHUNK`
+    at a time, then one write per target (its degree rows) and three per
+    source (its out-degree row, its big-M and conditional-duration rows,
+    its binaries), each block read from the source's row or the target's
+    column of `milp.candidates`. A block joins its X_<u>__<v> terms with a
+    separator, and a source's big-M block is one `%` of a template over its
+    pickups."""
     g = milp.graph
     taken: dict[str, str] = {}
-    node_name = {nid: _lp_name(nid, taken) for nid in sorted(g.nodes)}
+    node_name = {nid: _lp_name(nid, taken).encode("ascii") for nid in sorted(g.nodes)}
     src = np.array([node_name[u] for u in milp.sources], object)
     tgt = np.array([node_name[v] for v in milp.targets], object)
     table = milp.candidates
     write = out.write
-    obj = " + ".join(f"tF_{node_name[t]}" for t in g.terminal_nodes)
-    write(f"\\ sparse adjacency assignment model\nMinimize\n obj: {obj}\nSubject To\n")
+    obj = b" + ".join(b"tF_" + node_name[t] for t in g.terminal_nodes)
+    write(b"\\ sparse adjacency assignment model\nMinimize\n obj: %s\nSubject To\n" % obj)
 
     # durations (fixed) and precedence over existing edges
-    fixed = ("0" if (d := g.nodes[nid].duration) is None else f"{d:.9g}" for nid in node_name)
-    _write_chunked(write, (f" c{r}: tF_{n} - t0_{n} >= {d}\n"
+    fixed = (b"0" if (d := g.nodes[nid].duration) is None else b"%.9g" % d for nid in node_name)
+    _write_chunked(write, (b" c%d: tF_%s - t0_%s >= %s\n" % (r, n, n, d)
                            for r, (n, d) in enumerate(zip(node_name.values(), fixed), 1)))
     row = len(node_name)
-    _write_chunked(write, (f" c{r}: t0_{node_name[v]} - tF_{node_name[u]} >= 0\n"
+    _write_chunked(write, (b" c%d: t0_%s - tF_%s >= 0\n" % (r, node_name[v], node_name[u])
                            for r, (u, v) in enumerate(sorted(g.edges), row + 1)))
     row += len(g.edges)
 
@@ -371,43 +383,51 @@ def export_lp(milp: ScheduleMilp, out: TextIO) -> None:
     # order and a source's pickups in id order
     for j, nv in enumerate(tgt.tolist()):
         if us := src[table[:, j]].tolist():
-            terms = "X_" + f"__{nv} + X_".join(us) + f"__{nv}"
-            write(f" c{row + 1}: {terms} >= 1\n c{row + 2}: {terms} <= 1\n")
+            terms = b"X_" + (b"__" + nv + b" + X_").join(us) + b"__" + nv
+            write(b" c%d: %s >= 1\n c%d: %s <= 1\n" % (row + 1, terms, row + 2, terms))
             row += 2
     for i in sorted(range(len(src)), key=milp.sources.__getitem__):
         if vs := tgt[table[i]].tolist():
             row += 1
-            write(f" c{row}: X_{src[i]}__" + f" + X_{src[i]}__".join(vs) + " <= 1\n")
+            x = b" + X_" + src[i] + b"__"
+            write(b" c%d: X_%s__%s <= 1\n" % (row, src[i], x.join(vs)))
 
     # big-M precedence and conditional durations for candidate edges:
     # t0_v - tF_u >= -M (1 - X)  and  tF_v - t0_v >= d (activated when X = 1).
-    # Each pickup's piece of the template takes the arguments (row, v, v,
-    # row + 1, v, v, d, v); the piece for d = 0 has no conditional row and
-    # prints its last five arguments as nothing.
-    m, neg_m = f"{milp.big_m:.9g}", f"{-milp.big_m:.9g}"
-    k = 0
+    # Each pickup's piece of a source's template takes the arguments (row,
+    # v, v) of its big-M row and, when d > 0, (row + 1, v, v, d, v) of its
+    # conditional row. Which candidates have one, and each one's rows, come
+    # from one array pass over the durations, in which a source's candidates
+    # are the next len(vs). A name holds no `%`, so the source's own name is
+    # part of its template.
+    conditional = np.array(milp.durations) > 0
+    last = np.cumsum(conditional + 1) + row  # each candidate's last row
+    first = last - conditional
+    m, neg_m = b"%.9g" % milp.big_m, b"%.9g" % -milp.big_m
+    lo = 0
     for i, nu in enumerate(src.tolist()):
         if not (vs := tgt[table[i]].tolist()):
             continue
-        ds = milp.durations[k:k + len(vs)]
-        k += len(vs)
-        big_m_row = f" c%d: t0_%s - tF_{nu} - {m} X_{nu}__%s >= {neg_m}\n"
-        pieces = (big_m_row + "%.0s" * 5,
-                  big_m_row + f" c%d: tF_%s - t0_%s - %.9g X_{nu}__%s >= 0\n")
-        conditional = np.array(ds) > 0
-        last = row + np.cumsum(conditional + 1)  # each pickup's last row
-        args = zip((last - conditional).tolist(), vs, vs, last.tolist(), vs, vs, ds, vs)
-        write("".join(map(pieces.__getitem__, conditional.tolist()))
-              % tuple(chain.from_iterable(args)))
-        row = int(last[-1])
+        hi = lo + len(vs)
+        big_m_row = b" c%d: t0_%s - tF_" + nu + b" - " + m + b" X_" + nu + b"__%s >= " + neg_m
+        pieces = (big_m_row + b"\n",
+                  big_m_row + b"\n c%d: tF_%s - t0_%s - %.9g X_" + nu + b"__%s >= 0\n")
+        cs = conditional[lo:hi].tolist()
+        args = zip(first[lo:hi].tolist(), vs, vs, last[lo:hi].tolist(), vs, vs,
+                   milp.durations[lo:hi], vs)
+        if not all(cs):  # d = 0: the big-M row's arguments only
+            args = map(tuple.__getitem__, args, map(_LP_ARGS.__getitem__, cs))
+        write(b"".join(map(pieces.__getitem__, cs)) % tuple(chain.from_iterable(args)))
+        lo = hi
 
-    write("Bounds\n")
-    _write_chunked(write, (f" t0_{n} >= 0\n tF_{n} >= 0\n" for n in node_name.values()))
-    write("Binary\n")
+    write(b"Bounds\n")
+    _write_chunked(write, (b" t0_%s >= 0\n tF_%s >= 0\n" % (n, n) for n in node_name.values()))
+    write(b"Binary\n")
     for i, nu in enumerate(src.tolist()):
         if vs := tgt[table[i]].tolist():
-            write(f" X_{nu}__" + f"\n X_{nu}__".join(vs) + "\n")
-    write("End\n")
+            x = b"\n X_" + nu + b"__"
+            write(x[1:] + x.join(vs) + b"\n")
+    write(b"End\n")
 
 
 # -- exact branch-and-bound --------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import logging
 import os
@@ -64,14 +65,14 @@ def _fleet_from_args(args, fleet):
 
 
 def _stream(out: Path, name: str, writer):
-    """Write artifact `name` as UTF-8 through `writer(file)` into a temporary
-    file in `out`, renamed into place only once the writer has finished, so a
-    writer that fails leaves no partial artifact behind. Returns what
-    `writer` returns."""
+    """Write artifact `name` through `writer(file)` into a temporary file in
+    `out`, open for binary writing, renamed into place only once the writer
+    has finished, so a writer that fails leaves no partial artifact behind.
+    Returns what `writer` returns."""
     out.mkdir(parents=True, exist_ok=True)
     tmp = out / f"{name}.tmp"
     try:
-        with tmp.open("w", encoding="utf-8") as f:
+        with tmp.open("wb") as f:
             result = writer(f)
         os.replace(tmp, out / name)
     finally:
@@ -79,8 +80,17 @@ def _stream(out: Path, name: str, writer):
     return result
 
 
+def _utf8(writer):
+    """`writer(text_file)` as a `_stream` writer: it writes through the
+    UTF-8 text layer that `open(path, "w", encoding="utf-8")` builds."""
+    def write(f):
+        with io.TextIOWrapper(f, encoding="utf-8") as text:
+            return writer(text)
+    return write
+
+
 def _write(out: Path, name: str, text: str):
-    _stream(out, name, lambda f: f.write(text))
+    _stream(out, name, _utf8(lambda f: f.write(text)))
 
 
 def _json_text(obj) -> str:
@@ -274,8 +284,8 @@ def cmd_simulate(args) -> int:
 
     _, _, predicted = schedule.evaluate_schedule(graph, fleet)
     t_start = time.perf_counter()
-    trace = _stream(out, "trace.csv", lambda f: sim.simulate(
-        graph, plan, configs, fleet, params, f, max_steps=args.max_steps))
+    trace = _stream(out, "trace.csv", _utf8(lambda f: sim.simulate(
+        graph, plan, configs, fleet, params, f, max_steps=args.max_steps)))
     runtime = time.perf_counter() - t_start
 
     metrics = sim.metrics_to_jsonable(trace, predicted)

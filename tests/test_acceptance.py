@@ -231,9 +231,9 @@ def test_bnb_matches_highs(params):
         fleet, graph = _build_stage(spec, robots, params)
         result = allocation.solve_bnb(graph, fleet)
         assert result.status == "optimal"
-        buf = io.StringIO()
+        buf = io.BytesIO()
         allocation.export_lp(allocation.build_milp(graph, fleet), buf)
-        assert oracles.highs_optimum(buf.getvalue()) == pytest.approx(
+        assert oracles.highs_optimum(buf.getvalue().decode("ascii")) == pytest.approx(
             result.makespan, abs=1e-6)
 
 
@@ -393,9 +393,9 @@ def test_lp_export_reparse_and_variable_set(params):
     spec = _tiny_project(3)
     fleet, graph = _build_stage(spec, 2, params)
     milp = allocation.build_milp(graph, fleet)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     allocation.export_lp(milp, buf)
-    text = buf.getvalue()
+    text = buf.getvalue().decode("ascii")
     parsed = oracles.parse_lp(text)
 
     # structural sanity of the reparse

@@ -17,10 +17,14 @@ from assemblyforge.model import (
 from . import oracles
 
 
-def _lp_text(milp) -> str:
-    buf = io.StringIO()
+def _lp_bytes(milp) -> bytes:
+    buf = io.BytesIO()
     allocation.export_lp(milp, buf)
     return buf.getvalue()
+
+
+def _lp_text(milp) -> str:
+    return _lp_bytes(milp).decode("ascii")
 
 
 def _random_fleet(rng, grid):
@@ -389,22 +393,33 @@ def test_bnb_rejects_an_assigned_pickup(pipeline, toy_spec):
         allocation.solve_bnb(data["greedy"].graph, data["fleet"])
 
 
-def _colliding_names_graph(params):
-    """Two bricks whose ids, `brick@1` and `brick_1`, give every one of their
-    nodes the same LP name once sanitised, so the exporter suffixes `_2`."""
-    ids = ("brick@1", "brick_1")
+def _pair_graph(params, ids, root="pair"):
+    """An assembly `root` of two bricks with the given ids, built in one
+    phase, and its fleet of two robots."""
     asm = Assembly(
-        id="pair",
+        id=root,
         components=tuple((c, Transform(np.eye(3), np.array([80.0 * i, 0.0, 0.0])))
                          for i, c in enumerate(ids)),
         build_phases=(BuildPhase(1, ids),),
     )
-    spec = ProjectSpec(assemblies={"pair": asm}, root="pair",
+    spec = ProjectSpec(assemblies={root: asm}, root=root,
                        parts_catalog={c: projects._box(0.5, 0.5, 0.3) for c in ids})
     fleet = projects.default_fleet(2)
     configs = transport.configure_all_transport_units(spec, fleet)
     plan = staging.build_staging_plan(spec, configs, params)
     return schedule.build_partial_schedule(spec, plan, configs, fleet, params), fleet
+
+
+def _colliding_names_graph(params):
+    """Two bricks whose ids, `brick@1` and `brick_1`, give every one of their
+    nodes the same LP name once sanitised, so the exporter suffixes `_2`."""
+    return _pair_graph(params, ("brick@1", "brick_1"))
+
+
+def _hostile_names_graph(params):
+    """Ids holding `%` conversions, backslashes, spaces and non-ASCII text,
+    none of which may reach the LP text or a `%` template."""
+    return _pair_graph(params, ("50%s \\ brück", "砖 %d\\n"), root="pair %")
 
 
 def _robot_on_pickup_graph(params, spec):
@@ -427,13 +442,15 @@ def _robot_on_pickup_graph(params, spec):
 
 @pytest.mark.parametrize("name,robots", [("toy", 2), ("tractor", 5), ("tractor", 15),
                                          ("synthetic", 8), ("colliding-names", 2),
-                                         ("robot-on-pickup", 2)])
+                                         ("hostile-names", 2), ("robot-on-pickup", 2)])
 def test_milp_and_lp_equal_reference(pipeline, params, toy_spec, tractor_spec, synthetic_spec,
                                      name, robots):
     """The array durations carry the scalar `travel_time` bits, and the
-    streamed LP is the joined text byte for byte."""
+    streamed LP is the joined text, encoded as ASCII, byte for byte."""
     if name == "colliding-names":
         graph, fleet = _colliding_names_graph(params)
+    elif name == "hostile-names":
+        graph, fleet = _hostile_names_graph(params)
     elif name == "robot-on-pickup":
         graph, fleet = _robot_on_pickup_graph(params, toy_spec)
     else:
@@ -447,10 +464,13 @@ def test_milp_and_lp_equal_reference(pipeline, params, toy_spec, tractor_spec, s
     assert np.array_equal(np.array(got.durations).view(np.uint64),
                           np.array(want_durations).view(np.uint64))
     assert got.big_m == want.big_m
-    text = _lp_text(got)
-    assert text == oracles.export_lp_reference(want)
+    data = _lp_bytes(got)
+    assert data == oracles.export_lp_reference(want).encode("ascii")
+    text = data.decode("ascii")
     if name == "colliding-names":
         assert " X_RobotStart_robot0__RobotGo_brick_1_0_pickup_2\n" in text
+    if name == "hostile-names":
+        assert " X_RobotStart_robot0__RobotGo_50_s___br_ck_0_pickup\n" in text
     if name == "robot-on-pickup":
         x = "X_RobotStart_robot0__RobotGo_brick_1_0_pickup"
         assert got.durations[got.variables.index(
@@ -463,8 +483,8 @@ def test_export_lp_streams(pipeline, synthetic_spec):
     below a quarter of the text written."""
     data = pipeline(synthetic_spec, "synthetic", 8)
     milp = allocation.build_milp(data["graph"], data["fleet"])
-    size = len(_lp_text(milp))
-    with open(os.devnull, "w") as devnull:
+    size = len(_lp_bytes(milp))
+    with open(os.devnull, "wb") as devnull:
         tracemalloc.start()
         try:
             allocation.export_lp(milp, devnull)
@@ -485,15 +505,25 @@ def test_export_lp_writes_a_block_at_a_time(pipeline, synthetic_spec):
     class Counting:
         writes = rows = 0
 
-        def write(self, text):
+        def write(self, data):
             self.writes += 1
-            self.rows += text.count("\n")
+            self.rows += data.count(b"\n")
 
     out = Counting()
     allocation.export_lp(milp, out)
-    assert out.rows == _lp_text(milp).count("\n")
+    assert out.rows == _lp_bytes(milp).count(b"\n")
     assert out.writes <= 8 + len(milp.targets) + 3 * len(milp.sources), out.writes
     assert out.writes * 20 < out.rows, (out.writes, out.rows)
+
+
+def test_export_lp_builds_no_variables(pipeline, synthetic_spec):
+    """The export reads the candidate table, so the (u, v) tuples of
+    `ScheduleMilp.variables` are never built for it."""
+    data = pipeline(synthetic_spec, "synthetic", 8)
+    milp = allocation.build_milp(data["graph"], data["fleet"])
+    _lp_bytes(milp)
+    assert "variables" not in vars(milp)
+    assert len(milp.variables) == int(milp.candidates.sum())
 
 
 def test_allocation_jsonable(pipeline, toy_spec):

@@ -891,7 +891,7 @@ class TestFullChain:
 
     def test_failed_export_lp_leaves_no_file(self, toy_input, tmp_path, monkeypatch):
         """A writer that raises partway leaves neither a partial model.lp
-        nor its temporary file."""
+        nor its temporary file, and an earlier model.lp byte for byte."""
         out = tmp_path / "out"
         assert _plan(toy_input, out) == cli.EXIT_OK
         before = sorted(p.name for p in out.iterdir())
@@ -899,19 +899,41 @@ class TestFullChain:
 
         class FailingFile:
             def __init__(self, f):
-                self.f, self.rows = f, 0
+                self.f, self.blocks = f, 0
 
-            def write(self, text):
-                self.rows += 1
-                if self.rows > 5:
+            def write(self, data):
+                assert isinstance(data, bytes)
+                self.blocks += 1
+                if self.blocks > 5:
                     raise OSError("disk full")
-                return self.f.write(text)
+                return self.f.write(data)
 
-        monkeypatch.setattr(allocation, "export_lp",
-                            lambda milp, f: export_lp(milp, FailingFile(f)))
-        with pytest.raises(OSError, match="disk full"):
-            cli.main(["allocate", "--out", str(out), "--method", "export-lp"])
+        def failed_export():
+            with monkeypatch.context() as m:
+                m.setattr(allocation, "export_lp",
+                          lambda milp, f: export_lp(milp, FailingFile(f)))
+                with pytest.raises(OSError, match="disk full"):
+                    cli.main(["allocate", "--out", str(out), "--method", "export-lp"])
+
+        failed_export()
         assert sorted(p.name for p in out.iterdir()) == before
+        assert cli.main(["allocate", "--out", str(out), "--method", "export-lp"]) == cli.EXIT_OK
+        earlier = (out / "model.lp").read_bytes()
+        failed_export()
+        assert (out / "model.lp").read_bytes() == earlier
+        assert sorted(p.name for p in out.iterdir()) == sorted([*before, "model.lp"])
+
+    def test_export_lp_builds_no_variables(self, toy_input, tmp_path, monkeypatch):
+        """`allocate --method export-lp` never builds the (u, v) tuples of
+        `ScheduleMilp.variables`."""
+        out = tmp_path / "out"
+        assert _plan(toy_input, out) == cli.EXIT_OK
+        build_milp, built = allocation.build_milp, []
+        monkeypatch.setattr(allocation, "build_milp",
+                            lambda *args: built.append(build_milp(*args)) or built[-1])
+        assert cli.main(["allocate", "--out", str(out), "--method", "export-lp"]) == cli.EXIT_OK
+        [milp] = built
+        assert "variables" not in vars(milp)
 
     def test_failed_simulate_leaves_no_trace(self, toy_input, tmp_path, monkeypatch):
         """A simulation that raises partway leaves neither a partial
